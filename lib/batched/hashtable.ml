@@ -1,12 +1,19 @@
+(* One block per binding. [value] and [next] are mutable, so a replace
+   writes in place, a remove unlinks in place, and a resize re-links the
+   existing blocks. *)
+type chain =
+  | Nil
+  | Node of { key : int; mutable value : int; mutable next : chain }
+
 type t = {
-  mutable table : (int * int) list array;
+  mutable table : chain array;
   mutable count : int;
 }
 
 let min_buckets = 16
 
 let create ?(initial_buckets = min_buckets) () =
-  { table = Array.make (max 1 initial_buckets) []; count = 0 }
+  { table = Array.make (max 1 initial_buckets) Nil; count = 0 }
 
 let length t = t.count
 let buckets t = Array.length t.table
@@ -29,17 +36,51 @@ let insert ~key ~value = Insert { i_key = key; i_value = value; replaced = false
 let lookup key = Lookup { l_key = key; l_value = None }
 let remove key = Remove { r_key = key; removed = false }
 
+let rec find key = function
+  | Nil -> None
+  | Node n -> if n.key = key then Some n.value else find key n.next
+
+(* Overwrite [key]'s value; [false] if the chain does not hold [key]. *)
+let rec replace key value = function
+  | Nil -> false
+  | Node n ->
+      if n.key = key then begin
+        n.value <- value;
+        true
+      end
+      else replace key value n.next
+
+(* Unlink [key] from the chain after the node [prev]; [false] if absent. *)
+let rec unlink_after key prev =
+  match prev with
+  | Nil -> false
+  | Node p -> (
+      match p.next with
+      | Nil -> false
+      | Node n as cur ->
+          if n.key = key then begin
+            p.next <- n.next;
+            true
+          end
+          else unlink_after key cur)
+
+let rec fold_chain f acc = function
+  | Nil -> acc
+  | Node n -> fold_chain f (f acc n.key n.value) n.next
+
+let rec relink t = function
+  | Nil -> ()
+  | Node n as node ->
+      let rest = n.next in
+      let b = bucket_of t n.key in
+      n.next <- t.table.(b);
+      t.table.(b) <- node;
+      relink t rest
+
 let resize t new_size =
   let old = t.table in
-  t.table <- Array.make (max min_buckets new_size) [];
-  Array.iter
-    (fun chain ->
-      List.iter
-        (fun (k, v) ->
-          let b = bucket_of t k in
-          t.table.(b) <- (k, v) :: t.table.(b))
-        chain)
-    old
+  t.table <- Array.make (max min_buckets new_size) Nil;
+  Array.iter (relink t) old
 
 let maybe_resize t =
   (* A whole batch lands before the check, so the table may need to grow
@@ -56,70 +97,77 @@ let maybe_resize t =
     resize t (shrink n_buckets)
   end
 
-let apply_one t op =
-  match op with
-  | Insert r ->
-      let b = bucket_of t r.i_key in
-      let chain = t.table.(b) in
-      if List.mem_assoc r.i_key chain then begin
-        r.replaced <- true;
-        t.table.(b) <- (r.i_key, r.i_value) :: List.remove_assoc r.i_key chain
-      end
-      else begin
-        t.table.(b) <- (r.i_key, r.i_value) :: chain;
-        t.count <- t.count + 1
-      end
-  | Lookup r -> r.l_value <- List.assoc_opt r.l_key t.table.(bucket_of t r.l_key)
-  | Remove r ->
-      let b = bucket_of t r.r_key in
-      let chain = t.table.(b) in
-      if List.mem_assoc r.r_key chain then begin
-        r.removed <- true;
-        t.table.(b) <- List.remove_assoc r.r_key chain;
-        t.count <- t.count - 1
-      end
+(* [true] if an existing binding was replaced. *)
+let add t key value =
+  let b = bucket_of t key in
+  let chain = t.table.(b) in
+  if replace key value chain then true
+  else begin
+    t.table.(b) <- Node { key; value; next = chain };
+    t.count <- t.count + 1;
+    false
+  end
+
+(* [true] if a binding was removed. *)
+let drop t key =
+  let b = bucket_of t key in
+  let removed =
+    match t.table.(b) with
+    | Nil -> false
+    | Node n as first ->
+        if n.key = key then begin
+          t.table.(b) <- n.next;
+          true
+        end
+        else unlink_after key first
+  in
+  if removed then t.count <- t.count - 1;
+  removed
+
+let get t key = find key t.table.(bucket_of t key)
 
 let run_batch t ops =
   (* The parallel version groups records by bucket and walks buckets
      concurrently; applying records in batch order per bucket gives the
      same results, which is what this sequential core does. *)
-  Array.iter (apply_one t) ops;
+  Array.iter
+    (function
+      | Insert r -> r.replaced <- add t r.i_key r.i_value
+      | Lookup r -> r.l_value <- get t r.l_key
+      | Remove r -> r.removed <- drop t r.r_key)
+    ops;
   maybe_resize t
 
+(* The single-op forms behave as one-op batches, resize check included. *)
 let insert_seq t ~key ~value =
-  match insert ~key ~value with
-  | Insert r as op ->
-      run_batch t [| op |];
-      r.replaced
-  | _ -> assert false
+  let replaced = add t key value in
+  maybe_resize t;
+  replaced
 
 let lookup_seq t key =
-  match lookup key with
-  | Lookup r as op ->
-      run_batch t [| op |];
-      r.l_value
-  | _ -> assert false
+  let v = get t key in
+  maybe_resize t;
+  v
 
 let remove_seq t key =
-  match remove key with
-  | Remove r as op ->
-      run_batch t [| op |];
-      r.removed
-  | _ -> assert false
+  let removed = drop t key in
+  maybe_resize t;
+  removed
 
 let to_sorted_bindings t =
-  Array.to_list t.table |> List.concat |> List.sort compare
+  Array.fold_left (fold_chain (fun acc k v -> (k, v) :: acc)) [] t.table
+  |> List.sort compare
 
 let check_invariants t =
   let seen = Hashtbl.create 64 in
   Array.iteri
     (fun b chain ->
-      List.iter
-        (fun (k, _) ->
+      fold_chain
+        (fun () k _ ->
           if bucket_of t k <> b then failwith "Hashtable: entry in wrong bucket";
           if Hashtbl.mem seen k then failwith "Hashtable: duplicate key";
           Hashtbl.add seen k ())
-        chain)
+        () chain)
     t.table;
   if Hashtbl.length seen <> t.count then failwith "Hashtable: count mismatch";
   let n_buckets = Array.length t.table in

@@ -1,25 +1,37 @@
 let max_level = 32
 
-(* The head sentinel holds no key; [forward.(l)] is the first real node at
-   level l. Real nodes have towers of length [height]. *)
+(* Every level ends at [tail], whose key [max_int] is greater than any
+   stored key (inserting [max_int] is refused), so a search step is one
+   load and one compare with no end-of-list case. Its tower is empty and
+   never followed; it is immutable, so every list shares it. *)
 type node = {
   key : int;
-  forward : node option array;
+  forward : node array;
 }
 
+let tail = { key = max_int; forward = [||] }
+
+(* The head sentinel holds no key; [forward.(l)] is the first node at
+   level l. Real nodes have towers of length [height]. *)
 type t = {
   head : node;
   mutable level : int;  (* highest level in use, >= 1 *)
   mutable size : int;
   rng : Util.Rng.t;
+  update : node array;
+      (* Per-level predecessors for the sequential insert and delete
+         paths. Only the batch's single writer uses it: searches that may
+         run concurrently keep their own arrays. *)
 }
 
 let create ?(seed = 0xBA7C4) () =
+  let head = { key = min_int; forward = Array.make max_level tail } in
   {
-    head = { key = min_int; forward = Array.make max_level None };
+    head;
     level = 1;
     size = 0;
     rng = Util.Rng.create ~seed;
+    update = Array.make max_level head;
   }
 
 let length t = t.size
@@ -33,6 +45,9 @@ let random_height t =
     else h
   in
   count 1
+
+let check_key key =
+  if key = max_int then invalid_arg "Skiplist: max_int is reserved for the tail sentinel"
 
 type insert_record = { key : int; mutable inserted : bool }
 type mem_record = { mem_key : int; mutable found : bool }
@@ -50,19 +65,20 @@ let mem key = Mem { mem_key = key; found = false }
 let delete key = Delete { del_key = key; deleted = false }
 let range ~lo ~hi = Range { r_lo = lo; r_hi = hi; r_keys = [] }
 
-(* Fill [update] with, per level, the rightmost node whose key is < key,
-   starting the search at [start] from level [t.level - 1]. *)
+(* The rightmost node at level l, from [x] on, whose key is < key. *)
+let rec advance (x : node) l key =
+  let nxt = x.forward.(l) in
+  if nxt.key < key then advance nxt l key else x
+
+(* The level-0 predecessor of [key]: advance at level l, then drop. *)
+let rec descend x l key = if l < 0 then x else descend (advance x l key) (l - 1) key
+
+(* Fill [update] with, per level below [t.level], the rightmost node
+   whose key is < key. Every search starts at the head. *)
 let search_update t (update : node array) key =
   let x = ref t.head in
   for l = t.level - 1 downto 0 do
-    let rec advance () =
-      match !x.forward.(l) with
-      | Some nxt when nxt.key < key ->
-          x := nxt;
-          advance ()
-      | _ -> ()
-    in
-    advance ();
+    x := advance !x l key;
     update.(l) <- !x
   done
 
@@ -74,181 +90,140 @@ let splice t (update : node array) key =
     done;
     t.level <- h
   end;
-  let fresh = { key; forward = Array.make h None } in
+  let fresh = { key; forward = Array.make h tail } in
   for l = 0 to h - 1 do
     fresh.forward.(l) <- update.(l).forward.(l);
-    update.(l).forward.(l) <- Some fresh
+    update.(l).forward.(l) <- fresh
   done;
   t.size <- t.size + 1
 
-let insert_seq t key =
-  let update = Array.make max_level t.head in
-  search_update t update key;
-  let duplicate =
-    match update.(0).forward.(0) with
-    | Some nxt -> nxt.key = key
-    | None -> false
-  in
-  if duplicate then false
+(* Splice [key] after the predecessors in [update] unless it is already
+   there; [true] if it was new. *)
+let insert_at t (update : node array) key =
+  if update.(0).forward.(0).key = key then false
   else begin
     splice t update key;
     true
   end
 
+let insert_seq t key =
+  check_key key;
+  search_update t t.update key;
+  insert_at t t.update key
+
 let mem_seq t key =
-  let x = ref t.head in
-  for l = t.level - 1 downto 0 do
-    let rec advance () =
-      match !x.forward.(l) with
-      | Some nxt when nxt.key < key ->
-          x := nxt;
-          advance ()
-      | _ -> ()
-    in
-    advance ()
-  done;
-  match !x.forward.(0) with Some nxt -> nxt.key = key | None -> false
+  key <> max_int && (descend t.head (t.level - 1) key).forward.(0).key = key
 
 let delete_seq t key =
-  let update = Array.make max_level t.head in
+  let update = t.update in
   search_update t update key;
-  match update.(0).forward.(0) with
-  | Some victim when victim.key = key ->
-      (* Unlink the victim's tower at every level it participates in. *)
-      let h = Array.length victim.forward in
-      for l = 0 to h - 1 do
-        match update.(l).forward.(l) with
-        | Some n when n == victim -> update.(l).forward.(l) <- victim.forward.(l)
-        | _ -> ()
-      done;
-      (* Lower the list level past now-empty levels. *)
-      while t.level > 1 && t.head.forward.(t.level - 1) = None do
-        t.level <- t.level - 1
-      done;
-      t.size <- t.size - 1;
-      true
-  | _ -> false
+  let victim = update.(0).forward.(0) in
+  if victim.key <> key || victim == tail then false
+  else begin
+    (* Unlink the victim's tower at every level it participates in. *)
+    for l = 0 to Array.length victim.forward - 1 do
+      if update.(l).forward.(l) == victim then
+        update.(l).forward.(l) <- victim.forward.(l)
+    done;
+    (* Lower the list level past now-empty levels. *)
+    while t.level > 1 && t.head.forward.(t.level - 1) == tail do
+      t.level <- t.level - 1
+    done;
+    t.size <- t.size - 1;
+    true
+  end
+
+let rec collect hi acc (n : node) =
+  if n.key < hi then collect hi (n.key :: acc) n.forward.(0) else List.rev acc
 
 (* Keys in [lo, hi), ascending: skip down to the predecessor of [lo],
-   then walk level 0. O(lg n + answer). *)
-let range_seq t ~lo ~hi =
-  let update = Array.make max_level t.head in
-  search_update t update lo;
-  let rec collect acc = function
-    | Some (n : node) when n.key < hi -> collect (n.key :: acc) n.forward.(0)
-    | _ -> List.rev acc
-  in
-  collect [] update.(0).forward.(0)
+   then walk level 0 until a key >= hi — at the latest the tail, so
+   [hi = max_int] returns every key >= lo. O(lg n + answer). *)
+let range_seq t ~lo ~hi = collect hi [] (descend t.head (t.level - 1) lo).forward.(0)
 
-let run_batch t d =
-  (* Step 1 (build): collect and sort the batch's insert keys. Step 2
-     (search) + step 3 (splice): ascending order lets each search resume
-     from the previous splice point, the sequential analogue of the
-     paper's parallel search phase. *)
-  let inserts =
-    Array.to_list d
-    |> List.filter_map (function
-         | Insert r -> Some r
-         | Mem _ | Delete _ | Range _ -> None)
+(* Step 1 (build): the batch's insert records, sorted by key. The sort is
+   stable, so of equal keys the earliest in batch order is the one that
+   inserts. Raises before any mutation if a key is reserved. *)
+let sorted_inserts d =
+  let n =
+    Array.fold_left
+      (fun n -> function
+        | Insert r ->
+            check_key r.key;
+            n + 1
+        | Mem _ | Delete _ | Range _ -> n)
+      0 d
   in
-  let sorted =
-    List.sort (fun (a : insert_record) b -> compare a.key b.key) inserts
-  in
-  let update = Array.make max_level t.head in
-  List.iter
-    (fun (r : insert_record) ->
-      search_update t update r.key;
-      let duplicate =
-        match update.(0).forward.(0) with
-        | Some nxt -> nxt.key = r.key
-        | None -> false
-      in
-      if not duplicate then begin
-        splice t update r.key;
-        r.inserted <- true
-      end)
-    sorted;
-  (* Delete phase. *)
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n { key = 0; inserted = false } in
+    let j = ref 0 in
+    Array.iter
+      (function
+        | Insert r ->
+            a.(!j) <- r;
+            incr j
+        | Mem _ | Delete _ | Range _ -> ())
+      d;
+    Array.stable_sort (fun (x : insert_record) y -> Int.compare x.key y.key) a;
+    a
+  end
+
+(* The phases after the splice: deletes, then queries (membership and
+   ranges), which observe the batch's net effect. *)
+let delete_then_query t d =
   Array.iter
     (function
       | Delete r -> r.deleted <- delete_seq t r.del_key
       | Insert _ | Mem _ | Range _ -> ())
     d;
-  (* Query phase (membership and ranges) observes the batch's net effect. *)
   Array.iter
     (function
       | Insert _ | Delete _ -> ()
       | Mem r -> r.found <- mem_seq t r.mem_key
       | Range r -> r.r_keys <- range_seq t ~lo:r.r_lo ~hi:r.r_hi)
     d
+
+let run_batch t d =
+  (* Step 1 (build), then step 2 (search) and step 3 (splice) per key in
+     ascending order, each search starting from the head. *)
+  Array.iter
+    (fun (r : insert_record) ->
+      search_update t t.update r.key;
+      if insert_at t t.update r.key then r.inserted <- true)
+    (sorted_inserts d);
+  delete_then_query t d
 
 (* The paper's BOP with a caller-supplied parallel-for. Step 1 (build):
    sort the batch's insert keys. Step 2 (search): every key's update
-   array is computed concurrently — searches only read the list. Step 3
-   (splice): sequential over ascending keys; a saved update entry may be
-   stale where an earlier (smaller) key of the same batch spliced in
-   front of it, so each level pointer is re-advanced before linking. *)
+   array is computed concurrently — searches only read the list, each
+   into its own array. Step 3 (splice): sequential over ascending keys; a
+   saved update entry may be stale where an earlier (smaller) key of the
+   same batch spliced in front of it, so each level pointer is
+   re-advanced before linking. Entries for levels the list grew into
+   since the search are still the head, where the re-advance starts. *)
 let run_batch_with ~pfor t d =
-  let inserts =
-    Array.to_list d
-    |> List.filter_map (function
-         | Insert r -> Some r
-         | Mem _ | Delete _ | Range _ -> None)
-    |> List.sort (fun (a : insert_record) b -> compare a.key b.key)
-    |> Array.of_list
-  in
+  let inserts = sorted_inserts d in
   let x = Array.length inserts in
-  let updates = Array.init x (fun _ -> [||]) in
-  (* Parallel search phase. *)
-  pfor x (fun i ->
-      let u = Array.make max_level t.head in
-      search_update t u inserts.(i).key;
-      updates.(i) <- u);
-  (* Sequential splice phase with revalidation. *)
+  let updates = Array.make x [||] in
+  if x > 0 then
+    pfor x (fun i ->
+        let u = Array.make max_level t.head in
+        search_update t u inserts.(i).key;
+        updates.(i) <- u);
   Array.iteri
     (fun i (r : insert_record) ->
       let u = updates.(i) in
-      (* New levels may have appeared since the search. *)
-      let u =
-        if Array.length u < max_level then Array.make max_level t.head else u
-      in
       for l = t.level - 1 downto 0 do
-        let rec advance () =
-          match u.(l).forward.(l) with
-          | Some nxt when nxt.key < r.key ->
-              u.(l) <- nxt;
-              advance ()
-          | _ -> ()
-        in
-        advance ()
+        u.(l) <- advance u.(l) l r.key
       done;
-      let duplicate =
-        match u.(0).forward.(0) with
-        | Some nxt -> nxt.key = r.key
-        | None -> false
-      in
-      if not duplicate then begin
-        splice t u r.key;
-        r.inserted <- true
-      end)
+      if insert_at t u r.key then r.inserted <- true)
     inserts;
-  (* Delete and query phases, as in the sequential core. *)
-  Array.iter
-    (function
-      | Delete r -> r.deleted <- delete_seq t r.del_key
-      | Insert _ | Mem _ | Range _ -> ())
-    d;
-  Array.iter
-    (function
-      | Insert _ | Delete _ -> ()
-      | Mem r -> r.found <- mem_seq t r.mem_key
-      | Range r -> r.r_keys <- range_seq t ~lo:r.r_lo ~hi:r.r_hi)
-    d
+  delete_then_query t d
 
 let to_list t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some (n : node) -> go (n.key :: acc) n.forward.(0)
+  let rec go acc (n : node) =
+    if n == tail then List.rev acc else go (n.key :: acc) n.forward.(0)
   in
   go [] t.head.forward.(0)
 
@@ -265,12 +240,12 @@ let check_invariants t =
   if List.length keys <> t.size then failwith "Skiplist: size mismatch";
   (* Every level-l list is a subsequence of the level-0 list. *)
   for l = 1 to t.level - 1 do
-    let rec walk = function
-      | None -> ()
-      | Some (n : node) ->
-          if not (List.mem n.key keys) then failwith "Skiplist: orphan tower";
-          if Array.length n.forward <= l then failwith "Skiplist: tower too short";
-          walk n.forward.(l)
+    let rec walk (n : node) =
+      if n != tail then begin
+        if not (List.mem n.key keys) then failwith "Skiplist: orphan tower";
+        if Array.length n.forward <= l then failwith "Skiplist: tower too short";
+        walk n.forward.(l)
+      end
     in
     walk t.head.forward.(l)
   done

@@ -4,14 +4,19 @@
     The batched insert (BOP) follows the paper's three steps: (1) build a
     small list from the batch's records, (2) search for every record's
     position in the main list, (3) splice. In the real implementation the
-    records are sorted and spliced with a resuming finger, so a batch of
-    [x] keys costs O(x + lg N) expected beyond the per-key splice work;
-    the simulator cost model exposes the parallel shape (searches in
-    parallel, build/splice sequential), exactly as the prototype in the
-    paper did.
+    records are sorted by key and every search starts from the head, so a
+    batch of [x] keys costs O(x lg N) expected; the simulator cost model
+    exposes the parallel shape (searches in parallel, build/splice
+    sequential), exactly as the prototype in the paper did.
 
     Tower heights come from a deterministic private stream, so runs are
-    reproducible. Keys are a set: inserting a present key is a no-op. *)
+    reproducible. Keys are a set: inserting a present key is a no-op.
+
+    [max_int] is reserved: every level ends at a tail sentinel holding
+    it. Inserting [max_int] raises [Invalid_argument] (a batch raises
+    before changing the list), [mem_seq t max_int] and
+    [delete_seq t max_int] return [false], and a range with
+    [hi = max_int] returns every stored key [>= lo]. *)
 
 type t
 
@@ -56,7 +61,7 @@ val run_batch_with :
 
 val insert_seq : t -> int -> bool
 (** Single-key insert; [true] if the key was new. The sequential baseline
-    of Figure 5. *)
+    of Figure 5. Raises [Invalid_argument] on [max_int]. *)
 
 val mem_seq : t -> int -> bool
 

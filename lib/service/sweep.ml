@@ -20,7 +20,7 @@ type point = {
   mode : Runtime.Batcher_rt.mode;
   shards : int;
   mult : float;  (* rate multiplier applied to the scenario's rt_rate *)
-  offered_req_s : float;  (* rt_rate *. mult *)
+  offered_req_s : float;  (* scheduled requests / duration *)
   pt : Rt_driver.point;  (* goodput, digests, and the request trace *)
   shares : (string * float) list;  (* Obs.Reqtrace.shares of the point *)
 }
@@ -127,7 +127,8 @@ let run ?(mults = default_mults) ?(modes = [ Runtime.Batcher_rt.Faa_array ])
                   mode;
                   shards = k;
                   mult;
-                  offered_req_s = sc.Scenario.rt_rate *. mult;
+                  offered_req_s =
+                    float_of_int pt.Rt_driver.requests /. duration_s;
                   pt;
                   shares = Obs.Reqtrace.(shares (totals pt.Rt_driver.trace));
                 })

@@ -12,7 +12,10 @@ type point = {
   mode : Runtime.Batcher_rt.mode;
   shards : int;
   mult : float;  (** rate multiplier applied to the scenario's rt_rate *)
-  offered_req_s : float;  (** the scenario's rt_rate ×. mult *)
+  offered_req_s : float;
+      (** the generated schedule's requests ÷ the run's duration — the
+          rate actually offered, bursts included (the scenario's
+          rt_rate ×. mult is only the base rate between bursts) *)
   pt : Rt_driver.point;  (** the traced run: goodput, digests, spans *)
   shares : (string * float) list;
       (** {!Obs.Reqtrace.shares} of the point's trace:

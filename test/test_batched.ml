@@ -383,6 +383,68 @@ let prop_skiplist_parallel_bop_matches_set =
       Sk.check_invariants s;
       Sk.to_list s = IS.elements !model)
 
+(* [hi = None] stands for [max_int], the bound Shard.skiplist fan-outs
+   pass; every query also runs on an empty list. Bounds reach past the
+   stored keys on both sides, so [lo >= hi] and empty answers occur. *)
+let prop_skiplist_range_matches_set =
+  QCheck.Test.make ~name:"skiplist range_seq matches Set" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 60) (int_range (-50) 250))
+        (list_of_size Gen.(1 -- 10)
+           (pair (int_range (-60) 260) (option (int_range (-60) 260)))))
+    (fun (keys, queries) ->
+      let module IS = Set.Make (Int) in
+      let s = Sk.create () and empty = Sk.create () in
+      List.iter (fun k -> ignore (Sk.insert_seq s k)) keys;
+      let model = IS.of_list keys in
+      List.for_all
+        (fun (lo, hi) ->
+          let hi = Option.value hi ~default:max_int in
+          let expect = IS.elements (IS.filter (fun k -> lo <= k && k < hi) model) in
+          let q = Sk.range ~lo ~hi in
+          Sk.run_batch s [| q |];
+          Sk.range_seq s ~lo ~hi = expect
+          && (match q with Sk.Range r -> r.Sk.r_keys = expect | _ -> false)
+          && Sk.range_seq empty ~lo ~hi = [])
+        queries)
+
+(* max_int is the tail sentinel's key: refused on insert, before a batch
+   changes anything, and never reported present or deleted. *)
+let test_skiplist_max_int_reserved () =
+  let s = Sk.create () in
+  List.iter (fun k -> ignore (Sk.insert_seq s k)) [ min_int; -3; 7 ];
+  let reserved = Invalid_argument "Skiplist: max_int is reserved for the tail sentinel" in
+  Alcotest.check_raises "insert_seq" reserved (fun () -> ignore (Sk.insert_seq s max_int));
+  Alcotest.check_raises "run_batch" reserved (fun () ->
+      Sk.run_batch s [| Sk.insert 1; Sk.insert max_int |]);
+  Alcotest.check_raises "run_batch_with" reserved (fun () ->
+      Sk.run_batch_with ~pfor:seq_pfor s [| Sk.insert 1; Sk.insert max_int |]);
+  Alcotest.(check (list int)) "unchanged" [ min_int; -3; 7 ] (Sk.to_list s);
+  Alcotest.(check bool) "mem max_int" false (Sk.mem_seq s max_int);
+  Alcotest.(check bool) "delete max_int" false (Sk.delete_seq s max_int);
+  Alcotest.(check bool) "mem min_int" true (Sk.mem_seq s min_int);
+  Alcotest.(check (list int)) "range to max_int" [ -3; 7 ]
+    (Sk.range_seq s ~lo:(-3) ~hi:max_int);
+  Alcotest.(check (list int)) "range from max_int" [] (Sk.range_seq s ~lo:max_int ~hi:max_int);
+  Sk.check_invariants s
+
+(* A membership search on a built list is closure-free and allocates
+   nothing. Gc.minor_words boxes its own float result, hence the slack. *)
+let test_skiplist_mem_allocation_free () =
+  let s = Sk.create ~seed:3 () in
+  for i = 0 to 4_999 do
+    ignore (Sk.insert_seq s (2 * i))
+  done;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    if Sk.mem_seq s k then incr hits
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check int) "hits" 5_000 !hits;
+  if delta > 16. then Alcotest.failf "mem_seq allocated %.0f minor words" delta
+
 (* ---------- 2-3 tree ---------- *)
 
 let test_two_three_insert () =
@@ -577,6 +639,7 @@ let qcheck_cases =
       prop_skiplist_matches_set;
       prop_skiplist_with_deletes_matches_set;
       prop_skiplist_parallel_bop_matches_set;
+      prop_skiplist_range_matches_set;
       prop_two_three_matches_set;
       prop_two_three_with_deletes_matches_set;
       prop_pqueue_heapsort;
@@ -621,6 +684,8 @@ let () =
           Alcotest.test_case "parallel BOP parity" `Quick test_skiplist_parallel_bop_parity;
           Alcotest.test_case "parallel BOP duplicates" `Quick
             test_skiplist_parallel_bop_duplicates;
+          Alcotest.test_case "max_int reserved" `Quick test_skiplist_max_int_reserved;
+          Alcotest.test_case "mem allocation-free" `Quick test_skiplist_mem_allocation_free;
         ] );
       ( "two_three",
         [

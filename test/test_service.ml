@@ -352,6 +352,23 @@ let test_rt_driver_tiny () =
     && all.Svc.Latency.p99_ns <= all.Svc.Latency.p999_ns
     && all.Svc.Latency.p999_ns <= all.Svc.Latency.max_ns)
 
+(* The sweep's offered rate is the generated schedule's, bursts included:
+   smoke's 3x bursts offer ~1.5x its base rate, so a rate taken from the
+   base made goodput read ~150% of offered. Goodput cannot beat the
+   schedule it drains. *)
+let test_sweep_offered_counts_bursts () =
+  let sc = smoke () in
+  Alcotest.(check bool) "bursty scenario" true (sc.Svc.Scenario.burst <> None);
+  let sw = Svc.Sweep.run ~mults:[ 1.0 ] ~workers:2 ~duration_s:0.3 sc in
+  List.iter
+    (fun (p : Svc.Sweep.point) ->
+      let ratio = p.Svc.Sweep.pt.Svc.Rt_driver.goodput /. p.Svc.Sweep.offered_req_s in
+      if ratio > 1.05 then
+        Alcotest.failf "goodput %.0f req/s is %.0f%% of offered %.0f req/s"
+          p.Svc.Sweep.pt.Svc.Rt_driver.goodput (100.0 *. ratio)
+          p.Svc.Sweep.offered_req_s)
+    sw.Svc.Sweep.points
+
 (* ---------- per-request span traces through the drivers ---------- *)
 
 (* The acceptance property of the anatomy subsystem: on a real traced
@@ -886,6 +903,8 @@ let () =
         [
           Alcotest.test_case "sim smoke point" `Quick test_sim_driver_smoke;
           Alcotest.test_case "runtime tiny point" `Quick test_rt_driver_tiny;
+          Alcotest.test_case "sweep offered rate counts bursts" `Quick
+            test_sweep_offered_counts_bursts;
         ] );
       ( "reqtrace",
         [

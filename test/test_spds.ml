@@ -241,6 +241,83 @@ let prop_hashtable_matches_map =
       H.check_invariants h;
       H.to_sorted_bindings h = IM.bindings !model)
 
+(* Replace, remove, reinsert and lookup over a few hot keys, on a table
+   grown by [fill] cold keys; then the cold keys are removed a chunk per
+   batch, so the table shrink-resizes around the hot bindings. Every
+   record's answer is checked against the model in batch order. *)
+let prop_hashtable_churn_matches_map =
+  QCheck.Test.make ~name:"hashtable replace/remove/reinsert/shrink matches Map"
+    ~count:100
+    QCheck.(
+      pair (int_bound 400)
+        (list_of_size Gen.(0 -- 10)
+           (list_of_size Gen.(0 -- 30)
+              (triple (int_bound 2) (int_bound 20) small_nat))))
+    (fun (fill, batches) ->
+      let module IM = Map.Make (Int) in
+      let h = H.create () in
+      let model = ref IM.empty in
+      let apply batch =
+        let ops =
+          List.map
+            (fun (kind, k, v) ->
+              match kind with
+              | 0 -> H.insert ~key:k ~value:v
+              | 1 -> H.remove k
+              | _ -> H.lookup k)
+            batch
+        in
+        H.run_batch h (Array.of_list ops);
+        List.for_all2
+          (fun (_, k, v) op ->
+            match op with
+            | H.Insert r ->
+                let ok = r.H.replaced = IM.mem k !model in
+                model := IM.add k v !model;
+                ok
+            | H.Remove r ->
+                let ok = r.H.removed = IM.mem k !model in
+                model := IM.remove k !model;
+                ok
+            | H.Lookup r -> r.H.l_value = IM.find_opt k !model)
+          batch ops
+      in
+      let cold = List.init fill (fun i -> (0, 1000 + i, i)) in
+      let grown = apply cold in
+      let churned = List.for_all apply batches in
+      let big = H.buckets h in
+      let rec drain = function
+        | [] -> true
+        | l ->
+            let chunk = List.filteri (fun i _ -> i < 50) l in
+            let rest = List.filteri (fun i _ -> i >= 50) l in
+            apply (List.map (fun (_, k, _) -> (1, k, 0)) chunk) && drain rest
+      in
+      let drained = drain cold in
+      H.check_invariants h;
+      grown && churned && drained
+      && H.to_sorted_bindings h = IM.bindings !model
+      (* 200+ cold keys grow the table to >= 128 buckets; at most 21 hot
+         keys remain, under a quarter of that. *)
+      && (fill < 200 || H.buckets h < big))
+
+(* A lookup that misses walks its chain without allocating: the chain
+   blocks are unboxed bindings compared by int equality, and a miss
+   returns the constant None. *)
+let test_hashtable_miss_allocation_free () =
+  let h = H.create () in
+  for k = 0 to 4_999 do
+    ignore (H.insert_seq h ~key:(2 * k) ~value:k)
+  done;
+  let misses = ref 0 in
+  let before = Gc.minor_words () in
+  for k = 0 to 4_999 do
+    if Option.is_none (H.lookup_seq h ((2 * k) + 1)) then incr misses
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check int) "misses" 5_000 !misses;
+  if delta > 16. then Alcotest.failf "missed lookups allocated %.0f minor words" delta
+
 (* ---------- order-statistic tree ---------- *)
 
 module Os = Batched.Ostree
@@ -324,7 +401,7 @@ let test_new_models_run_in_sim () =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_order_list_total_order; prop_sp_order_consistency; prop_hashtable_matches_map;
-      prop_ostree_matches_set ]
+      prop_hashtable_churn_matches_map; prop_ostree_matches_set ]
 
 let () =
   Alcotest.run "spds"
@@ -346,6 +423,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_hashtable_basic;
           Alcotest.test_case "batch order" `Quick test_hashtable_batch_order;
           Alcotest.test_case "growth and shrink" `Quick test_hashtable_growth;
+          Alcotest.test_case "missed lookup allocation-free" `Quick
+            test_hashtable_miss_allocation_free;
         ] );
       ( "ostree",
         [
