@@ -11,23 +11,29 @@ type t = {
 
 let size t = Array.length t.costs
 
+(* Kahn's algorithm in FIFO order. Every node is enqueued once, so
+   [order] itself is the queue: [order.(head .. filled - 1)] are the
+   ready nodes not yet expanded. *)
 let topological_order t =
   let n = size t in
   let remaining = Array.copy t.pred_count in
   let order = Array.make n 0 in
-  let queue = Queue.create () in
-  for v = 0 to n - 1 do
-    if remaining.(v) = 0 then Queue.add v queue
-  done;
   let filled = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
+  let enqueue v =
     order.(!filled) <- v;
-    incr filled;
+    incr filled
+  in
+  for v = 0 to n - 1 do
+    if remaining.(v) = 0 then enqueue v
+  done;
+  let head = ref 0 in
+  while !head < !filled do
+    let v = order.(!head) in
+    incr head;
     Array.iter
       (fun w ->
         remaining.(w) <- remaining.(w) - 1;
-        if remaining.(w) = 0 then Queue.add w queue)
+        if remaining.(w) = 0 then enqueue w)
       t.succs.(v)
   done;
   if !filled <> n then failwith "Dag.topological_order: graph has a cycle";

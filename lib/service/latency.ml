@@ -25,20 +25,23 @@ let digest cls samples =
       max_ns = 0.0;
     }
   else begin
-    let max_ns = Array.fold_left max samples.(0) samples in
+    (* One sort serves every quantile and the max. *)
+    let sorted = Array.copy samples in
+    Array.sort Float.compare sorted;
+    let max_ns = sorted.(n - 1) in
     (* With fewer than 1000 samples the 99.9th percentile would be an
        interpolation between the last two order statistics — a value no
        request actually saw. Report the observed max and flag the
        approximation instead of faking precision. *)
     let p999_ns, p999_approx =
       if n < 1000 then (max_ns, true)
-      else (Util.Stats.percentile samples 0.999, false)
+      else (Util.Stats.percentile_sorted sorted 0.999, false)
     in
     {
       cls;
       requests = n;
-      p50_ns = Util.Stats.percentile samples 0.5;
-      p99_ns = Util.Stats.percentile samples 0.99;
+      p50_ns = Util.Stats.percentile_sorted sorted 0.5;
+      p99_ns = Util.Stats.percentile_sorted sorted 0.99;
       p999_ns;
       p999_approx;
       mean_ns = Util.Stats.mean samples;

@@ -82,12 +82,26 @@ type batch = {
   members : int array;  (* worker ids whose ops are in the working set *)
 }
 
+(* The batch dag built for one BOP cost tree: setup ; BOP ; cleanup. *)
+type shape = {
+  s_dag : Dag.t;
+  s_lo : int;  (* BOP node-id range, as [inst.bop_lo]/[bop_hi] *)
+  s_hi : int;
+  s_work : int;  (* Par work and span of the (scaled) BOP *)
+  s_span : int;
+}
+
 type state = {
   cfg : config;
   costs : Costs.t;  (* what-if cost scaling; Costs.identity = off *)
   workload : Workload.t;
   core_inst : inst;
   workers : worker array;
+  stage : Par.t;  (* one LAUNCHBATCH setup or cleanup stage *)
+  setup_charge : int;  (* setup work a batch reports: the stages' Par work *)
+  shapes : (Par.t, shape) Hashtbl.t;  (* batch dags built so far, by BOP tree *)
+  mutable core_queued : int;  (* tasks in all core deques *)
+  mutable batch_queued : int;  (* tasks in all batch deques *)
   pending : int option array;  (* per worker: suspended core ds node id *)
   mutable pending_count : int;  (* parked operations, all structures *)
   pending_per : int array;  (* parked operations per structure *)
@@ -114,6 +128,7 @@ type state = {
   tracing : bool;
   mutable trace : Trace.event list;  (* reverse chronological *)
   rc : Obs.Recorder.t;  (* observability recorder; Obs.Recorder.null = off *)
+  recording : bool;  (* [Obs.Recorder.enabled rc], read once per run *)
   inv : Obs.Invariants.t;  (* online checkers, independent of the sim's own asserts *)
 }
 
@@ -134,13 +149,13 @@ let struct_of st node =
   | Dag.Ds idx -> st.workload.Workload.assign idx
   | Dag.Core -> assert false
 
-let attribute st (task : task) =
+let attribute st (task : task) units =
   match task.inst.origin with
-  | OCore -> st.core_work <- st.core_work + 1
+  | OCore -> st.core_work <- st.core_work + units
   | OBatch ->
       if task.node >= task.inst.bop_lo && task.node < task.inst.bop_hi then
-        st.batch_work <- st.batch_work + 1
-      else st.setup_work <- st.setup_work + 1
+        st.batch_work <- st.batch_work + units
+      else st.setup_work <- st.setup_work + units
 
 let class_of_task (task : task) =
   match task.inst.origin with
@@ -160,26 +175,36 @@ let flush_run st w ~time =
     w.wrun <- 0
   end
 
-let note st w cls =
-  if Obs.Recorder.enabled st.rc then begin
+(* [units] consecutive steps of class [cls], the first at [st.time]. *)
+let note st w cls units =
+  if st.recording then begin
     if w.wrun > 0 && w.wcls <> cls then flush_run st w ~time:(st.time - 1);
     w.wcls <- cls;
-    w.wrun <- w.wrun + 1
+    w.wrun <- w.wrun + units
   end
 
 let assign w (task : task) =
   w.assigned <- Some task;
   w.remaining <- task.inst.dag.Dag.costs.(task.node)
 
-let deque_for w = function
-  | OCore -> w.core_dq
-  | OBatch -> w.batch_dq
+(* Pushes here and [take] keep the [core_queued]/[batch_queued] totals
+   that the quiet-window scan reads. *)
+let count_queued st (task : task) delta =
+  match task.inst.origin with
+  | OCore -> st.core_queued <- st.core_queued + delta
+  | OBatch -> st.batch_queued <- st.batch_queued + delta
+
+let push st w (task : task) =
+  Deque.push_bottom
+    (match task.inst.origin with OCore -> w.core_dq | OBatch -> w.batch_dq)
+    task;
+  count_queued st task 1
 
 (* Enable [task]'s successors after its completion: newly ready nodes are
    assigned to the completing worker (first) and pushed on the deque
    matching the dag's origin (rest). [d] is the completed node's
    critical-path depth, propagated along every outgoing edge. *)
-let enable_successors _st w (task : task) ~d =
+let enable_successors st w (task : task) ~d =
   let inst = task.inst in
   let newly = ref [] in
   Array.iter
@@ -192,7 +217,7 @@ let enable_successors _st w (task : task) ~d =
   | [] -> ()
   | first :: rest ->
       assign w { inst; node = first };
-      List.iter (fun s -> Deque.push_bottom (deque_for w inst.origin) { inst; node = s }) rest)
+      List.iter (fun s -> push st w { inst; node = s }) rest)
 
 let complete_batch st ~finisher ~d sid =
   match st.active.(sid) with
@@ -265,16 +290,56 @@ let exec_unit st w =
   match w.assigned with
   | None -> assert false
   | Some task ->
-      attribute st task;
-      note st w (class_of_task task);
+      attribute st task 1;
+      note st w (class_of_task task) 1;
       st.units_this_step <- st.units_this_step + 1;
       w.remaining <- w.remaining - 1;
       if w.remaining = 0 then complete st w task
 
-(* Build the batch dag for the snapshot [members]: setup ; BOP ; cleanup.
-   Setup and cleanup model LAUNCHBATCH's parallel-for over the pending
-   array and the working-set compaction: Θ(p) work, Θ(lg p) span — or a
-   sequential Θ(p) scan in flat-combining mode. *)
+(* Run [task], just taken off one of the deques. *)
+let take st w (task : task) =
+  count_queued st task (-1);
+  assign w task;
+  exec_unit st w
+
+(* The batch dag for the BOP cost tree [raw]: setup ; BOP ; cleanup,
+   built once per distinct tree in a run. Reuse is exact: Dag.t is
+   immutable and every per-batch counter lives in the [inst] that
+   [launch] makes, and building from an equal tree would number the
+   nodes and order the successors the same way. *)
+let batch_shape st raw =
+  match Hashtbl.find_opt st.shapes raw with
+  | Some s -> s
+  | None ->
+      let cfg = st.cfg in
+      let bop = if cfg.sequential_batches then Par.leaf (Par.work raw) else raw in
+      (* What-if scaling (Costs): in the DAG world work and span are
+         coupled, so scaling the BOP's leaf costs scales both together;
+         the identity factor returns the tree unchanged. *)
+      let bop = Par.scale_costs ~factor:st.costs.Costs.bop_work bop in
+      let b = Dag.Build.create () in
+      let pre =
+        match cfg.overhead with
+        | Tree_setup | Fused_setup -> [ Dag.Build.of_par b st.stage ]
+        | No_setup -> []
+      in
+      let lo = Dag.Build.node_count b in
+      let bop_f = Dag.Build.of_par b bop in
+      let hi = Dag.Build.node_count b in
+      let post =
+        match cfg.overhead with
+        | Tree_setup -> [ Dag.Build.of_par b st.stage ]
+        | Fused_setup | No_setup -> []
+      in
+      let whole = Dag.Build.in_series b (pre @ [ bop_f ] @ post) in
+      let s =
+        { s_dag = Dag.Build.finish b whole; s_lo = lo; s_hi = hi;
+          s_work = Par.work bop; s_span = Par.span bop }
+      in
+      Hashtbl.add st.shapes raw s;
+      s
+
+(* Launch a batch of the snapshot [members]. *)
 let launch st w =
   let cfg = st.cfg in
   let sid =
@@ -310,42 +375,21 @@ let launch st w =
         | None -> assert false)
       members
   in
-  let bop = st.workload.Workload.models.(sid).Batched.Model.batch_cost ops in
-  let bop = if cfg.sequential_batches then Par.leaf (Par.work bop) else bop in
-  (* What-if scaling (Costs): in the DAG world work and span are
-     coupled, so scaling the BOP's leaf costs scales both together;
-     the identity factor returns the tree unchanged. *)
-  let bop = Par.scale_costs ~factor:st.costs.Costs.bop_work bop in
+  (* Called on every launch even when the shape is known: it advances
+     the model's size. *)
+  let shape =
+    batch_shape st (st.workload.Workload.models.(sid).Batched.Model.batch_cost ops)
+  in
   st.batch_details <-
     {
       Metrics.bd_sid = sid;
       bd_size = Array.length members;
-      bd_work = Par.work bop;
-      bd_span = Par.span bop;
+      bd_work = shape.s_work;
+      bd_span = shape.s_span;
     }
     :: st.batch_details;
-  let overhead () =
-    Par.scale_costs ~factor:st.costs.Costs.setup_work
-      (if cfg.sequential_batches then Par.leaf cfg.p
-       else Par.balanced ~leaf_cost:(fun _ -> 1) cfg.p)
-  in
-  let b = Dag.Build.create () in
-  let pre =
-    match cfg.overhead with
-    | Tree_setup | Fused_setup -> [ Dag.Build.of_par b (overhead ()) ]
-    | No_setup -> []
-  in
-  let lo = Dag.Build.node_count b in
-  let bop_f = Dag.Build.of_par b bop in
-  let hi = Dag.Build.node_count b in
-  let post =
-    match cfg.overhead with
-    | Tree_setup -> [ Dag.Build.of_par b (overhead ()) ]
-    | Fused_setup | No_setup -> []
-  in
-  let whole = Dag.Build.in_series b (pre @ [ bop_f ] @ post) in
-  let dag = Dag.Build.finish b whole in
-  let inst = make_inst ~origin:OBatch ~bop_lo:lo ~bop_hi:hi ~sid dag in
+  let dag = shape.s_dag in
+  let inst = make_inst ~origin:OBatch ~bop_lo:shape.s_lo ~bop_hi:shape.s_hi ~sid dag in
   (* Batch-coupling edge of the realized critical path: the batch dag's
      source inherits the deepest member operation's park depth. *)
   Array.iter
@@ -355,16 +399,8 @@ let launch st w =
     members;
   if st.tracing then
     st.trace <- Trace.Launched { time = st.time; worker = w.id; sid; members } :: st.trace;
-  (* Report the setup cost actually charged by the dag: the balanced
-     tree's internal nodes count too, so this is Par.work, not p. *)
-  let setup_work =
-    match cfg.overhead with
-    | Tree_setup -> 2 * Par.work (overhead ())
-    | Fused_setup -> Par.work (overhead ())
-    | No_setup -> 0
-  in
   Obs.Recorder.emit_batch_start st.rc ~worker:w.id ~time:st.time ~sid
-    ~size:(Array.length members) ~setup:setup_work ~mode:0;
+    ~size:(Array.length members) ~setup:st.setup_charge ~mode:0;
   Obs.Invariants.batch_started st.inv ~worker:w.id ~time:st.time ~sid
     ~size:(Array.length members) ~cap:cfg.batch_cap;
   st.active.(sid) <- Some { b_sid = sid; members };
@@ -398,7 +434,7 @@ let resume st w =
   | Some node ->
       if st.tracing then
         st.trace <- Trace.Resumed { time = st.time; worker = w.id; node } :: st.trace;
-      if Obs.Recorder.enabled st.rc then begin
+      if st.recording then begin
         Obs.Recorder.emit_op_done st.rc ~worker:w.id ~time:st.time
           ~sid:(struct_of st node) ~batches_seen:w.seen_batches
           ~latency:(st.time - w.suspend_time);
@@ -414,98 +450,143 @@ let resume st w =
       if node = st.core_inst.dag.Dag.sink then
         failwith "Batcher sim: data-structure node is the core sink");
   if w.assigned <> None then exec_unit st w
-  else note st w Obs.Recorder.Wsched
+  else note st w Obs.Recorder.Wsched 1
 
+(* A uniformly random other worker's id, or -1 when there is none. *)
 let victim st w =
   let p = st.cfg.p in
-  if p <= 1 then None
-  else begin
-    let offset = 1 + Util.Rng.int w.rng (p - 1) in
-    Some st.workers.((w.id + offset) mod p)
-  end
+  if p <= 1 then -1 else (w.id + 1 + Util.Rng.int w.rng (p - 1)) mod p
+
+(* Which deque a free thief's next attempt targets (true = batch). *)
+let free_target st w =
+  let k = w.steal_count in
+  w.steal_count <- k + 1;
+  match st.cfg.steal_policy with
+  | Alternating -> k land 1 = 1
+  | Core_only -> false
+  | Batch_only -> true
+  | Uniform_random -> Util.Rng.bool w.rng
+
+let count_steals st w n =
+  st.steal_attempts <- st.steal_attempts + n;
+  if w.status = Free then st.free_steal_attempts <- st.free_steal_attempts + n
+  else st.trapped_steal_attempts <- st.trapped_steal_attempts + n
+
+let emit_steal st w ~time ~victim ~success ~batch_deque =
+  if st.recording then
+    Obs.Recorder.emit_steal st.rc ~worker:w.id ~time ~victim ~success ~batch_deque
 
 let steal_attempt st w ~target_batch =
   (* A steal step is not part of any work run; close the run at its
      true end (the previous step) so Work segments stay non-overlapping. *)
-  if Obs.Recorder.enabled st.rc then flush_run st w ~time:(st.time - 1);
-  st.steal_attempts <- st.steal_attempts + 1;
-  if w.status = Free then
-    st.free_steal_attempts <- st.free_steal_attempts + 1
-  else st.trapped_steal_attempts <- st.trapped_steal_attempts + 1;
-  match victim st w with
+  if st.recording then flush_run st w ~time:(st.time - 1);
+  count_steals st w 1;
+  let v = victim st w in
+  let stolen =
+    if v < 0 then None
+    else
+      let v = st.workers.(v) in
+      Deque.steal_top (if target_batch then v.batch_dq else v.core_dq)
+  in
+  match stolen with
   | None ->
-      Obs.Recorder.emit_steal st.rc ~worker:w.id ~time:st.time ~victim:(-1)
-        ~success:false ~batch_deque:target_batch
-  | Some v -> begin
-      let dq = if target_batch then v.batch_dq else v.core_dq in
-      match Deque.steal_top dq with
-      | None ->
-          Obs.Recorder.emit_steal st.rc ~worker:w.id ~time:st.time ~victim:v.id
-            ~success:false ~batch_deque:target_batch
-      | Some task ->
-          st.steal_successes <- st.steal_successes + 1;
-          Obs.Recorder.emit_steal st.rc ~worker:w.id ~time:st.time ~victim:v.id
-            ~success:true ~batch_deque:target_batch;
-          assign w task;
-          exec_unit st w
-    end
+      emit_steal st w ~time:st.time ~victim:v ~success:false ~batch_deque:target_batch
+  | Some task ->
+      st.steal_successes <- st.steal_successes + 1;
+      emit_steal st w ~time:st.time ~victim:v ~success:true ~batch_deque:target_batch;
+      take st w task
 
 let acquire_free st w =
   let core_empty = Deque.is_empty w.core_dq in
   let batch_empty = Deque.is_empty w.batch_dq in
   if st.cfg.check_invariants && (not core_empty) && not batch_empty then
     failwith "Batcher sim: Invariant 4 violated (both deques nonempty)";
-  if not core_empty then begin
-    match Deque.pop_bottom w.core_dq with
-    | Some task ->
-        assign w task;
-        exec_unit st w
-    | None -> assert false
-  end
-  else if not batch_empty then begin
-    match Deque.pop_bottom w.batch_dq with
-    | Some task ->
-        assign w task;
-        exec_unit st w
-    | None -> assert false
-  end
-  else begin
-    let k = w.steal_count in
-    w.steal_count <- w.steal_count + 1;
-    let target_batch =
-      match st.cfg.steal_policy with
-      | Alternating -> k land 1 = 1
-      | Core_only -> false
-      | Batch_only -> true
-      | Uniform_random -> Util.Rng.bool w.rng
-    in
-    steal_attempt st w ~target_batch
-  end
+  match Deque.pop_bottom (if core_empty then w.batch_dq else w.core_dq) with
+  | Some task -> take st w task
+  | None -> steal_attempt st w ~target_batch:(free_target st w)
+
+(* A pending worker whose structure has no batch in flight launches one
+   when enough operations are parked (or the livelock escape fired). *)
+let launchable st w =
+  w.status = Pending
+  &&
+  match w.suspended with
+  | Some node ->
+      let sid = struct_of st node in
+      st.active.(sid) = None
+      && (st.pending_per.(sid) >= st.cfg.launch_threshold || st.force_launch)
+  | None -> false
 
 let acquire_trapped st w =
-  if not (Deque.is_empty w.batch_dq) then begin
-    match Deque.pop_bottom w.batch_dq with
-    | Some task ->
-        assign w task;
-        exec_unit st w
-    | None -> assert false
-  end
-  else if w.status = Done then resume st w
-  else if
-    w.status = Pending
-    && (match w.suspended with
-       | Some node ->
-           let sid = struct_of st node in
-           st.active.(sid) = None
-           && (st.pending_per.(sid) >= st.cfg.launch_threshold || st.force_launch)
-       | None -> false)
-  then launch st w
-  else steal_attempt st w ~target_batch:true
+  match Deque.pop_bottom w.batch_dq with
+  | Some task -> take st w task
+  | None ->
+      if w.status = Done then resume st w
+      else if launchable st w then launch st w
+      else steal_attempt st w ~target_batch:true
 
 let step_worker st w =
   match w.assigned with
   | Some _ -> exec_unit st w
   | None -> if w.status = Free then acquire_free st w else acquire_trapped st w
+
+(* Quiet windows (DESIGN.md §17). The next [k] steps are quiet when
+   every assigned worker has [remaining > k], so none completes a node,
+   and every other worker's step is a steal attempt sure to fail: a free
+   thief's when all deques are empty, a trapped thief's when all batch
+   deques are empty and it can neither resume ([Done]) nor launch. Such
+   steps change no deque, status, batch or dag state, so their outcomes
+   are fixed in advance. [quiet_window] returns the largest such [k]
+   (0 if there is none), stopping at the first worker that rules a
+   window out; a window needs an assigned worker, which also keeps
+   every step of it off the livelock escape's idle count. *)
+let quiet_window st =
+  let workers = st.workers in
+  let rec scan i k =
+    if i = Array.length workers then if k = max_int then 0 else k
+    else
+      let w = workers.(i) in
+      match w.assigned with
+      | Some _ ->
+          if w.remaining <= 1 then 0 else scan (i + 1) (Int.min k (w.remaining - 1))
+      | None ->
+          let fails =
+            match w.status with
+            | Free -> st.core_queued = 0 && st.batch_queued = 0
+            | Pending -> st.batch_queued = 0 && not (launchable st w)
+            | Executing -> st.batch_queued = 0
+            | Done -> false
+          in
+          if fails then scan (i + 1) k else 0
+  in
+  Int.min (scan 0 max_int) (st.cfg.max_steps - st.time)
+
+(* Advance a quiet window of [k] steps at once. Busy workers take [k]
+   units of their node; thieves replay what [k] failed attempts change:
+   steal counters, RNG draws ([free_target]'s, then [victim]'s, per
+   attempt, as [acquire_free] draws them), the closing flush of their
+   work run and one Steal event per step. *)
+let advance st k =
+  let t0 = st.time in
+  st.time <- t0 + 1;
+  Array.iter
+    (fun w ->
+      match w.assigned with
+      | Some task ->
+          attribute st task k;
+          note st w (class_of_task task) k;
+          w.remaining <- w.remaining - k
+      | None ->
+          if st.recording then flush_run st w ~time:t0;
+          count_steals st w k;
+          let free = w.status = Free in
+          for i = 1 to k do
+            let target_batch = if free then free_target st w else true in
+            let v = victim st w in
+            emit_steal st w ~time:(t0 + i) ~victim:v ~success:false ~batch_deque:target_batch
+          done)
+    st.workers;
+  st.time <- t0 + k
 
 let run_internal ~tracing ~costs ~recorder ~invariants cfg workload =
   if cfg.p < 1 then invalid_arg "Batcher.run: p >= 1";
@@ -540,6 +621,14 @@ let run_internal ~tracing ~costs ~recorder ~invariants cfg workload =
           rng = Util.Rng.stream ~seed:cfg.seed ~index:id;
         })
   in
+  (* LAUNCHBATCH's setup and cleanup stages model its parallel-for over
+     the pending array and the working-set compaction: Θ(p) work, Θ(lg p)
+     span — or a sequential Θ(p) scan in flat-combining mode. *)
+  let stage =
+    Par.scale_costs ~factor:costs.Costs.setup_work
+      (if cfg.sequential_batches then Par.leaf cfg.p
+       else Par.balanced ~leaf_cost:(fun _ -> 1) cfg.p)
+  in
   let st =
     {
       cfg;
@@ -547,6 +636,17 @@ let run_internal ~tracing ~costs ~recorder ~invariants cfg workload =
       workload;
       core_inst;
       workers;
+      stage;
+      (* The setup cost actually charged by the dag: the balanced tree's
+         internal nodes count too, so this is Par.work, not p. *)
+      setup_charge =
+        (match cfg.overhead with
+        | Tree_setup -> 2 * Par.work stage
+        | Fused_setup -> Par.work stage
+        | No_setup -> 0);
+      shapes = Hashtbl.create 16;
+      core_queued = 0;
+      batch_queued = 0;
       pending = Array.make cfg.p None;
       pending_count = 0;
       pending_per = Array.make n_structs 0;
@@ -572,24 +672,33 @@ let run_internal ~tracing ~costs ~recorder ~invariants cfg workload =
       tracing;
       trace = [];
       rc = recorder;
+      recording = Obs.Recorder.enabled recorder;
       inv = invariants;
     }
   in
   assign workers.(0) { inst = core_inst; node = core_inst.dag.Dag.source };
   let idle_sweeps = ref 0 in
   while not st.finished do
-    st.time <- st.time + 1;
-    if st.time > cfg.max_steps then failwith "Batcher sim: max_steps exceeded";
-    st.units_this_step <- 0;
-    Array.iter (fun w -> step_worker st w) workers;
-    (* Livelock escape for the accumulate-k launch ablation: if nothing
-       executed for two sweeps while ops are parked, force a launch even
-       below the threshold. Never triggers with the default threshold 1. *)
-    if st.units_this_step = 0 && st.active_count = 0 && st.pending_count > 0 then begin
-      incr idle_sweeps;
-      if !idle_sweeps >= 2 then st.force_launch <- true
+    let k = quiet_window st in
+    if k > 0 then begin
+      advance st k;
+      idle_sweeps := 0
     end
-    else idle_sweeps := 0
+    else begin
+      st.time <- st.time + 1;
+      if st.time > cfg.max_steps then failwith "Batcher sim: max_steps exceeded";
+      st.units_this_step <- 0;
+      Array.iter (fun w -> step_worker st w) workers;
+      (* Livelock escape for the accumulate-k launch ablation: if nothing
+         executed for two sweeps while ops are parked, force a launch even
+         below the threshold. Never triggers with the default threshold 1. *)
+      if st.units_this_step = 0 && st.active_count = 0 && st.pending_count > 0
+      then begin
+        incr idle_sweeps;
+        if !idle_sweeps >= 2 then st.force_launch <- true
+      end
+      else idle_sweeps := 0
+    end
   done;
   Array.iter (fun w -> flush_run st w ~time:st.time) workers;
   {

@@ -52,8 +52,7 @@ let run ?(costs = Costs.identity) cfg ~models reqs =
   (* Arrival order; stable so same-instant requests keep input order
      (determinism — FIFO admission must not depend on sort internals). *)
   let order = Array.init n (fun i -> i) in
-  let by_at i j = compare (reqs.(i).at, i) (reqs.(j).at, j) in
-  Array.sort by_at order;
+  Array.stable_sort (fun i j -> Int.compare reqs.(i).at reqs.(j).at) order;
   let shards = Array.init cfg.shards (fun _ ->
       { queue = Queue.create (); busy = None; launches = 0 })
   in

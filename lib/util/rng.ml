@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* One Xoshiro256++ stream. Its four state words live unboxed in a
+   32-byte buffer (byte offsets 0, 8, 16, 24), read and written with the
+   native-endian int64 bytes primitives: every intermediate stays
+   unboxed, so a draw allocates nothing once [next64] is inlined. *)
+type t = Bytes.t
 
 (* SplitMix64: used only to expand a seed into Xoshiro state, as
    recommended by Blackman & Vigna. *)
@@ -12,25 +16,29 @@ let splitmix_next state =
 
 let create ~seed =
   let st = ref (Int64.of_int seed) in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix_next st)
+  done;
+  t
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next64 t =
+let[@inline] next64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
 let split t =

@@ -20,11 +20,9 @@ let stddev xs =
     sqrt (ss /. float_of_int (n - 1))
   end
 
-let percentile xs q =
-  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty";
+let percentile_sorted sorted q =
+  if Array.length sorted = 0 then invalid_arg "Stats.percentile: empty";
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.percentile: q out of range";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
   let n = Array.length sorted in
   let pos = q *. float_of_int (n - 1) in
   let lo = int_of_float (floor pos) in
@@ -34,6 +32,11 @@ let percentile xs q =
     let frac = pos -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
+
+let percentile xs q =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  percentile_sorted sorted q
 
 let summarize xs =
   if Array.length xs = 0 then invalid_arg "Stats.summarize: empty";

@@ -17,5 +17,10 @@ val stddev : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs q] for [q] in [0,1], linear interpolation. *)
 
+val percentile_sorted : float array -> float -> float
+(** [percentile_sorted sorted q] is [percentile sorted q] for an array
+    already in ascending order, without the copy and sort: several
+    quantiles of one sample cost one sort. *)
+
 val geomean : float array -> float
 (** Geometric mean; requires all samples positive. *)

@@ -476,58 +476,19 @@ let test_batcher_rt_atomic_list_legacy () =
       let st = Runtime.Batcher_rt.stats b in
       Alcotest.(check int) "all ops batched" n st.Runtime.Batcher_rt.ops)
 
-let test_batcher_rt_fifo_fairness () =
-  (* Regression for the ROADMAP starvation finding: under sustained
-     over-cap load the seed's LIFO list admitted newest-first and a
-     parked op sat through up to 41 launches. The pending-array path
-     admits oldest-first, so with [tasks] concurrent submitters and cap
-     2, no op can be overtaken by more than the ops already pending —
-     batches-while-pending stays bounded by a small constant. *)
-  let workers = 3 in
-  let rc = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers () in
-  let pool = Runtime.Pool.create ~recorder:rc ~num_workers:workers () in
-  Fun.protect
-    ~finally:(fun () -> Runtime.Pool.teardown pool)
-    (fun () ->
-      let counter = Batched.Counter.create () in
-      let b =
-        Runtime.Batcher_rt.create ~batch_cap:2 ~pool ~state:counter
-          ~run_batch:(fun _pool st ops -> Batched.Counter.run_batch st ops)
-          ()
-      in
-      let tasks = 12 and rounds = 25 in
-      Runtime.Pool.run pool (fun () ->
-          Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:tasks (fun _ ->
-              for _ = 1 to rounds do
-                Runtime.Batcher_rt.batchify b (Batched.Counter.op 1)
-              done));
-      Alcotest.(check int) "value" (tasks * rounds)
-        (Batched.Counter.value counter));
-  let s = Obs.Summary.of_recorder rc in
-  Alcotest.(check int) "ops recorded" 300 s.Obs.Summary.ops;
-  (* At most [tasks = 12] ops are ever pending (each task submits
-     sequentially); FIFO admission at cap 2 clears all of them within
-     ceil(12/2) = 6 launches, so with slack for stragglers displaced
-     across a drain epoch the bound stays far below the LIFO figure. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "max batches-while-pending O(1), got %d"
-       s.Obs.Summary.max_batches_seen)
-    true
-    (s.Obs.Summary.max_batches_seen <= 10)
-
 (* ---------- batch-path modes ---------- *)
 
 (* A batched "structure" whose batch log records admission order: the
    BOP appends each record's payload in ops-array order. Invariant 1
    (one batch in flight) is what makes the unsynchronized ref sound —
    exactly the guarantee the modes must preserve. *)
-let with_log_batcher ?(on_batch = fun () -> ()) ~workers ~batch_cap ~mode f =
+let with_log_batcher ?(on_batch = fun _pool -> ()) ~workers ~batch_cap ~mode f =
   with_pool workers (fun pool ->
       let log = ref [] in
       let b =
         Runtime.Batcher_rt.create ~batch_cap ~mode ~pool ~state:()
-          ~run_batch:(fun _p () ops ->
-            on_batch ();
+          ~run_batch:(fun p () ops ->
+            on_batch p;
             Array.iter (fun id -> log := id :: !log) ops)
           ()
       in
@@ -542,6 +503,76 @@ let check_exactly_once ~n admitted =
 let rec ascending = function
   | a :: (b :: _ as tl) -> a < b && ascending tl
   | _ -> true
+
+let test_batcher_rt_fifo_fairness () =
+  (* Regression for the ROADMAP starvation finding: under sustained
+     over-cap load the seed's LIFO list admitted newest-first and a
+     parked op sat through up to 41 launches. The array modes admit
+     oldest-first: twelve tasks, each resubmitting as soon as its last
+     op completes, keep the pending set over cap 2 for 25 rounds, and
+     the admission log must follow issue order exactly — so an op waits
+     only for the (at most eleven) ops issued before it. One worker
+     makes that assertion exact: an op's issue and its publication run
+     back to back on the only domain, so no launch can slip between
+     them however the domain is preempted. (With several domains a
+     preempted submitter publishes late, and a count of batches since
+     its issue stamp would charge that delay to the batcher.)
+
+     On one worker a batch would otherwise run before anyone else
+     submits. So each batch parks itself while some task can still
+     submit, and the last such task releases it just before it blocks
+     (or when it finishes): every other runnable task has published by
+     then, and the pending set runs over the cap. No batch completes
+     while one is parked, so the runnable count only falls and the
+     release always comes. *)
+  List.iter
+    (fun mode ->
+      let tasks = 12 and rounds = 25 in
+      let parked = ref None and blocked = ref 0 and finished = ref 0 in
+      (* Tasks neither finished nor inside batchify; a task resumed but
+         not yet running still counts as blocked, so this never
+         overcounts. *)
+      let runnable () = tasks - !finished - !blocked in
+      let release () =
+        match !parked with
+        | Some resume ->
+            parked := None;
+            resume ()
+        | None -> ()
+      in
+      let on_batch pool =
+        if runnable () > 0 then
+          Runtime.Pool.suspend pool (fun resume -> parked := Some resume)
+      in
+      with_log_batcher ~on_batch ~workers:1 ~batch_cap:2 ~mode (fun pool b admitted ->
+          let n = tasks * rounds in
+          let issued = ref 0 in
+          let order = Array.make n (-1) in
+          Runtime.Pool.run pool (fun () ->
+              Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:tasks (fun task ->
+                  for round = 0 to rounds - 1 do
+                    if runnable () = 1 then release ();
+                    let id = (task * rounds) + round in
+                    order.(id) <- !issued;
+                    incr issued;
+                    incr blocked;
+                    Runtime.Batcher_rt.batchify b id;
+                    decr blocked
+                  done;
+                  incr finished;
+                  if runnable () = 0 then release ()));
+          let admitted = admitted () in
+          check_exactly_once ~n admitted;
+          let name = Runtime.Batcher_rt.mode_name mode in
+          Alcotest.(check bool)
+            (name ^ ": admission follows issue order")
+            true
+            (ascending (List.map (fun id -> order.(id)) admitted));
+          Alcotest.(check bool)
+            (name ^ ": the load went over cap (overflow used)")
+            true
+            ((Runtime.Batcher_rt.stats b).Runtime.Batcher_rt.ovf > 0)))
+    (List.filter (( <> ) Runtime.Batcher_rt.Atomic_list) Runtime.Batcher_rt.all_modes)
 
 let test_batcher_rt_overflow_fifo_single_worker () =
   (* Overflow-queue FIFO, deterministically: one worker, cap 2, 100
@@ -592,7 +623,7 @@ let test_batcher_rt_overflow_displacement_race () =
          pigeonhole, making the racy path deterministic to reach
          without fixing any particular interleaving. *)
       let entered = Atomic.make 0 in
-      let on_batch () =
+      let on_batch _pool =
         let want = min n (Atomic.get entered + 3) in
         while Atomic.get entered < want do
           Domain.cpu_relax ()

@@ -495,6 +495,25 @@ let test_latency_empty_run () =
       all.Svc.Latency.mean_ns; all.Svc.Latency.max_ns;
     ]
 
+(* The digest sorts once and reads every quantile off that array; each
+   must equal a fresh Util.Stats.percentile of the raw samples, and the
+   max the largest sample. Sizes straddle the 1000-sample p999 cut. *)
+let qcheck_digest_quantiles =
+  QCheck.Test.make ~name:"digest quantiles = Stats.percentile" ~count:100
+    QCheck.(pair (1 -- 2_500) (0 -- 1_000_000))
+    (fun (n, seed) ->
+      let rng = Util.Rng.create ~seed in
+      let samples =
+        Array.init n (fun _ -> Float.round (Util.Rng.float rng 1e6))
+      in
+      let d = Svc.Latency.all_of (Svc.Latency.of_samples [ ("x", samples) ]) in
+      let pct = Util.Stats.percentile samples in
+      d.Svc.Latency.p50_ns = pct 0.5
+      && d.Svc.Latency.p99_ns = pct 0.99
+      && d.Svc.Latency.max_ns = Array.fold_left Float.max samples.(0) samples
+      && d.Svc.Latency.p999_ns
+         = if n < 1000 then d.Svc.Latency.max_ns else pct 0.999)
+
 (* ---------- snapshot extra fields ---------- *)
 
 let test_snapshot_extra_fields () =
@@ -942,5 +961,6 @@ let () =
             qcheck_replay;
             qcheck_merge_idempotent;
             qcheck_merge_preserves_others;
+            qcheck_digest_quantiles;
           ] );
     ]

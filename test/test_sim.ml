@@ -420,6 +420,101 @@ let prop_traces_validate =
       | Ok () -> true
       | Error _ -> false)
 
+(* ---------- golden digest ---------- *)
+
+(* Digests captured before Sim.Batcher learned to skip quiet windows and
+   to memoize batch dags: each covers, for every configuration below,
+   the whole Metrics.t (counters, span_realized, batch_details), the
+   traced scheduler events, and the Timesteps recorder's events and tag
+   totals; the recorder-free run must return the same metrics. One
+   digest per workload over P in {1, 2, 3, 8} x the four steal policies
+   x the three overhead models x {paper default, launch threshold 3,
+   batch cap 1, sequential batches}: 192 configurations each. *)
+let golden_batcher =
+  [
+    ("counter", "3972664dc3142dc6ffc746af58f23b21");
+    ("skiplist", "ede530779d6b05f696127cd42e36087a");
+    ("skiplist-100", "d022c550da74d23d6f98d557a90b8a8b");
+    ("chained", "5d348eb1a67fb0eae0ca6fab456f03be");
+    ("random", "f5a3809cf2ee005b7fdf84a9900889fe");
+    ("interleaved", "3b3858369726c6a87e75ef715badae5e");
+    ("sharded", "790c3c414d89dd9cbd86d1b483ab6dc1");
+  ]
+
+let golden_workload = function
+  | "counter" -> counter_workload ~n:24 ()
+  | "skiplist" -> skiplist_workload ~initial:1000 ~n:24 ()
+  | "skiplist-100" -> skiplist_workload ~initial:20_000 ~records:100 ~n:8 ()
+  | "chained" ->
+      Sim.Workload.chained_ops
+        ~model:(Batched.Skiplist.sim_model ~initial_size:512 ())
+        ~records_per_node:1 ~chain_length:4 ~width:5 ()
+  | "random" ->
+      Sim.Workload.random
+        ~model:(Batched.Counter.sim_model ~records_per_node:2 ())
+        ~records_per_node:2 ~size:24 ~seed:5 ()
+  | "interleaved" ->
+      Sim.Workload.interleaved_ops
+        ~models:
+          [ Batched.Counter.sim_model ();
+            Batched.Skiplist.sim_model ~initial_size:256 ();
+            Batched.Stack.sim_model () ]
+        ~records_per_node:1 ~n_nodes:24 ()
+  | "sharded" ->
+      Sim.Workload.sharded_ops
+        ~model_for:(fun _ -> Batched.Hashtable.sim_model ())
+        ~shards:3 ~records_per_node:1 ~n_nodes:24 ()
+  | name -> invalid_arg name
+
+let batcher_digest w =
+  let buf = Buffer.create 4096 in
+  let add v =
+    Buffer.add_string buf (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+  in
+  let variants =
+    [ Fun.id;
+      (fun c -> { c with Sim.Batcher.launch_threshold = 3 });
+      (fun c -> { c with Sim.Batcher.batch_cap = 1 });
+      (fun c -> { c with Sim.Batcher.sequential_batches = true }) ]
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun steal_policy ->
+          List.iter
+            (fun overhead ->
+              List.iter
+                (fun variant ->
+                  let cfg =
+                    variant
+                      { (Sim.Batcher.default ~p) with
+                        Sim.Batcher.seed = p + 1; steal_policy; overhead }
+                  in
+                  let rc =
+                    Obs.Recorder.create ~capacity:(1 lsl 14)
+                      ~clock:Obs.Recorder.Timesteps ~workers:p ()
+                  in
+                  let m, events = Sim.Batcher.run_traced ~recorder:rc cfg w in
+                  if Sim.Batcher.run cfg w <> m then
+                    Alcotest.fail "recorder-free run disagrees with the traced run";
+                  add m;
+                  add events;
+                  add (Obs.Recorder.all_events rc);
+                  add (Obs.Recorder.tag_totals rc))
+                variants)
+            [ Sim.Batcher.Tree_setup; Sim.Batcher.Fused_setup; Sim.Batcher.No_setup ])
+        [ Sim.Batcher.Alternating; Sim.Batcher.Core_only; Sim.Batcher.Batch_only;
+          Sim.Batcher.Uniform_random ])
+    [ 1; 2; 3; 8 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_batcher_golden_digest () =
+  Alcotest.(check (list (pair string string)))
+    "per-workload digests" golden_batcher
+    (List.map
+       (fun (name, _) -> (name, batcher_digest (golden_workload name)))
+       golden_batcher)
+
 (* ---------- flat combining ---------- *)
 
 let test_flatcomb_completes () =
@@ -607,6 +702,7 @@ let () =
           Alcotest.test_case "batch count sanity" `Quick test_batcher_trapped_le_batches;
           Alcotest.test_case "two structures" `Quick test_batcher_multi_structure;
           Alcotest.test_case "three structures" `Quick test_batcher_multi_structure_three;
+          Alcotest.test_case "golden digest" `Quick test_batcher_golden_digest;
         ] );
       ( "costs",
         [

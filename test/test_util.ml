@@ -44,6 +44,38 @@ let test_rng_float_bounds () =
     Alcotest.(check bool) "in range" true (v >= 0.0 && v < 2.5)
   done
 
+(* First outputs of two generators, captured before the state moved into
+   an unboxed buffer: every simulation seed depends on them. *)
+let first_draws r =
+  let n1 = Util.Rng.next64 r in
+  let n2 = Util.Rng.next64 r in
+  let i = Util.Rng.int r 1_000_000 in
+  let f = Util.Rng.float r 1.0 in
+  let b1 = Util.Rng.bool r in
+  let b2 = Util.Rng.bool r in
+  Printf.sprintf "%Ld %Ld %d %h %b %b" n1 n2 i f b1 b2
+
+let test_rng_golden () =
+  Alcotest.(check string) "create ~seed:7"
+    "1021219803524665661 3174977118032272916 886044 0x1.b5767da98c6p-2 false true"
+    (first_draws (Util.Rng.create ~seed:7));
+  Alcotest.(check string) "stream ~seed:1 ~index:3"
+    "-1957828033278351048 3485776500660471439 646463 0x1.03d656f9fd738p-3 false true"
+    (first_draws (Util.Rng.stream ~seed:1 ~index:3))
+
+(* A bounded draw allocates nothing. Gc.minor_words boxes its own float
+   result, hence the slack. *)
+let test_rng_int_allocation_free () =
+  let r = Util.Rng.create ~seed:9 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Util.Rng.int r 7
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check bool) "draws in range" true (!acc >= 0 && !acc < 70_000);
+  if delta > 16. then Alcotest.failf "Rng.int allocated %.0f minor words" delta
+
 let test_shuffle_permutation () =
   let r = Util.Rng.create ~seed:11 in
   let a = Array.init 50 Fun.id in
@@ -164,6 +196,8 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+          Alcotest.test_case "golden first draws" `Quick test_rng_golden;
+          Alcotest.test_case "int allocation-free" `Quick test_rng_int_allocation_free;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         ] );
       ( "stats",
