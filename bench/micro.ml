@@ -352,67 +352,6 @@ let experiment ~id ~title rows =
     [ ("id", Obs.Json.Str id); ("title", Obs.Json.Str title);
       ("rows", Obs.Json.List rows) ]
 
-let read_existing path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Obs.Json.parse s with
-    | Ok (Obs.Json.Obj fields) -> Some fields
-    | Ok _ | Error _ -> None
-  end
-
-(* Keep every field and experiment record of an existing results file;
-   replace only the records whose ids we regenerate. *)
-let merge_out new_exps =
-  let new_ids =
-    List.filter_map
-      (fun e ->
-        match Obs.Json.member "id" e with
-        | Some (Obs.Json.Str s) -> Some s
-        | _ -> None)
-      new_exps
-  in
-  let fields =
-    match read_existing out_path with
-    | Some fields -> fields
-    | None ->
-        [
-          ("schema_version", Obs.Json.Int 1);
-          ("generated_by", Obs.Json.Str "bench/micro.exe");
-          ("quick", Obs.Json.Bool quick);
-          ("only", Obs.Json.Null);
-          ("experiments", Obs.Json.List []);
-        ]
-  in
-  let old_exps =
-    match List.assoc_opt "experiments" fields with
-    | Some (Obs.Json.List l) ->
-        List.filter
-          (fun e ->
-            match Obs.Json.member "id" e with
-            | Some (Obs.Json.Str s) -> not (List.mem s new_ids)
-            | _ -> true)
-          l
-    | _ -> []
-  in
-  let fields =
-    List.map
-      (fun (k, v) ->
-        if k = "experiments" then (k, Obs.Json.List (old_exps @ new_exps))
-        else (k, v))
-      fields
-  in
-  let fields =
-    if List.mem_assoc "experiments" fields then fields
-    else fields @ [ ("experiments", Obs.Json.List new_exps) ]
-  in
-  Batcher_core.Report_json.write_file ~path:out_path (Obs.Json.Obj fields)
-
 let () =
   let exps = ref [] in
   if want "M1" then begin
@@ -520,7 +459,8 @@ let () =
             m3_json;
         ]
   end;
-  merge_out !exps;
+  Batcher_core.Report_json.merge_experiments ~path:out_path
+    ~generated_by:"bench/micro.exe" ~quick !exps;
   Printf.printf "\n[micro] merged %s into %s\n%!"
     (String.concat ", "
        (List.filter (want) [ "M1"; "M2"; "M3" ]))

@@ -265,65 +265,6 @@ let run_monitored ?(batch_mode = Runtime.Batcher_rt.Faa_array) ~mode_name
 
 (* ---- report ---- *)
 
-let read_existing path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Obs.Json.parse s with
-    | Ok (Obs.Json.Obj fields) -> Some fields
-    | Ok _ | Error _ -> None
-  end
-
-let merge_out new_exps =
-  let new_ids =
-    List.filter_map
-      (fun e ->
-        match Obs.Json.member "id" e with
-        | Some (Obs.Json.Str s) -> Some s
-        | _ -> None)
-      new_exps
-  in
-  let fields =
-    match read_existing out_path with
-    | Some fields -> fields
-    | None ->
-        [
-          ("schema_version", Obs.Json.Int 1);
-          ("generated_by", Obs.Json.Str "bench/soak.exe");
-          ("quick", Obs.Json.Bool quick);
-          ("only", Obs.Json.Null);
-          ("experiments", Obs.Json.List []);
-        ]
-  in
-  let old_exps =
-    match List.assoc_opt "experiments" fields with
-    | Some (Obs.Json.List l) ->
-        List.filter
-          (fun e ->
-            match Obs.Json.member "id" e with
-            | Some (Obs.Json.Str s) -> not (List.mem s new_ids)
-            | _ -> true)
-          l
-    | _ -> []
-  in
-  let fields =
-    List.map
-      (fun (k, v) ->
-        if k = "experiments" then (k, Obs.Json.List (old_exps @ new_exps))
-        else (k, v))
-      fields
-  in
-  let fields =
-    if List.mem_assoc "experiments" fields then fields
-    else fields @ [ ("experiments", Obs.Json.List new_exps) ]
-  in
-  Batcher_core.Report_json.write_file ~path:out_path (Obs.Json.Obj fields)
-
 let () =
   Printf.printf
     "== SOAK: %g s/leg, %d workers, %d structures, round=%d ops ==\n%!"
@@ -426,7 +367,8 @@ let () =
           ])
       legs
   in
-  merge_out
+  Batcher_core.Report_json.merge_experiments ~path:out_path
+    ~generated_by:"bench/soak.exe" ~quick
     [
       Obs.Json.Obj
         [

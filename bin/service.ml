@@ -328,7 +328,9 @@ let () =
                 pt.Svc.Rt_driver.requests pt.Svc.Rt_driver.goodput
                 pt.Svc.Rt_driver.batches pt.Svc.Rt_driver.max_batch
                 pt.Svc.Rt_driver.stalls pt.Svc.Rt_driver.slo_burns;
-            print_classes ~quiet:!quiet pt.Svc.Rt_driver.classes;
+            print_classes ~quiet:!quiet
+              (pt.Svc.Rt_driver.classes
+              @ [ Svc.Latency.digest "lag" pt.Svc.Rt_driver.lag_ns ]);
             all_rows := !all_rows @ Svc.Report.rows_of_rt sc pt)
           (Svc.Rt_driver.run ?workers:!workers ?snapshot_path:!snapshot
              ?duration_s:!duration ~mode sc))

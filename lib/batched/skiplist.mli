@@ -12,6 +12,13 @@
     Tower heights come from a deterministic private stream, so runs are
     reproducible. Keys are a set: inserting a present key is a no-op.
 
+    Every node is a slice [\[key; height; fwd_0 … fwd_{h-1}\]] of one
+    growable [int array], with successors held as offsets into it (see
+    DESIGN.md §16): a search allocates nothing, and an insert or delete
+    allocates no node storage. Only the list's single writer — the
+    sequential paths, or a batch's splice and delete phases — grows
+    that array or frees slices.
+
     [max_int] is reserved: every level ends at a tail sentinel holding
     it. Inserting [max_int] raises [Invalid_argument] (a batch raises
     before changing the list), [mem_seq t max_int] and
@@ -57,7 +64,12 @@ val run_batch_with :
     revalidating each saved search position past splices of smaller keys
     from the same batch. Pass [Runtime.Pool.parallel_for pool ~lo:0
     ~hi:count] (suitably wrapped) to parallelize for real; behavior is
-    identical to {!run_batch} for any correct [pfor]. *)
+    identical to {!run_batch} for any correct [pfor].
+
+    Only the insert searches go through [pfor]. Deletes, then membership
+    and range queries, run sequentially after the splice phase: at the
+    measured batch sizes (mean 2.0 on two workers) a forked membership
+    search cost more than it saved (DESIGN.md §16). *)
 
 val insert_seq : t -> int -> bool
 (** Single-key insert; [true] if the key was new. The sequential baseline
@@ -75,7 +87,12 @@ val to_list : t -> int list
 (** Ascending key order. *)
 
 val check_invariants : t -> unit
-(** Validates sortedness and tower consistency; raises [Failure]. *)
+(** Validates the whole layout in time linear in the array's size:
+    slices tile the used region; the live ones are exactly the level-0
+    list, strictly ascending, [length t] of them; every level-l list is
+    a subsequence of level 0 through exactly the towers taller than l;
+    every freed slice sits once on its height's free list. Raises
+    [Failure]. *)
 
 val sim_model :
   initial_size:int -> ?records_per_node:int -> ?search_scale:float -> unit -> Model.t

@@ -148,20 +148,25 @@ let micro l =
     (fun (name, ns) -> obj [ ("benchmark", Str name); ("ns_per_run", Float ns) ])
     l
 
+let header ~generated_by ~quick ~only =
+  [
+    ("schema_version", Int 1);
+    ("generated_by", Str generated_by);
+    ("quick", Bool quick);
+    ("only", match only with None -> Null | Some o -> Str o);
+  ]
+
 let results_file ~quick ~only experiments =
   obj
-    [
-      ("schema_version", Int 1);
-      ("generated_by", Str "bench/main.exe");
-      ("quick", Bool quick);
-      ("only", (match only with None -> Null | Some o -> Str o));
-      ( "experiments",
-        List
-          (List.map
-             (fun (id, title, rows) ->
-               obj [ ("id", Str id); ("title", Str title); ("rows", rows) ])
-             experiments) );
-    ]
+    (header ~generated_by:"bench/main.exe" ~quick ~only
+    @ [
+        ( "experiments",
+          List
+            (List.map
+               (fun (id, title, rows) ->
+                 obj [ ("id", Str id); ("title", Str title); ("rows", rows) ])
+               experiments) );
+      ])
 
 let write_file ~path json =
   let oc = open_out path in
@@ -172,3 +177,32 @@ let write_file ~path json =
       write buf json;
       Buffer.add_char buf '\n';
       Buffer.output_buffer oc buf)
+
+let read_file path =
+  if not (Sys.file_exists path) then None
+  else
+    match parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok (Obj fields) -> Some fields
+    | Ok _ | Error _ -> None
+
+let merge_experiments ~path ~generated_by ~quick exps =
+  let id e = match member "id" e with Some (Str s) -> Some s | _ -> None in
+  let ids = List.filter_map id exps in
+  let replaced e = match id e with Some s -> List.mem s ids | None -> false in
+  let fields =
+    match read_file path with
+    | Some fields -> fields
+    | None -> header ~generated_by ~quick ~only:None
+  in
+  let kept =
+    match List.assoc_opt "experiments" fields with
+    | Some (List l) -> List.filter (fun e -> not (replaced e)) l
+    | _ -> []
+  in
+  let merged = ("experiments", List (kept @ exps)) in
+  let fields =
+    if List.mem_assoc "experiments" fields then
+      List.map (fun (k, v) -> if k = "experiments" then merged else (k, v)) fields
+    else fields @ [ merged ]
+  in
+  write_file ~path (Obj fields)

@@ -39,3 +39,15 @@ val results_file :
 (** [(id, title, rows)] per experiment, in run order. *)
 
 val write_file : path:string -> Obs.Json.t -> unit
+
+val read_file : string -> (string * Obs.Json.t) list option
+(** The top-level fields of the results file at the path; [None] when it
+    is missing or not a JSON object. *)
+
+val merge_experiments :
+  path:string -> generated_by:string -> quick:bool -> Obs.Json.t list -> unit
+(** Write experiment records into the results file at [path]: records
+    of the file whose ids the new ones carry are replaced (the new ones
+    go last, in the given order), every other field and record is kept.
+    A missing file starts from the {!results_file} header with
+    [generated_by], [quick] and a null [only]. *)

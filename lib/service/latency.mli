@@ -20,6 +20,10 @@ type class_stats = {
   max_ns : float;
 }
 
+val digest : string -> float array -> class_stats
+(** [digest cls samples]: one digest of [samples] (ns) labelled [cls];
+    all-zero with [requests = 0] when [samples] is empty. *)
+
 val of_samples : (string * float array) list -> class_stats list
 (** One digest per named class with at least one sample, plus an
     ["all"] digest over the concatenation (always present and first in

@@ -73,77 +73,40 @@ let rows_of_rt (sc : Scenario.t) (pt : Rt_driver.point) =
         c)
     pt.Rt_driver.classes
 
-let read_existing path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Obs.Json.parse s with
-    | Ok (Obs.Json.Obj fields) -> Some fields
-    | Ok _ | Error _ -> None
-  end
-
 let row_scenario row =
   match Obs.Json.member "scenario" row with
   | Some (Obs.Json.Str s) -> Some s
   | _ -> None
 
+(* Keep the experiment's rows of other scenarios, then replace the whole
+   experiment record. *)
 let merge_experiment ~path ~id ~title ~scenario new_rows =
-  let fields =
-    match read_existing path with
-    | Some fields -> fields
-    | None ->
-        [
-          ("schema_version", Obs.Json.Int 1);
-          ("generated_by", Obs.Json.Str "bin/service.exe");
-          ("quick", Obs.Json.Bool false);
-          ("only", Obs.Json.Null);
-          ("experiments", Obs.Json.List []);
-        ]
-  in
-  let old_exps =
-    match List.assoc_opt "experiments" fields with
-    | Some (Obs.Json.List l) -> l
+  let kept_rows =
+    match
+      Option.bind
+        (Batcher_core.Report_json.read_file path)
+        (List.assoc_opt "experiments")
+    with
+    | Some (Obs.Json.List exps) ->
+        List.concat_map
+          (fun e ->
+            match (Obs.Json.member "id" e, Obs.Json.member "rows" e) with
+            | Some (Obs.Json.Str i), Some (Obs.Json.List rows) when i = id ->
+                List.filter (fun r -> row_scenario r <> Some scenario) rows
+            | _ -> [])
+          exps
     | _ -> []
   in
-  let is_mine e =
-    match Obs.Json.member "id" e with
-    | Some (Obs.Json.Str i) -> i = id
-    | _ -> false
-  in
-  let kept_rows =
-    List.concat_map
-      (fun e ->
-        if not (is_mine e) then []
-        else
-          match Obs.Json.member "rows" e with
-          | Some (Obs.Json.List rows) ->
-              List.filter (fun r -> row_scenario r <> Some scenario) rows
-          | _ -> [])
-      old_exps
-  in
-  let exp =
-    Obs.Json.Obj
-      [
-        ("id", Obs.Json.Str id);
-        ("title", Obs.Json.Str title);
-        ("rows", Obs.Json.List (kept_rows @ new_rows));
-      ]
-  in
-  let exps = List.filter (fun e -> not (is_mine e)) old_exps @ [ exp ] in
-  let fields =
-    if List.mem_assoc "experiments" fields then
-      List.map
-        (fun (k, v) ->
-          if k = "experiments" then (k, Obs.Json.List exps) else (k, v))
-        fields
-    else fields @ [ ("experiments", Obs.Json.List exps) ]
-  in
-  Batcher_core.Report_json.write_file ~path (Obs.Json.Obj fields)
+  Batcher_core.Report_json.merge_experiments ~path ~generated_by:"bin/service.exe"
+    ~quick:false
+    [
+      Obs.Json.Obj
+        [
+          ("id", Obs.Json.Str id);
+          ("title", Obs.Json.Str title);
+          ("rows", Obs.Json.List (kept_rows @ new_rows));
+        ];
+    ]
 
 let merge_svc ~path ~scenario new_rows =
   merge_experiment ~path ~id:"SVC"

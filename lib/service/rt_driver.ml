@@ -10,6 +10,7 @@ type point = {
   max_batch : int;
   stalls : int;
   slo_burns : int;
+  lag_ns : float array;  (* dispatcher lateness per request *)
   trace : Obs.Reqtrace.t;  (* per-request spans; null unless ?trace *)
 }
 
@@ -19,8 +20,8 @@ let class_of_index = [| Gen.Get; Gen.Put; Gen.Delete; Gen.Range |]
    next arrival. Releases can be late by the sleep granularity (~0.1 ms)
    or by a lost OS timeslice — harmless to honesty, because latency is
    measured from the scheduled stamp, so release lag is charged to the
-   request, never hidden. *)
-let dispatch_loop ~t0 ~schedule ~release =
+   request, never hidden. [lag] records it per request. *)
+let dispatch_loop ~t0 ~schedule ~lag ~release =
   let n = Array.length schedule in
   let i = ref 0 in
   while !i < n do
@@ -28,6 +29,7 @@ let dispatch_loop ~t0 ~schedule ~release =
     while
       !i < n && t0 + (schedule.(!i) : Gen.request).Gen.arrive_ns <= now
     do
+      lag.(!i) <- float_of_int (now - (t0 + schedule.(!i).Gen.arrive_ns));
       release !i;
       incr i
     done;
@@ -66,6 +68,7 @@ let run_point ?workers ?snapshot_path ?duration_s
   let hl = Obs.Health.create ~workers ~structures:shards () in
   (* One token per schedule slot: the request's index keys its span in
      the flat capture arrays. *)
+  let lag_ns = Array.make n 0.0 in
   let rtr =
     if trace then
       Obs.Reqtrace.create ~workers ~classes:Gen.n_classes ~capacity:n ()
@@ -158,7 +161,7 @@ let run_point ?workers ?snapshot_path ?duration_s
       Runtime.Pool.run pool (fun () ->
           let t0 = Obs.Clock.now_ns () in
           t0_ref := t0;
-          dispatch_loop ~t0 ~schedule ~release:(fun i ->
+          dispatch_loop ~t0 ~schedule ~lag:lag_ns ~release:(fun i ->
               Obs.Reqtrace.on_release rtr ~token:i
                 ~arrive_ns:(t0 + schedule.(i).Gen.arrive_ns);
               Atomic.incr dispatched;
@@ -209,6 +212,7 @@ let run_point ?workers ?snapshot_path ?duration_s
     max_batch = st.Runtime.Batcher_rt.max_batch;
     stalls = Obs.Health.stall_count hl;
     slo_burns = !slo_burns;
+    lag_ns;
     trace = rtr;
   }
 

@@ -22,6 +22,12 @@ type point = {
   max_batch : int;
   stalls : int;  (** {!Obs.Health} stall-watchdog trips *)
   slo_burns : int;  (** end-to-end phase SLO burns, summed over shards *)
+  lag_ns : float array;
+      (** per request, in schedule order: how late the dispatcher
+          released it, [now - (t0 + arrive_ns)] from the clock read
+          that released it (>= 0). Digest it with {!Latency.digest};
+          [run_point] does not, so the sort stays out of its wall
+          time. *)
   trace : Obs.Reqtrace.t;
       (** per-request span capture for this point —
           {!Obs.Reqtrace.null} unless the run was started with

@@ -445,6 +445,132 @@ let test_skiplist_mem_allocation_free () =
   Alcotest.(check int) "hits" 5_000 !hits;
   if delta > 16. then Alcotest.failf "mem_seq allocated %.0f minor words" delta
 
+(* An insert_seq of a new key stores its node in the arena: it allocates
+   at most the boxed 64-bit height draw (3 words) where Rng.next64 is not
+   inlined across modules. A delete_seq allocates nothing: its slice goes
+   on a free list. *)
+let test_skiplist_update_allocation () =
+  let s = Sk.create ~seed:3 () in
+  for i = 0 to 4_999 do
+    ignore (Sk.insert_seq s (2 * i))
+  done;
+  let hits = ref 0 in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let deletes =
+    words (fun () ->
+        for i = 0 to 2_499 do
+          if Sk.delete_seq s (4 * i) then incr hits
+        done)
+  in
+  let inserts =
+    words (fun () ->
+        for i = 0 to 1_999 do
+          if Sk.insert_seq s ((2 * i) + 1) then incr hits
+        done)
+  in
+  Alcotest.(check int) "hits" 4_500 !hits;
+  Sk.check_invariants s;
+  if deletes > 16. then Alcotest.failf "2500 delete_seq allocated %.0f minor words" deletes;
+  if inserts > (3. *. 2_000.) +. 16. then
+    Alcotest.failf "2000 insert_seq allocated %.0f minor words" inserts
+
+(* Rounds of insert, delete-all and re-insert from an empty list: the
+   first round grows the arena through several doublings, and later
+   rounds reuse the freed slices instead of growing it further. *)
+let test_skiplist_arena_churn () =
+  let s = Sk.create ~seed:11 () in
+  let words () = Obj.reachable_words (Obj.repr s) in
+  let empty = words () in
+  let n = 3_000 and full = ref 0 in
+  for round = 1 to 5 do
+    let key i = (7 * i) + round in
+    for i = 0 to n - 1 do
+      if not (Sk.insert_seq s (key i)) then Alcotest.failf "round %d: insert %d" round i
+    done;
+    Sk.check_invariants s;
+    Alcotest.(check (list int)) "full" (List.init n key) (Sk.to_list s);
+    if round = 1 then full := words ();
+    (* Delete from the middle outwards, so free-list order differs from
+       allocation order. *)
+    for j = 0 to n - 1 do
+      let i = if j mod 2 = 0 then (n / 2) + (j / 2) else (n / 2) - 1 - (j / 2) in
+      if not (Sk.delete_seq s (key i)) then Alcotest.failf "round %d: delete %d" round i
+    done;
+    Sk.check_invariants s;
+    Alcotest.(check int) "empty" 0 (Sk.length s)
+  done;
+  if !full < 8 * empty then
+    Alcotest.failf "first round grew %d words to only %d" empty !full;
+  if words () > 2 * !full then
+    Alcotest.failf "five rounds took %d words, one took %d: freed slices not reused"
+      (words ()) !full
+
+(* Mixed batches through run_batch_with with the searches spread over a
+   real two-worker pool, checked op by op against Set in the documented
+   phase order, and the arena audited after every batch. *)
+let pool2 = lazy (Runtime.Pool.create ~num_workers:2 ())
+
+let () =
+  at_exit (fun () -> if Lazy.is_val pool2 then Runtime.Pool.teardown (Lazy.force pool2))
+
+let prop_skiplist_pooled_bop_matches_set =
+  QCheck.Test.make ~name:"pooled BOP mixed batches match Set" ~count:100
+    QCheck.(
+      list_of_size Gen.(1 -- 8)
+        (list_of_size Gen.(0 -- 24) (pair (int_bound 3) (int_bound 120))))
+    (fun batches ->
+      let module IS = Set.Make (Int) in
+      let pool = Lazy.force pool2 in
+      let pfor n body = Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n body in
+      let s = Sk.create () in
+      let model = ref IS.empty and ok = ref true in
+      let expect b = ok := !ok && b in
+      List.iter
+        (fun batch ->
+          let ops =
+            Array.of_list
+              (List.map
+                 (fun (kind, k) ->
+                   match kind with
+                   | 0 -> Sk.insert k
+                   | 1 -> Sk.delete k
+                   | 2 -> Sk.mem k
+                   | _ -> Sk.range ~lo:k ~hi:(k + 16))
+                 batch)
+          in
+          Runtime.Pool.run pool (fun () -> Sk.run_batch_with ~pfor s ops);
+          Sk.check_invariants s;
+          Array.iter
+            (function
+              | Sk.Insert r ->
+                  expect (r.Sk.inserted = not (IS.mem r.Sk.key !model));
+                  model := IS.add r.Sk.key !model
+              | _ -> ())
+            ops;
+          Array.iter
+            (function
+              | Sk.Delete r ->
+                  expect (r.Sk.deleted = IS.mem r.Sk.del_key !model);
+                  model := IS.remove r.Sk.del_key !model
+              | _ -> ())
+            ops;
+          Array.iter
+            (function
+              | Sk.Mem r -> expect (r.Sk.found = IS.mem r.Sk.mem_key !model)
+              | Sk.Range r ->
+                  expect
+                    (r.Sk.r_keys
+                    = IS.elements (IS.filter (fun k -> r.Sk.r_lo <= k && k < r.Sk.r_hi) !model))
+              | _ -> ())
+            ops;
+          expect (Sk.to_list s = IS.elements !model))
+        batches;
+      !ok)
+
 (* ---------- 2-3 tree ---------- *)
 
 let test_two_three_insert () =
@@ -640,6 +766,7 @@ let qcheck_cases =
       prop_skiplist_with_deletes_matches_set;
       prop_skiplist_parallel_bop_matches_set;
       prop_skiplist_range_matches_set;
+      prop_skiplist_pooled_bop_matches_set;
       prop_two_three_matches_set;
       prop_two_three_with_deletes_matches_set;
       prop_pqueue_heapsort;
@@ -686,6 +813,8 @@ let () =
             test_skiplist_parallel_bop_duplicates;
           Alcotest.test_case "max_int reserved" `Quick test_skiplist_max_int_reserved;
           Alcotest.test_case "mem allocation-free" `Quick test_skiplist_mem_allocation_free;
+          Alcotest.test_case "update allocation" `Quick test_skiplist_update_allocation;
+          Alcotest.test_case "arena churn" `Quick test_skiplist_arena_churn;
         ] );
       ( "two_three",
         [

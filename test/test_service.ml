@@ -350,7 +350,21 @@ let test_rt_driver_tiny () =
   Alcotest.(check bool) "ordered digests" true
     (all.Svc.Latency.p50_ns <= all.Svc.Latency.p99_ns
     && all.Svc.Latency.p99_ns <= all.Svc.Latency.p999_ns
-    && all.Svc.Latency.p999_ns <= all.Svc.Latency.max_ns)
+    && all.Svc.Latency.p999_ns <= all.Svc.Latency.max_ns);
+  (* Dispatcher lateness: one sample per request, never negative (a
+     request is released only once its scheduled time has passed), and
+     part of that request's latency, so the worst lag cannot exceed the
+     worst latency. *)
+  let lag = pt.Svc.Rt_driver.lag_ns in
+  Alcotest.(check int) "one lag per request" pt.Svc.Rt_driver.requests
+    (Array.length lag);
+  Alcotest.(check bool) "lags non-negative" true
+    (Array.for_all (fun l -> l >= 0.0) lag);
+  let d = Svc.Latency.digest "lag" lag in
+  Alcotest.(check int) "lag digest counts every request"
+    pt.Svc.Rt_driver.requests d.Svc.Latency.requests;
+  Alcotest.(check bool) "worst lag within worst latency" true
+    (d.Svc.Latency.max_ns <= all.Svc.Latency.max_ns)
 
 (* The sweep's offered rate is the generated schedule's, bursts included:
    smoke's 3x bursts offer ~1.5x its base rate, so a rate taken from the
