@@ -1,10 +1,7 @@
 (* Runtime hot-path microbenchmarks (the PR-by-PR before/after evidence):
 
      M1  contended submit — ops/s of [Batcher_rt.batchify] from a
-         grain-1 parallel loop across the four batch-path modes
-         (pending_array = FAA slots, worker_id = paper-verbatim
-         per-worker slots, par_combine = parallel combining,
-         atomic_list = legacy CAS stack) and across worker counts.
+         grain-1 parallel loop, across worker counts.
          Every row reports minor words per op: exact single-domain
          arithmetic at workers=1, and a per-worker barrier-sampled sum
          at workers>1 (Gc.minor_words is domain-local).
@@ -21,8 +18,7 @@
    existing experiment records are preserved, regenerated records are
    replaced, so the perf trajectory accumulates across PRs next to the
    main bench tables. QUICK=1 shrinks op counts for CI; ONLY=M1[,M2...]
-   restricts which experiments run (the @mode-smoke alias uses ONLY=M1
-   to sweep the modes in seconds).
+   restricts which experiments run.
 
    Timing is wall-clock best-of-N via Obs.Clock.now_ns — bechamel's OLS
    is overkill here because one "run" is a whole pool run with domain
@@ -79,8 +75,6 @@ let ops_per_sec ~ops ~ns =
 
 (* ---------- M1: contended submit ---------- *)
 
-let mode_name = Runtime.Batcher_rt.mode_name
-
 (* BACKOFF=flat | spin selects an ablation of the pool's backoff policy
    (flat 0.2ms sleeps, or pure spinning); default is the tuned ramp.
    Used to attribute M1 movement to the submit path vs. idle policy. *)
@@ -134,7 +128,7 @@ let minor_words_all ~pool ~workers f =
   done;
   !sum
 
-let contended_submit ~mode ~workers ~n_ops =
+let contended_submit ~workers ~n_ops =
   let pool =
     Runtime.Pool.create ?backoff:bench_backoff ~num_workers:workers ()
   in
@@ -143,7 +137,7 @@ let contended_submit ~mode ~workers ~n_ops =
     (fun () ->
       let counter = Batched.Counter.create () in
       let b =
-        Runtime.Batcher_rt.create ~mode ~pool ~state:counter
+        Runtime.Batcher_rt.create ~pool ~state:counter
           ~run_batch:(fun _pool st ops -> Batched.Counter.run_batch st ops)
           ()
       in
@@ -166,7 +160,7 @@ let contended_submit ~mode ~workers ~n_ops =
           minor_words_all ~pool ~workers (fun () -> submit_all n_ops)
           /. float_of_int n_ops
       in
-      let label = Printf.sprintf "M1 %s workers=%d" (mode_name mode) workers in
+      let label = Printf.sprintf "M1 workers=%d" workers in
       ( best_of ~label (reps ~multi:(workers > 1)) (fun () -> submit_all n_ops),
         words_per_op ))
 
@@ -176,20 +170,11 @@ let m1_rows () =
     | Some s -> int_of_string s
     | None -> if quick then 2_000 else 8_000
   in
-  let worker_counts = [ 1; 2; 4 ] in
-  List.concat_map
-    (fun mode ->
-      List.map
-        (fun workers ->
-          let ns, words = contended_submit ~mode ~workers ~n_ops in
-          ( mode_name mode,
-            workers,
-            n_ops,
-            ns,
-            ops_per_sec ~ops:n_ops ~ns,
-            words ))
-        worker_counts)
-    Runtime.Batcher_rt.all_modes
+  List.map
+    (fun workers ->
+      let ns, words = contended_submit ~workers ~n_ops in
+      (workers, n_ops, ns, ops_per_sec ~ops:n_ops ~ns, words))
+    [ 1; 2; 4 ]
 
 (* ---------- M2: Chase-Lev deque ---------- *)
 
@@ -356,20 +341,18 @@ let () =
   let exps = ref [] in
   if want "M1" then begin
     Printf.printf "== M1: contended submit (batchify ops/s) ==\n";
-    Printf.printf "%-14s %8s %8s %12s %14s %10s\n" "impl" "workers" "ops" "ns"
-      "ops/s" "words/op";
+    Printf.printf "%8s %8s %12s %14s %10s\n" "workers" "ops" "ns" "ops/s"
+      "words/op";
     let m1 = m1_rows () in
     List.iter
-      (fun (impl, workers, ops, ns, rate, words) ->
-        Printf.printf "%-14s %8d %8d %12d %14.0f %10.1f\n" impl workers ops ns
-          rate words)
+      (fun (workers, ops, ns, rate, words) ->
+        Printf.printf "%8d %8d %12d %14.0f %10.1f\n" workers ops ns rate words)
       m1;
     let m1_json =
       List.map
-        (fun (impl, workers, ops, ns, rate, words) ->
+        (fun (workers, ops, ns, rate, words) ->
           Obs.Json.Obj
             [
-              ("impl", Obs.Json.Str impl);
               ("workers", Obs.Json.Int workers);
               ("ops", Obs.Json.Int ops);
               ("ns", Obs.Json.Int ns);
@@ -382,10 +365,7 @@ let () =
       !exps
       @ [
           experiment ~id:"M1"
-            ~title:
-              "M1 — contended batchify submit across batch-path modes \
-               (pending array / worker-id / parallel combining / legacy \
-               atomic list)"
+            ~title:"M1 — contended batchify submit (trapped BATCHIFY)"
             m1_json;
         ]
   end;

@@ -63,20 +63,20 @@ type structures = {
 
 let n_structures = 3
 
-let make_structures ?(batch_mode = Runtime.Batcher_rt.Faa_array) pool =
+let make_structures pool =
   {
     counter =
-      Runtime.Batcher_rt.create ~mode:batch_mode ~sid:0 ~pool
+      Runtime.Batcher_rt.create ~sid:0 ~pool
         ~state:(Batched.Counter.create ())
         ~run_batch:(fun _ st ops -> Batched.Counter.run_batch st ops)
         ();
     fifo =
-      Runtime.Batcher_rt.create ~mode:batch_mode ~sid:1 ~pool
+      Runtime.Batcher_rt.create ~sid:1 ~pool
         ~state:(Batched.Fifo.create ())
         ~run_batch:(fun _ st ops -> Batched.Fifo.run_batch st ops)
         ();
     skiplist =
-      Runtime.Batcher_rt.create ~mode:batch_mode ~sid:2 ~pool
+      Runtime.Batcher_rt.create ~sid:2 ~pool
         ~state:(Batched.Skiplist.create ())
         ~run_batch:(fun p st ops ->
           Batched.Skiplist.run_batch_with
@@ -121,7 +121,6 @@ let soak_loop ?(dur = duration_s) pool s =
 
 type leg = {
   mode : string;
-  batch_mode : string;  (* Batcher_rt mode the structures ran under *)
   ops : int;
   elapsed_ns : int;
   rate : float;  (* ops/s *)
@@ -152,7 +151,6 @@ let run_off ?dur () =
       let ops, elapsed_ns = soak_loop ?dur pool s in
       {
         mode = "off";
-        batch_mode = Runtime.Batcher_rt.(mode_name Faa_array);
         ops;
         elapsed_ns;
         rate = rate ~ops ~ns:elapsed_ns;
@@ -188,22 +186,17 @@ let count_lines path =
    order of magnitude more per op (every status/steal/issue/done event
    is a ring write plus a clock read) and is priced separately.
 
-   Lemma-2 bound: the paper's 2 assumes at most P concurrent ops (one
-   per worker on the dual-deque scheduler). This soak deliberately
-   parks up to [round_ops] suspended tasks at once on a cap-P array,
-   so an op at the back of the FIFO overflow queue legitimately waits
-   through ~round_ops/P launches. Bound 4·round_ops therefore never
-   fires on correct behavior but still catches runaway starvation
-   (an op stuck across relaunch cycles without being collected). *)
-let run_monitored ?(batch_mode = Runtime.Batcher_rt.Faa_array) ~mode_name
-    ~mode ~record ~stream () =
+   Lemma-2 bound: the paper's 2. A worker calling BATCHIFY is trapped
+   until its op completes, so at most P ops are pending and each
+   structure's default cap is P. *)
+let run_monitored ~mode_name ~mode ~record ~stream () =
   let record = record || stream in
   let rc =
     if record then Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers ()
     else Obs.Recorder.null
   in
   let inv =
-    Obs.Invariants.create ~mode ~lemma2_bound:(4 * round_ops) ~recorder:rc
+    Obs.Invariants.create ~mode ~recorder:rc
       ~structures:n_structures ()
   in
   let hl =
@@ -242,7 +235,7 @@ let run_monitored ?(batch_mode = Runtime.Batcher_rt.Faa_array) ~mode_name
     Runtime.Pool.teardown pool
   in
   Fun.protect ~finally:finish (fun () ->
-      let s = make_structures ~batch_mode pool in
+      let s = make_structures pool in
       one_round pool s 0;
       let ops, elapsed_ns = soak_loop pool s in
       Option.iter
@@ -252,7 +245,6 @@ let run_monitored ?(batch_mode = Runtime.Batcher_rt.Faa_array) ~mode_name
         flight;
       {
         mode = mode_name;
-        batch_mode = Runtime.Batcher_rt.mode_name batch_mode;
         ops;
         elapsed_ns;
         rate = rate ~ops ~ns:elapsed_ns;
@@ -281,15 +273,6 @@ let () =
       run_monitored ~mode_name:"exact" ~mode:Obs.Invariants.Exact ~record:true
         ~stream:true ();
     ]
-    (* One sustained leg per alternative batch-path mode, under the
-       always-on (sampled) monitoring config: the online checkers audit
-       each mode for the whole leg, and the rate is the head-to-head
-       against the faa-array "sampled" leg above. *)
-    @ List.map
-        (fun batch_mode ->
-          run_monitored ~batch_mode ~mode_name:"sampled"
-            ~mode:(Obs.Invariants.Sampled 16) ~record:false ~stream:false ())
-        Runtime.Batcher_rt.[ Worker_id; Par_combine; Atomic_list ]
   in
   let off_rate =
     match legs with l :: _ -> l.rate | [] -> assert false
@@ -306,14 +289,12 @@ let () =
     if l.mode = "off" || off_rate <= 0.0 || l.rate <= 0.0 then 0.0
     else ((1.0 /. l.rate) -. (1.0 /. off_rate)) *. 1e9
   in
-  Printf.printf "%-8s %-14s %10s %10s %12s %8s %8s %6s %6s %8s %8s\n" "mode"
-    "batch_mode" "ops" "ms" "ops/s" "delta%" "ns/op" "viol" "stall" "checks"
-    "lines";
+  Printf.printf "%-8s %10s %10s %12s %8s %8s %6s %6s %8s %8s\n" "mode" "ops"
+    "ms" "ops/s" "delta%" "ns/op" "viol" "stall" "checks" "lines";
   List.iter
     (fun l ->
-      Printf.printf
-        "%-8s %-14s %10d %10.0f %12.0f %8.1f %8.0f %6d %6d %8d %8d\n" l.mode
-        l.batch_mode l.ops
+      Printf.printf "%-8s %10d %10.0f %12.0f %8.1f %8.0f %6d %6d %8d %8d\n"
+        l.mode l.ops
         (float_of_int l.elapsed_ns /. 1e6)
         l.rate (delta_pct l) (delta_ns l) l.violations l.stalls l.checks_run
         l.health_lines)
@@ -328,8 +309,8 @@ let () =
       (fun l ->
         (if l.violations > 0 then
            [
-             Printf.sprintf "%s/%s: %d checker violations (%s)" l.mode
-               l.batch_mode l.violations
+             Printf.sprintf "%s: %d checker violations (%s)" l.mode
+               l.violations
                (String.concat ", "
                   (List.map
                      (fun (name, n) -> Printf.sprintf "%s=%d" name n)
@@ -338,8 +319,7 @@ let () =
          else [])
         @
         if l.stalls > 0 then
-          [ Printf.sprintf "%s/%s: %d stall episodes" l.mode l.batch_mode
-              l.stalls ]
+          [ Printf.sprintf "%s: %d stall episodes" l.mode l.stalls ]
         else [])
       legs
   in
@@ -349,7 +329,6 @@ let () =
         Obs.Json.Obj
           [
             ("mode", Obs.Json.Str l.mode);
-            ("batch_mode", Obs.Json.Str l.batch_mode);
             ("workers", Obs.Json.Int workers);
             ("duration_s", Obs.Json.Float duration_s);
             ("ops", Obs.Json.Int l.ops);
@@ -376,7 +355,7 @@ let () =
           ( "title",
             Obs.Json.Str
               "SOAK — monitoring overhead (off vs sampled vs exact online \
-               checkers) and per-batch-mode sustained legs" );
+               checkers)" );
           ("rows", Obs.Json.List rows);
         ];
     ];

@@ -28,9 +28,6 @@ let usage () =
      op class with exact phase decompositions.\n\
     \  --scenario NAME  scenario (default standard; see service --list)\n\
     \  --exec MODE      runtime | sim (default runtime)\n\
-    \  --mode NAME      batch-path mode for the runtime leg\n\
-    \                   (pending_array | worker_id | par_combine |\n\
-    \                   atomic_list; default pending_array)\n\
     \  --shards K       runtime shard count (default: scenario's largest)\n\
     \  --workers N      runtime pool size\n\
     \  --duration S     runtime measured seconds (default: scenario's)\n\
@@ -52,13 +49,6 @@ let die fmt =
 let class_of_index = [| Svc.Gen.Get; Svc.Gen.Put; Svc.Gen.Delete; Svc.Gen.Range |]
 let class_name c = Svc.Gen.class_name class_of_index.(c)
 let us ns = float_of_int ns /. 1e3
-
-let mode_label = function
-  | 0 -> "pending_array"
-  | 1 -> "worker_id"
-  | 2 -> "par_combine"
-  | 3 -> "atomic_list"
-  | _ -> "?"
 
 let print_span (s : Obs.Reqtrace.span) =
   Printf.printf
@@ -132,7 +122,6 @@ let span_events ~t_base (s : Obs.Reqtrace.span) =
     [
       ("token", Obs.Json.Int s.Obs.Reqtrace.token);
       ("sid", Obs.Json.Int s.Obs.Reqtrace.sid);
-      ("mode", Obs.Json.Str (mode_label s.Obs.Reqtrace.mode));
       ("batches_seen", Obs.Json.Int s.Obs.Reqtrace.batches_seen);
       ("ovf", Obs.Json.Bool s.Obs.Reqtrace.ovf);
       ("displaced", Obs.Json.Bool s.Obs.Reqtrace.displaced);
@@ -220,7 +209,6 @@ let write_trace ~path ~workers spans =
 let () =
   let scenario = ref "standard" in
   let exec = ref "runtime" in
-  let mode = ref Runtime.Batcher_rt.Faa_array in
   let shards = ref None in
   let workers = ref None in
   let duration = ref None in
@@ -239,12 +227,6 @@ let () =
           die "--exec expects runtime|sim, got %S" v;
         exec := v;
         go rest
-    | "--mode" :: v :: rest -> (
-        match Runtime.Batcher_rt.mode_of_string v with
-        | Some m ->
-            mode := m;
-            go rest
-        | None -> die "--mode expects a batch-path mode, got %S" v)
     | "--shards" :: v :: rest -> (
         match int_of_string_opt v with
         | Some k when k >= 1 ->
@@ -306,13 +288,12 @@ let () =
       in
       let pt =
         Svc.Rt_driver.run_point ?workers:!workers ?duration_s:!duration
-          ~mode:!mode ~trace:true sc ~shards
+          ~trace:true sc ~shards
       in
       if not !quiet then
         Printf.printf
-          "[anatomy] runtime: %s K=%d P=%d mode=%s n=%d goodput=%.0f req/s\n"
+          "[anatomy] runtime: %s K=%d P=%d n=%d goodput=%.0f req/s\n"
           sc.Svc.Scenario.name shards pt.Svc.Rt_driver.workers
-          (Runtime.Batcher_rt.mode_name !mode)
           pt.Svc.Rt_driver.requests pt.Svc.Rt_driver.goodput;
       ( pt.Svc.Rt_driver.trace,
         pt.Svc.Rt_driver.workers,
@@ -354,8 +335,7 @@ let () =
         (class_name c) tt.Obs.Reqtrace.n
         (min !top (List.length spans))
         tt.Obs.Reqtrace.n max_m
-        (if max_m > 2 then " (> paper's dual-deque 2; helper-lock runtime)"
-         else "");
+        (if max_m > 2 then " (> the paper's Lemma-2 bound of 2)" else "");
       if not !quiet then
         List.iteri
           (fun i s -> if i < !top then print_span s)

@@ -31,7 +31,6 @@ let usage () =
     \  --workers N      runtime pool size (default: recommended count)\n\
     \  --duration S     runtime seconds per point (default: min of the\n\
     \                   scenario's duration and 1s)\n\
-    \  --mode NAME      runtime batch-path mode (default pending_array)\n\
     \  --shards K       runtime shard count (default: scenario's max K)\n\
     \  --seed N         override the scenario's seed\n\
     \  --out PATH       results file (default BENCH_results.json)\n\
@@ -55,7 +54,6 @@ let () =
   let factors = ref None in
   let workers = ref None in
   let duration = ref None in
-  let mode = ref Runtime.Batcher_rt.Faa_array in
   let shards = ref None in
   let seed = ref None in
   let out = ref "BENCH_results.json" in
@@ -107,12 +105,6 @@ let () =
             duration := Some d;
             go rest
         | _ -> die "--duration expects positive seconds, got %S" v)
-    | "--mode" :: v :: rest -> (
-        match Runtime.Batcher_rt.mode_of_string v with
-        | Some m ->
-            mode := m;
-            go rest
-        | None -> die "--mode expects a batch-path mode, got %S" v)
     | "--shards" :: v :: rest -> (
         match int_of_string_opt v with
         | Some k when k >= 1 ->
@@ -164,7 +156,7 @@ let () =
     leg "sim" (fun () -> Svc.Causal.run_sim ?p:!p ?factors:!factors sc);
   if !exec = "runtime" || !exec = "both" then
     leg "runtime" (fun () ->
-        Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration ~mode:!mode
+        Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration
           ?shards:!shards ?factors:!factors sc);
   Svc.Report.merge_causal ~path:!out ~scenario:sc.Svc.Scenario.name !rows;
   Printf.printf "[causal] merged %d CAUSAL rows for %s into %s\n%!"

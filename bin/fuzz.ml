@@ -13,20 +13,16 @@
 open Cmdliner
 
 (* Runtime-side ablations rotated across the conformance subjects: the
-   default faa-array batch path under the default and two extreme
-   backoff policies (all-spin, sleep-almost-immediately with a single
-   steal try per round), plus the three alternative batch-path modes
-   (paper-verbatim worker-id slots, parallel combining, and the legacy
-   atomic-list submission stack). Extreme idle policies change
-   steal/launch interleavings, not results — any divergence is a real
-   runtime bug. *)
+   default backoff policy and two extreme ones (all-spin,
+   sleep-almost-immediately with a single steal try per round). Extreme
+   idle policies change steal/launch interleavings, not results — any
+   divergence is a real runtime bug. *)
 let conf_ablations =
   let open Runtime.Pool in
   [
-    ("", None, Runtime.Batcher_rt.Faa_array);
+    ("", None);
     ( " [spin]",
-      Some { default_backoff with spin_limit = 1_000_000; burst_limit = 1_000_000 },
-      Runtime.Batcher_rt.Faa_array );
+      Some { default_backoff with spin_limit = 1_000_000; burst_limit = 1_000_000 } );
     ( " [sleepy]",
       Some
         {
@@ -35,11 +31,7 @@ let conf_ablations =
           burst_limit = 2;
           sleep_min = 0.000_01;
           steal_tries = 1;
-        },
-      Runtime.Batcher_rt.Faa_array );
-    (" [worker]", None, Runtime.Batcher_rt.Worker_id);
-    (" [combine]", None, Runtime.Batcher_rt.Par_combine);
-    (" [list]", None, Runtime.Batcher_rt.Atomic_list);
+        } );
   ]
 
 let run_conformance ~n_ops ~seed ~verbose =
@@ -47,10 +39,10 @@ let run_conformance ~n_ops ~seed ~verbose =
   List.iteri
     (fun i subject ->
       let name = Check.Conformance.subject_name subject in
-      let tag, backoff, mode =
+      let tag, backoff =
         List.nth conf_ablations (i mod List.length conf_ablations)
       in
-      match Check.Conformance.run ~n_ops ~seed ?backoff ~mode subject with
+      match Check.Conformance.run ~n_ops ~seed ?backoff subject with
       | Ok r ->
           if verbose then
             Printf.printf
@@ -118,8 +110,8 @@ let run_sweep ~seeds ~start ~max_p ~max_size ~bound_factor ~deadline ~shard_k
     else fun c -> { c with Check.Schedule_fuzz.shard_k }
   in
   (* rt_conf: every case additionally runs its structure and seed
-     through the real runtime under the case's rotated batch-path mode
-     ([rt_mode]), conformance-checked against the sequential oracle. *)
+     through the real runtime, conformance-checked against the
+     sequential oracle under Exact Lemma-2 checkers. *)
   let cases_run, fails =
     Check.Schedule_fuzz.sweep ~bound_factor ~rt_conf:true ~max_p ~max_size
       ~should_stop ~on_case ~map_case ~seeds:seed_list ()

@@ -26,20 +26,15 @@ let usage () =
     \  --seed N         override the scenario's seed\n\
     \  --out PATH       results file (default BENCH_results.json)\n\
     \  --snapshot PATH  stream Obs.Snapshot JSONL (runtime leg) to PATH\n\
-    \  --mode NAME|all  batch-path mode for the runtime leg's shards\n\
-    \                   (pending_array | worker_id | par_combine |\n\
-    \                   atomic_list; all = head-to-head sweep over every\n\
-    \                   mode; default pending_array)\n\
     \  --causal         instead of the normal legs: run the causal\n\
     \                   what-if grid (virtual speedups per phase) on\n\
     \                   the selected executions and merge CAUSAL rows;\n\
     \                   bin/causal.exe is the full-featured front end\n\
     \  --load-sweep     instead of the normal legs: sweep the runtime\n\
     \                   leg over offered-load multipliers (x0.25..x4 of\n\
-    \                   rt_rate) per selected mode, find the throughput\n\
-    \                   knee, and merge SVC_LOAD rows (latency digest +\n\
-    \                   per-phase latency shares per point) into the\n\
-    \                   results file\n\
+    \                   rt_rate), find the throughput knee, and merge\n\
+    \                   SVC_LOAD rows (latency digest + per-phase\n\
+    \                   latency shares per point) into the results file\n\
     \  --mults LIST     comma-separated multipliers for --load-sweep\n\
     \                   (default 0.25,0.5,1,2,4)\n\
     \  --quiet          print only failures and the final summary\n\
@@ -78,7 +73,6 @@ let () =
   let seed = ref None in
   let out = ref "BENCH_results.json" in
   let snapshot = ref None in
-  let modes = ref [ Runtime.Batcher_rt.Faa_array ] in
   let causal = ref false in
   let load_sweep = ref false in
   let mults = ref None in
@@ -123,13 +117,6 @@ let () =
         go rest
     | "--snapshot" :: v :: rest ->
         snapshot := Some v;
-        go rest
-    | "--mode" :: v :: rest ->
-        (if v = "all" then modes := Runtime.Batcher_rt.all_modes
-         else
-           match Runtime.Batcher_rt.mode_of_string v with
-           | Some m -> modes := [ m ]
-           | None -> die "--mode expects a batch-path mode or all, got %S" v);
         go rest
     | "--causal" :: rest ->
         causal := true;
@@ -195,8 +182,7 @@ let () =
       if not !quiet then
         Printf.printf "[svc] causal runtime leg: %s\n%!" sc.Svc.Scenario.name;
       leg
-        (Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration
-           ~mode:(List.hd !modes) sc)
+        (Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration sc)
     end;
     Svc.Report.merge_causal ~path:!out ~scenario:sc.Svc.Scenario.name !rows;
     Printf.printf "[svc] merged %d CAUSAL rows for %s into %s\n%!"
@@ -209,23 +195,18 @@ let () =
   end;
   if !load_sweep then begin
     if not !quiet then
-      Printf.printf "[svc] load sweep: %s, modes %s, base rate %.0f req/s\n%!"
-        sc.Svc.Scenario.name
-        (String.concat ","
-           (List.map Runtime.Batcher_rt.mode_name !modes))
-        sc.Svc.Scenario.rt_rate;
+      Printf.printf "[svc] load sweep: %s, base rate %.0f req/s\n%!"
+        sc.Svc.Scenario.name sc.Svc.Scenario.rt_rate;
     let sw =
-      Svc.Sweep.run ?mults:!mults ~modes:!modes ?workers:!workers
-        ?duration_s:!duration sc
+      Svc.Sweep.run ?mults:!mults ?workers:!workers ?duration_s:!duration sc
     in
     List.iter
       (fun (p : Svc.Sweep.point) ->
         if not !quiet then begin
           let all = Svc.Latency.all_of p.Svc.Sweep.pt.Svc.Rt_driver.classes in
           Printf.printf
-            "  mode=%-13s K=%d x%-4g offered=%7.0f goodput=%7.0f req/s \
-             (%.0f%%) p99=%.1fus"
-            (Runtime.Batcher_rt.mode_name p.Svc.Sweep.mode)
+            "  K=%d x%-4g offered=%7.0f goodput=%7.0f req/s (%.0f%%) \
+             p99=%.1fus"
             p.Svc.Sweep.shards p.Svc.Sweep.mult p.Svc.Sweep.offered_req_s
             p.Svc.Sweep.pt.Svc.Rt_driver.goodput
             (100.0 *. p.Svc.Sweep.pt.Svc.Rt_driver.goodput
@@ -239,9 +220,7 @@ let () =
       sw.Svc.Sweep.points;
     List.iter
       (fun (kn : Svc.Sweep.knee) ->
-        Printf.printf "  knee: mode=%-13s K=%d %s\n"
-          (Runtime.Batcher_rt.mode_name kn.Svc.Sweep.k_mode)
-          kn.Svc.Sweep.k_shards
+        Printf.printf "  knee: K=%d %s\n" kn.Svc.Sweep.k_shards
           (if kn.Svc.Sweep.knee_req_s > 0.0 then
              Printf.sprintf "%.0f req/s (x%g)" kn.Svc.Sweep.knee_req_s
                kn.Svc.Sweep.knee_mult
@@ -257,9 +236,8 @@ let () =
           | Ok () -> None
           | Error e ->
               Some
-                (Printf.sprintf "mode=%s K=%d x%g: %s"
-                   (Runtime.Batcher_rt.mode_name p.Svc.Sweep.mode)
-                   p.Svc.Sweep.shards p.Svc.Sweep.mult e))
+                (Printf.sprintf "K=%d x%g: %s" p.Svc.Sweep.shards
+                   p.Svc.Sweep.mult e))
         sw.Svc.Sweep.points
     in
     let rows = Svc.Sweep.rows sw in
@@ -316,25 +294,21 @@ let () =
         | Some d -> d
         | None -> sc.Svc.Scenario.duration_s);
     List.iter
-      (fun mode ->
-        List.iter
-          (fun (pt : Svc.Rt_driver.point) ->
-            if not !quiet then
-              Printf.printf
-                "  K=%-2d P=%d mode=%-13s n=%d goodput=%.0f req/s batches=%d \
-                 max_batch=%d stalls=%d burns=%d\n"
-                pt.Svc.Rt_driver.shards pt.Svc.Rt_driver.workers
-                (Runtime.Batcher_rt.mode_name pt.Svc.Rt_driver.mode)
-                pt.Svc.Rt_driver.requests pt.Svc.Rt_driver.goodput
-                pt.Svc.Rt_driver.batches pt.Svc.Rt_driver.max_batch
-                pt.Svc.Rt_driver.stalls pt.Svc.Rt_driver.slo_burns;
-            print_classes ~quiet:!quiet
-              (pt.Svc.Rt_driver.classes
-              @ [ Svc.Latency.digest "lag" pt.Svc.Rt_driver.lag_ns ]);
-            all_rows := !all_rows @ Svc.Report.rows_of_rt sc pt)
-          (Svc.Rt_driver.run ?workers:!workers ?snapshot_path:!snapshot
-             ?duration_s:!duration ~mode sc))
-      !modes
+      (fun (pt : Svc.Rt_driver.point) ->
+        if not !quiet then
+          Printf.printf
+            "  K=%-2d P=%d n=%d goodput=%.0f req/s batches=%d max_batch=%d \
+             stalls=%d burns=%d\n"
+            pt.Svc.Rt_driver.shards pt.Svc.Rt_driver.workers
+            pt.Svc.Rt_driver.requests pt.Svc.Rt_driver.goodput
+            pt.Svc.Rt_driver.batches pt.Svc.Rt_driver.max_batch
+            pt.Svc.Rt_driver.stalls pt.Svc.Rt_driver.slo_burns;
+        print_classes ~quiet:!quiet
+          (pt.Svc.Rt_driver.classes
+          @ [ Svc.Latency.digest "lag" pt.Svc.Rt_driver.lag_ns ]);
+        all_rows := !all_rows @ Svc.Report.rows_of_rt sc pt)
+      (Svc.Rt_driver.run ?workers:!workers ?snapshot_path:!snapshot
+         ?duration_s:!duration sc)
   end;
   Svc.Report.merge_svc ~path:!out ~scenario:sc.Svc.Scenario.name
     !all_rows;

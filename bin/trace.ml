@@ -1,7 +1,7 @@
 (* Trace driver: runs one workload through BOTH the discrete-event
    simulator (Timesteps clock, dual-deque scheduler — the paper's exact
    protocol) and the real OCaml-domains runtime (Nanoseconds clock,
-   helper-lock Batcher_rt), with an Obs.Recorder attached to each, and
+   trapped Batcher_rt), with an Obs.Recorder attached to each, and
    writes a single Chrome trace-event JSON holding the two runs as
    separate processes — open it in Perfetto / chrome://tracing.
 

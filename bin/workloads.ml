@@ -1,7 +1,7 @@
 (* Workload specs shared by the observability drivers (trace.exe,
    schedview.exe): one spec runs through BOTH the discrete-event
    simulator (Timesteps recorder, dual-deque scheduler) and the real
-   OCaml-domains runtime (Nanoseconds recorder, helper-lock
+   OCaml-domains runtime (Nanoseconds recorder, trapped
    Batcher_rt). *)
 
 type kind = Fig5 | Counter | Multi

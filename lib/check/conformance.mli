@@ -51,7 +51,6 @@ val run :
   ?workers:int ->
   ?sim_p:int ->
   ?backoff:Runtime.Pool.backoff ->
-  ?mode:Runtime.Batcher_rt.mode ->
   subject ->
   (report, string) result
 (** [run subject] executes both paths with a fresh structure and oracle
@@ -59,13 +58,13 @@ val run :
     simulation. [Error] carries the first divergence (path, batch index,
     op) or invariant failure.
 
+    The runtime leg runs under [Exact] {!Obs.Invariants} checkers with
+    the paper's Lemma-2 bound of 2 (its batch cap is the worker count),
+    and any violation is an [Error].
+
     [backoff] sets the real pool's idle-worker policy (the fuzz driver
     sweeps a small ablation list so extreme spin/sleep settings get
-    conformance coverage too); [mode] selects the runtime batch-path
-    mode (default {!Runtime.Batcher_rt.Faa_array}; the other modes —
-    paper-verbatim [Worker_id], parallel-combining [Par_combine], and
-    the legacy [Atomic_list] — stay covered through the fuzz sweep's
-    ablation rotation). *)
+    conformance coverage too). *)
 
 val order_list_check : ?n:int -> ?seed:int -> unit -> (unit, string) result
 (** Random [insert_after] script against the naive list oracle, then a

@@ -31,7 +31,6 @@ type case = {
   overhead : Sim.Batcher.overhead_model;
   sequential_batches : bool;
   inv_mode : Obs.Invariants.mode;
-  rt_mode : Runtime.Batcher_rt.mode;
 }
 
 let model_of kind ~records_per_node ~seed =
@@ -238,8 +237,8 @@ let run_case ?(bound_factor = 16.0) ?(rt_conf = false) c =
     else Ok ()
   in
   (* Optional real-runtime leg: the fuzzed structure and seed through a
-     real pool under the case's rotated batch-path mode, checked against
-     the sequential oracle (and the simulator again) by [Conformance].
+     real pool, checked against the sequential oracle (and the simulator
+     again) by [Conformance], under Exact Lemma-2 checkers.
      Off by default — it spawns domains per case — and enabled by the
      fuzz driver and a dedicated test sweep. *)
   if not rt_conf then Ok ()
@@ -249,15 +248,10 @@ let run_case ?(bound_factor = 16.0) ?(rt_conf = false) c =
         ~n_ops:(min (max c.size 8) 48)
         ~seed:c.wl_seed
         ~workers:(min c.p 3)
-        ~mode:c.rt_mode
         (Conformance.find (conf_subject_of c.model))
     with
     | Ok _ -> Ok ()
-    | Error e ->
-        Error
-          (Printf.sprintf "runtime conformance [%s]: %s"
-             (Runtime.Batcher_rt.mode_name c.rt_mode)
-             e)
+    | Error e -> Error ("runtime conformance: " ^ e)
 
 let case_of_seed ?(max_p = 8) ?(max_size = 60) seed =
   let rng = Util.Rng.create ~seed:(0x5EED + seed) in
@@ -292,13 +286,6 @@ let case_of_seed ?(max_p = 8) ?(max_size = 60) seed =
       pick
         Obs.Invariants.
           [| Exact; Exact; Exact; Sampled 2; Sampled 7; Off |];
-    rt_mode =
-      (* Runtime batch-path mode for the conformance leg: the default
-         FAA array most often, the alternative modes on a rotation. *)
-      pick
-        Runtime.Batcher_rt.
-          [| Faa_array; Faa_array; Faa_array; Worker_id; Par_combine;
-             Atomic_list |];
   }
 
 (* Candidate reductions, most aggressive first. Each strictly reduces
@@ -333,8 +320,6 @@ let shrink_steps c =
   if c.model <> Counter then add { c with model = Counter };
   if c.inv_mode <> Obs.Invariants.Exact then
     add { c with inv_mode = Obs.Invariants.Exact };
-  if c.rt_mode <> Runtime.Batcher_rt.Faa_array then
-    add { c with rt_mode = Runtime.Batcher_rt.Faa_array };
   if c.wl_seed <> 0 then add { c with wl_seed = 0 };
   if c.sim_seed <> 1 then add { c with sim_seed = 1 };
   List.rev !cands
@@ -389,23 +374,16 @@ let inv_mode_name = function
   | Obs.Invariants.Exact -> "Obs.Invariants.Exact"
   | Obs.Invariants.Sampled k -> Printf.sprintf "(Obs.Invariants.Sampled %d)" k
 
-let rt_mode_name m = "Runtime.Batcher_rt." ^
-  (match m with
-  | Runtime.Batcher_rt.Faa_array -> "Faa_array"
-  | Runtime.Batcher_rt.Worker_id -> "Worker_id"
-  | Runtime.Batcher_rt.Par_combine -> "Par_combine"
-  | Runtime.Batcher_rt.Atomic_list -> "Atomic_list")
-
 let pp_case fmt c =
   Format.fprintf fmt
     "{ family = %s; model = %s; size = %d; records_per_node = %d;@ wl_seed = %d; p \
      = %d; sim_seed = %d; shard_k = %d;@ steal_policy = Sim.Batcher.%s; \
      launch_threshold = %d; batch_cap = %d;@ overhead = Sim.Batcher.%s; \
-     sequential_batches = %b;@ inv_mode = %s;@ rt_mode = %s }"
+     sequential_batches = %b;@ inv_mode = %s }"
     (family_name c.family) (model_name c.model) c.size c.records_per_node c.wl_seed
     c.p c.sim_seed c.shard_k (policy_name c.steal_policy) c.launch_threshold
     c.batch_cap (overhead_name c.overhead) c.sequential_batches
-    (inv_mode_name c.inv_mode) (rt_mode_name c.rt_mode)
+    (inv_mode_name c.inv_mode)
 
 let show_case c = Format.asprintf "@[<hv 2>%a@]" pp_case c
 

@@ -66,10 +66,6 @@ type case = {
           asserts and the trace validator), with [Sampled]/[Off] legs in
           the rotation so those paths are fuzzed too. Any nonzero
           violation counter fails the case. *)
-  rt_mode : Runtime.Batcher_rt.mode;
-      (** Batch-path mode for the optional real-runtime conformance leg
-          ([run_case ~rt_conf:true]) — rotated across cases, biased
-          toward the default [Faa_array]; shrinking reduces toward it. *)
 }
 
 val workload_of : case -> Sim.Workload.t
@@ -84,9 +80,10 @@ val run_case :
 (** Execute and cross-check one case. [bound_factor] is forwarded to
     {!Bound.check} (paper-default cases only). [rt_conf] (default
     [false]: it spawns a real pool per case) additionally pushes the
-    case's structure and seed through {!Conformance.run} under the
-    case's [rt_mode], so every batch-path mode meets fuzzed workload
-    shapes against the sequential oracle. *)
+    case's structure and seed through {!Conformance.run}, so the
+    runtime's trapped batch path meets fuzzed workload shapes against
+    the sequential oracle, under Exact Lemma-2 checkers at the paper's
+    bound of 2. *)
 
 val case_of_seed : ?max_p:int -> ?max_size:int -> int -> case
 (** Deterministic case from a single fuzz seed. *)

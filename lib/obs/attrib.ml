@@ -84,7 +84,8 @@ let account_worker clk r w =
           | Recorder.Wcore -> core := !core + units
           | Recorder.Wbatch -> batch := !batch + units
           | Recorder.Wsetup -> setup := !setup + units
-          | Recorder.Wsched -> sched := !sched + units);
+          | Recorder.Wsched -> sched := !sched + units
+          | Recorder.Wwait -> wait := !wait + units);
           covered := !covered + units;
           cover (e.time - units) e.time
       | Recorder.Steal { success = false; _ } when clk = Recorder.Timesteps ->

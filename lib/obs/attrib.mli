@@ -15,11 +15,12 @@
     - [core] — core-program work, the T1 term;
     - [batch] — BOP execution, the W(n) term;
     - [setup] — LAUNCHBATCH setup/cleanup, the n·s(n) term;
-    - [wait] — timesteps trapped workers spent failing to steal while a
+    - [wait] — time trapped workers spent outside batch work while a
       batch they depend on runs (or waits to launch): the realized
-      surface of the serialized m·s(n) term. Simulator clock only;
-      runtime workers never block on batches (tasks suspend instead),
-      so the term shows up in {!Critpath}'s serialization chains;
+      surface of the serialized m·s(n) term. On the simulator, the
+      trapped workers' failed steals; on the runtime, the [Wwait]
+      segments of a worker trapped in BATCHIFY (its helped batch tasks
+      and its own launches are [batch]/[setup]);
     - [idle] — timesteps free workers spent failing to steal: the
       span-limited T∞ term's surface;
     - [sched] — scheduler bookkeeping that executes no DAG unit: resume

@@ -23,6 +23,7 @@ let class_name = function
   | Recorder.Wbatch -> "batch"
   | Recorder.Wsetup -> "setup"
   | Recorder.Wsched -> "sched"
+  | Recorder.Wwait -> "wait"
 
 (* One rendered trace event, before sorting. *)
 type ev = { e_tid : int; e_ts : float; e_json : float -> Json.t }

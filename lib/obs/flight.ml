@@ -31,6 +31,7 @@ let class_name = function
   | Recorder.Wbatch -> "batch"
   | Recorder.Wsetup -> "setup"
   | Recorder.Wsched -> "sched"
+  | Recorder.Wwait -> "wait"
 
 let event_json (e : Recorder.event) =
   let base k fields =

@@ -26,7 +26,7 @@ type t = {
   stalled : bool array;  (* an open watchdog episode per structure *)
   stalls : int Atomic.t;
   (* Histograms indexed ((worker * structures) + sid) * 3 + phase: one
-     writer each (the launching worker), merged by readers. *)
+     writer each (the worker whose op completed), merged by readers. *)
   phase : Summary.Histo.t array;
   burn : int Atomic.t array;  (* sid * 3 + phase *)
 }

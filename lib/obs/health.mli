@@ -17,9 +17,10 @@
     - {b Phase latency} — each completed op's time is decomposed into
       pending-wait (issue → its batch's launch), batch-exec (launch →
       batch completion), and overflow-queue time (overflow enqueue →
-      launch; 0 for ops that got a pending-array slot). Per
-      worker × structure × phase power-of-two histograms, written only
-      by the launching worker (single-writer, allocation-free) and
+      launch; always 0 on the runtime's trapped path, which has no
+      overflow queue). Per worker × structure × phase power-of-two
+      histograms, each written only by its worker — the op's own
+      (single-writer, allocation-free) — and
       merged with {!Summary.Histo.merge} at sample time; each phase has
       an SLO threshold whose breaches bump a burn counter.
 
@@ -78,7 +79,8 @@ val batch_collected : t -> sid:int -> size:int -> unit
 val op_phases :
   t -> worker:int -> sid:int -> wait:int -> exec:int -> ovf:int -> unit
 (** Phase decomposition of one completed op, in ns, recorded by the
-    worker that ran the batch. *)
+    op's own worker once the op is done; [worker]'s histograms must
+    have no other writer. *)
 
 (* ---- sampler side ---- *)
 

@@ -18,9 +18,10 @@
       {!batch_started} subtracts [size]; a negative balance means an op
       was collected twice or fabricated.
     - {b Lemma 2} — at most [lemma2_bound] batches of the structure
-      launch while one op is pending (2 under the paper's scheduler;
-      callers on the helper-lock runtime, whose proof preconditions
-      differ, pass a looser bound). Checked at {!op_completed}.
+      launch while one op is pending (2 under the paper's scheduler,
+      which both the simulator and the runtime's trapped BATCHIFY
+      implement when the batch cap is at least P). Checked at
+      {!op_completed}.
 
     A violation bumps a monotonic per-check counter (readable at any
     time from any thread) and, when a recorder is attached, emits a

@@ -2,7 +2,7 @@ type clock = Timesteps | Nanoseconds
 
 type status = Free | Pending | Executing | Done
 
-type work_class = Wcore | Wbatch | Wsetup | Wsched
+type work_class = Wcore | Wbatch | Wsetup | Wsched | Wwait
 
 type check = Inv1 | Inv2 | Inv3 | Lemma2 | Stall
 
@@ -105,13 +105,19 @@ let status_of_code = function
   | 2 -> Executing
   | _ -> Done
 
-let class_code = function Wcore -> 0 | Wbatch -> 1 | Wsetup -> 2 | Wsched -> 3
+let class_code = function
+  | Wcore -> 0
+  | Wbatch -> 1
+  | Wsetup -> 2
+  | Wsched -> 3
+  | Wwait -> 4
 
 let class_of_code = function
   | 0 -> Wcore
   | 1 -> Wbatch
   | 2 -> Wsetup
-  | _ -> Wsched
+  | 3 -> Wsched
+  | _ -> Wwait
 
 let check_code = function Inv1 -> 0 | Inv2 -> 1 | Inv3 -> 2 | Lemma2 -> 3 | Stall -> 4
 
@@ -136,10 +142,9 @@ let emit_status t ~worker ~time s = emit t ~worker ~time 0 (status_code s) 0 0
 let emit_steal t ~worker ~time ~victim ~success ~batch_deque =
   emit t ~worker ~time 1 victim (if success then 1 else 0) (if batch_deque then 1 else 0)
 
-(* [setup] and the batch-path [mode] share the third payload slot:
-   [c = (setup lsl 2) lor mode]. Two bits suffice for the four
-   Batcher_rt modes (0 faa/sim, 1 worker_id, 2 par_combine,
-   3 atomic_list); setups keep ~60 bits. *)
+(* [setup] and the two-bit batch-path [mode] tag share the third payload
+   slot: [c = (setup lsl 2) lor mode]. Both the simulator and the
+   runtime write mode 0; setups keep ~60 bits. *)
 let emit_batch_start t ~worker ~time ~sid ~size ~setup ~mode =
   emit t ~worker ~time 2 sid size ((setup lsl 2) lor (mode land 3))
 

@@ -24,10 +24,13 @@ type status = Free | Pending | Executing | Done
 (** What a worker's time was spent {e doing}, bucketed by the terms of
     the paper's Theorem-1 bound: core-program work (the [T1] term),
     batch operation work (the [W(n)] term), LAUNCHBATCH setup/cleanup
-    (the [n·s(n)] term), and scheduler bookkeeping that executes no DAG
+    (the [n·s(n)] term), scheduler bookkeeping that executes no DAG
     unit (resume handoffs in the simulator; steal/backoff/idle time in
-    the real runtime). See {!Attrib}. *)
-type work_class = Wcore | Wbatch | Wsetup | Wsched
+    the real runtime), and — runtime only — time a worker trapped in
+    BATCHIFY spends waiting for its operation's batch outside batch
+    tasks (the simulator records that as failed trapped steals). See
+    {!Attrib}. *)
+type work_class = Wcore | Wbatch | Wsetup | Wsched | Wwait
 
 (** Which online safety property a {!kind.Violation} event reports
     broken (see {!Invariants} and {!Health}): Invariant 1 (at most one
@@ -45,9 +48,8 @@ type kind =
   | Batch_start of { sid : int; size : int; setup : int; mode : int }
       (** LAUNCHBATCH by this worker: structure, working-set size,
           modeled setup/cleanup work ([0] when unknown, as in the real
-          runtime), and the batch-path mode that launched it
-          (0 faa-array/sim, 1 worker_id, 2 par_combine, 3 atomic_list;
-          see {!Runtime.Batcher_rt.mode}) *)
+          runtime), and a two-bit batch-path tag that both the
+          simulator and the runtime write as 0 *)
   | Batch_end of { sid : int; size : int }
   | Op_issue of { sid : int }  (** a data-structure op parked (BATCHIFY) *)
   | Op_done of { sid : int; batches_seen : int; latency : int }

@@ -9,8 +9,7 @@
     request). A request's whole life is captured:
 
     release → serve-task start → submit (BATCHIFY) → pending-array
-    publication (or overflow / displacement) → batch launch → BOP
-    execution → completion
+    publication → batch launch → BOP execution → completion
 
     and decomposes into an {e exact} phase sum (see {!span}):
 
@@ -77,9 +76,10 @@ val on_publish : t -> token:int -> unit
 (** The op record became reachable in a pending-array slot. *)
 
 val on_overflow : t -> token:int -> displaced:bool -> unit
-(** The op record went to the overflow queue — directly (missed slot)
-    or displaced by a newer epoch's claimant ([displaced = true],
-    Faa_array only). *)
+(** The op record went to an overflow queue — directly (missed slot)
+    or displaced by a newer epoch's claimant ([displaced = true]).
+    The runtime's trapped batch path has no overflow queue and never
+    calls this, so its spans read [ovf = false]. *)
 
 val on_batch :
   t ->
@@ -94,11 +94,11 @@ val on_batch :
 (** The batch containing the op completed. [wait]/[exec]/[ovf] are
     durations on the batcher's own stamp basis (issue → launch, launch
     → done, overflow-enqueue → launch); [seen] is the op's
-    batches-while-pending (the Lemma-2 figure); [worker] executed the
-    stamping loop; [mode] is {!Runtime.Batcher_rt.mode_code}. For
-    fan-out requests only the representative sub-op carries the token,
-    so one consistent chain is recorded and the cross-shard join lands
-    in [sched_post]. *)
+    batches-while-pending (the Lemma-2 figure); [worker] ran the batch;
+    [mode] is a batch-path tag, 0 on both the simulator and the
+    runtime. For fan-out requests only the representative sub-op
+    carries the token, so one consistent chain is recorded and the
+    cross-shard join lands in [sched_post]. *)
 
 val on_done : t -> token:int -> worker:int -> unit
 (** The request's continuation resumed and its latency is final: stamp
@@ -124,7 +124,7 @@ type span = {
   token : int;
   cls : int;
   sid : int;
-  mode : int;  (** {!Runtime.Batcher_rt.mode_code}; 0 for sim *)
+  mode : int;  (** batch-path tag; 0 on both executions *)
   sampled : bool;
   ovf : bool;  (** waited in the overflow queue *)
   displaced : bool;  (** sent to overflow by a newer epoch's claimant *)

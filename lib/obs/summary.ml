@@ -148,7 +148,7 @@ let of_recorder r =
       steal_attempts = 0;
       steal_successes = 0;
       status_time = Array.make 4 0;
-      work_units = Array.make 4 0;
+      work_units = Array.make 5 0;
       violations = Array.make Recorder.n_checks 0;
     }
   in
@@ -172,6 +172,7 @@ let of_recorder r =
       | Recorder.Wbatch -> 1
       | Recorder.Wsetup -> 2
       | Recorder.Wsched -> 3
+      | Recorder.Wwait -> 4
     in
     for w = 0 to Recorder.workers r - 1 do
       let cur = ref Recorder.Free in
@@ -253,8 +254,9 @@ let pp fmt t =
     t.status_time.(0) t.status_time.(1) t.status_time.(2) t.status_time.(3);
   Format.fprintf fmt "steals: %d attempts, %d successes (%.1f%%)@." t.steal_attempts
     t.steal_successes (100.0 *. steal_rate t);
-  Format.fprintf fmt "work units (%s): core=%d batch=%d setup=%d sched=%d@." u
-    t.work_units.(0) t.work_units.(1) t.work_units.(2) t.work_units.(3);
+  Format.fprintf fmt "work units (%s): core=%d batch=%d setup=%d sched=%d wait=%d@."
+    u t.work_units.(0) t.work_units.(1) t.work_units.(2) t.work_units.(3)
+    t.work_units.(4);
   Format.fprintf fmt "batches: %d (total setup work %d)@." t.batches t.setup_total;
   Format.fprintf fmt "batch size:@.";
   pp_histo fmt ~unit:"ops" t.batch_size;
@@ -324,6 +326,7 @@ let to_json t =
             ("batch", Json.Int t.work_units.(1));
             ("setup", Json.Int t.work_units.(2));
             ("sched", Json.Int t.work_units.(3));
+            ("wait", Json.Int t.work_units.(4));
           ] );
       ("batches", Json.Int t.batches);
       ("setup_work", Json.Int t.setup_total);

@@ -7,8 +7,8 @@
     - batch size — how full LAUNCHBATCH's working set runs (cap is P);
     - op latency — BATCHIFY issue → batch completion, in clock units;
     - batches seen while pending — the empirical Lemma-2 distribution,
-      at most 2 under the simulated scheduler, merely {e reported} for
-      the helper-lock real runtime whose proof preconditions differ;
+      at most 2 under the paper's scheduler (the simulator, and the
+      runtime's trapped BATCHIFY when the batch cap is at least P);
     - steal success rate and per-status time. *)
 
 module Histo : sig
@@ -63,7 +63,7 @@ type t = {
   status_time : int array;  (** clock units per status, indexed free..done *)
   work_units : int array;
       (** clock units spent per work class, indexed
-          core, batch, setup, sched (from [Work] events) *)
+          core, batch, setup, sched, wait (from [Work] events) *)
   violations : int array;
       (** surviving [Violation] events per check, indexed by
           {!Recorder.check_code} (inv1, inv2, inv3, lemma2, stall);

@@ -1,105 +1,37 @@
-(* A parked operation record: the op, its task's continuation, and the
-   observability stamps — issue/completion on the recorder clock and the
-   structure's launch counter at issue/completion, whose difference is
-   the op's "batches launched while pending" count (the empirical
-   Lemma-2 figure; reported, not asserted, because this helper-lock
-   runtime does not satisfy the proof's dual-deque preconditions). *)
-type 'op record = {
-  op : 'op;
-  mutable resume : unit -> unit;
-  token : int;  (* request-trace token ([Obs.Reqtrace]); -1 = untraced *)
-  issue_time : int;
-  issue_launches : int;
-  mutable done_time : int;
-  mutable done_launches : int;
-  mutable ovf_since : int;  (* first overflow-enqueue stamp; 0 = never *)
-}
+(* The trapped BATCHIFY (DESIGN.md §8).
 
-(* The sweepable batch-path axis (DESIGN.md §13). All four modes share
-   Invariant 1 (the batch flag), the FIFO overflow machinery, and
-   LAUNCHBATCH bookkeeping; they differ in how an op is *published* and
-   in who *executes* the launched batch:
+   The pending array has one slot per worker. A caller publishes its op
+   into its own worker's slot and is then *trapped*: it runs only batch
+   work until its op completes, so every worker has at most one op
+   pending and at most P ops are pending at any instant. The slot also
+   carries the op's state: [None] — no op of this worker pending;
+   [Some op] — published and waiting, or collected into the batch in
+   flight. A launcher collects by reading the slots (it leaves them
+   [Some]) and marks a collected op done by setting its slot back to
+   [None] when the batch completes, before it releases the batch flag.
+   So, with the flag free, a [Some] slot is always an uncollected op:
+   a trapped worker whose slot is still [Some] may launch, and a
+   collected op can never be collected twice.
 
-   [Faa_array]   publish: FAA ticket into a [batch_cap] slot array.
-                 execute: the whole batch is handed to the pool
-                 ([Pool.async]). PR 4's scheme; the default.
-   [Worker_id]   publish: the paper-verbatim worker-id-indexed pending
-                 array — slot index = the submitting worker's id, no
-                 FAA at all. execute: as Faa_array.
-   [Par_combine] publish: as Worker_id. execute: parallel combining
-                 (Aksenov-Kuznetsov) — the flag-winning submitter is
-                 itself a blocked client and runs the batch inline,
-                 then recruits further blocked clients by publishing
-                 defunctionalized sub-range work items that stamp and
-                 resume slices of the batch in parallel.
-   [Atomic_list] the seed's CAS-consed list; kept as the ablation
-                 floor.
+   Publication and launch ordering: the owner is the only writer of
+   [None -> Some] and the flag holder the only writer of [Some -> None],
+   so publication is a CAS that cannot fail (asserted) and collection
+   needs no CAS at all. Every pending op belongs to a worker that keeps
+   trying to launch while its slot is [Some] and the flag is free, so
+   no op waits for a wake-up. The BOP's results reach the caller
+   through the slot: the BOP's writes precede the launcher's
+   [Atomic.set slot None], which the caller reads before returning.
 
-   Worker_id / Par_combine publication protocol: the slot index is the
-   *current* worker's id, read inside the suspension callback at each
-   publication.
-
-     Suspended-task-migration invariant: a task that suspended in
-     [batchify] and was resumed on a different worker re-reads its
-     worker index at its next publication, so every record is reachable
-     from the slot of the worker that *published* it (or from the
-     overflow queues); a record never moves between slots after
-     publication, and slot index < num_workers always holds (asserted
-     in [submit_worker]). Migration therefore cannot lose a record —
-     at worst two tasks that started on one worker publish from two
-     different slots, which only changes which slot the launcher finds
-     them in.
-
-   A worker with a record already parked in its slot (several suspended
-   tasks of one worker mid-drain) does not displace it: publication is
-   a CAS [None -> Some r], and on failure the *newer* record goes to
-   the overflow queue directly. That keeps per-worker issue order equal
-   to admission order (slots drain before the overflow back stack), so
-   the FIFO fairness property of the overflow path holds per worker.
-   Contrast Faa_array, where displacement pushes the *older* straggler
-   of a previous drain epoch to overflow — there the slot owner is a
-   ticket, not a worker, and the older record is the one out of epoch.
-
-   Parallel combining details: recruitment is allocation-free — the
-   sub-range items ([sub] below) and the task closures that run them
-   are preallocated per batcher (the par-ml defunctionalized-work-item
-   trick: publishing a work item means writing two int fields of a
-   preallocated record and pushing a preallocated closure, not
-   allocating a fresh closure). The join is a preallocated padded
-   [remaining] counter; the last finisher (often a recruited helper,
-   not the launcher) runs the epilogue: batch-end bookkeeping, flag
-   release, and — instead of an unbounded inline relaunch recursion —
-   pushing the preallocated [relaunch_task] trampoline when work is
-   still pending. The launcher never blocks waiting for helpers, so an
-   unstolen item is simply popped later by its own worker: no joint
-   spin, no deadlock at P = 1. *)
-type mode = Faa_array | Worker_id | Par_combine | Atomic_list
-
-(* [Faa_array] keeps the name "pending_array" externally: M1 baseline
-   rows in BENCH_results.json predate the mode axis and bench_diff
-   matches rows by field values. *)
-let mode_name = function
-  | Faa_array -> "pending_array"
-  | Worker_id -> "worker_id"
-  | Par_combine -> "par_combine"
-  | Atomic_list -> "atomic_list"
-
-let mode_of_string = function
-  | "pending_array" | "faa_array" | "faa" -> Some Faa_array
-  | "worker_id" -> Some Worker_id
-  | "par_combine" -> Some Par_combine
-  | "atomic_list" -> Some Atomic_list
-  | _ -> None
-
-(* Two-bit tag carried in Batch_start events ([Obs.Recorder]); 0 is
-   shared with the simulator's batches. *)
-let mode_code = function
-  | Faa_array -> 0
-  | Worker_id -> 1
-  | Par_combine -> 2
-  | Atomic_list -> 3
-
-let all_modes = [ Faa_array; Worker_id; Par_combine; Atomic_list ]
+   Lemma 2: the caller reads the launch counter after its op is
+   published. A launch counted from then on either collected the op
+   (its own batch) or collected before the publication and counted
+   after the read (at most one such launch, since launches are
+   serialized); with [batch_cap >= P] the next collect scans the
+   published slot and admits it. So an op sees at most 2 launches
+   while pending. With [batch_cap < P] the collect scan starts after
+   the last slot the previous launch took, so each launch that skips
+   the op takes [batch_cap] slots ahead of it: at most
+   [(P - 1) / batch_cap] such launches, and no slot starves. *)
 
 (* Calibrated delay injection for causal profiling (DESIGN.md §15).
    A virtual speedup of phase X by factor f is produced by slowing
@@ -108,17 +40,17 @@ let all_modes = [ Faa_array; Worker_id; Par_combine; Atomic_list ]
    self-calibrating: at each site the segment's own duration dt is
    measured on the monotonic clock and the site then busy-waits
    (f - 1)·dt, so no per-machine pre-calibration pass is needed and
-   the delay automatically tracks batch size, store, and mode.
+   the delay automatically tracks batch size and store.
 
    Sites: [slow_submit] stretches the publication path inside
-   [batchify]'s suspension callback (record reachable -> launch
-   attempt); [slow_setup] stretches LAUNCHBATCH overhead — working-set
-   assembly before the launch stamp and the stamp/resume epilogue
-   before the flag release (the paper's setup + cleanup stages);
-   [slow_bop] stretches the BOP body itself, inside the exec phase.
-   All stamps the Reqtrace/health layers take are real clock readings
-   around the injected spins, so span conservation
-   ([Obs.Reqtrace.check]) holds on injected runs by construction. *)
+   [batchify] (record reachable -> launch attempt); [slow_setup]
+   stretches LAUNCHBATCH overhead — working-set assembly before the
+   launch stamp and the stamp/done-mark epilogue before the flag
+   release (the paper's setup + cleanup stages); [slow_bop] stretches
+   the BOP body itself, inside the exec phase. All stamps the
+   Reqtrace/health layers take are real clock readings around the
+   injected spins, so span conservation ([Obs.Reqtrace.check]) holds
+   on injected runs by construction. *)
 type inject = {
   slow_submit : float;
   slow_setup : float;
@@ -140,49 +72,25 @@ let[@inline never] inject_tail factor t0 =
     if extra > 0 then spin_until_ns (now + extra)
   end
 
-(* Submission state (DESIGN.md §8 for the FAA array, §13 for the rest).
+(* Per-worker batch stamps, written by the launcher before it marks the
+   op done and read by the op's caller afterwards: worker [w]'s stripe
+   of [stamps] holds, at these offsets, its batch's launch stamp, its
+   completion stamp, the launch counter at completion, and the worker
+   that ran the batch. *)
+let st_start = 0
+let st_done = 1
+let st_launches = 2
+let st_worker = 3
 
-   The array modes share a slot array — [batch_cap] slots claimed by
-   FAA ticket for [Faa_array], [num_workers] slots indexed by worker id
-   for [Worker_id]/[Par_combine] — plus a FIFO overflow queue for ops
-   that miss a slot ([ovf_back] is a CAS-consed LIFO stack; the
-   launcher reverses it onto the launcher-private [ovf_front] queue, so
-   admission across batches is oldest-first). [n_pending] counts
-   published-but-uncollected records and is the launch guard.
-
-   Faa_array publication: claim index [i] by FAA; if [i < batch_cap],
-   [Atomic.exchange slots.(i) (Some r)] — if the exchange displaces an
-   older record (a straggler from a previous drain epoch that published
-   after the launcher reset [claims]), the *displacing* submitter moves
-   it to the overflow queue, so no record is ever lost; if
-   [i >= batch_cap], go to overflow directly. Only after the record is
-   reachable (slot or overflow) is [n_pending] incremented, and every
-   submitter calls [try_launch] after its increment, so there are no
-   lost wakeups and the launcher never has to spin on a slot: it pops
-   up to [batch_cap] records from the front queue and, only when the
-   batch still has room, drains the slots and the reversed back stack
-   (leftovers append to the front queue) — Θ(slots) work per launch,
-   the paper's LAUNCHBATCH setup bound, independent of the backlog.
-
-   [Atomic_list] is the seed's implementation — a single CAS-retry
-   ['op record list Atomic.t] cons stack (allocating, contended, and
-   LIFO: under sustained over-cap load its newest-first admission
-   starved parked ops to 41 batches-while-pending where FIFO gives
-   ≈ 2). Kept verbatim behind the flag for before/after benchmarking
-   (bench/micro.ml).
-
-   Padding: [flag], [claims], [n_pending], [ovf_back], [pending] and
-   the counters are written by every submitting worker; each lives in
-   its own padded block ([Pad.atomic]), and the slot array's atomics
-   are padded individually so two workers publishing to adjacent slots
-   do not share a line — par-ml flags exactly this false sharing as the
-   dominant stability factor. *)
+(* Padding: [flag] and the counters are written by every launcher; each
+   lives in its own padded block ([Pad.atomic]), and each slot is padded
+   individually so two workers publishing to adjacent slots do not share
+   a line. *)
 type ('s, 'op) t = {
   pool : Pool.t;
   st : 's;
   run_batch : Pool.t -> 's -> 'op array -> unit;
   batch_cap : int;
-  mode : mode;
   sid : int;
   rc : Obs.Recorder.t;
   hl : Obs.Health.t;  (* the pool's health instance (null when off) *)
@@ -190,56 +98,26 @@ type ('s, 'op) t = {
   rt : Obs.Reqtrace.t;  (* request-scoped span capture (null when off) *)
   inj : inject;  (* causal-profiling delay factors ([no_inject] = off) *)
   (* One predictable branch on the hot paths: false compiles the
-     injection sites down to the pre-causal zero-cost path. *)
+     injection sites down to the zero-cost path. *)
   injecting : bool;
-  (* Whether op/batch records carry time stamps: true when any of the
-     recorder, health, or invariant layers consume them. Stamps use the
-     recorder's relative clock when it is enabled, raw monotonic ns
-     otherwise — consumers only take differences, so either basis
-     works, but all stamps of one structure share one basis. *)
+  (* Whether ops and batches carry time stamps: true when any of the
+     recorder, health, invariant or request-trace layers consume them.
+     Stamps use the recorder's relative clock when it is enabled, raw
+     monotonic ns otherwise — consumers only take differences, so
+     either basis works, but all stamps of one structure share one
+     basis. *)
   timed : bool;
-  (* -- slot-array state (Faa_array / Worker_id / Par_combine) -- *)
-  slots : 'op record option Atomic.t array;
-  claims : int Atomic.t;  (* FAA ticket; Faa_array only *)
-  ovf_front : 'op record Queue.t;  (* oldest first; flag-holder-only *)
-  ovf_back : 'op record list Atomic.t;  (* newest first; CAS-consed *)
-  ovf_n : int Atomic.t;  (* records ever pushed to overflow *)
-  n_pending : int Atomic.t;  (* published and not yet collected *)
-  mutable batch_buf : 'op record array;  (* reused by every launch *)
-  (* -- Par_combine state (lazily built; flag-holder-only) -- *)
-  mutable comb : 'op comb option;
-  (* -- Atomic_list (legacy) state -- *)
-  pending : 'op record list Atomic.t;
-  (* -- shared -- *)
+  slots : 'op option Atomic.t array;  (* one per worker, padded *)
+  stamps : int array;  (* per-worker stripes, see [st_start] *)
+  (* Flag-holder-only launch state. *)
+  taken : int array;  (* workers whose ops the batch in flight holds *)
+  mutable scan : int;  (* slot the next collect scan starts at *)
   flag : bool Atomic.t;
   launches : int Atomic.t;
   n_batches : int Atomic.t;
   n_ops : int Atomic.t;
   max_batch : int Atomic.t;
 }
-
-(* Parallel-combining scratch state: everything a launch needs beyond
-   [batch_buf], preallocated so recruitment allocates nothing. The
-   launcher (flag holder) writes the mutable fields before publishing
-   the sub tasks through the deque (an SC atomic), which orders the
-   writes for the helpers that pop them. *)
-and 'op comb = {
-  subs : sub array;  (* one per worker; [lo, hi) into batch_buf *)
-  mutable sub_tasks : (unit -> unit) array;  (* sub_tasks.(i) runs subs.(i) *)
-  remaining : int Atomic.t;  (* padded join counter *)
-  launch_task : unit -> unit;  (* runs [run_combined t] inline *)
-  relaunch_task : unit -> unit;  (* trampoline: [try_launch t] *)
-  mutable c_len : int;  (* this launch's batch size *)
-  mutable c_start : int;  (* launch stamp *)
-  mutable c_done : int;  (* completion stamp *)
-  mutable c_launches : int;  (* launch counter at completion *)
-}
-
-and sub = { mutable lo : int; mutable hi : int }
-
-(* Below this many records per helper, recruiting is not worth the
-   deque traffic and the launcher resumes the whole batch itself. *)
-let combine_grain = 8
 
 type stats = {
   batches : int;
@@ -248,15 +126,15 @@ type stats = {
   ovf : int;
 }
 
-let create ?batch_cap ?(mode = Faa_array) ?(sid = 0) ?invariants
-    ?(reqtrace = Obs.Reqtrace.null) ?(inject = no_inject) ~pool ~state
-    ~run_batch () =
+let create ?batch_cap ?(sid = 0) ?invariants ?(reqtrace = Obs.Reqtrace.null)
+    ?(inject = no_inject) ~pool ~state ~run_batch () =
+  let p = Pool.num_workers pool in
   let cap =
     match batch_cap with
     | Some c ->
         if c < 1 then invalid_arg "Batcher_rt.create: batch_cap >= 1";
         c
-    | None -> Pool.num_workers pool
+    | None -> p
   in
   List.iter
     (fun (name, f) ->
@@ -276,18 +154,11 @@ let create ?batch_cap ?(mode = Faa_array) ?(sid = 0) ?invariants
     | Some i -> i
     | None -> Obs.Health.invariants hl
   in
-  let n_slots =
-    match mode with
-    | Faa_array -> cap
-    | Worker_id | Par_combine -> Pool.num_workers pool
-    | Atomic_list -> 0
-  in
   {
     pool;
     st = state;
     run_batch;
     batch_cap = cap;
-    mode;
     sid;
     rc;
     hl;
@@ -299,15 +170,11 @@ let create ?batch_cap ?(mode = Faa_array) ?(sid = 0) ?invariants
       Obs.Recorder.enabled rc || Obs.Health.enabled hl
       || Obs.Invariants.active inv
       || Obs.Reqtrace.enabled reqtrace;
-    slots = Array.init n_slots (fun _ -> Pad.atomic None);
-    claims = Pad.atomic 0;
-    ovf_front = Queue.create ();
-    ovf_back = Pad.atomic [];
-    ovf_n = Pad.atomic 0;
-    n_pending = Pad.atomic 0;
-    batch_buf = [||];
-    comb = None;
-    pending = Pad.atomic [];
+    slots = Array.init p (fun _ -> Pad.atomic None);
+    stamps = Array.make (p * Pad.stride) 0;
+    (* At most P ops are ever pending, so no batch exceeds P. *)
+    taken = Array.make (min cap p) 0;
+    scan = 0;
     flag = Pad.atomic false;
     launches = Pad.atomic 0;
     n_batches = Pad.atomic 0;
@@ -317,14 +184,12 @@ let create ?batch_cap ?(mode = Faa_array) ?(sid = 0) ?invariants
 
 let state t = t.st
 
-let mode t = t.mode
-
 let stats t =
   {
     batches = Atomic.get t.n_batches;
     ops = Atomic.get t.n_ops;
     max_batch = Atomic.get t.max_batch;
-    ovf = Atomic.get t.ovf_n;
+    ovf = 0;
   }
 
 let rec atomic_max a v =
@@ -338,457 +203,155 @@ let[@inline] stamp t =
   if Obs.Recorder.enabled t.rc then Obs.Recorder.now t.rc
   else Obs.Clock.now_ns ()
 
-(* LAUNCHBATCH bookkeeping shared by the pool-executed paths (all modes
-   but Par_combine): count the launch, run the BOP with batch spans
-   recorded, stamp the records, resume their tasks, then release the
-   flag and run [relaunch] to pick up operations that accrued
-   meanwhile. [get] indexes the [len] batch records (an array for the
-   slot-array paths, a list for legacy). *)
-let run_launched t ~len ~get ~relaunch () =
-  let observed = Obs.Recorder.enabled t.rc in
-  (* Attribute this task's time to the bound's terms: working-set
-     assembly and record resumption are LAUNCHBATCH overhead (n·s(n)),
-     the BOP body itself is batch work (W(n)). *)
-  if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
-  let t0_setup = if t.injecting then Obs.Clock.now_ns () else 0 in
-  let arr = Array.init len (fun i -> (get i).op) in
-  if t.injecting then inject_tail t.inj.slow_setup t0_setup;
-  Atomic.incr t.launches;
-  let me = match Pool.worker_index () with Some w -> w | None -> 0 in
-  let t_start = if t.timed then stamp t else 0 in
-  if observed then
-    Obs.Recorder.emit_batch_start t.rc ~worker:me ~time:t_start ~sid:t.sid
-      ~size:len ~setup:0 ~mode:(mode_code t.mode);
-  Obs.Invariants.batch_started t.inv ~worker:me ~time:t_start ~sid:t.sid
-    ~size:len ~cap:t.batch_cap;
-  Obs.Health.batch_collected t.hl ~sid:t.sid ~size:len;
-  if observed then Pool.set_work_class t.pool Obs.Recorder.Wbatch;
-  let t0_bop = if t.injecting then Obs.Clock.now_ns () else 0 in
-  t.run_batch t.pool t.st arr;
-  if t.injecting then inject_tail t.inj.slow_bop t0_bop;
-  if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
-  let t0_cleanup = if t.injecting then Obs.Clock.now_ns () else 0 in
-  let done_time = if t.timed then stamp t else 0 in
-  if t.timed then begin
-    let done_launches = Atomic.get t.launches in
-    let health_on = Obs.Health.enabled t.hl in
-    for i = 0 to len - 1 do
-      let r = get i in
-      r.done_time <- done_time;
-      r.done_launches <- done_launches;
-      (* Phase decomposition for the SLOs: pending-wait (issue to this
-         batch's launch), batch-exec, and overflow-queue time for ops
-         that missed a pending-array slot. *)
-      if health_on then
-        Obs.Health.op_phases t.hl ~worker:me ~sid:t.sid
-          ~wait:(t_start - r.issue_time) ~exec:(done_time - t_start)
-          ~ovf:(if r.ovf_since > 0 then t_start - r.ovf_since else 0);
-      (* Request-trace anatomy: the same deltas, keyed by the op's
-         request token (no-op for the untraced sentinel -1). *)
-      Obs.Reqtrace.on_batch t.rt ~token:r.token
-        ~wait:(t_start - r.issue_time) ~exec:(done_time - t_start)
-        ~ovf:(if r.ovf_since > 0 then t_start - r.ovf_since else 0)
-        ~seen:(done_launches - r.issue_launches)
-        ~worker:me ~mode:(mode_code t.mode)
-    done;
-    if observed then
-      Obs.Recorder.emit_batch_end t.rc ~worker:me ~time:done_time ~sid:t.sid
-        ~size:len
-  end;
-  Obs.Invariants.batch_ended t.inv ~worker:me ~time:done_time ~sid:t.sid;
-  Atomic.incr t.n_batches;
-  ignore (Atomic.fetch_and_add t.n_ops len);
-  atomic_max t.max_batch len;
-  for i = 0 to len - 1 do
-    (get i).resume ()
-  done;
-  (* Cleanup half of the setup injection: stretching the stamp/resume
-     epilogue extends flag occupancy, which is exactly what a slower
-     LAUNCHBATCH cleanup stage would cost the next batch. *)
-  if t.injecting then inject_tail t.inj.slow_setup t0_cleanup;
-  Atomic.set t.flag false;
-  relaunch t
+let op_of t w =
+  match Atomic.get t.slots.(w) with Some op -> op | None -> assert false
 
-(* ---- slot-array submission paths ---- *)
-
-let rec overflow_push t r =
-  if t.timed && r.ovf_since = 0 then r.ovf_since <- stamp t;
-  let old = Atomic.get t.ovf_back in
-  if not (Atomic.compare_and_set t.ovf_back old (r :: old)) then
-    overflow_push t r
-  else Atomic.incr t.ovf_n
-
-(* One FAA, one exchange, one increment — no retry loop unless the op
-   overflows the array. Order matters: the record must be reachable
-   (slot or overflow) before [n_pending] goes up, because the launcher
-   treats [n_pending > 0] as "a drain of the queues will find work". *)
-let submit_array t r =
-  let i = Atomic.fetch_and_add t.claims 1 in
-  (if i < t.batch_cap then begin
-     Obs.Reqtrace.on_publish t.rt ~token:r.token;
-     match Atomic.exchange t.slots.(i) (Some r) with
-     | None -> ()
-     | Some stale ->
-         (* A previous epoch's claimant published after the launcher
-            reset [claims]; keep its (older) record pending. *)
-         Obs.Reqtrace.on_overflow t.rt ~token:stale.token ~displaced:true;
-         overflow_push t stale
-   end
-   else begin
-     Obs.Reqtrace.on_overflow t.rt ~token:r.token ~displaced:false;
-     overflow_push t r
-   end);
-  Atomic.incr t.n_pending
-
-(* Worker_id / Par_combine publication: no ticket — the slot is the
-   submitting worker's own. Re-reading the worker index here (inside
-   the suspension callback) is the suspended-task-migration story: see
-   the [mode] comment. A CAS that finds the slot occupied (another
-   suspended task of this worker already published) sends the newer
-   record straight to overflow, preserving per-worker FIFO order. *)
-let submit_worker t r =
-  let w = match Pool.worker_index () with Some w -> w | None -> 0 in
-  assert (w < Array.length t.slots);
-  if Atomic.compare_and_set t.slots.(w) None (Some r) then
-    Obs.Reqtrace.on_publish t.rt ~token:r.token
-  else begin
-    Obs.Reqtrace.on_overflow t.rt ~token:r.token ~displaced:false;
-    overflow_push t r
-  end;
-  Atomic.incr t.n_pending
-
-(* Flag-holder-only batch assembly, shared by all slot-array modes.
-   Admission order: overflow front (oldest), then the slot array, then
-   the reversed back stack — FIFO across batches. The front queue
-   supplies at most [batch_cap] records; only a batch with room left
-   drains the slots and the back stack (whose leftovers land back on
-   the — then empty — front queue in admission order), so a launch is
-   Θ(slots) no matter how deep the overload backlog is. *)
+(* Flag-holder-only: take up to [batch_cap] published ops into [taken],
+   scanning the slots round-robin from [scan]. Θ(P) work, the paper's
+   LAUNCHBATCH setup bound. *)
 let collect t =
-  let len = ref 0 in
-  let add r =
-    if !len < t.batch_cap then begin
-      if Array.length t.batch_buf = 0 then
-        t.batch_buf <- Array.make t.batch_cap r;
-      t.batch_buf.(!len) <- r;
-      incr len
-    end
-    else Queue.push r t.ovf_front
-  in
-  while !len < t.batch_cap && not (Queue.is_empty t.ovf_front) do
-    add (Queue.pop t.ovf_front)
+  let p = Array.length t.slots in
+  let cap = Array.length t.taken in
+  let start = t.scan in
+  let len = ref 0 and i = ref 0 in
+  while !len < cap && !i < p do
+    let w = (start + !i) mod p in
+    if Atomic.get t.slots.(w) != None then begin
+      t.taken.(!len) <- w;
+      incr len;
+      t.scan <- (w + 1) mod p
+    end;
+    incr i
   done;
-  if !len < t.batch_cap then begin
-    (* Drain epoch. For Faa_array, reset the ticket counter so
-       concurrent submitters start filling slots for the *next* batch
-       while we collect this one; Worker_id slots need no epoch — the
-       CAS publication refills a drained slot directly. While the
-       batch fills from the front queue alone, submitters keep
-       overflowing to the back stack — everything serializes through
-       the FIFO. *)
-    if t.mode = Faa_array then ignore (Atomic.exchange t.claims 0);
-    for i = 0 to Array.length t.slots - 1 do
-      match Atomic.exchange t.slots.(i) None with
-      | None -> ()
-      | Some r -> add r
-    done;
-    List.iter add (List.rev (Atomic.exchange t.ovf_back []))
-  end;
   !len
 
-let rec try_launch_array t =
-  if Atomic.get t.n_pending > 0 && Atomic.compare_and_set t.flag false true
-  then begin
-    let len = collect t in
-    if len = 0 then begin
-      (* [n_pending > 0] raced a record that is transiently in a
-         displacing submitter's hands; back off and retry. *)
-      Atomic.set t.flag false;
-      if Atomic.get t.n_pending > 0 then begin
-        Domain.cpu_relax ();
-        try_launch_array t
-      end
-    end
-    else begin
-      ignore (Atomic.fetch_and_add t.n_pending (-len));
-      (* The batch buffer is safely reused: the flag stays held until
-         the launched task finishes reading it, and the next launcher
-         can only assemble after winning the flag. *)
-      let buf = t.batch_buf in
-      Pool.async t.pool
-        (run_launched t ~len
-           ~get:(fun i -> buf.(i))
-           ~relaunch:try_launch_array)
-      |> ignore
-    end
-  end
-
-(* ---- Atomic_list (legacy) submission path, as in the seed ---- *)
-
-let rec atomic_push t record =
-  let old = Atomic.get t.pending in
-  if not (Atomic.compare_and_set t.pending old (record :: old)) then
-    atomic_push t record
-
-let rec atomic_take_all t =
-  let old = Atomic.get t.pending in
-  if old = [] then []
-  else if Atomic.compare_and_set t.pending old [] then old
-  else atomic_take_all t
-
-let rec atomic_put_back t records =
-  match records with
-  | [] -> ()
-  | _ ->
-      let old = Atomic.get t.pending in
-      if not (Atomic.compare_and_set t.pending old (records @ old)) then
-        atomic_put_back t records
-
-let rec try_launch_list t =
-  if Atomic.get t.pending <> [] && Atomic.compare_and_set t.flag false true
-  then begin
-    let all = atomic_take_all t in
-    if all = [] then begin
-      (* Lost a race with a concurrent launch drain; retry. *)
-      Atomic.set t.flag false;
-      try_launch_list t
-    end
-    else begin
-      let rec split k acc = function
-        | rest when k = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | r :: rest -> split (k - 1) (r :: acc) rest
-      in
-      let batch, overflow = split t.batch_cap [] all in
-      atomic_put_back t overflow;
-      let batch = Array.of_list batch in
-      Pool.async t.pool
-        (run_launched t ~len:(Array.length batch)
-           ~get:(fun i -> batch.(i))
-           ~relaunch:try_launch_list)
-      |> ignore
-    end
-  end
-
-(* ---- Par_combine launch path ----
-
-   The flag winner is by construction a blocked submitter (it sits in
-   [batchify]'s suspension callback); parallel combining has it run the
-   batch right there instead of paying an async promise + a deque hop,
-   then fan the stamp/resume epilogue out to recruited helpers. The
-   whole cluster is mutually recursive only through the preallocated
-   [relaunch_task] trampoline. *)
-
-let rec get_comb t =
-  match t.comb with
-  | Some c -> c
-  | None ->
-      (* Flag-holder-only, so this lazy init cannot race. *)
-      let p = Pool.num_workers t.pool in
-      let c =
-        {
-          subs = Array.init p (fun _ -> { lo = 0; hi = 0 });
-          sub_tasks = [||];
-          remaining = Pad.atomic 0;
-          launch_task = (fun () -> run_combined t);
-          relaunch_task = (fun () -> try_launch t);
-          c_len = 0;
-          c_start = 0;
-          c_done = 0;
-          c_launches = 0;
-        }
-      in
-      c.sub_tasks <- Array.init p (fun i () -> run_sub t c i);
-      t.comb <- Some c;
-      c
-
-(* Stamp and resume batch_buf[lo, hi), then join. Runs on the launcher
-   (range 0) and on any worker that popped or stole a recruited item.
-   Performs no effects, so it is safe both as a plain call from
-   [run_combined] and as a pool task. *)
-and run_sub t c i =
-  let s = c.subs.(i) in
-  if Obs.Recorder.enabled t.rc then
-    Pool.set_work_class t.pool Obs.Recorder.Wsetup;
-  let buf = t.batch_buf in
-  if t.timed then begin
-    let me = match Pool.worker_index () with Some w -> w | None -> 0 in
-    let health_on = Obs.Health.enabled t.hl in
-    for j = s.lo to s.hi - 1 do
-      let r = buf.(j) in
-      r.done_time <- c.c_done;
-      r.done_launches <- c.c_launches;
-      if health_on then
-        Obs.Health.op_phases t.hl ~worker:me ~sid:t.sid
-          ~wait:(c.c_start - r.issue_time) ~exec:(c.c_done - c.c_start)
-          ~ovf:(if r.ovf_since > 0 then c.c_start - r.ovf_since else 0);
-      Obs.Reqtrace.on_batch t.rt ~token:r.token
-        ~wait:(c.c_start - r.issue_time) ~exec:(c.c_done - c.c_start)
-        ~ovf:(if r.ovf_since > 0 then c.c_start - r.ovf_since else 0)
-        ~seen:(c.c_launches - r.issue_launches)
-        ~worker:me ~mode:(mode_code t.mode)
-    done
-  end;
-  for j = s.lo to s.hi - 1 do
-    buf.(j).resume ()
-  done;
-  if Atomic.fetch_and_add c.remaining (-1) = 1 then combine_epilogue t c
-
-(* Last finisher: close the batch, release the flag, trampoline the
-   relaunch. Pushing [relaunch_task] instead of calling [try_launch]
-   caps the stack at one batch deep no matter how long the backlog
-   chain is (an inline relaunch would recurse through every batch whose
-   epilogue lands on the launcher). *)
-and combine_epilogue t c =
-  let me = match Pool.worker_index () with Some w -> w | None -> 0 in
-  if Obs.Recorder.enabled t.rc then
-    Obs.Recorder.emit_batch_end t.rc ~worker:me ~time:c.c_done ~sid:t.sid
-      ~size:c.c_len;
-  Obs.Invariants.batch_ended t.inv ~worker:me ~time:c.c_done ~sid:t.sid;
-  Atomic.incr t.n_batches;
-  ignore (Atomic.fetch_and_add t.n_ops c.c_len);
-  atomic_max t.max_batch c.c_len;
-  Atomic.set t.flag false;
-  if Atomic.get t.n_pending > 0 then Pool.push_task t.pool c.relaunch_task
-
-and run_combined t =
-  let c = get_comb t in
-  let len = c.c_len in
+(* LAUNCHBATCH by the flag holder [me]: collect, run the BOP inline in
+   batch context, stamp and mark the batch's ops done, release the
+   flag. *)
+let launch t me =
   let observed = Obs.Recorder.enabled t.rc in
+  (* Attribute this worker's time to the bound's terms: working-set
+     assembly and the done marks are LAUNCHBATCH overhead (n·s(n)), the
+     BOP body itself is batch work (W(n)). *)
   if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
-  let buf = t.batch_buf in
   let t0_setup = if t.injecting then Obs.Clock.now_ns () else 0 in
-  let arr = Array.init len (fun i -> buf.(i).op) in
-  if t.injecting then inject_tail t.inj.slow_setup t0_setup;
-  Atomic.incr t.launches;
-  let me = match Pool.worker_index () with Some w -> w | None -> 0 in
-  let t_start = if t.timed then stamp t else 0 in
-  if observed then
-    Obs.Recorder.emit_batch_start t.rc ~worker:me ~time:t_start ~sid:t.sid
-      ~size:len ~setup:0 ~mode:(mode_code t.mode);
-  Obs.Invariants.batch_started t.inv ~worker:me ~time:t_start ~sid:t.sid
-    ~size:len ~cap:t.batch_cap;
-  Obs.Health.batch_collected t.hl ~sid:t.sid ~size:len;
-  if observed then Pool.set_work_class t.pool Obs.Recorder.Wbatch;
-  (* Inline BOP execution in the submitter's context. If the BOP
-     suspends (e.g. an inner parallel_for), [Pool.exec_inline]'s
-     handler parks the rest of this function as a continuation and the
-     submitter's callback returns — the flag stays held until the
-     continuation finishes, exactly as with an async batch task. *)
-  let t0_bop = if t.injecting then Obs.Clock.now_ns () else 0 in
-  t.run_batch t.pool t.st arr;
-  (* Par_combine injects assembly + BOP; the epilogue is fanned out
-     across recruited helpers, so its cleanup half is not stretched
-     here (run_sub stays injection-free). *)
-  if t.injecting then inject_tail t.inj.slow_bop t0_bop;
-  if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
-  c.c_start <- t_start;
-  c.c_done <- (if t.timed then stamp t else 0);
-  c.c_launches <- Atomic.get t.launches;
-  (* Recruit: carve [0, len) into up to one sub-range per worker and
-     publish all but the first as preallocated tasks; blocked
-     submitters' workers pick them up (or this worker pops them after
-     its own range). All [sub]/[c_*] writes precede the deque pushes,
-     which publish them. *)
-  let p = Array.length c.subs in
-  let nsub =
-    if p = 1 || len <= combine_grain then 1
-    else min p ((len + combine_grain - 1) / combine_grain)
-  in
-  Atomic.set c.remaining nsub;
-  let chunk = (len + nsub - 1) / nsub in
-  for i = nsub - 1 downto 1 do
-    let s = c.subs.(i) in
-    s.lo <- i * chunk;
-    s.hi <- min len (s.lo + chunk);
-    Pool.push_task t.pool c.sub_tasks.(i)
-  done;
-  c.subs.(0).lo <- 0;
-  c.subs.(0).hi <- min len chunk;
-  run_sub t c 0
+  let len = collect t in
+  if len > 0 then begin
+    let ops = Array.make len (op_of t t.taken.(0)) in
+    for i = 1 to len - 1 do
+      ops.(i) <- op_of t t.taken.(i)
+    done;
+    if t.injecting then inject_tail t.inj.slow_setup t0_setup;
+    Atomic.incr t.launches;
+    let t_start = if t.timed then stamp t else 0 in
+    if observed then
+      Obs.Recorder.emit_batch_start t.rc ~worker:me ~time:t_start ~sid:t.sid
+        ~size:len ~setup:0 ~mode:0;
+    Obs.Invariants.batch_started t.inv ~worker:me ~time:t_start ~sid:t.sid
+      ~size:len ~cap:t.batch_cap;
+    Obs.Health.batch_collected t.hl ~sid:t.sid ~size:len;
+    if observed then Pool.set_work_class t.pool Obs.Recorder.Wbatch;
+    let t0_bop = if t.injecting then Obs.Clock.now_ns () else 0 in
+    Pool.exec_bop t.pool t.run_batch t.st ops;
+    if t.injecting then inject_tail t.inj.slow_bop t0_bop;
+    if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
+    let t0_cleanup = if t.injecting then Obs.Clock.now_ns () else 0 in
+    let done_time = if t.timed then stamp t else 0 in
+    if t.timed then begin
+      let done_launches = Atomic.get t.launches in
+      for i = 0 to len - 1 do
+        let base = t.taken.(i) * Pad.stride in
+        t.stamps.(base + st_start) <- t_start;
+        t.stamps.(base + st_done) <- done_time;
+        t.stamps.(base + st_launches) <- done_launches;
+        t.stamps.(base + st_worker) <- me
+      done;
+      if observed then
+        Obs.Recorder.emit_batch_end t.rc ~worker:me ~time:done_time ~sid:t.sid
+          ~size:len
+    end;
+    Obs.Invariants.batch_ended t.inv ~worker:me ~time:done_time ~sid:t.sid;
+    Atomic.incr t.n_batches;
+    ignore (Atomic.fetch_and_add t.n_ops len);
+    atomic_max t.max_batch len;
+    for i = 0 to len - 1 do
+      Atomic.set t.slots.(t.taken.(i)) None
+    done;
+    (* Cleanup half of the setup injection: stretching the stamp/done
+       epilogue extends flag occupancy, which is exactly what a slower
+       LAUNCHBATCH cleanup stage would cost the next batch. *)
+    if t.injecting then inject_tail t.inj.slow_setup t0_cleanup
+  end;
+  Atomic.set t.flag false;
+  if observed then Pool.set_work_class t.pool Obs.Recorder.Wwait
 
-and try_launch_combine t =
-  if Atomic.get t.n_pending > 0 && Atomic.compare_and_set t.flag false true
-  then begin
-    let len = collect t in
-    if len = 0 then begin
-      Atomic.set t.flag false;
-      if Atomic.get t.n_pending > 0 then begin
-        Domain.cpu_relax ();
-        try_launch_combine t
-      end
+(* The trapped loop of worker [w]: until its op is done, launch when the
+   flag is free (its op is then uncollected), else run one batch task or
+   idle. *)
+let rec trap t w misses =
+  if Atomic.get t.slots.(w) != None then begin
+    Obs.Health.beat t.hl ~worker:w;
+    if (not (Atomic.get t.flag)) && Atomic.compare_and_set t.flag false true
+    then begin
+      launch t w;
+      trap t w 0
     end
-    else begin
-      ignore (Atomic.fetch_and_add t.n_pending (-len));
-      c_launch t len
-    end
+    else trap t w (Pool.help t.pool misses)
   end
-
-and c_launch t len =
-  let c = get_comb t in
-  c.c_len <- len;
-  Pool.exec_inline t.pool c.launch_task
-
-and try_launch t =
-  match t.mode with
-  | Faa_array | Worker_id -> try_launch_array t
-  | Par_combine -> try_launch_combine t
-  | Atomic_list -> try_launch_list t
 
 let batchify ?(token = -1) t op =
+  let w =
+    match Pool.worker_index () with
+    | Some w -> w
+    | None -> invalid_arg "Batcher_rt.batchify: must be called from a pool task"
+  in
+  if Pool.in_batch () then
+    invalid_arg "Batcher_rt.batchify: called from batch work (inside a BOP)";
   let observed = Obs.Recorder.enabled t.rc in
   (* Milestone order matters for the residual decomposition: the raw
      submit stamp is taken before [issue_time], so the batcher's
      wait+exec delta always fits inside the submit→completion raw
      interval and the request's sched_post residual is nonnegative. *)
   Obs.Reqtrace.on_submit t.rt ~token ~sid:t.sid;
-  let r =
-    {
-      op;
-      resume = ignore;
-      token;
-      issue_time = (if t.timed then stamp t else 0);
-      issue_launches = Atomic.get t.launches;
-      done_time = 0;
-      done_launches = 0;
-      ovf_since = 0;
-    }
-  in
-  (if observed then
-     match Pool.worker_index () with
-     | Some w -> Obs.Recorder.emit_op_issue t.rc ~worker:w ~time:r.issue_time ~sid:t.sid
-     | None -> ());
+  let issue_time = if t.timed then stamp t else 0 in
+  if observed then
+    Obs.Recorder.emit_op_issue t.rc ~worker:w ~time:issue_time ~sid:t.sid;
   Obs.Invariants.op_submitted t.inv ~sid:t.sid;
   Obs.Health.op_issued t.hl ~sid:t.sid;
-  Pool.suspend t.pool (fun resume ->
-      r.resume <- resume;
-      let t0_submit = if t.injecting then Obs.Clock.now_ns () else 0 in
-      (match t.mode with
-      | Faa_array -> submit_array t r
-      | Worker_id | Par_combine -> submit_worker t r
-      | Atomic_list ->
-          atomic_push t r;
-          (* the cons stack is the pending set: publication is the push *)
-          Obs.Reqtrace.on_publish t.rt ~token:r.token);
-      (* Submit-path injection: stretch the publication segment before
-         the launch attempt — the record is already reachable, so the
-         delay models a slower submission protocol, not a lost op. *)
-      if t.injecting then inject_tail t.inj.slow_submit t0_submit;
-      try_launch t);
-  (* Control is back: the batch containing the op has completed. The
-     continuation may run on a different worker than the issuer — emit
-     on the current worker's ring to keep the single-writer rule. *)
-  if observed then begin
-    match Pool.worker_index () with
-    | Some w ->
-        Obs.Recorder.emit_op_done t.rc ~worker:w ~time:(Obs.Recorder.now t.rc)
-          ~sid:t.sid
-          ~batches_seen:(r.done_launches - r.issue_launches)
-          ~latency:(r.done_time - r.issue_time)
-    | None -> ()
-  end;
-  if Obs.Invariants.active t.inv then begin
-    let w = match Pool.worker_index () with Some w -> w | None -> 0 in
-    Obs.Invariants.op_completed t.inv ~worker:w ~time:r.done_time ~sid:t.sid
-      ~batches_seen:(r.done_launches - r.issue_launches)
+  let t0_submit = if t.injecting then Obs.Clock.now_ns () else 0 in
+  (* A trapped worker runs no core task, so its previous op is done and
+     its slot is free. *)
+  let published = Atomic.compare_and_set t.slots.(w) None (Some op) in
+  assert published;
+  (* The op is pending from here: Lemma 2 counts launches from now. *)
+  let issue_launches = Atomic.get t.launches in
+  Obs.Reqtrace.on_publish t.rt ~token;
+  (* Submit-path injection: stretch the publication segment before the
+     launch attempt — the op is already reachable, so the delay models
+     a slower submission protocol, not a lost op. *)
+  if t.injecting then inject_tail t.inj.slow_submit t0_submit;
+  let cls = if observed then Pool.work_class t.pool else Obs.Recorder.Wcore in
+  if observed then Pool.set_work_class t.pool Obs.Recorder.Wwait;
+  trap t w 0;
+  if observed then Pool.set_work_class t.pool cls;
+  if t.timed then begin
+    let base = w * Pad.stride in
+    let t_start = t.stamps.(base + st_start)
+    and done_time = t.stamps.(base + st_done)
+    and done_launches = t.stamps.(base + st_launches) in
+    let seen = done_launches - issue_launches in
+    (* Phase decomposition for the SLOs: pending-wait (issue to this
+       batch's launch) and batch-exec, on this worker's histograms. *)
+    Obs.Health.op_phases t.hl ~worker:w ~sid:t.sid ~wait:(t_start - issue_time)
+      ~exec:(done_time - t_start) ~ovf:0;
+    (* Request-trace anatomy: the same deltas, keyed by the op's request
+       token (no-op for the untraced sentinel -1). *)
+    Obs.Reqtrace.on_batch t.rt ~token ~wait:(t_start - issue_time)
+      ~exec:(done_time - t_start) ~ovf:0 ~seen
+      ~worker:t.stamps.(base + st_worker) ~mode:0;
+    if observed then
+      Obs.Recorder.emit_op_done t.rc ~worker:w ~time:(Obs.Recorder.now t.rc)
+        ~sid:t.sid ~batches_seen:seen ~latency:(done_time - issue_time);
+    Obs.Invariants.op_completed t.inv ~worker:w ~time:done_time ~sid:t.sid
+      ~batches_seen:seen
   end

@@ -1,75 +1,27 @@
 (** The real BATCHER runtime: implicit batching over a {!Pool}.
 
     A program task calls {!batchify} exactly like a blocking call to a
-    concurrent structure; the runtime parks the operation record with the
-    task's continuation, and whenever records are pending with no batch in
-    flight, one worker wins a CAS on the global batch flag and launches
-    the user-supplied batched operation (BOP) on a snapshot of at most
-    [batch_cap] records. At most one batch runs at a time (Invariant 1),
-    so [run_batch] needs no locks or atomics of its own, and it may use
-    the pool's [parallel_for]/[fork_join] freely.
+    concurrent structure. The caller publishes its operation record in
+    its worker's slot of a size-P pending array and is then {e trapped},
+    as in the paper's scheduler (Invariant 3, Figure 3): until a batch
+    has completed its operation, the worker runs only batch work. It
+    launches a batch itself whenever the global batch flag is free —
+    collecting at most [batch_cap] published records and running the
+    user-supplied batched operation (BOP) inline — or else helps with
+    the batch tasks of the BOP in flight. No continuation is captured.
+    At most one batch runs at a time (Invariant 1), so [run_batch] needs
+    no locks or atomics of its own, and it may use the pool's
+    [parallel_for]/[fork_join] freely: inside a BOP they run on the
+    pool's batch deques. Since every worker has at most one operation
+    pending, at most P are pending at any instant, and an operation
+    sees at most 2 launches while pending when [batch_cap >= P]
+    (Lemma 2).
 
-    Deviation from the paper's scheduler (documented in DESIGN.md): this
-    runtime keeps one task deque per worker rather than separate core and
-    batch deques — suspended callers' workers help with any available
-    work, helper-lock style. The dual-deque discipline, which matters for
-    the proof but not for the interface, is modeled exactly in [Sim].
-
-    [run_batch] must not itself call {!batchify} on the same structure
-    (the paper's model likewise forbids nested data-structure calls from
-    inside a BOP). *)
+    [run_batch] must not itself call {!batchify} (the paper's model
+    likewise forbids nested data-structure calls from inside a BOP);
+    {!batchify} raises [Invalid_argument] if it does. *)
 
 type ('s, 'op) t
-
-type mode =
-  | Faa_array
-      (** PR 4's submission scheme (default): a preallocated array of
-          [batch_cap] slots claimed with one fetch-and-add per op —
-          constant non-retrying work on the common path — plus a
-          two-list FIFO overflow queue, so admission across batches is
-          oldest-first and a parked op's batches-while-pending stays
-          O(1) under sustained over-cap load. The launcher drains the
-          queues in Θ(batch_cap), the paper's LAUNCHBATCH setup bound,
-          into a batch buffer reused across launches, and hands the
-          batch to the pool as a task. *)
-  | Worker_id
-      (** The paper-verbatim pending array: one slot per {e worker},
-          indexed by the submitting worker's id — no FAA ticket at all;
-          a worker whose slot is already occupied (several suspended
-          tasks of one worker) overflows the newer record, preserving
-          per-worker FIFO order. Suspended-task migration is handled by
-          re-reading the worker index at each publication — see DESIGN.md
-          §13 for the invariant. Launches execute as in [Faa_array]. *)
-  | Par_combine
-      (** Publication as [Worker_id]; execution by parallel combining
-          (Aksenov–Kuznetsov): the flag-winning submitter — itself a
-          blocked client — runs the BOP inline in its suspension
-          context, then recruits blocked submitters to stamp and
-          resume batch sub-ranges in parallel via preallocated
-          defunctionalized work items (zero allocation per
-          recruitment). The last finisher releases the flag and
-          trampolines the relaunch. *)
-  | Atomic_list
-      (** The seed's submission path, kept for before/after
-          benchmarking: a single CAS-retry cons stack — allocating,
-          contended, and LIFO (newest-first admission starves parked
-          ops under over-cap load). *)
-
-val mode_name : mode -> string
-(** ["pending_array"] (the pre-mode-axis external name, kept so
-    benchmark baselines keep matching), ["worker_id"], ["par_combine"],
-    ["atomic_list"]. *)
-
-val mode_of_string : string -> mode option
-(** Inverse of {!mode_name}; also accepts ["faa_array"]/["faa"]. *)
-
-val mode_code : mode -> int
-(** Two-bit tag carried in [Obs.Recorder.Batch_start] events: 0
-    faa-array (shared with the simulator), 1 worker_id, 2 par_combine,
-    3 atomic_list. *)
-
-val all_modes : mode list
-(** All four, in [mode_code] order. *)
 
 type inject = {
   slow_submit : float;
@@ -77,8 +29,8 @@ type inject = {
           reachable → launch attempt) by this factor *)
   slow_setup : float;
       (** stretch LAUNCHBATCH overhead: working-set assembly before
-          the launch stamp, and (pool-executed modes) the stamp/resume
-          epilogue before the flag release *)
+          the launch stamp, and the stamp/done-mark epilogue before the
+          flag release *)
   slow_bop : float;  (** stretch the BOP body itself *)
 }
 (** Calibrated delay injection for causal profiling (DESIGN.md §15):
@@ -86,8 +38,8 @@ type inject = {
     by f, then measurements renormalized by the driver. Each factor is
     a slow-down, ≥ 1. Injection is self-calibrating — each site
     measures its own segment's duration dt on the monotonic clock and
-    busy-waits (f−1)·dt — so the delay tracks batch size, store, and
-    mode with no pre-calibration pass. {!Obs.Reqtrace} span
+    busy-waits (f−1)·dt — so the delay tracks batch size and store
+    with no pre-calibration pass. {!Obs.Reqtrace} span
     conservation holds on injected runs: every stamp is a real clock
     reading taken around the spins. *)
 
@@ -96,7 +48,6 @@ val no_inject : inject
 
 val create :
   ?batch_cap:int ->
-  ?mode:mode ->
   ?sid:int ->
   ?invariants:Obs.Invariants.t ->
   ?reqtrace:Obs.Reqtrace.t ->
@@ -106,13 +57,12 @@ val create :
   run_batch:(Pool.t -> 's -> 'op array -> unit) ->
   unit ->
   ('s, 'op) t
-(** [batch_cap] defaults to the pool's worker count (Invariant 2);
-    [mode] defaults to {!Faa_array}.
+(** [batch_cap] defaults to the pool's worker count (Invariant 2).
 
     [inject] (default {!no_inject}) attaches causal-profiling delay
     factors; factors must be ≥ 1 ([Invalid_argument] otherwise). With
-    the default the hot paths compile to the pre-causal zero-cost
-    shape — one always-false branch per site.
+    the default the hot paths compile to the zero-cost shape — one
+    always-false branch per site.
 
     [invariants] attaches online checkers ({!Obs.Invariants}): every
     submit/launch/completion of this structure feeds the Invariant
@@ -120,11 +70,10 @@ val create :
     pool's health instance's checkers ({!Obs.Health.invariants}), so a
     pool created with [?health] monitors every structure built over it
     with no further wiring; pass explicitly to check an unmonitored
-    pool or to use a different mode/bound per structure. Note Lemma 2's
-    paper bound of 2 assumes the dual-deque scheduler — on this
-    helper-lock runtime create the checkers with a looser
-    [lemma2_bound] (the FIFO pending array keeps the figure small but
-    not ≤ 2 under over-cap load).
+    pool or to use a different mode or bound per structure. The
+    paper's Lemma-2 bound of 2 holds when [batch_cap >= P]; a smaller
+    cap adds at most [(P - 1) / batch_cap] launches that fill the cap
+    before reaching the op's slot.
 
     [sid] (default 0) labels this structure in observability events
     when the pool carries a recorder ({!Pool.create}); give each
@@ -132,35 +81,37 @@ val create :
     track is separate in the Chrome trace. When recording, every
     BATCHIFY emits op-issue/op-done events with the operation's
     issue→batch-completion latency in nanoseconds and its "batches
-    launched while pending" count — the empirical Lemma-2 figure, which
-    is {e reported} here rather than asserted: the helper-lock runtime
-    (single deque per worker) does not satisfy the dual-deque
-    preconditions of the paper's proof, and an op that overflows
-    [batch_cap] can legitimately wait through several launches.
+    launched while pending" count (the Lemma-2 figure), counted from
+    the op's publication.
 
     [reqtrace] attaches request-scoped span capture
     ({!Obs.Reqtrace}): operations submitted with a [?token] report
-    their publication/overflow milestones and per-batch wait/exec/ovf
-    deltas under that token. Defaults to {!Obs.Reqtrace.null}. *)
+    their publication milestone and per-batch wait/exec deltas under
+    that token. Defaults to {!Obs.Reqtrace.null}. *)
 
 val batchify : ?token:int -> ('s, 'op) t -> 'op -> unit
-(** Submit one operation and block (suspending the task, not the worker)
-    until the batch containing it has completed. Results are communicated
-    through mutable fields of ['op], as in the paper's operation records.
-    Must be called from within a pool task.
+(** Submit one operation and wait, trapped, until the batch containing
+    it has completed: the calling worker runs only batch work meanwhile,
+    possibly launching the batch itself, and returns on the same worker
+    with the same stack. Results are communicated through mutable fields
+    of ['op], as in the paper's operation records.
+
+    Raises [Invalid_argument], before publishing anything, when called
+    outside a pool task (the caller has no worker slot) or from batch
+    work — inside a BOP, where the call could never complete.
 
     [token] (default [-1], untraced) keys this operation's milestones
     in the batcher's {!Obs.Reqtrace} instance; see {!create}. *)
 
 val state : ('s, 'op) t -> 's
 
-val mode : ('s, 'op) t -> mode
-
 type stats = {
   batches : int;
   ops : int;
   max_batch : int;
-  ovf : int;  (** records that went through the overflow queue *)
+  ovf : int;
+      (** always 0: the trapped path has no overflow queue. Kept for
+          readers of the stats record that still report it. *)
 }
 
 val stats : ('s, 'op) t -> stats

@@ -1,6 +1,6 @@
 (* K independent batcher instances over one pool — the runtime half of
    keyspace sharding. Each shard is a full [Batcher_rt] with its own
-   pending array, overflow queue and batch flag, registered under
+   pending array and batch flag, registered under
    structure id [sid_base + shard], so the recorder's batch tracks, the
    health instance's phase histograms and the online invariant checkers
    all separate per shard with no further wiring. Routing (which shard
@@ -13,14 +13,14 @@ type ('s, 'op) t = {
   batchers : ('s, 'op) Batcher_rt.t array;
 }
 
-let create ?batch_cap ?mode ?(sid_base = 0) ?invariants ?reqtrace ?inject
+let create ?batch_cap ?(sid_base = 0) ?invariants ?reqtrace ?inject
     ~pool ~shards ~state ~run_batch () =
   if shards < 1 then invalid_arg "Shard_rt.create: shards >= 1";
   {
     pool;
     batchers =
       Array.init shards (fun i ->
-          Batcher_rt.create ?batch_cap ?mode ~sid:(sid_base + i) ?invariants
+          Batcher_rt.create ?batch_cap ~sid:(sid_base + i) ?invariants
             ?reqtrace ?inject ~pool ~state:(state i) ~run_batch ());
   }
 
@@ -36,9 +36,10 @@ let scatter ?(token = -1) ?(token_shard = 0) t subs =
   let k = Array.length subs in
   if k <> Array.length t.batchers then
     invalid_arg "Shard_rt.scatter: need exactly one sub-operation per shard";
-  (* Fork-join: every sub-operation parks on its own shard concurrently,
-     so a cross-shard query pays one batch latency, not K. Returns when
-     all K sub-batches have completed — the caller may then merge.
+  (* Fork-join: the sub-operations are submitted by parallel tasks, so
+     with free workers a cross-shard query pays about one batch latency,
+     not K. Returns when all K sub-batches have completed — the caller
+     may then merge.
 
      Request tracing records one consistent chain per request, so only
      the [token_shard] sub-operation carries the token; the other

@@ -22,7 +22,6 @@ type ('s, 'op) t
 
 val create :
   ?batch_cap:int ->
-  ?mode:Batcher_rt.mode ->
   ?sid_base:int ->
   ?invariants:Obs.Invariants.t ->
   ?reqtrace:Obs.Reqtrace.t ->
@@ -37,7 +36,7 @@ val create :
     shared BOP (it receives the shard's own state, and by per-shard
     Invariant 1 never runs concurrently {e with itself on the same
     shard} — different shards' batches do overlap, so [run_batch] must
-    not touch state shared across shards). [batch_cap], [mode] and
+    not touch state shared across shards). [batch_cap] and
     [invariants] are per-instance settings applied to every shard;
     shard [i] is registered under structure id [sid_base + i]
     (default base 0). When the pool carries a health instance or
@@ -53,16 +52,16 @@ val batcher : ('s, 'op) t -> int -> ('s, 'op) Batcher_rt.t
 val state : ('s, 'op) t -> int -> 's
 
 val batchify : ?token:int -> ('s, 'op) t -> shard:int -> 'op -> unit
-(** Submit a point operation to one shard; suspends the task until the
-    batch containing it completes. Must be called from within a pool
+(** Submit a point operation to one shard; the caller is trapped until
+    the batch containing it completes (see {!Batcher_rt.batchify}). Must be called from within a pool
     task. [token] keys the op in the request trace (default [-1],
     untraced); see {!Batcher_rt.batchify}. *)
 
 val scatter : ?token:int -> ?token_shard:int -> ('s, 'op) t -> 'op array -> unit
 (** Submit one sub-operation per shard ([Array.length = shards]),
-    fork-join style: the sub-operations park on their shards
-    concurrently, so a cross-shard query pays one batch latency, not
-    K. Returns when every sub-batch has completed; the caller merges
+    fork-join style: the sub-operations are submitted by parallel
+    tasks, so when workers are free a cross-shard query pays about one
+    batch latency, not K. Returns when every sub-batch has completed; the caller merges
     the sub-results afterwards. Must be called from within a pool
     task.
 

@@ -189,8 +189,8 @@ let measure_of_rt (pt : Rt_driver.point) =
   measure_of_classes ~goodput:pt.Rt_driver.goodput ~bound_ns:nan
     pt.Rt_driver.classes
 
-let run_rt ?workers ?duration_s ?(mode = Runtime.Batcher_rt.Faa_array)
-    ?shards ?(factors = default_rt_factors) (sc : Scenario.t) =
+let run_rt ?workers ?duration_s ?shards ?(factors = default_rt_factors)
+    (sc : Scenario.t) =
   if factors = [] then invalid_arg "Causal.run_rt: factors must be non-empty";
   List.iter
     (fun f ->
@@ -216,8 +216,7 @@ let run_rt ?workers ?duration_s ?(mode = Runtime.Batcher_rt.Faa_array)
     | Error e -> err "runtime %s conservation: %s" name e
   in
   let point ?inject msc =
-    Rt_driver.run_point ?workers ~duration_s ~mode ~trace:true ?inject msc
-      ~shards
+    Rt_driver.run_point ?workers ~duration_s ~trace:true ?inject msc ~shards
   in
   (* Headline baseline: no injection, the scenario's own rate. *)
   let base_pt = point sc in
@@ -258,11 +257,8 @@ let run_rt ?workers ?duration_s ?(mode = Runtime.Batcher_rt.Faa_array)
     Obs.Causal.profile ~exec:"runtime"
       ~label:
         (Printf.sprintf
-           "%s K=%d P=%d mode=%s (%.1fs/point, delay injection vs dilated \
-            control)"
-           sc.Scenario.name shards base_pt.Rt_driver.workers
-           (Runtime.Batcher_rt.mode_name mode)
-           duration_s)
+           "%s K=%d P=%d (%.1fs/point, delay injection vs dilated control)"
+           sc.Scenario.name shards base_pt.Rt_driver.workers duration_s)
       ~baseline ~shares cells
   in
   let ident =
@@ -271,7 +267,6 @@ let run_rt ?workers ?duration_s ?(mode = Runtime.Batcher_rt.Faa_array)
       ("store", Obs.Json.Str (store_name sc));
       ("p", Obs.Json.Int base_pt.Rt_driver.workers);
       ("shards", Obs.Json.Int shards);
-      ("mode", Obs.Json.Str (Runtime.Batcher_rt.mode_name mode));
     ]
   in
   {

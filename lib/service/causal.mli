@@ -53,12 +53,10 @@ val run_sim : ?p:int -> ?factors:float list -> Scenario.t -> result
 val run_rt :
   ?workers:int ->
   ?duration_s:float ->
-  ?mode:Runtime.Batcher_rt.mode ->
   ?shards:int ->
   ?factors:float list ->
   Scenario.t ->
   result
 (** Phases swept: [bop], [setup], [submit]. [shards] defaults to the
     scenario's largest K, [duration_s] to min(scenario, 1 s) per
-    point, [mode] to [Faa_array], [factors] to
-    {!default_rt_factors}. *)
+    point, [factors] to {!default_rt_factors}. *)

@@ -45,16 +45,7 @@ let rows_of_sim (sc : Scenario.t) (pt : Sim_driver.point) =
       ]
     pt.Sim_driver.classes
 
-(* Runtime rows carry the batch-path mode. The default Faa_array adds
-   no field, so pre-mode baseline rows keep their signature and
-   bench_diff keeps matching them across PRs; the alternative modes'
-   rows are identified by ("mode", name). *)
 let rows_of_rt (sc : Scenario.t) (pt : Rt_driver.point) =
-  let mode_field =
-    match pt.Rt_driver.mode with
-    | Runtime.Batcher_rt.Faa_array -> []
-    | m -> [ ("mode", Obs.Json.Str (Runtime.Batcher_rt.mode_name m)) ]
-  in
   List.map
     (fun (c : Latency.class_stats) ->
       let extra =
@@ -69,7 +60,7 @@ let rows_of_rt (sc : Scenario.t) (pt : Rt_driver.point) =
       class_row ~exec:"runtime" ~scenario:sc.Scenario.name
         ~store:(store_name sc) ~p:pt.Rt_driver.workers
         ~shards:pt.Rt_driver.shards
-        ~extra:(mode_field @ extra)
+        ~extra
         c)
     pt.Rt_driver.classes
 

@@ -1,7 +1,6 @@
 type point = {
   shards : int;
   workers : int;
-  mode : Runtime.Batcher_rt.mode;  (* batch-path mode of every shard *)
   requests : int;
   elapsed_ns : float;
   goodput : float;
@@ -40,8 +39,7 @@ let dispatch_loop ~t0 ~schedule ~lag ~release =
     end
   done
 
-let run_point ?workers ?snapshot_path ?duration_s
-    ?(mode = Runtime.Batcher_rt.Faa_array) ?(trace = false) ?inject
+let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
     (sc : Scenario.t) ~shards =
   let (module S : Store.STORE) = sc.Scenario.store in
   (* The dispatcher owns worker 0 for the whole run, so serving needs
@@ -82,7 +80,7 @@ let run_point ?workers ?snapshot_path ?duration_s
     (fun i st -> S.prepopulate st ~shards ~shard:i ~n_keys)
     stores;
   let srt =
-    Runtime.Shard_rt.create ~mode ~reqtrace:rtr ?inject ~pool ~shards
+    Runtime.Shard_rt.create ~reqtrace:rtr ?inject ~pool ~shards
       ~state:(fun i -> stores.(i))
       ~run_batch:S.run_batch ()
   in
@@ -202,7 +200,6 @@ let run_point ?workers ?snapshot_path ?duration_s
   {
     shards;
     workers;
-    mode;
     requests = n;
     elapsed_ns;
     goodput =
@@ -216,9 +213,8 @@ let run_point ?workers ?snapshot_path ?duration_s
     trace = rtr;
   }
 
-let run ?workers ?snapshot_path ?duration_s ?mode ?trace ?inject sc =
+let run ?workers ?snapshot_path ?duration_s ?trace ?inject sc =
   List.map
     (fun shards ->
-      run_point ?workers ?snapshot_path ?duration_s ?mode ?trace ?inject sc
-        ~shards)
+      run_point ?workers ?snapshot_path ?duration_s ?trace ?inject sc ~shards)
     sc.Scenario.rt_shards

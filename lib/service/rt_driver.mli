@@ -13,7 +13,6 @@
 type point = {
   shards : int;
   workers : int;
-  mode : Runtime.Batcher_rt.mode;  (** batch-path mode of every shard *)
   requests : int;
   elapsed_ns : float;  (** wall time, first release to last completion *)
   goodput : float;  (** completed requests per wall second *)
@@ -38,7 +37,6 @@ val run_point :
   ?workers:int ->
   ?snapshot_path:string ->
   ?duration_s:float ->
-  ?mode:Runtime.Batcher_rt.mode ->
   ?trace:bool ->
   ?inject:Runtime.Batcher_rt.inject ->
   Scenario.t ->
@@ -48,14 +46,12 @@ val run_point :
     [Domain.recommended_domain_count ()]; [snapshot_path] attaches an
     {!Obs.Snapshot} JSONL stream (sampled every 100 ms from a separate
     domain) carrying goodput and queue-depth gauges for
-    [bin/monitor.exe]; [duration_s] overrides the scenario's; [mode]
-    selects the shards' {!Runtime.Batcher_rt} batch path (default
-    [Faa_array]).
+    [bin/monitor.exe]; [duration_s] overrides the scenario's.
 
     [trace] (default false) captures every request's span in an
     {!Obs.Reqtrace} instance (token = schedule index), returned in the
     point's [trace] field: release/start/submit milestones, the
-    batcher's publication-or-overflow and wait/exec deltas, and the
+    batcher's publication milestone and wait/exec deltas, and the
     slowest-K reservoir per op class.
 
     [inject] (default off) applies {!Runtime.Batcher_rt.inject}
@@ -64,8 +60,7 @@ val run_point :
     speedups. *)
 
 val run :
-  ?workers:int -> ?snapshot_path:string -> ?duration_s:float ->
-  ?mode:Runtime.Batcher_rt.mode -> ?trace:bool ->
+  ?workers:int -> ?snapshot_path:string -> ?duration_s:float -> ?trace:bool ->
   ?inject:Runtime.Batcher_rt.inject ->
   Scenario.t -> point list
 (** The full K-sweep, [Scenario.rt_shards] in order. The snapshot file

@@ -1,5 +1,5 @@
 (* Latency vs offered load: re-run the runtime leg at scaled arrival
-   rates and find the throughput knee per (mode, K).
+   rates and find the throughput knee per K.
 
    Each grid point is one [Rt_driver.run_point] with the scenario's
    rt_rate multiplied by a sweep factor and request tracing on, so
@@ -17,7 +17,6 @@
    rather than the closed-loop illusion of "100% of what we asked". *)
 
 type point = {
-  mode : Runtime.Batcher_rt.mode;
   shards : int;
   mult : float;  (* rate multiplier applied to the scenario's rt_rate *)
   offered_req_s : float;  (* scheduled requests / duration *)
@@ -26,7 +25,6 @@ type point = {
 }
 
 type knee = {
-  k_mode : Runtime.Batcher_rt.mode;
   k_shards : int;
   knee_req_s : float;  (* 0.0 when no swept point kept up *)
   knee_mult : float;
@@ -46,54 +44,41 @@ let scale (sc : Scenario.t) mult =
   { sc with Scenario.rt_rate = sc.Scenario.rt_rate *. mult }
 
 (* Knee extraction is pure over the measured points so the absent-knee
-   contract (a (mode, K) whose every swept multiplier failed to keep
-   up yields an explicit [k_absent] knee, never a silent omission) is
+   contract (a K whose every swept multiplier failed to keep up yields
+   an explicit [k_absent] knee, never a silent omission) is
    unit-testable without timed runs. *)
-let knees_of_points ~modes ~shards points =
-  List.concat_map
-    (fun mode ->
-      List.map
-        (fun k ->
-          let mine =
-            List.filter (fun p -> p.mode = mode && p.shards = k) points
-          in
-          let keeping =
-            List.filter
-              (fun p ->
-                p.offered_req_s > 0.0
-                && p.pt.Rt_driver.goodput /. p.offered_req_s >= knee_threshold)
-              mine
-          in
-          let best =
-            List.fold_left
-              (fun acc p ->
-                match acc with
-                | Some b when b.offered_req_s >= p.offered_req_s -> acc
-                | _ -> Some p)
-              None keeping
-          in
-          match best with
-          | Some p ->
-              {
-                k_mode = mode;
-                k_shards = k;
-                knee_req_s = p.offered_req_s;
-                knee_mult = p.mult;
-                k_absent = false;
-              }
-          | None ->
-              {
-                k_mode = mode;
-                k_shards = k;
-                knee_req_s = 0.0;
-                knee_mult = 0.0;
-                k_absent = true;
-              })
-        shards)
-    modes
+let knees_of_points ~shards points =
+  List.map
+    (fun k ->
+      let keeping =
+        List.filter
+          (fun p ->
+            p.shards = k && p.offered_req_s > 0.0
+            && p.pt.Rt_driver.goodput /. p.offered_req_s >= knee_threshold)
+          points
+      in
+      let best =
+        List.fold_left
+          (fun acc p ->
+            match acc with
+            | Some b when b.offered_req_s >= p.offered_req_s -> acc
+            | _ -> Some p)
+          None keeping
+      in
+      match best with
+      | Some p ->
+          {
+            k_shards = k;
+            knee_req_s = p.offered_req_s;
+            knee_mult = p.mult;
+            k_absent = false;
+          }
+      | None ->
+          { k_shards = k; knee_req_s = 0.0; knee_mult = 0.0; k_absent = true })
+    shards
 
-let run ?(mults = default_mults) ?(modes = [ Runtime.Batcher_rt.Faa_array ])
-    ?shards ?workers ?duration_s (sc : Scenario.t) =
+let run ?(mults = default_mults) ?shards ?workers ?duration_s
+    (sc : Scenario.t) =
   if mults = [] then invalid_arg "Sweep.run: mults must be non-empty";
   let shards =
     match shards with
@@ -114,50 +99,42 @@ let run ?(mults = default_mults) ?(modes = [ Runtime.Batcher_rt.Faa_array ])
   in
   let points =
     List.concat_map
-      (fun mode ->
-        List.concat_map
-          (fun k ->
-            List.map
-              (fun mult ->
-                let pt =
-                  Rt_driver.run_point ?workers ~duration_s ~mode ~trace:true
-                    (scale sc mult) ~shards:k
-                in
-                {
-                  mode;
-                  shards = k;
-                  mult;
-                  offered_req_s =
-                    float_of_int pt.Rt_driver.requests /. duration_s;
-                  pt;
-                  shares = Obs.Reqtrace.(shares (totals pt.Rt_driver.trace));
-                })
-              mults)
-          shards)
-      modes
+      (fun k ->
+        List.map
+          (fun mult ->
+            let pt =
+              Rt_driver.run_point ?workers ~duration_s ~trace:true
+                (scale sc mult) ~shards:k
+            in
+            {
+              shards = k;
+              mult;
+              offered_req_s = float_of_int pt.Rt_driver.requests /. duration_s;
+              pt;
+              shares = Obs.Reqtrace.(shares (totals pt.Rt_driver.trace));
+            })
+          mults)
+      shards
   in
-  let knees = knees_of_points ~modes ~shards points in
+  let knees = knees_of_points ~shards points in
   { scenario = sc; points; knees }
 
-(* SVC_LOAD rows. Identity fields: exec/scenario/store/p/shards/mode/
-   mult/cls; the mode is always present (a new experiment, no legacy
-   signatures to preserve). Each grid point emits one "all" row with
-   goodput, the latency digest and the phase shares; each (mode, K)
-   emits one cls="knee" row whose knee_req_s metric is the gate
-   handle. *)
+(* SVC_LOAD rows. Identity fields: exec/scenario/store/p/shards/mult/
+   cls. Each grid point emits one "all" row with goodput, the latency
+   digest and the phase shares; each K emits one cls="knee" row whose
+   knee_req_s metric is the gate handle. *)
 let rows t =
   let sc = t.scenario in
   let store =
     let (module S : Store.STORE) = sc.Scenario.store in
     S.name
   in
-  let base ~mode ~k ~cls rest =
+  let base ~k ~cls rest =
     Obs.Json.Obj
       ([
          ("exec", Obs.Json.Str "runtime");
          ("scenario", Obs.Json.Str sc.Scenario.name);
          ("store", Obs.Json.Str store);
-         ("mode", Obs.Json.Str (Runtime.Batcher_rt.mode_name mode));
          ("shards", Obs.Json.Int k);
          ("cls", Obs.Json.Str cls);
        ]
@@ -167,7 +144,7 @@ let rows t =
     List.map
       (fun p ->
         let all = Latency.all_of p.pt.Rt_driver.classes in
-        base ~mode:p.mode ~k:p.shards ~cls:"all"
+        base ~k:p.shards ~cls:"all"
           ([
              ("mult", Obs.Json.Float p.mult);
              ("p", Obs.Json.Int p.pt.Rt_driver.workers);
@@ -187,7 +164,7 @@ let rows t =
   let knee_rows =
     List.map
       (fun kn ->
-        base ~mode:kn.k_mode ~k:kn.k_shards ~cls:"knee"
+        base ~k:kn.k_shards ~cls:"knee"
           [
             ("knee_req_s", Obs.Json.Float kn.knee_req_s);
             ("knee_mult", Obs.Json.Float kn.knee_mult);

@@ -1,5 +1,5 @@
-(** Latency vs offered load: a recorded rate-multiplier × mode × K
-    grid over the runtime leg, with per-point phase attribution and
+(** Latency vs offered load: a recorded rate-multiplier × K grid over
+    the runtime leg, with per-point phase attribution and
     the throughput knee.
 
     Every grid point runs {!Rt_driver.run_point} with request tracing
@@ -9,7 +9,6 @@
     knee" and "what the tail is made of past it". *)
 
 type point = {
-  mode : Runtime.Batcher_rt.mode;
   shards : int;
   mult : float;  (** rate multiplier applied to the scenario's rt_rate *)
   offered_req_s : float;
@@ -24,7 +23,6 @@ type point = {
 }
 
 type knee = {
-  k_mode : Runtime.Batcher_rt.mode;
   k_shards : int;
   knee_req_s : float;
       (** highest swept offered rate whose delivered goodput is ≥
@@ -41,8 +39,8 @@ type knee = {
 
 type t = {
   scenario : Scenario.t;
-  points : point list;  (** modes × shards × mults, in that nesting *)
-  knees : knee list;  (** one per (mode, shards) *)
+  points : point list;  (** shards × mults, in that nesting *)
+  knees : knee list;  (** one per shard count *)
 }
 
 val knee_threshold : float
@@ -57,14 +55,10 @@ val scale : Scenario.t -> float -> Scenario.t
     for other rate-stretching experiments ([Svc.Causal]'s runtime leg
     dilates arrivals by 1/f). *)
 
-val knees_of_points :
-  modes:Runtime.Batcher_rt.mode list ->
-  shards:int list ->
-  point list ->
-  knee list
-(** Pure knee extraction over measured points, one knee per
-    (mode, K) in the given order — including an explicit [k_absent]
-    knee for a pair whose every point failed {!knee_threshold}. *)
+val knees_of_points : shards:int list -> point list -> knee list
+(** Pure knee extraction over measured points, one knee per K in the
+    given order — including an explicit [k_absent] knee for a K whose
+    every point failed {!knee_threshold}. *)
 
 val default_mults : float list
 (** [0.25; 0.5; 1.0; 2.0; 4.0] — spans comfortable to past-saturation
@@ -73,21 +67,20 @@ val default_mults : float list
 
 val run :
   ?mults:float list ->
-  ?modes:Runtime.Batcher_rt.mode list ->
   ?shards:int list ->
   ?workers:int ->
   ?duration_s:float ->
   Scenario.t ->
   t
-(** Run the grid. Defaults: {!default_mults}, modes
-    [[Faa_array]], shards = the scenario's largest K, duration
+(** Run the grid. Defaults: {!default_mults}, shards = the scenario's
+    largest K, duration
     min(scenario, 1 s) per point (a sweep multiplies runs). *)
 
 val rows : t -> Obs.Json.t list
 (** [SVC_LOAD] rows for BENCH_results.json: one ["all"] row per grid
-    point (identity: scenario/store/mode/shards/mult; metrics:
+    point (identity: scenario/store/shards/mult; metrics:
     offered_req_s, goodput, latency digest, share_* phase shares) and
-    one ["knee"] row per (mode, K) carrying [knee_req_s] and
+    one ["knee"] row per K carrying [knee_req_s] and
     [knee_absent] — the [--gate-knee] handles in
     [bin/bench_diff.exe]. Merge with
     {!Report.merge_svc_load}. *)

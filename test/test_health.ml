@@ -365,13 +365,10 @@ let test_flight_dump () =
 
 let test_runtime_integration_clean () =
   (* A healthy run under Exact checking: every hook fires through
-     Pool/Batcher_rt wiring and nothing trips. The Lemma-2 bound is
-     sized to the backlog this workload creates (ops >> batch_cap, so
-     an op legitimately waits through ~n_ops/cap launches). *)
+     Pool/Batcher_rt wiring and nothing trips, Lemma 2 at the paper's
+     default bound of 2 included. *)
   let n_ops = 256 in
-  let inv =
-    Obs.Invariants.create ~lemma2_bound:(4 * n_ops) ~structures:2 ()
-  in
+  let inv = Obs.Invariants.create ~structures:2 () in
   let hl = Obs.Health.create ~invariants:inv ~workers:2 ~structures:2 () in
   let pool = Runtime.Pool.create ~health:hl ~num_workers:2 () in
   Fun.protect

@@ -532,57 +532,70 @@ let test_attrib_sim_conservation () =
       { (Sim.Batcher.default ~p:4) with Sim.Batcher.launch_threshold = 4 };
     ]
 
+(* A recorded counter run on a [p]-worker pool; [slow_ns] busy-waits
+   inside each BOP. *)
+let recorded_counter_run ~p ~n ?(slow_ns = 0) () =
+  let rc = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:p () in
+  let pool = Runtime.Pool.create ~recorder:rc ~num_workers:p () in
+  let counter = Batched.Counter.create () in
+  let b =
+    Runtime.Batcher_rt.create ~pool ~state:counter
+      ~run_batch:(fun _pool st ops ->
+        let until = Obs.Clock.now_ns () + slow_ns in
+        while Obs.Clock.now_ns () < until do
+          Domain.cpu_relax ()
+        done;
+        Batched.Counter.run_batch st ops)
+      ()
+  in
+  Runtime.Pool.run pool (fun () ->
+      Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n (fun _ ->
+          Runtime.Batcher_rt.batchify b (Batched.Counter.op 1)));
+  Runtime.Pool.teardown pool;
+  check "every op counted" n (Batched.Counter.value counter);
+  rc
+
 let test_attrib_runtime_tiling () =
   (* Runtime buckets must tile each worker's observed span exactly:
      class segments are emitted back to back in integer nanoseconds.
-     Conservation must hold under every batch-path mode — Par_combine
-     in particular reclassifies recruited submitters' time as Wbatch —
-     and every Batch_start event must carry the launching mode's tag. *)
+     Every Batch_start event carries the batch-path tag 0, as the
+     simulator's do. *)
+  let p = 3 in
+  let rc = recorded_counter_run ~p ~n:300 () in
+  let a = Obs.Attrib.of_recorder rc in
+  (match Obs.Attrib.check a with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "runtime tiling: %s" e);
+  check "all workers accounted" p (Array.length a.Obs.Attrib.per_worker);
+  check_bool "some core time" true (a.Obs.Attrib.total.Obs.Attrib.core > 0);
+  check_bool "some batch time" true (a.Obs.Attrib.total.Obs.Attrib.batch > 0);
+  check_bool "covered > 0" true (Obs.Attrib.total_covered a > 0);
+  (* Runtime recordings have no sim-style idle: a free worker's
+     between-task time is sched. *)
+  check "no idle bucket" 0 a.Obs.Attrib.total.Obs.Attrib.idle;
+  let starts = ref 0 in
   List.iter
-    (fun mode ->
-      let name = Runtime.Batcher_rt.mode_name mode in
-      let p = 3 in
-      let rc =
-        Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:p ()
-      in
-      let pool = Runtime.Pool.create ~recorder:rc ~num_workers:p () in
-      let counter = Batched.Counter.create () in
-      let b =
-        Runtime.Batcher_rt.create ~mode ~pool ~state:counter
-          ~run_batch:(fun _pool st ops -> Batched.Counter.run_batch st ops)
-          ()
-      in
-      Runtime.Pool.run pool (fun () ->
-          Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:300 (fun _ ->
-              Runtime.Batcher_rt.batchify b (Batched.Counter.op 1)));
-      Runtime.Pool.teardown pool;
-      let a = Obs.Attrib.of_recorder rc in
-      (match Obs.Attrib.check a with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s runtime tiling: %s" name e);
-      check (name ^ ": all workers accounted") p
-        (Array.length a.Obs.Attrib.per_worker);
-      check_bool (name ^ ": some core time") true
-        (a.Obs.Attrib.total.Obs.Attrib.core > 0);
-      check_bool (name ^ ": some batch time") true
-        (a.Obs.Attrib.total.Obs.Attrib.batch > 0);
-      check_bool (name ^ ": covered > 0") true (Obs.Attrib.total_covered a > 0);
-      (* Runtime recordings have no trapped-worker wait or sim-style idle. *)
-      check (name ^ ": no wait bucket") 0 a.Obs.Attrib.total.Obs.Attrib.wait;
-      check (name ^ ": no idle bucket") 0 a.Obs.Attrib.total.Obs.Attrib.idle;
-      let starts = ref 0 in
-      List.iter
-        (fun e ->
-          match e.Obs.Recorder.kind with
-          | Obs.Recorder.Batch_start { mode = m; _ } ->
-              incr starts;
-              check (name ^ ": batch_start mode tag")
-                (Runtime.Batcher_rt.mode_code mode)
-                m
-          | _ -> ())
-        (Obs.Recorder.all_events rc);
-      check_bool (name ^ ": batches recorded") true (!starts > 0))
-    Runtime.Batcher_rt.all_modes
+    (fun e ->
+      match e.Obs.Recorder.kind with
+      | Obs.Recorder.Batch_start { mode = m; _ } ->
+          incr starts;
+          check "batch_start mode tag" 0 m
+      | _ -> ())
+    (Obs.Recorder.all_events rc);
+  check_bool "batches recorded" true (!starts > 0)
+
+let test_attrib_runtime_wait () =
+  (* Two workers and a BOP that takes ~50us: a worker trapped in
+     BATCHIFY while the other runs the batch spends that time in the
+     wait bucket, and the buckets still tile each worker's span. *)
+  let rc = recorded_counter_run ~p:2 ~n:200 ~slow_ns:50_000 () in
+  let a = Obs.Attrib.of_recorder rc in
+  (match Obs.Attrib.check a with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "runtime tiling: %s" e);
+  check_bool "trapped time lands in wait" true
+    (a.Obs.Attrib.total.Obs.Attrib.wait > 0);
+  check_bool "batch time recorded" true (a.Obs.Attrib.total.Obs.Attrib.batch > 0)
 
 let test_attrib_json () =
   let rc, m = run_recorded () in
@@ -888,6 +901,8 @@ let () =
             test_work_event_readback;
           Alcotest.test_case "sim conservation across configs" `Quick
             test_attrib_sim_conservation;
+          Alcotest.test_case "runtime trapped time is wait" `Quick
+            test_attrib_runtime_wait;
           Alcotest.test_case "runtime buckets tile spans" `Quick
             test_attrib_runtime_tiling;
           Alcotest.test_case "attrib to_json" `Quick test_attrib_json;

@@ -387,51 +387,43 @@ let test_sweep_offered_counts_bursts () =
 
 (* The acceptance property of the anatomy subsystem: on a real traced
    run, every completed span's phases sum exactly to its measured
-   latency with every term nonnegative — under every batch-path mode,
-   since each publishes/overflows differently. *)
+   latency with every term nonnegative. *)
 let test_rt_driver_trace_conservation () =
   let sc = smoke () in
-  List.iter
-    (fun mode ->
-      let name = Runtime.Batcher_rt.mode_name mode in
-      let pt =
-        Svc.Rt_driver.run_point ~workers:2 ~duration_s:0.2 ~mode ~trace:true sc
-          ~shards:2
-      in
-      let rt = pt.Svc.Rt_driver.trace in
-      Alcotest.(check bool) (name ^ ": trace enabled") true
-        (Obs.Reqtrace.enabled rt);
-      (match Obs.Reqtrace.check rt with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: span conservation: %s" name e);
-      Alcotest.(check int)
-        (name ^ ": every request completed a span")
-        pt.Svc.Rt_driver.requests (Obs.Reqtrace.completed rt);
-      (* Aggregates inherit the per-span identity. *)
-      let tt = Obs.Reqtrace.totals rt in
-      Alcotest.(check int) (name ^ ": totals cover the run")
-        pt.Svc.Rt_driver.requests tt.Obs.Reqtrace.n;
-      Alcotest.(check int)
-        (name ^ ": phase totals sum to latency total")
-        tt.Obs.Reqtrace.t_latency
-        (tt.Obs.Reqtrace.t_queue + tt.Obs.Reqtrace.t_sched
-        + tt.Obs.Reqtrace.t_pending + tt.Obs.Reqtrace.t_exec);
-      (* The reservoir's worst latency brackets the digest's max: the
-         trace stamps completion just after the driver measures the
-         request, so it reads >= the digest figure, and by no more
-         than scheduling skew between two adjacent stamps. *)
-      let all = Svc.Latency.all_of pt.Svc.Rt_driver.classes in
-      match Obs.Reqtrace.slowest rt with
-      | worst :: _ ->
-          let w = fi worst.Obs.Reqtrace.latency_ns in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: reservoir worst %.0f ~ digest max %.0f" name w
-               all.Svc.Latency.max_ns)
-            true
-            (w >= all.Svc.Latency.max_ns
-            && w <= all.Svc.Latency.max_ns +. 100_000_000.0)
-      | [] -> Alcotest.fail (name ^ ": empty reservoir"))
-    Runtime.Batcher_rt.all_modes
+  let pt =
+    Svc.Rt_driver.run_point ~workers:2 ~duration_s:0.2 ~trace:true sc ~shards:2
+  in
+  let rt = pt.Svc.Rt_driver.trace in
+  Alcotest.(check bool) "trace enabled" true (Obs.Reqtrace.enabled rt);
+  (match Obs.Reqtrace.check rt with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "span conservation: %s" e);
+  Alcotest.(check int)
+    "every request completed a span" pt.Svc.Rt_driver.requests
+    (Obs.Reqtrace.completed rt);
+  (* Aggregates inherit the per-span identity. *)
+  let tt = Obs.Reqtrace.totals rt in
+  Alcotest.(check int) "totals cover the run" pt.Svc.Rt_driver.requests
+    tt.Obs.Reqtrace.n;
+  Alcotest.(check int)
+    "phase totals sum to latency total" tt.Obs.Reqtrace.t_latency
+    (tt.Obs.Reqtrace.t_queue + tt.Obs.Reqtrace.t_sched
+    + tt.Obs.Reqtrace.t_pending + tt.Obs.Reqtrace.t_exec);
+  (* The reservoir's worst latency brackets the digest's max: the trace
+     stamps completion just after the driver measures the request, so
+     it reads >= the digest figure, and by no more than scheduling skew
+     between two adjacent stamps. *)
+  let all = Svc.Latency.all_of pt.Svc.Rt_driver.classes in
+  match Obs.Reqtrace.slowest rt with
+  | worst :: _ ->
+      let w = fi worst.Obs.Reqtrace.latency_ns in
+      Alcotest.(check bool)
+        (Printf.sprintf "reservoir worst %.0f ~ digest max %.0f" w
+           all.Svc.Latency.max_ns)
+        true
+        (w >= all.Svc.Latency.max_ns
+        && w <= all.Svc.Latency.max_ns +. 100_000_000.0)
+  | [] -> Alcotest.fail "empty reservoir"
 
 let test_sim_driver_trace_conservation () =
   let sc = smoke () in
@@ -941,7 +933,7 @@ let () =
         ] );
       ( "reqtrace",
         [
-          Alcotest.test_case "runtime span conservation, all modes" `Quick
+          Alcotest.test_case "runtime span conservation" `Quick
             test_rt_driver_trace_conservation;
           Alcotest.test_case "sim span conservation, deterministic" `Quick
             test_sim_driver_trace_conservation;
