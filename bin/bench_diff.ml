@@ -23,13 +23,9 @@
    --gate-m1 PCT is its submit-path mirror: exit 1 when any matched M1
    row's "ops_per_sec" fell by more than PCT percent. M1 is the
    contended-batchify microbenchmark, the workload every batch-path
-   change targets; rows are matched by full signature (mode and worker
-   count), so a regression in any mode x workers cell trips the gate
-   even if another cell improved. The one exemption is the legacy
-   atomic_list ablation floor: its multi-worker wall clock is a
-   documented preemption lottery on the single-CPU container
-   (best-of-24 stddev/mean ~80%, EXPERIMENTS.md M1), so its rows are
-   recorded and diffed but carry no gate teeth. *)
+   change targets; rows are matched by full signature (worker count and
+   op count), so a regression in any worker-count cell trips the gate
+   even if another cell improved. *)
 
 let metric_keys =
   (* key, higher_is_better *)
@@ -145,9 +141,6 @@ let signature row =
       |> String.concat " "
   | _ -> Obs.Json.to_string row
 
-let field_str row k =
-  match Obs.Json.member k row with Some (Obs.Json.Str s) -> Some s | _ -> None
-
 let metrics row =
   match row with
   | Obs.Json.Obj fields ->
@@ -227,9 +220,7 @@ let diff_rows id old_rows new_rows =
                   | Some pct
                     when id = "M1" && k = "ops_per_sec"
                          && (not (Float.is_nan d))
-                         && d < -.pct
-                         (* legacy ablation floor: diffed, never gated *)
-                         && field_str nr "impl" <> Some "atomic_list" ->
+                         && d < -.pct ->
                       m1_breaches :=
                         Printf.sprintf
                           "%s | %s: ops/s %.0f -> %.0f (%+.1f%% < -%g%%)" id sg
