@@ -195,7 +195,10 @@ let attrib_workloads () =
 
 let attrib_row ~name ~p ~n workload =
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:p () in
-  let m = Sim.Batcher.run ~recorder:rc (Sim.Batcher.default ~p) workload in
+  let m =
+    Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc ())
+      (Sim.Batcher.default ~p) workload
+  in
   let a = Obs.Attrib.of_recorder rc in
   (match Obs.Attrib.check ~expected:(p * m.Sim.Metrics.makespan) a with
   | Ok () -> ()

@@ -187,8 +187,8 @@ let count_lines path =
    is a ring write plus a clock read) and is priced separately.
 
    Lemma-2 bound: the paper's 2. A worker calling BATCHIFY is trapped
-   until its op completes, so at most P ops are pending and each
-   structure's default cap is P. *)
+   until its op completes, so at most P ops are pending and every
+   launch takes them all. *)
 let run_monitored ~mode_name ~mode ~record ~stream () =
   let record = record || stream in
   let rc =
@@ -212,7 +212,11 @@ let run_monitored ~mode_name ~mode ~record ~stream () =
     else None
   in
   Option.iter Obs.Flight.arm flight;
-  let pool = Runtime.Pool.create ~recorder:rc ~health:hl ~num_workers:workers () in
+  let pool =
+    Runtime.Pool.create
+      ~probe:(Obs.Probe.create ~recorder:rc ~invariants:inv ~health:hl ())
+      ~num_workers:workers ()
+  in
   let stop = Atomic.make false in
   let sampler =
     if not stream then None

@@ -5,7 +5,7 @@
      dune exec bin/anatomy.exe -- --scenario smoke --exec sim --trace out.json
 
    The runtime leg runs Rt_driver with request tracing on: every
-   request's release/start/submit/publish/batch/done milestones are
+   request's release/start/submit/batch/done milestones are
    captured (Obs.Reqtrace), the slowest-K reservoir keeps the K worst
    per op class exactly, and each printed span decomposes its measured
    end-to-end latency into queue-wait, scheduling, pending-wait,
@@ -53,7 +53,7 @@ let us ns = float_of_int ns /. 1e3
 let print_span (s : Obs.Reqtrace.span) =
   Printf.printf
     "    #%-7d %8.1fus = q %7.1f + sched %7.1f + pend %7.1f + exec %7.1f \
-     + post %7.1f  m=%-2d%s%s  w%d>w%d>w%d\n"
+     + post %7.1f  m=%-2d  w%d>w%d>w%d\n"
     s.Obs.Reqtrace.token
     (us s.Obs.Reqtrace.latency_ns)
     (us s.Obs.Reqtrace.queue_ns)
@@ -61,14 +61,7 @@ let print_span (s : Obs.Reqtrace.span) =
     (us s.Obs.Reqtrace.pending_ns)
     (us s.Obs.Reqtrace.exec_ns)
     (us s.Obs.Reqtrace.sched_post_ns)
-    s.Obs.Reqtrace.batches_seen
-    (if s.Obs.Reqtrace.ovf then
-       if s.Obs.Reqtrace.displaced then " ovf(displaced)" else " ovf"
-     else "")
-    (if s.Obs.Reqtrace.ovf_ns > 0 then
-       Printf.sprintf " ovf_wait=%.1fus" (us s.Obs.Reqtrace.ovf_ns)
-     else "")
-    s.Obs.Reqtrace.w_start s.Obs.Reqtrace.w_batch s.Obs.Reqtrace.w_done
+    s.Obs.Reqtrace.batches_seen s.Obs.Reqtrace.w_start s.Obs.Reqtrace.w_batch s.Obs.Reqtrace.w_done
 
 (* ---- Perfetto export ---- *)
 
@@ -123,8 +116,6 @@ let span_events ~t_base (s : Obs.Reqtrace.span) =
       ("token", Obs.Json.Int s.Obs.Reqtrace.token);
       ("sid", Obs.Json.Int s.Obs.Reqtrace.sid);
       ("batches_seen", Obs.Json.Int s.Obs.Reqtrace.batches_seen);
-      ("ovf", Obs.Json.Bool s.Obs.Reqtrace.ovf);
-      ("displaced", Obs.Json.Bool s.Obs.Reqtrace.displaced);
     ]
   in
   let phases =

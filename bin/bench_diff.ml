@@ -87,7 +87,6 @@ let metric_keys =
     ("share_sched", false);
     ("share_pending", false);
     ("share_exec", true);
-    ("share_ovf", false);
     (* Causal what-if rows (CAUSAL): per-(phase, speedup) virtual-
        speedup deltas — d_* are fractional improvements (higher is
        better), bound_ns is the cell's Theorem-1 service budget,

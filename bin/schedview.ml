@@ -1,15 +1,25 @@
 (* schedview: measured-vs-predicted Theorem-1 bound tables, per-worker
-   utilization, and critical-path breakdown for one workload, plus a
-   tabular viewer for snapshot JSONL streams.
+   utilization, and critical-path breakdown for one workload, its
+   Chrome trace, plus a tabular viewer for snapshot JSONL streams.
 
    Default mode runs the workload deterministically through the
-   simulator (and, with --runtime, through the OCaml-domains runtime),
-   folds the recording into Obs.Attrib / Obs.Critpath, and prints:
+   simulator (and, with --runtime, --out, --summary or --snapshot,
+   through the OCaml-domains runtime), with a recorder attached to each
+   run, folds the recording into Obs.Attrib / Obs.Critpath, and prints:
 
    - the bound table: each Theorem-1 term next to the measured bucket
      that realizes it, with the makespan/bound ratio;
    - per-worker utilization rows (percentage of time per bucket);
    - the serialization chains and top critical-path segments.
+
+   --out writes both runs as one Chrome trace-event JSON, as separate
+   processes — open it in Perfetto / chrome://tracing. The sim process
+   renders 1 simulated timestep as 1 us; the runtime process is
+   wall-clock. Worker tracks show status spans plus steal instants;
+   each structure gets a synthetic batch track (tid 1000+sid) with one
+   span per LAUNCHBATCH, and each worker a work track (tid 2000+w) of
+   class-colored Work spans. --summary prints both runs' aggregated
+   histograms; --snapshot streams live counter-delta JSONL.
 
    Conservation is a gate, not a report: if the attribution buckets do
    not sum to P x makespan (sim) or fail to tile each worker's observed
@@ -17,6 +27,8 @@
 
      dune exec bin/schedview.exe -- --workload fig5 --p 4 --n 300
      dune exec bin/schedview.exe -- --workload multi --runtime --json sv.json
+     dune exec bin/schedview.exe -- --workload fig5 --p 4 --out trace.json
+     dune exec bin/schedview.exe -- --workload multi --p 8 --summary
      dune exec bin/schedview.exe -- --snapshot-file live.jsonl *)
 
 let pct ~of_ v =
@@ -191,8 +203,11 @@ let view_snapshot_file path =
 
 (* ---- driver ---- *)
 
-let main workload overhead p n seed runtime json =
-  let sim_rc, metrics, w = Workloads.run_sim workload ~p ~n ~seed ~overhead in
+let main workload overhead p n seed ~runtime ~json ~out ~summary ~snapshot =
+  let snap_oc = Option.map open_out snapshot in
+  let sim_rc, metrics, w =
+    Workloads.run_sim ?snapshot_oc:snap_oc workload ~p ~n ~seed ~overhead
+  in
   let a = Obs.Attrib.of_recorder sim_rc in
   let cp = Obs.Critpath.of_recorder sim_rc in
   sim_tables ~workload:w ~metrics ~a ~cp;
@@ -214,7 +229,9 @@ let main workload overhead p n seed runtime json =
   let rt =
     if not runtime then None
     else begin
-      let rt_rc = Workloads.run_runtime workload ~p ~n ~seed in
+      let rt_rc =
+        Workloads.run_runtime ?snapshot_oc:snap_oc workload ~p ~n ~seed
+      in
       let ra = Obs.Attrib.of_recorder rt_rc in
       let rcp = Obs.Critpath.of_recorder rt_rc in
       runtime_tables ~a:ra ~cp:rcp;
@@ -223,9 +240,28 @@ let main workload overhead p n seed runtime json =
          integer nanoseconds unless events were dropped). *)
       fail "runtime conservation" (Obs.Attrib.check ra);
       Printf.printf "\nruntime conservation: OK (buckets tile observed spans)\n";
-      Some (ra, rcp)
+      Some (rt_rc, ra, rcp)
     end
   in
+  Option.iter close_out snap_oc;
+  Option.iter (fun path -> Printf.printf "snapshots -> %s\n" path) snapshot;
+  (match (out, rt) with
+  | Some path, Some (rt_rc, _, _) ->
+      Obs.Chrome.write_file ~path
+        [
+          { Obs.Chrome.pid = 1; name = "sim (1 step = 1us)"; recording = sim_rc };
+          { Obs.Chrome.pid = 2; name = "runtime (wall clock)"; recording = rt_rc };
+        ];
+      Printf.printf "wrote %s\n" path
+  | _ -> ());
+  (match rt with
+  | Some (rt_rc, _, _) when summary ->
+      Format.printf "@.---- simulator ----@.%a" Obs.Summary.pp
+        (Obs.Summary.of_recorder sim_rc);
+      Format.printf "@.---- real runtime ----@.%a" Obs.Summary.pp
+        (Obs.Summary.of_recorder rt_rc);
+      Format.print_flush ()
+  | _ -> ());
   (match json with
   | None -> ()
   | Some path ->
@@ -245,7 +281,7 @@ let main workload overhead p n seed runtime json =
         @
         match rt with
         | None -> []
-        | Some (ra, rcp) ->
+        | Some (_, ra, rcp) ->
             [
               ("runtime_attrib", Obs.Attrib.to_json ra);
               ("runtime_critpath", Obs.Critpath.to_json rcp);
@@ -258,10 +294,15 @@ let main workload overhead p n seed runtime json =
       Printf.printf "wrote %s\n" path);
   0
 
+(* Hand-rolled CLI: cmdliner cannot spell the documented [--p] (it maps
+   single-character names to [-p] only), so the flags here are parsed
+   directly. Every option also accepts the [--flag=value] form. *)
+
 let usage () =
   prerr_endline
     "usage: schedview [--workload fig5|counter|multi] [--model tree|fused|none]\n\
     \                 [--p P] [--n N] [--seed S] [--runtime] [--json out.json]\n\
+    \                 [--out trace.json] [--summary] [--snapshot live.jsonl]\n\
     \       schedview --snapshot-file live.jsonl\n\n\
      Prints the measured-vs-predicted Theorem-1 bound table, per-worker\n\
      utilization, and critical-path chains for one workload. Exits 1 if\n\
@@ -273,6 +314,12 @@ let usage () =
     \  --seed           scheduler seed (default 1)\n\
     \  --runtime        also run and decompose the OCaml-domains runtime\n\
     \  --json           write the decomposition as JSON to PATH\n\
+    \  --out            write both runs as one Chrome trace to PATH\n\
+    \                   (runs the runtime leg)\n\
+    \  --summary        print both runs' aggregated histograms\n\
+    \                   (runs the runtime leg)\n\
+    \  --snapshot       stream live counter-delta JSONL to PATH (tail -f it;\n\
+    \                   runs the runtime leg)\n\
     \  --snapshot-file  render a snapshot JSONL stream as a table instead"
 
 let () =
@@ -283,6 +330,9 @@ let () =
   let seed = ref 1 in
   let runtime = ref false in
   let json = ref None in
+  let out = ref None in
+  let summary = ref false in
+  let snapshot = ref None in
   let snapshot_file = ref None in
   let bad fmt =
     Printf.ksprintf
@@ -334,6 +384,9 @@ let () =
         | "--seed" -> value rest (fun v rest -> seed := parse_int key v; go rest)
         | "--runtime" -> runtime := true; go rest
         | "--json" -> value rest (fun v rest -> json := Some v; go rest)
+        | "--out" | "-o" -> value rest (fun v rest -> out := Some v; go rest)
+        | "--summary" -> summary := true; go rest
+        | "--snapshot" -> value rest (fun v rest -> snapshot := Some v; go rest)
         | "--snapshot-file" ->
             value rest (fun v rest -> snapshot_file := Some v; go rest)
         | "--help" | "-h" -> usage (); exit 0
@@ -344,4 +397,8 @@ let () =
   if !n < 1 then bad "--n must be >= 1";
   match !snapshot_file with
   | Some path -> exit (view_snapshot_file path)
-  | None -> exit (main !workload !overhead !p !n !seed !runtime !json)
+  | None ->
+      exit
+        (main !workload !overhead !p !n !seed
+           ~runtime:(!runtime || !out <> None || !summary || !snapshot <> None)
+           ~json:!json ~out:!out ~summary:!summary ~snapshot:!snapshot)

@@ -26,10 +26,6 @@ let usage () =
     \  --seed N         override the scenario's seed\n\
     \  --out PATH       results file (default BENCH_results.json)\n\
     \  --snapshot PATH  stream Obs.Snapshot JSONL (runtime leg) to PATH\n\
-    \  --causal         instead of the normal legs: run the causal\n\
-    \                   what-if grid (virtual speedups per phase) on\n\
-    \                   the selected executions and merge CAUSAL rows;\n\
-    \                   bin/causal.exe is the full-featured front end\n\
     \  --load-sweep     instead of the normal legs: sweep the runtime\n\
     \                   leg over offered-load multipliers (x0.25..x4 of\n\
     \                   rt_rate), find the throughput knee, and merge\n\
@@ -39,8 +35,8 @@ let usage () =
     \                   (default 0.25,0.5,1,2,4)\n\
     \  --quiet          print only failures and the final summary\n\
      Exit status: 0 ok, 1 a sim point escaped the Theorem-1 wait\n\
-     budget or a load-sweep/causal point breached span conservation\n\
-     or bound evaluation, 2 usage error."
+     budget or a load-sweep point breached span conservation, 2 usage\n\
+     error."
 
 let die fmt =
   Printf.ksprintf
@@ -73,7 +69,6 @@ let () =
   let seed = ref None in
   let out = ref "BENCH_results.json" in
   let snapshot = ref None in
-  let causal = ref false in
   let load_sweep = ref false in
   let mults = ref None in
   let quiet = ref false in
@@ -118,9 +113,6 @@ let () =
     | "--snapshot" :: v :: rest ->
         snapshot := Some v;
         go rest
-    | "--causal" :: rest ->
-        causal := true;
-        go rest
     | "--load-sweep" :: rest ->
         load_sweep := true;
         go rest
@@ -162,37 +154,6 @@ let () =
     | None -> sc
     | Some s -> { sc with Svc.Scenario.seed = s }
   in
-  if !causal then begin
-    (* The causal what-if grid rides on the same scenario/report
-       plumbing as the normal legs; bin/causal.exe is the
-       full-featured front end (per-leg factors, --p, --shards). *)
-    let rows = ref [] in
-    let errors = ref [] in
-    let leg r =
-      print_string (Obs.Causal.render r.Svc.Causal.profile);
-      rows := !rows @ r.Svc.Causal.rows;
-      errors := !errors @ r.Svc.Causal.errors
-    in
-    if !exec = "sim" || !exec = "both" then begin
-      if not !quiet then
-        Printf.printf "[svc] causal sim leg: %s\n%!" sc.Svc.Scenario.name;
-      leg (Svc.Causal.run_sim sc)
-    end;
-    if !exec = "runtime" || !exec = "both" then begin
-      if not !quiet then
-        Printf.printf "[svc] causal runtime leg: %s\n%!" sc.Svc.Scenario.name;
-      leg
-        (Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration sc)
-    end;
-    Svc.Report.merge_causal ~path:!out ~scenario:sc.Svc.Scenario.name !rows;
-    Printf.printf "[svc] merged %d CAUSAL rows for %s into %s\n%!"
-      (List.length !rows) sc.Svc.Scenario.name !out;
-    match !errors with
-    | [] -> exit 0
-    | fails ->
-        List.iter (fun f -> Printf.printf "[svc] FAIL causal: %s\n" f) fails;
-        exit 1
-  end;
   if !load_sweep then begin
     if not !quiet then
       Printf.printf "[svc] load sweep: %s, base rate %.0f req/s\n%!"

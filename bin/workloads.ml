@@ -1,7 +1,6 @@
-(* Workload specs shared by the observability drivers (trace.exe,
-   schedview.exe): one spec runs through BOTH the discrete-event
-   simulator (Timesteps recorder, dual-deque scheduler) and the real
-   OCaml-domains runtime (Nanoseconds recorder, trapped
+(* Workload specs of schedview.exe: one spec runs through BOTH the
+   discrete-event simulator (Timesteps recorder, dual-deque scheduler)
+   and the real OCaml-domains runtime (Nanoseconds recorder, trapped
    Batcher_rt). *)
 
 type kind = Fig5 | Counter | Multi
@@ -46,7 +45,7 @@ let run_sim ?snapshot_oc kind ~p ~n ~seed ~overhead =
   let w = sim_workload kind ~n in
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:p () in
   let cfg = { (Sim.Batcher.default ~p) with Sim.Batcher.seed; overhead } in
-  let m = Sim.Batcher.run ~recorder:rc cfg w in
+  let m = Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc ()) cfg w in
   Option.iter
     (fun oc ->
       let s = Obs.Snapshot.to_channel rc oc in
@@ -62,7 +61,10 @@ let run_sim ?snapshot_oc kind ~p ~n ~seed ~overhead =
    appending JSONL lines the user can `tail -f`. *)
 let run_runtime ?snapshot_oc ?(snapshot_interval_s = 0.01) kind ~p ~n ~seed =
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:p () in
-  let pool = Runtime.Pool.create ~recorder:rc ~num_workers:p () in
+  let pool =
+    Runtime.Pool.create ~probe:(Obs.Probe.create ~recorder:rc ()) ~num_workers:p
+      ()
+  in
   let stop = Atomic.make false in
   let sampler =
     Option.map

@@ -68,8 +68,10 @@ let () =
   Printf.printf "  BATCHER : %8.1f inserts/ms (length %d, %d batches, largest %d)\n"
     (float_of_int n /. (bat_time *. 1000.)) (Batched.Skiplist.length bat_list)
     stats.Runtime.Batcher_rt.batches stats.Runtime.Batcher_rt.max_batch;
-  Printf.printf "  contents agree: %b\n%!"
-    (Batched.Skiplist.to_list seq_list = Batched.Skiplist.to_list bat_list);
+  let agree =
+    Batched.Skiplist.to_list seq_list = Batched.Skiplist.to_list bat_list
+  in
+  Printf.printf "  contents agree: %b\n%!" agree;
   Runtime.Pool.teardown pool;
 
   Printf.printf "\n== Part 2: scheduler-model reproduction of Figure 5 (reduced scale)\n%!";
@@ -79,4 +81,5 @@ let () =
       ~sizes:[ 20_000; 1_000_000; 100_000_000 ]
       ()
   in
-  Batcher_core.Report.fig5 Format.std_formatter rows
+  Batcher_core.Report.fig5 Format.std_formatter rows;
+  if not agree then exit 1

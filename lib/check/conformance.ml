@@ -587,19 +587,23 @@ let run ?(n_ops = 96) ?(seed = 1) ?(workers = 3) ?(sim_p = 4) ?backoff
   try
     (* Path 1: the real runtime. Ops submitted from a parallel loop at
        grain 1; run_batch logs the batches the CAS race produced. The
-       batch cap is the worker count, so the paper's Lemma-2 bound of 2
-       is checked exactly, with Invariants 1-3. *)
+       paper's Lemma-2 bound of 2 is checked exactly, with Invariants
+       1-3. *)
     let h = s.fresh ~n:n_ops in
     let script = Opgen.script ~gen:h.gen ~n:n_ops ~seed in
     let rt_batches = ref [] in
     let inv = Obs.Invariants.create ~mode:Obs.Invariants.Exact ~structures:1 () in
-    let pool = Runtime.Pool.create ?backoff ~num_workers:workers () in
+    let pool =
+      Runtime.Pool.create
+        ~probe:(Obs.Probe.create ~invariants:inv ())
+        ?backoff ~num_workers:workers ()
+    in
     let stats =
       Fun.protect
         ~finally:(fun () -> Runtime.Pool.teardown pool)
         (fun () ->
           let b =
-            Runtime.Batcher_rt.create ~invariants:inv ~pool ~state:()
+            Runtime.Batcher_rt.create ~pool ~state:()
               ~run_batch:(fun _pool () ops ->
                 rt_batches := Array.copy ops :: !rt_batches;
                 spin 200_000;

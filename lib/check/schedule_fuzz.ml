@@ -153,7 +153,8 @@ let run_case ?(bound_factor = 16.0) ?(rt_conf = false) c =
       ~structures:(Array.length workload.Sim.Workload.models) ()
   in
   let* metrics, events =
-    match Sim.Batcher.run_traced ~recorder ~invariants:inv cfg workload with
+    let probe = Obs.Probe.create ~recorder ~invariants:inv () in
+    match Sim.Batcher.run_traced ~probe cfg workload with
     | result -> Ok result
     | exception Failure e -> Error ("sim invariant: " ^ e)
     | exception Invalid_argument e -> Error ("sim argument: " ^ e)

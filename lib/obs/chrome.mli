@@ -14,7 +14,7 @@
 
     A simulator recording and a real-runtime recording of the same
     workload can be written side by side as two processes of one trace
-    file — that is exactly what [bin/trace.exe] does. *)
+    file — that is exactly what [bin/schedview.exe --out] does. *)
 
 type track = {
   pid : int;

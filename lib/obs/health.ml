@@ -1,13 +1,13 @@
-type slo = { wait_ns : int; exec_ns : int; ovf_ns : int }
+type slo = { wait_ns : int; exec_ns : int }
 
-let default_slo =
-  { wait_ns = 100_000_000; exec_ns = 100_000_000; ovf_ns = 100_000_000 }
+let default_slo = { wait_ns = 100_000_000; exec_ns = 100_000_000 }
 
-type phase = Wait | Exec | Ovf
+type phase = Wait | Exec
 
-let phase_idx = function Wait -> 0 | Exec -> 1 | Ovf -> 2
-let phase_name = function Wait -> "wait" | Exec -> "exec" | Ovf -> "ovf"
-let phases = [ Wait; Exec; Ovf ]
+let n_phases = 2
+let phase_idx = function Wait -> 0 | Exec -> 1
+let phase_name = function Wait -> "wait" | Exec -> "exec"
+let phases = [ Wait; Exec ]
 
 type t = {
   on : bool;
@@ -25,10 +25,11 @@ type t = {
   ops : int Atomic.t array;  (* ops with recorded phases per structure *)
   stalled : bool array;  (* an open watchdog episode per structure *)
   stalls : int Atomic.t;
-  (* Histograms indexed ((worker * structures) + sid) * 3 + phase: one
-     writer each (the worker whose op completed), merged by readers. *)
+  (* Histograms indexed ((worker * structures) + sid) * n_phases +
+     phase: one writer each (the worker whose op completed), merged by
+     readers. *)
   phase : Summary.Histo.t array;
-  burn : int Atomic.t array;  (* sid * 3 + phase *)
+  burn : int Atomic.t array;  (* sid * n_phases + phase *)
 }
 
 let null =
@@ -72,12 +73,13 @@ let create ?(slo = default_slo) ?(stall_ns = 1_000_000_000)
     ops = Array.init structures (fun _ -> Atomic.make 0);
     stalled = Array.make structures false;
     stalls = Atomic.make 0;
-    phase = Array.init (workers * structures * 3) (fun _ -> Summary.Histo.create ());
-    burn = Array.init (structures * 3) (fun _ -> Atomic.make 0);
+    phase =
+      Array.init (workers * structures * n_phases) (fun _ ->
+          Summary.Histo.create ());
+    burn = Array.init (structures * n_phases) (fun _ -> Atomic.make 0);
   }
 
 let enabled t = t.on
-let invariants t = t.inv
 let workers t = t.workers
 let structures t = t.structures
 
@@ -97,32 +99,30 @@ let[@inline] beat t ~worker =
     else t.hb_skip.(worker) <- c - 1
   end
 
-let op_issued t ~sid =
+let op_issued t ~sid ~now =
   if t.on && sid_ok t sid then begin
     let old = Atomic.fetch_and_add t.pend.(sid) 1 in
     (* Plain store; racing first-issuers write near-identical stamps. *)
-    if old = 0 then t.pending_since.(sid) <- Clock.now_ns ()
+    if old = 0 then t.pending_since.(sid) <- now
   end
 
-let batch_collected t ~sid ~size =
+let batch_collected t ~sid ~size ~now =
   if t.on && sid_ok t sid then begin
     ignore (Atomic.fetch_and_add t.pend.(sid) (-size));
-    t.last_launch.(sid) <- Clock.now_ns ();
+    t.last_launch.(sid) <- now;
     Atomic.incr t.launches.(sid);
     t.stalled.(sid) <- false
   end
 
-let op_phases t ~worker ~sid ~wait ~exec ~ovf =
+let op_phases t ~worker ~sid ~wait ~exec =
   if t.on && sid_ok t sid && worker >= 0 && worker < t.workers then begin
-    let base = (((worker * t.structures) + sid) * 3) in
+    let base = ((worker * t.structures) + sid) * n_phases in
     Summary.Histo.add t.phase.(base) wait;
     Summary.Histo.add t.phase.(base + 1) exec;
-    Summary.Histo.add t.phase.(base + 2) ovf;
     Atomic.incr t.ops.(sid);
-    let bb = sid * 3 in
+    let bb = sid * n_phases in
     if wait > t.slo.wait_ns then Atomic.incr t.burn.(bb);
-    if exec > t.slo.exec_ns then Atomic.incr t.burn.(bb + 1);
-    if ovf > t.slo.ovf_ns then Atomic.incr t.burn.(bb + 2)
+    if exec > t.slo.exec_ns then Atomic.incr t.burn.(bb + 1)
   end
 
 let check_stalls ?now t =
@@ -176,12 +176,13 @@ let phase_histo t ~sid ph =
     for w = 0 to t.workers - 1 do
       acc :=
         Summary.Histo.merge !acc
-          t.phase.((((w * t.structures) + sid) * 3) + phase_idx ph)
+          t.phase.((((w * t.structures) + sid) * n_phases) + phase_idx ph)
     done;
   !acc
 
 let burn_count t ~sid ph =
-  if t.on && sid_ok t sid then Atomic.get t.burn.((sid * 3) + phase_idx ph)
+  if t.on && sid_ok t sid then
+    Atomic.get t.burn.((sid * n_phases) + phase_idx ph)
   else 0
 
 let phase_json t ~sid ph =

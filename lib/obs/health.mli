@@ -15,28 +15,28 @@
       {!Invariants} counters; the episode closes when a batch launches
       or the structure drains.
     - {b Phase latency} — each completed op's time is decomposed into
-      pending-wait (issue → its batch's launch), batch-exec (launch →
-      batch completion), and overflow-queue time (overflow enqueue →
-      launch; always 0 on the runtime's trapped path, which has no
-      overflow queue). Per worker × structure × phase power-of-two
+      pending-wait (issue → its batch's launch) and batch-exec (launch
+      → batch completion). Per worker × structure × phase power-of-two
       histograms, each written only by its worker — the op's own
       (single-writer, allocation-free) — and
       merged with {!Summary.Histo.merge} at sample time; each phase has
       an SLO threshold whose breaches bump a burn counter.
 
-    The quiet path — monitoring enabled, nothing wrong — allocates
-    nothing (pinned by a [Gc.minor_words] test) and is a handful of
-    atomic adds per op. Everything is readable while the run is live;
-    readers may see a sample a few events stale, never torn. *)
+    The batch-path hooks are fed by {!Probe}, which stamps each event
+    once: they take its raw {!Clock} stamp and read no clock
+    themselves. The quiet path — monitoring enabled, nothing wrong —
+    allocates nothing (pinned by a [Gc.minor_words] test) and is a
+    handful of atomic adds per op. Everything is readable while the run
+    is live; readers may see a sample a few events stale, never torn. *)
 
 (** Per-phase SLO thresholds in nanoseconds. *)
-type slo = { wait_ns : int; exec_ns : int; ovf_ns : int }
+type slo = { wait_ns : int; exec_ns : int }
 
 val default_slo : slo
 (** 100 ms per phase — loose enough not to burn on a loaded CI box;
     production callers pass their own. *)
 
-type phase = Wait | Exec | Ovf
+type phase = Wait | Exec
 
 type t
 
@@ -52,12 +52,12 @@ val create :
   unit ->
   t
 (** [stall_ns] defaults to 1 s. [invariants] (default {!Invariants.null})
-    receives {!Invariants.note_stall} for each watchdog episode and is
-    what {!invariants} hands to the runtime for op/batch checks. Hooks
-    with out-of-range [worker]/[sid] are ignored. *)
+    receives {!Invariants.note_stall} for each watchdog episode, and
+    its counters ride on {!to_json}; attach the same instance to the
+    {!Probe} for the op/batch checks. Hooks with out-of-range
+    [worker]/[sid] are ignored. *)
 
 val enabled : t -> bool
-val invariants : t -> Invariants.t
 val workers : t -> int
 val structures : t -> int
 
@@ -68,16 +68,15 @@ val beat : t -> worker:int -> unit
     clock read dominates the hook), so reported beat ages can lag by up
     to 8 scheduler-loop iterations. *)
 
-val op_issued : t -> sid:int -> unit
-(** An op parked on [sid]; starts the structure's pending window when
-    it was empty. *)
+val op_issued : t -> sid:int -> now:int -> unit
+(** An op parked on [sid] at raw stamp [now]; starts the structure's
+    pending window when it was empty. *)
 
-val batch_collected : t -> sid:int -> size:int -> unit
-(** A launch collected [size] ops from [sid]; feeds the watchdog
-    (closes any stall episode) and the pending gauge. *)
+val batch_collected : t -> sid:int -> size:int -> now:int -> unit
+(** A launch at raw stamp [now] collected [size] ops from [sid]; feeds
+    the watchdog (closes any stall episode) and the pending gauge. *)
 
-val op_phases :
-  t -> worker:int -> sid:int -> wait:int -> exec:int -> ovf:int -> unit
+val op_phases : t -> worker:int -> sid:int -> wait:int -> exec:int -> unit
 (** Phase decomposition of one completed op, in ns, recorded by the
     op's own worker once the op is done; [worker]'s histograms must
     have no other writer. *)

@@ -19,8 +19,9 @@
       was collected twice or fabricated.
     - {b Lemma 2} — at most [lemma2_bound] batches of the structure
       launch while one op is pending (2 under the paper's scheduler,
-      which both the simulator and the runtime's trapped BATCHIFY
-      implement when the batch cap is at least P). Checked at
+      which the runtime's trapped BATCHIFY always implements; only the
+      simulator's ablations — [batch_cap], [launch_threshold],
+      sequential batches — can exceed it). Checked at
       {!op_completed}.
 
     A violation bumps a monotonic per-check counter (readable at any

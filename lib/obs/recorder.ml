@@ -9,7 +9,7 @@ type check = Inv1 | Inv2 | Inv3 | Lemma2 | Stall
 type kind =
   | Status of status
   | Steal of { victim : int; success : bool; batch_deque : bool }
-  | Batch_start of { sid : int; size : int; setup : int; mode : int }
+  | Batch_start of { sid : int; size : int; setup : int }
   | Batch_end of { sid : int; size : int }
   | Op_issue of { sid : int }
   | Op_done of { sid : int; batches_seen : int; latency : int }
@@ -84,6 +84,8 @@ let now t =
   | Nanoseconds -> Clock.now_ns () - t.epoch
   | Timesteps -> invalid_arg "Recorder.now: timestep recorder has no clock"
 
+let epoch t = t.epoch
+
 let[@inline] emit t ~worker ~time tag a b c =
   if t.enabled then begin
     let r = t.rings.(worker) in
@@ -142,11 +144,8 @@ let emit_status t ~worker ~time s = emit t ~worker ~time 0 (status_code s) 0 0
 let emit_steal t ~worker ~time ~victim ~success ~batch_deque =
   emit t ~worker ~time 1 victim (if success then 1 else 0) (if batch_deque then 1 else 0)
 
-(* [setup] and the two-bit batch-path [mode] tag share the third payload
-   slot: [c = (setup lsl 2) lor mode]. Both the simulator and the
-   runtime write mode 0; setups keep ~60 bits. *)
-let emit_batch_start t ~worker ~time ~sid ~size ~setup ~mode =
-  emit t ~worker ~time 2 sid size ((setup lsl 2) lor (mode land 3))
+let emit_batch_start t ~worker ~time ~sid ~size ~setup =
+  emit t ~worker ~time 2 sid size setup
 
 let emit_batch_end t ~worker ~time ~sid ~size = emit t ~worker ~time 3 sid size 0
 
@@ -189,10 +188,7 @@ let kind_of_slot r i =
   match r.tag.(i) with
   | 0 -> Status (status_of_code r.a.(i))
   | 1 -> Steal { victim = r.a.(i); success = r.b.(i) = 1; batch_deque = r.c.(i) = 1 }
-  | 2 ->
-      Batch_start
-        { sid = r.a.(i); size = r.b.(i); setup = r.c.(i) asr 2;
-          mode = r.c.(i) land 3 }
+  | 2 -> Batch_start { sid = r.a.(i); size = r.b.(i); setup = r.c.(i) }
   | 3 -> Batch_end { sid = r.a.(i); size = r.b.(i) }
   | 4 -> Op_issue { sid = r.a.(i) }
   | 6 -> Steals_suppressed { count = r.a.(i) }

@@ -14,7 +14,9 @@
     ([clock = Timesteps]); the real runtime stamps them with monotonic
     nanoseconds relative to the recorder's creation
     ([clock = Nanoseconds], see {!now}). Sinks ({!Chrome}, {!Summary})
-    read the clock kind from the recording. *)
+    read the clock kind from the recording. The op-lifecycle events
+    (op issue, batch start and end, op done) reach a recorder through
+    {!Probe}; status, steal and work events are emitted directly. *)
 
 type clock = Timesteps | Nanoseconds
 
@@ -45,18 +47,18 @@ type kind =
   | Status of status  (** worker status transition *)
   | Steal of { victim : int; success : bool; batch_deque : bool }
       (** one steal attempt; [victim = -1] when no victim was available *)
-  | Batch_start of { sid : int; size : int; setup : int; mode : int }
-      (** LAUNCHBATCH by this worker: structure, working-set size,
+  | Batch_start of { sid : int; size : int; setup : int }
+      (** LAUNCHBATCH by this worker: structure, working-set size, and
           modeled setup/cleanup work ([0] when unknown, as in the real
-          runtime), and a two-bit batch-path tag that both the
-          simulator and the runtime write as 0 *)
+          runtime) *)
   | Batch_end of { sid : int; size : int }
   | Op_issue of { sid : int }  (** a data-structure op parked (BATCHIFY) *)
   | Op_done of { sid : int; batches_seen : int; latency : int }
-      (** the op's batch completed: latency in clock units since issue,
-          and how many batches of its structure were launched while it
-          was pending (Lemma 2 bounds this by 2 under the paper's
-          scheduler) *)
+      (** the op's worker resumed: latency in clock units since issue
+          (to its batch's completion on the runtime, to the resume on
+          the simulator), and how many batches of its structure were
+          launched while it was pending (Lemma 2 bounds this by 2 under
+          the paper's scheduler) *)
   | Steals_suppressed of { count : int }
       (** [count] failed steal attempts made by this worker while it was
           in backoff, not individually recorded; flushed on its next
@@ -96,16 +98,19 @@ val now : t -> int
     only; raises [Invalid_argument] on a [Timesteps] recorder — the
     simulator supplies its own times). *)
 
+val epoch : t -> int
+(** The raw {!Clock} reading event times are relative to: the creation
+    instant on a [Nanoseconds] recorder, [0] on a [Timesteps] one (and
+    on {!null}). [time - epoch t] puts a raw stamp on the recorder's
+    basis. *)
+
 (* ---- hot-path emitters (scalar arguments only; no allocation) ---- *)
 
 val emit_status : t -> worker:int -> time:int -> status -> unit
 val emit_steal :
   t -> worker:int -> time:int -> victim:int -> success:bool -> batch_deque:bool -> unit
 val emit_batch_start :
-  t -> worker:int -> time:int -> sid:int -> size:int -> setup:int ->
-  mode:int -> unit
-(** [setup] and [mode] share a payload slot ([(setup lsl 2) lor mode]);
-    [mode] must be in [0..3], [setup] below 2^60. *)
+  t -> worker:int -> time:int -> sid:int -> size:int -> setup:int -> unit
 
 val emit_batch_end : t -> worker:int -> time:int -> sid:int -> size:int -> unit
 val emit_op_issue : t -> worker:int -> time:int -> sid:int -> unit

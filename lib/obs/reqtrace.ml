@@ -1,13 +1,13 @@
 (* Request-scoped span capture. See reqtrace.mli for the model.
 
-   Layout: one flat int array per milestone/attribute, indexed by the
+   Layout: one flat array per milestone/attribute, indexed by the
    request token. Each slot has exactly one writer (the dispatcher for
-   arrive, the serve task's worker for start/submit, the batch-stamping
-   worker for the deltas, the resuming worker for fin), so plain
-   unsynchronized int stores suffice — same discipline as the
-   Recorder rings. Raw-ns milestones use 0 as the unset sentinel (the
-   monotonic clock never reads 0 in practice); deltas default to 0,
-   which is also the correct value for a phase that never happened.
+   arrive, the serve task's worker for start/submit, the op's resuming
+   worker for the deltas and fin), so plain unsynchronized stores
+   suffice — same discipline as the Recorder rings. Raw-ns milestones
+   use 0 as the unset sentinel (the monotonic clock never reads 0 in
+   practice); deltas default to 0, which is also the correct value for
+   a phase that never happened.
 
    The reservoir is workers x classes single-writer top-K segments:
    res_lat/res_tok strips of length k each, kept descending-sorted by
@@ -15,13 +15,6 @@
    are lock-free without CAS; readout merges segments after the run.
    Per-worker completion counters live at stride 8 to keep writers off
    each other's cache lines. *)
-
-(* flag bits *)
-let f_published = 1
-let f_ovf = 2
-let f_displaced = 4
-let f_batch = 8
-let f_done = 16
 
 (* counter stride: one slot per worker, 8 words apart (64B lines). *)
 let c_stride = 8
@@ -33,20 +26,18 @@ type t = {
   workers : int;
   classes : int;
   sample_every : int;
-  (* raw-ns milestones, self-stamped (0 = unset) *)
+  (* raw-ns milestones (0 = unset) *)
   arrive : int array;
   start : int array;
   submit : int array;
   fin : int array;
-  (* batcher-basis deltas + metadata *)
+  (* batch-path deltas + metadata *)
   d_wait : int array;
   d_exec : int array;
-  d_ovf : int array;
   seen : int array;
   cls : int array;
   sid : int array;
-  mode : int array;
-  flags : int array;
+  finished : bool array;  (* the done mark: the span is complete *)
   w_start : int array;
   w_batch : int array;
   w_done : int array;
@@ -72,12 +63,10 @@ let null =
     fin = empty;
     d_wait = empty;
     d_exec = empty;
-    d_ovf = empty;
     seen = empty;
     cls = empty;
     sid = empty;
-    mode = empty;
-    flags = empty;
+    finished = [||];
     w_start = empty;
     w_batch = empty;
     w_done = empty;
@@ -107,12 +96,10 @@ let create ?(sample_every = 32) ?(k = 16) ~workers ~classes ~capacity () =
     fin = a ();
     d_wait = a ();
     d_exec = a ();
-    d_ovf = a ();
     seen = a ();
     cls = a ();
     sid = a ();
-    mode = a ();
-    flags = a ();
+    finished = Array.make (max 1 capacity) false;
     w_start = a ();
     w_batch = a ();
     w_done = a ();
@@ -140,32 +127,18 @@ let[@inline] on_start t ~token ~cls ~worker =
     Array.unsafe_set t.w_start token worker
   end
 
-let[@inline] on_submit t ~token ~sid =
+let[@inline] on_submit t ~token ~sid ~now =
   if tracked t token then begin
-    Array.unsafe_set t.submit token (Clock.now_ns ());
+    Array.unsafe_set t.submit token now;
     Array.unsafe_set t.sid token sid
   end
 
-let[@inline] on_publish t ~token =
-  if tracked t token then
-    Array.unsafe_set t.flags token
-      (Array.unsafe_get t.flags token lor f_published)
-
-let[@inline] on_overflow t ~token ~displaced =
-  if tracked t token then
-    Array.unsafe_set t.flags token
-      (Array.unsafe_get t.flags token lor f_ovf
-      lor if displaced then f_displaced else 0)
-
-let[@inline] on_batch t ~token ~wait ~exec ~ovf ~seen ~worker ~mode =
+let[@inline] on_batch t ~token ~wait ~exec ~seen ~worker =
   if tracked t token then begin
     Array.unsafe_set t.d_wait token wait;
     Array.unsafe_set t.d_exec token exec;
-    Array.unsafe_set t.d_ovf token ovf;
     Array.unsafe_set t.seen token seen;
-    Array.unsafe_set t.w_batch token worker;
-    Array.unsafe_set t.mode token mode;
-    Array.unsafe_set t.flags token (Array.unsafe_get t.flags token lor f_batch)
+    Array.unsafe_set t.w_batch token worker
   end
 
 (* Single-writer descending insertion into the (worker, cls) segment.
@@ -196,7 +169,7 @@ let[@inline] on_done t ~token ~worker =
     let fin = Clock.now_ns () in
     Array.unsafe_set t.fin token fin;
     Array.unsafe_set t.w_done token worker;
-    Array.unsafe_set t.flags token (Array.unsafe_get t.flags token lor f_done);
+    Array.unsafe_set t.finished token true;
     let w = if worker >= 0 && worker < t.workers then worker else 0 in
     offer t ~worker:w
       ~cls:(Array.unsafe_get t.cls token)
@@ -217,7 +190,7 @@ let record_sim t ~token ~cls ~sid ~arrive_ns ~pending_ns ~exec_ns ~seen =
     t.seen.(token) <- seen;
     t.cls.(token) <- cls;
     t.sid.(token) <- sid;
-    t.flags.(token) <- f_published lor f_batch lor f_done;
+    t.finished.(token) <- true;
     offer t ~worker:0 ~cls ~token ~lat:(pending_ns + exec_ns);
     t.n_done.(0) <- t.n_done.(0) + 1
   end
@@ -228,10 +201,7 @@ type span = {
   token : int;
   cls : int;
   sid : int;
-  mode : int;
   sampled : bool;
-  ovf : bool;
-  displaced : bool;
   arrive_ns : int;
   latency_ns : int;
   queue_ns : int;
@@ -239,7 +209,6 @@ type span = {
   pending_ns : int;
   exec_ns : int;
   sched_post_ns : int;
-  ovf_ns : int;
   batches_seen : int;
   w_start : int;
   w_batch : int;
@@ -249,12 +218,9 @@ type span = {
 let phase_names = [ "queue"; "sched"; "pending"; "exec" ]
 
 let span t token =
-  if
-    (not t.on) || token < 0 || token >= t.cap
-    || t.flags.(token) land f_done = 0
+  if (not t.on) || token < 0 || token >= t.cap || not t.finished.(token)
   then None
   else
-    let fl = t.flags.(token) in
     let arrive = t.arrive.(token)
     and start = t.start.(token)
     and submit = t.submit.(token)
@@ -273,10 +239,7 @@ let span t token =
         token;
         cls = t.cls.(token);
         sid = t.sid.(token);
-        mode = t.mode.(token);
         sampled = token mod t.sample_every = 0;
-        ovf = fl land f_ovf <> 0;
-        displaced = fl land f_displaced <> 0;
         arrive_ns = arrive;
         latency_ns = latency;
         queue_ns = queue;
@@ -284,7 +247,6 @@ let span t token =
         pending_ns = pending;
         exec_ns = exec;
         sched_post_ns = sched_post;
-        ovf_ns = t.d_ovf.(token);
         batches_seen = t.seen.(token);
         w_start = t.w_start.(token);
         w_batch = t.w_batch.(token);
@@ -332,7 +294,6 @@ type totals = {
   t_sched : int;
   t_pending : int;
   t_exec : int;
-  t_ovf : int;
 }
 
 let totals ?cls t =
@@ -341,8 +302,7 @@ let totals ?cls t =
   and q = ref 0
   and sc = ref 0
   and p = ref 0
-  and e = ref 0
-  and o = ref 0 in
+  and e = ref 0 in
   for tok = 0 to t.cap - 1 do
     match span t tok with
     | Some s when (match cls with None -> true | Some c -> s.cls = c) ->
@@ -351,8 +311,7 @@ let totals ?cls t =
         q := !q + s.queue_ns;
         sc := !sc + s.sched_pre_ns + s.sched_post_ns;
         p := !p + s.pending_ns;
-        e := !e + s.exec_ns;
-        o := !o + s.ovf_ns
+        e := !e + s.exec_ns
     | _ -> ()
   done;
   {
@@ -362,7 +321,6 @@ let totals ?cls t =
     t_sched = !sc;
     t_pending = !p;
     t_exec = !e;
-    t_ovf = !o;
   }
 
 let shares tt =
@@ -373,7 +331,6 @@ let shares tt =
     ("sched", f tt.t_sched);
     ("pending", f tt.t_pending);
     ("exec", f tt.t_exec);
-    ("ovf", f tt.t_ovf);
   ]
 
 let check t =
@@ -415,12 +372,7 @@ let check t =
                                wait=%d exec=%d)"
                  s.token s.sched_post_ns
                  (t.fin.(s.token) - t.submit.(s.token))
-                 s.pending_ns s.exec_ns)
-        else if s.ovf_ns < 0 || s.ovf_ns > s.pending_ns then
-          err :=
-            Some
-              (Printf.sprintf "token %d: ovf %d outside [0, pending=%d]"
-                 s.token s.ovf_ns s.pending_ns));
+                 s.pending_ns s.exec_ns));
     incr tok
   done;
   match !err with None -> Ok () | Some e -> Error e

@@ -8,19 +8,19 @@
     synchronization (each milestone has exactly one writer per
     request). A request's whole life is captured:
 
-    release → serve-task start → submit (BATCHIFY) → pending-array
-    publication → batch launch → BOP execution → completion
+    release → serve-task start → submit (BATCHIFY) → batch launch →
+    BOP execution → completion
 
     and decomposes into an {e exact} phase sum (see {!span}):
 
     [latency = queue + sched_pre + pending + exec + sched_post]
 
-    where [pending]/[exec] are deltas measured inside the batcher (so
-    they are correct on whatever clock basis the batcher stamps with),
-    the milestone stamps are raw monotonic ns taken by this module, and
-    [sched_post] is the residual (batch completion → continuation
-    resumed). Stamp ordering makes every term nonnegative; {!check}
-    enforces both properties over a completed run.
+    where [pending]/[exec] are deltas between the batch path's own
+    stamps ({!Probe}), the milestones are raw monotonic ns (the submit
+    milestone is the probe's issue stamp itself), and [sched_post] is
+    the residual (batch completion → continuation resumed). Stamp
+    ordering makes every term nonnegative; {!check} enforces both
+    properties over a completed run.
 
     The slowest-K reservoir keeps the K worst requests {e per class}
     exactly, not probabilistically: every completion offers its
@@ -67,38 +67,20 @@ val on_release : t -> token:int -> arrive_ns:int -> unit
 val on_start : t -> token:int -> cls:int -> worker:int -> unit
 (** The serve task began running on [worker]. *)
 
-val on_submit : t -> token:int -> sid:int -> unit
+val on_submit : t -> token:int -> sid:int -> now:int -> unit
 (** BATCHIFY entered for the request's (representative) operation on
-    structure [sid]. Called by [Runtime.Batcher_rt] before the op
-    record is stamped, so [submit <= issue_time]. *)
-
-val on_publish : t -> token:int -> unit
-(** The op record became reachable in a pending-array slot. *)
-
-val on_overflow : t -> token:int -> displaced:bool -> unit
-(** The op record went to an overflow queue — directly (missed slot)
-    or displaced by a newer epoch's claimant ([displaced = true]).
-    The runtime's trapped batch path has no overflow queue and never
-    calls this, so its spans read [ovf = false]. *)
+    structure [sid] at raw stamp [now] — the op's issue stamp, which
+    [pending] is measured from. *)
 
 val on_batch :
-  t ->
-  token:int ->
-  wait:int ->
-  exec:int ->
-  ovf:int ->
-  seen:int ->
-  worker:int ->
-  mode:int ->
-  unit
-(** The batch containing the op completed. [wait]/[exec]/[ovf] are
-    durations on the batcher's own stamp basis (issue → launch, launch
-    → done, overflow-enqueue → launch); [seen] is the op's
-    batches-while-pending (the Lemma-2 figure); [worker] ran the batch;
-    [mode] is a batch-path tag, 0 on both the simulator and the
-    runtime. For fan-out requests only the representative sub-op
-    carries the token, so one consistent chain is recorded and the
-    cross-shard join lands in [sched_post]. *)
+  t -> token:int -> wait:int -> exec:int -> seen:int -> worker:int -> unit
+(** The op's worker resumed after its batch completed. [wait]/[exec]
+    are durations between the batch path's stamps (issue → launch,
+    launch → done); [seen] is the op's batches-while-pending (the
+    Lemma-2 figure); [worker] ran the batch. For fan-out requests only
+    the representative sub-op carries the token, so one consistent
+    chain is recorded and the cross-shard join lands in
+    [sched_post]. *)
 
 val on_done : t -> token:int -> worker:int -> unit
 (** The request's continuation resumed and its latency is final: stamp
@@ -124,10 +106,7 @@ type span = {
   token : int;
   cls : int;
   sid : int;
-  mode : int;  (** batch-path tag; 0 on both executions *)
   sampled : bool;
-  ovf : bool;  (** waited in the overflow queue *)
-  displaced : bool;  (** sent to overflow by a newer epoch's claimant *)
   arrive_ns : int;  (** scheduled arrival, raw basis *)
   latency_ns : int;  (** completion − scheduled arrival *)
   queue_ns : int;  (** arrival → serve-task start *)
@@ -136,7 +115,6 @@ type span = {
   exec_ns : int;  (** batch launch → batch completion *)
   sched_post_ns : int;  (** batch completion → continuation resumed;
                             includes the cross-shard join of fan-outs *)
-  ovf_ns : int;  (** part of [pending_ns] spent in the overflow queue *)
   batches_seen : int;  (** batches launched while pending (Lemma 2) *)
   w_start : int;  (** worker that ran the serve task *)
   w_batch : int;  (** worker that stamped the batch *)
@@ -145,8 +123,7 @@ type span = {
 
 val phase_names : string list
 (** ["queue"; "sched"; "pending"; "exec"] — the disjoint phases whose
-    shares sum to 1 ([sched] = pre + post; [ovf] is a sub-component of
-    [pending], reported separately). *)
+    shares sum to 1 ([sched] = pre + post). *)
 
 val span : t -> int -> span option
 (** The materialized span of a completed token; [None] for tokens
@@ -171,7 +148,6 @@ type totals = {
   t_sched : int;
   t_pending : int;
   t_exec : int;
-  t_ovf : int;
 }
 
 val totals : ?cls:int -> t -> totals
@@ -180,12 +156,10 @@ val totals : ?cls:int -> t -> totals
     [t_queue + t_sched + t_pending + t_exec = t_latency] exactly. *)
 
 val shares : totals -> (string * float) list
-(** [(phase, share-of-total-latency)] in {!phase_names} order plus
-    ["ovf"]; all zeros when [t_latency = 0]. The four disjoint shares
-    sum to 1. *)
+(** [(phase, share-of-total-latency)] in {!phase_names} order; all
+    zeros when [t_latency = 0]. The four shares sum to 1. *)
 
 val check : t -> (unit, string) result
 (** Conservation over every completed span: the four phases (plus
     residual) sum exactly to the measured latency and every phase is
-    nonnegative; [ovf_ns <= pending_ns]. [Error] pinpoints the first
-    offending token. *)
+    nonnegative. [Error] pinpoints the first offending token. *)

@@ -7,8 +7,8 @@
     - batch size — how full LAUNCHBATCH's working set runs (cap is P);
     - op latency — BATCHIFY issue → batch completion, in clock units;
     - batches seen while pending — the empirical Lemma-2 distribution,
-      at most 2 under the paper's scheduler (the simulator, and the
-      runtime's trapped BATCHIFY when the batch cap is at least P);
+      at most 2 under the paper's scheduler (always on the runtime;
+      only the simulator's ablations can exceed it);
     - steal success rate and per-status time. *)
 
 module Histo : sig
@@ -79,4 +79,4 @@ val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t
 (** Machine-readable form of the same aggregates (used by the bench
-    sink and [bin/trace.exe --summary]). *)
+    sink and [bin/schedview.exe --summary]). *)

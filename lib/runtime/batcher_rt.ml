@@ -26,12 +26,9 @@
    published. A launch counted from then on either collected the op
    (its own batch) or collected before the publication and counted
    after the read (at most one such launch, since launches are
-   serialized); with [batch_cap >= P] the next collect scans the
-   published slot and admits it. So an op sees at most 2 launches
-   while pending. With [batch_cap < P] the collect scan starts after
-   the last slot the previous launch took, so each launch that skips
-   the op takes [batch_cap] slots ahead of it: at most
-   [(P - 1) / batch_cap] such launches, and no slot starves. *)
+   serialized); a launch takes every published slot, so the next
+   collect admits the op. So an op sees at most 2 launches while
+   pending. *)
 
 (* Calibrated delay injection for causal profiling (DESIGN.md §15).
    A virtual speedup of phase X by factor f is produced by slowing
@@ -47,10 +44,10 @@
    stretches LAUNCHBATCH overhead — working-set assembly before the
    launch stamp and the stamp/done-mark epilogue before the flag
    release (the paper's setup + cleanup stages); [slow_bop] stretches
-   the BOP body itself, inside the exec phase. All stamps the
-   Reqtrace/health layers take are real clock readings around the
-   injected spins, so span conservation ([Obs.Reqtrace.check]) holds
-   on injected runs by construction. *)
+   the BOP body itself, inside the exec phase. All stamps the probe
+   takes are real clock readings around the injected spins, so span
+   conservation ([Obs.Reqtrace.check]) holds on injected runs by
+   construction. *)
 type inject = {
   slow_submit : float;
   slow_setup : float;
@@ -75,8 +72,8 @@ let[@inline never] inject_tail factor t0 =
 (* Per-worker batch stamps, written by the launcher before it marks the
    op done and read by the op's caller afterwards: worker [w]'s stripe
    of [stamps] holds, at these offsets, its batch's launch stamp, its
-   completion stamp, the launch counter at completion, and the worker
-   that ran the batch. *)
+   finish stamp, the launch counter at the finish, and the worker that
+   ran the batch. *)
 let st_start = 0
 let st_done = 1
 let st_launches = 2
@@ -90,28 +87,15 @@ type ('s, 'op) t = {
   pool : Pool.t;
   st : 's;
   run_batch : Pool.t -> 's -> 'op array -> unit;
-  batch_cap : int;
   sid : int;
-  rc : Obs.Recorder.t;
-  hl : Obs.Health.t;  (* the pool's health instance (null when off) *)
-  inv : Obs.Invariants.t;  (* online invariant checkers (null when off) *)
-  rt : Obs.Reqtrace.t;  (* request-scoped span capture (null when off) *)
+  obs : Obs.Probe.t;  (* the pool's probe: every observer of the batch path *)
   inj : inject;  (* causal-profiling delay factors ([no_inject] = off) *)
   (* One predictable branch on the hot paths: false compiles the
      injection sites down to the zero-cost path. *)
   injecting : bool;
-  (* Whether ops and batches carry time stamps: true when any of the
-     recorder, health, invariant or request-trace layers consume them.
-     Stamps use the recorder's relative clock when it is enabled, raw
-     monotonic ns otherwise — consumers only take differences, so
-     either basis works, but all stamps of one structure share one
-     basis. *)
-  timed : bool;
   slots : 'op option Atomic.t array;  (* one per worker, padded *)
   stamps : int array;  (* per-worker stripes, see [st_start] *)
-  (* Flag-holder-only launch state. *)
-  taken : int array;  (* workers whose ops the batch in flight holds *)
-  mutable scan : int;  (* slot the next collect scan starts at *)
+  taken : int array;  (* flag holder only: workers whose ops the batch holds *)
   flag : bool Atomic.t;
   launches : int Atomic.t;
   n_batches : int Atomic.t;
@@ -126,16 +110,8 @@ type stats = {
   ovf : int;
 }
 
-let create ?batch_cap ?(sid = 0) ?invariants ?(reqtrace = Obs.Reqtrace.null)
-    ?(inject = no_inject) ~pool ~state ~run_batch () =
+let create ?(sid = 0) ?(inject = no_inject) ~pool ~state ~run_batch () =
   let p = Pool.num_workers pool in
-  let cap =
-    match batch_cap with
-    | Some c ->
-        if c < 1 then invalid_arg "Batcher_rt.create: batch_cap >= 1";
-        c
-    | None -> p
-  in
   List.iter
     (fun (name, f) ->
       if Float.is_nan f || f < 1.0 then
@@ -147,34 +123,17 @@ let create ?batch_cap ?(sid = 0) ?invariants ?(reqtrace = Obs.Reqtrace.null)
       ("slow_setup", inject.slow_setup);
       ("slow_bop", inject.slow_bop);
     ];
-  let rc = Pool.recorder pool in
-  let hl = Pool.health pool in
-  let inv =
-    match invariants with
-    | Some i -> i
-    | None -> Obs.Health.invariants hl
-  in
   {
     pool;
     st = state;
     run_batch;
-    batch_cap = cap;
     sid;
-    rc;
-    hl;
-    inv;
-    rt = reqtrace;
+    obs = Pool.probe pool;
     inj = inject;
     injecting = inject <> no_inject;
-    timed =
-      Obs.Recorder.enabled rc || Obs.Health.enabled hl
-      || Obs.Invariants.active inv
-      || Obs.Reqtrace.enabled reqtrace;
     slots = Array.init p (fun _ -> Pad.atomic None);
     stamps = Array.make (p * Pad.stride) 0;
-    (* At most P ops are ever pending, so no batch exceeds P. *)
-    taken = Array.make (min cap p) 0;
-    scan = 0;
+    taken = Array.make p 0;
     flag = Pad.atomic false;
     launches = Pad.atomic 0;
     n_batches = Pad.atomic 0;
@@ -196,32 +155,21 @@ let rec atomic_max a v =
   let old = Atomic.get a in
   if v > old && not (Atomic.compare_and_set a old v) then atomic_max a v
 
-(* Clock for op/batch stamps, on the recorder's basis when there is
-   one (so violation events line up with the trace), raw monotonic ns
-   otherwise. Allocation-free either way. *)
-let[@inline] stamp t =
-  if Obs.Recorder.enabled t.rc then Obs.Recorder.now t.rc
-  else Obs.Clock.now_ns ()
+let[@inline] recording t = Obs.Recorder.enabled (Obs.Probe.recorder t.obs)
 
 let op_of t w =
   match Atomic.get t.slots.(w) with Some op -> op | None -> assert false
 
-(* Flag-holder-only: take up to [batch_cap] published ops into [taken],
-   scanning the slots round-robin from [scan]. Θ(P) work, the paper's
-   LAUNCHBATCH setup bound. *)
+(* Flag-holder-only: take every published op into [taken]. At most P
+   ops are pending, so the batch fits the cap P (Invariant 2). Θ(P)
+   work, the paper's LAUNCHBATCH setup bound. *)
 let collect t =
-  let p = Array.length t.slots in
-  let cap = Array.length t.taken in
-  let start = t.scan in
-  let len = ref 0 and i = ref 0 in
-  while !len < cap && !i < p do
-    let w = (start + !i) mod p in
+  let len = ref 0 in
+  for w = 0 to Array.length t.slots - 1 do
     if Atomic.get t.slots.(w) != None then begin
       t.taken.(!len) <- w;
-      incr len;
-      t.scan <- (w + 1) mod p
-    end;
-    incr i
+      incr len
+    end
   done;
   !len
 
@@ -229,7 +177,7 @@ let collect t =
    batch context, stamp and mark the batch's ops done, release the
    flag. *)
 let launch t me =
-  let observed = Obs.Recorder.enabled t.rc in
+  let observed = recording t in
   (* Attribute this worker's time to the bound's terms: working-set
      assembly and the done marks are LAUNCHBATCH overhead (n·s(n)), the
      BOP body itself is batch work (W(n)). *)
@@ -243,21 +191,17 @@ let launch t me =
     done;
     if t.injecting then inject_tail t.inj.slow_setup t0_setup;
     Atomic.incr t.launches;
-    let t_start = if t.timed then stamp t else 0 in
-    if observed then
-      Obs.Recorder.emit_batch_start t.rc ~worker:me ~time:t_start ~sid:t.sid
-        ~size:len ~setup:0 ~mode:0;
-    Obs.Invariants.batch_started t.inv ~worker:me ~time:t_start ~sid:t.sid
-      ~size:len ~cap:t.batch_cap;
-    Obs.Health.batch_collected t.hl ~sid:t.sid ~size:len;
+    let t_start = Obs.Probe.now t.obs in
+    Obs.Probe.launch t.obs ~time:t_start ~worker:me ~sid:t.sid ~size:len
+      ~setup:0 ~cap:(Array.length t.slots);
     if observed then Pool.set_work_class t.pool Obs.Recorder.Wbatch;
     let t0_bop = if t.injecting then Obs.Clock.now_ns () else 0 in
     Pool.exec_bop t.pool t.run_batch t.st ops;
     if t.injecting then inject_tail t.inj.slow_bop t0_bop;
     if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
     let t0_cleanup = if t.injecting then Obs.Clock.now_ns () else 0 in
-    let done_time = if t.timed then stamp t else 0 in
-    if t.timed then begin
+    let done_time = Obs.Probe.now t.obs in
+    if Obs.Probe.on t.obs then begin
       let done_launches = Atomic.get t.launches in
       for i = 0 to len - 1 do
         let base = t.taken.(i) * Pad.stride in
@@ -265,12 +209,9 @@ let launch t me =
         t.stamps.(base + st_done) <- done_time;
         t.stamps.(base + st_launches) <- done_launches;
         t.stamps.(base + st_worker) <- me
-      done;
-      if observed then
-        Obs.Recorder.emit_batch_end t.rc ~worker:me ~time:done_time ~sid:t.sid
-          ~size:len
+      done
     end;
-    Obs.Invariants.batch_ended t.inv ~worker:me ~time:done_time ~sid:t.sid;
+    Obs.Probe.finish t.obs ~time:done_time ~worker:me ~sid:t.sid ~size:len;
     Atomic.incr t.n_batches;
     ignore (Atomic.fetch_and_add t.n_ops len);
     atomic_max t.max_batch len;
@@ -290,7 +231,7 @@ let launch t me =
    idle. *)
 let rec trap t w misses =
   if Atomic.get t.slots.(w) != None then begin
-    Obs.Health.beat t.hl ~worker:w;
+    Obs.Probe.beat t.obs ~worker:w;
     if (not (Atomic.get t.flag)) && Atomic.compare_and_set t.flag false true
     then begin
       launch t w;
@@ -307,17 +248,9 @@ let batchify ?(token = -1) t op =
   in
   if Pool.in_batch () then
     invalid_arg "Batcher_rt.batchify: called from batch work (inside a BOP)";
-  let observed = Obs.Recorder.enabled t.rc in
-  (* Milestone order matters for the residual decomposition: the raw
-     submit stamp is taken before [issue_time], so the batcher's
-     wait+exec delta always fits inside the submit→completion raw
-     interval and the request's sched_post residual is nonnegative. *)
-  Obs.Reqtrace.on_submit t.rt ~token ~sid:t.sid;
-  let issue_time = if t.timed then stamp t else 0 in
-  if observed then
-    Obs.Recorder.emit_op_issue t.rc ~worker:w ~time:issue_time ~sid:t.sid;
-  Obs.Invariants.op_submitted t.inv ~sid:t.sid;
-  Obs.Health.op_issued t.hl ~sid:t.sid;
+  let observed = recording t in
+  let issue = Obs.Probe.now t.obs in
+  Obs.Probe.submit t.obs ~time:issue ~worker:w ~sid:t.sid ~token;
   let t0_submit = if t.injecting then Obs.Clock.now_ns () else 0 in
   (* A trapped worker runs no core task, so its previous op is done and
      its slot is free. *)
@@ -325,7 +258,6 @@ let batchify ?(token = -1) t op =
   assert published;
   (* The op is pending from here: Lemma 2 counts launches from now. *)
   let issue_launches = Atomic.get t.launches in
-  Obs.Reqtrace.on_publish t.rt ~token;
   (* Submit-path injection: stretch the publication segment before the
      launch attempt — the op is already reachable, so the delay models
      a slower submission protocol, not a lost op. *)
@@ -334,24 +266,11 @@ let batchify ?(token = -1) t op =
   if observed then Pool.set_work_class t.pool Obs.Recorder.Wwait;
   trap t w 0;
   if observed then Pool.set_work_class t.pool cls;
-  if t.timed then begin
+  if Obs.Probe.on t.obs then begin
     let base = w * Pad.stride in
-    let t_start = t.stamps.(base + st_start)
-    and done_time = t.stamps.(base + st_done)
-    and done_launches = t.stamps.(base + st_launches) in
-    let seen = done_launches - issue_launches in
-    (* Phase decomposition for the SLOs: pending-wait (issue to this
-       batch's launch) and batch-exec, on this worker's histograms. *)
-    Obs.Health.op_phases t.hl ~worker:w ~sid:t.sid ~wait:(t_start - issue_time)
-      ~exec:(done_time - t_start) ~ovf:0;
-    (* Request-trace anatomy: the same deltas, keyed by the op's request
-       token (no-op for the untraced sentinel -1). *)
-    Obs.Reqtrace.on_batch t.rt ~token ~wait:(t_start - issue_time)
-      ~exec:(done_time - t_start) ~ovf:0 ~seen
-      ~worker:t.stamps.(base + st_worker) ~mode:0;
-    if observed then
-      Obs.Recorder.emit_op_done t.rc ~worker:w ~time:(Obs.Recorder.now t.rc)
-        ~sid:t.sid ~batches_seen:seen ~latency:(done_time - issue_time);
-    Obs.Invariants.op_completed t.inv ~worker:w ~time:done_time ~sid:t.sid
-      ~batches_seen:seen
+    Obs.Probe.complete t.obs ~time:(Obs.Probe.now t.obs) ~worker:w ~sid:t.sid
+      ~token ~issue ~launch:t.stamps.(base + st_start)
+      ~finish:t.stamps.(base + st_done)
+      ~seen:(t.stamps.(base + st_launches) - issue_launches)
+      ~batch_worker:t.stamps.(base + st_worker)
   end

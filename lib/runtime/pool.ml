@@ -42,8 +42,9 @@ type t = {
   stop : bool Atomic.t;
   n : int;
   bo : backoff;
-  rc : Obs.Recorder.t;  (* per-worker rings; each domain writes only its own *)
-  hl : Obs.Health.t;  (* heartbeats + watchdog; shared with Batcher_rt *)
+  obs : Obs.Probe.t;  (* every observer; shared with Batcher_rt *)
+  rc : Obs.Recorder.t;  (* [obs]'s recorder: per-worker rings, each
+                           domain writes only its own *)
   (* Work-class attribution (observed pools only). Slot [w] is worker
      [w]'s ambient class / the ns timestamp its current segment opened.
      Each worker touches only its own slots, so no sync — but the
@@ -82,9 +83,7 @@ let in_batch () = (Domain.DLS.get ctx_key).batch
 
 let num_workers t = t.n
 
-let recorder t = t.rc
-
-let health t = t.hl
+let probe t = t.obs
 
 (* ---- work-class segments (observed pools only) ----
 
@@ -250,7 +249,7 @@ let wait_backoff bo misses =
 
 (* One scheduling round of a free worker; returns the new miss count. *)
 let free_step t c my_id observed misses =
-  Obs.Health.beat t.hl ~worker:my_id;
+  Obs.Probe.beat t.obs ~worker:my_id;
   match find_task t c my_id ~misses with
   | Some task ->
       exec task;
@@ -321,9 +320,10 @@ let worker_loop t my_id =
   if observed then flush_cls t my_id;
   c.wid <- None
 
-let create ?(recorder = Obs.Recorder.null) ?(health = Obs.Health.null)
-    ?(backoff = default_backoff) ~num_workers () =
+let create ?(probe = Obs.Probe.null) ?(backoff = default_backoff) ~num_workers
+    () =
   if num_workers < 1 then invalid_arg "Pool.create: num_workers >= 1";
+  let recorder = Obs.Probe.recorder probe and health = Obs.Probe.health probe in
   if
     Obs.Recorder.enabled recorder
     && (Obs.Recorder.clock recorder <> Obs.Recorder.Nanoseconds
@@ -343,8 +343,8 @@ let create ?(recorder = Obs.Recorder.null) ?(health = Obs.Health.null)
       stop = Pad.atomic false;
       n = num_workers;
       bo = backoff;
+      obs = probe;
       rc = recorder;
-      hl = health;
       cls = Pad.make_striped num_workers Obs.Recorder.Wsched;
       seg = Pad.make_striped num_workers 0;
     }

@@ -33,44 +33,33 @@ type backoff = {
 val default_backoff : backoff
 
 val create :
-  ?recorder:Obs.Recorder.t ->
-  ?health:Obs.Health.t ->
-  ?backoff:backoff ->
-  num_workers:int ->
-  unit ->
-  t
+  ?probe:Obs.Probe.t -> ?backoff:backoff -> num_workers:int -> unit -> t
 (** Spawns [num_workers - 1] domains. [num_workers >= 1].
 
-    [health] (default {!Obs.Health.null}, i.e. off) turns on always-on
-    monitoring: every worker heartbeats it once per scheduling-loop
-    iteration, and any {!Batcher_rt} built over this pool feeds its
-    stall watchdog, phase-latency histograms, and (via
-    {!Obs.Health.invariants}) online invariant checkers. It must cover
-    all workers. Stream it with {!Obs.Snapshot.to_file} and watch with
-    [bin/monitor.exe].
+    [probe] (default {!Obs.Probe.null}, i.e. off) is the pool's one
+    attach point for observers ({!Obs.Probe}): every {!Batcher_rt} and
+    {!Shard_rt} built over the pool reports each op's lifecycle to it.
+    Its recorder must use the [Nanoseconds] clock and its recorder and
+    health instance must cover all workers ([Invalid_argument]
+    otherwise). The pool itself writes the probe's recorder — steal
+    attempts from the workers' task-finding loop and the work-class
+    segments of {!work_class} — and beats its health instance once per
+    scheduling-loop iteration. Each domain writes only its own worker's
+    ring, so recording needs no synchronization; read the recorder out
+    only after {!run} returns (and, for spawned workers' rings, ideally
+    after {!teardown}). Stream a health instance with
+    {!Obs.Snapshot.to_file} and watch it with [bin/monitor.exe].
 
     [backoff] (default {!default_backoff}) sets the idle-worker policy.
     While a worker is past its spin phase, individual failed-steal
     events are not emitted; they are counted and flushed as one
     [Steals_suppressed] event on the next successful steal, so summary
-    attempt counts stay truthful without idle pools flooding the rings.
-
-    [recorder] (default {!Obs.Recorder.null}, i.e. off) captures
-    steal-attempt events from the workers' task-finding loop, and is
-    shared with any {!Batcher_rt} built over this pool (batch spans and
-    per-operation latency). It must use the [Nanoseconds] clock and
-    cover all workers; each domain writes only its own worker's ring,
-    so recording needs no synchronization. Read it out only after
-    {!run} returns (and, for spawned workers' rings, ideally after
-    {!teardown}). *)
+    attempt counts stay truthful without idle pools flooding the rings. *)
 
 val num_workers : t -> int
 
-val recorder : t -> Obs.Recorder.t
-(** The recorder passed at creation, or {!Obs.Recorder.null}. *)
-
-val health : t -> Obs.Health.t
-(** The health instance passed at creation, or {!Obs.Health.null}. *)
+val probe : t -> Obs.Probe.t
+(** The probe passed at creation, or {!Obs.Probe.null}. *)
 
 val teardown : t -> unit
 (** Stops and joins the spawned domains. The pool must be idle. *)

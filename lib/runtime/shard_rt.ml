@@ -1,9 +1,8 @@
 (* K independent batcher instances over one pool — the runtime half of
    keyspace sharding. Each shard is a full [Batcher_rt] with its own
    pending array and batch flag, registered under
-   structure id [sid_base + shard], so the recorder's batch tracks, the
-   health instance's phase histograms and the online invariant checkers
-   all separate per shard with no further wiring. Routing (which shard
+   structure id [sid_base + shard], so everything the pool's probe
+   observes separates per shard with no further wiring. Routing (which shard
    owns a key, how fan-out results merge) is the caller's business —
    [Batched.Shard] computes plans; this module only executes
    submissions. *)
@@ -13,15 +12,14 @@ type ('s, 'op) t = {
   batchers : ('s, 'op) Batcher_rt.t array;
 }
 
-let create ?batch_cap ?(sid_base = 0) ?invariants ?reqtrace ?inject
-    ~pool ~shards ~state ~run_batch () =
+let create ?(sid_base = 0) ?inject ~pool ~shards ~state ~run_batch () =
   if shards < 1 then invalid_arg "Shard_rt.create: shards >= 1";
   {
     pool;
     batchers =
       Array.init shards (fun i ->
-          Batcher_rt.create ?batch_cap ~sid:(sid_base + i) ?invariants
-            ?reqtrace ?inject ~pool ~state:(state i) ~run_batch ());
+          Batcher_rt.create ~sid:(sid_base + i) ?inject ~pool ~state:(state i)
+            ~run_batch ());
   }
 
 let shards t = Array.length t.batchers

@@ -4,8 +4,8 @@
     Invariant 1 serializes batches {e per structure}; registering K
     instances makes it per-shard, so up to [min K P] batches run
     concurrently. Each shard carries structure id [sid_base + shard]
-    in every recorder event, health histogram and online invariant
-    checker, so all observability separates per shard for free.
+    in every event it reports to the pool's probe, so all
+    observability separates per shard for free.
 
     Routing policy lives in [Batched.Shard] (which computes per-op
     plans); this module only executes submissions. A typical caller:
@@ -21,10 +21,7 @@
 type ('s, 'op) t
 
 val create :
-  ?batch_cap:int ->
   ?sid_base:int ->
-  ?invariants:Obs.Invariants.t ->
-  ?reqtrace:Obs.Reqtrace.t ->
   ?inject:Batcher_rt.inject ->
   pool:Pool.t ->
   shards:int ->
@@ -36,15 +33,12 @@ val create :
     shared BOP (it receives the shard's own state, and by per-shard
     Invariant 1 never runs concurrently {e with itself on the same
     shard} — different shards' batches do overlap, so [run_batch] must
-    not touch state shared across shards). [batch_cap] and
-    [invariants] are per-instance settings applied to every shard;
-    shard [i] is registered under structure id [sid_base + i]
-    (default base 0). When the pool carries a health instance or
-    recorder, it must cover [sid_base + shards] structures.
-    [reqtrace] (default {!Obs.Reqtrace.null}) attaches request-scoped
-    span capture to every shard; see {!Batcher_rt.create}.
-    [inject] (default {!Batcher_rt.no_inject}) applies causal-profiling
-    delay factors to every shard's batch path. *)
+    not touch state shared across shards). Shard [i] is registered
+    under structure id [sid_base + i] (default base 0) and reports to
+    the pool's probe like any {!Batcher_rt}; when the probe carries a
+    health or invariant instance, it must cover [sid_base + shards]
+    structures. [inject] (default {!Batcher_rt.no_inject}) applies
+    causal-profiling delay factors to every shard's batch path. *)
 
 val shards : ('s, 'op) t -> int
 val pool : ('s, 'op) t -> Pool.t

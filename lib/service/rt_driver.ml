@@ -72,7 +72,11 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
       Obs.Reqtrace.create ~workers ~classes:Gen.n_classes ~capacity:n ()
     else Obs.Reqtrace.null
   in
-  let pool = Runtime.Pool.create ~recorder:rc ~health:hl ~num_workers:workers () in
+  let pool =
+    Runtime.Pool.create
+      ~probe:(Obs.Probe.create ~recorder:rc ~health:hl ~reqtrace:rtr ())
+      ~num_workers:workers ()
+  in
   let stores =
     Array.init shards (fun i -> S.create ~seed:sc.Scenario.seed ~shard:i)
   in
@@ -80,7 +84,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
     (fun i st -> S.prepopulate st ~shards ~shard:i ~n_keys)
     stores;
   let srt =
-    Runtime.Shard_rt.create ~reqtrace:rtr ?inject ~pool ~shards
+    Runtime.Shard_rt.create ?inject ~pool ~shards
       ~state:(fun i -> stores.(i))
       ~run_batch:S.run_batch ()
   in
@@ -194,7 +198,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
   for sid = 0 to shards - 1 do
     List.iter
       (fun ph -> slo_burns := !slo_burns + Obs.Health.burn_count hl ~sid ph)
-      [ Obs.Health.Wait; Obs.Health.Exec; Obs.Health.Ovf ]
+      [ Obs.Health.Wait; Obs.Health.Exec ]
   done;
   let elapsed_ns = float_of_int !elapsed in
   {

@@ -50,9 +50,10 @@ val run_point :
 
     [trace] (default false) captures every request's span in an
     {!Obs.Reqtrace} instance (token = schedule index), returned in the
-    point's [trace] field: release/start/submit milestones, the
-    batcher's publication milestone and wait/exec deltas, and the
-    slowest-K reservoir per op class.
+    point's [trace] field: release/start/submit milestones, the batch
+    path's wait/exec deltas, and the slowest-K reservoir per op class.
+    The run's {!Obs.Health} instance is always on; the trace rides on
+    the same {!Obs.Probe} attached to the pool.
 
     [inject] (default off) applies {!Runtime.Batcher_rt.inject}
     causal-profiling delay factors to every shard's batch path; the

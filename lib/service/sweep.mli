@@ -18,8 +18,7 @@ type point = {
   pt : Rt_driver.point;  (** the traced run: goodput, digests, spans *)
   shares : (string * float) list;
       (** {!Obs.Reqtrace.shares} of the point's trace:
-          queue/sched/pending/exec shares of total latency (sum to 1)
-          plus the ovf sub-share *)
+          queue/sched/pending/exec shares of total latency (sum to 1) *)
 }
 
 type knee = {

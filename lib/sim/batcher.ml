@@ -127,9 +127,9 @@ type state = {
   mutable batch_details : Metrics.batch_detail list;
   tracing : bool;
   mutable trace : Trace.event list;  (* reverse chronological *)
-  rc : Obs.Recorder.t;  (* observability recorder; Obs.Recorder.null = off *)
+  obs : Obs.Probe.t;  (* the op lifecycle's observers; Obs.Probe.null = off *)
+  rc : Obs.Recorder.t;  (* [obs]'s recorder, for status/steal/work events *)
   recording : bool;  (* [Obs.Recorder.enabled rc], read once per run *)
-  inv : Obs.Invariants.t;  (* online checkers, independent of the sim's own asserts *)
 }
 
 let make_inst ?(bop_lo = 0) ?(bop_hi = 0) ?(sid = -1) ~origin dag =
@@ -237,9 +237,8 @@ let complete_batch st ~finisher ~d sid =
           st.pending_count <- st.pending_count - 1;
           st.pending_per.(sid) <- st.pending_per.(sid) - 1)
         b.members;
-      Obs.Recorder.emit_batch_end st.rc ~worker:finisher ~time:st.time ~sid
+      Obs.Probe.finish st.obs ~time:st.time ~worker:finisher ~sid
         ~size:(Array.length b.members);
-      Obs.Invariants.batch_ended st.inv ~worker:finisher ~time:st.time ~sid;
       if st.tracing then
         st.trace <-
           Trace.Batch_completed { time = st.time; sid; members = b.members } :: st.trace;
@@ -270,8 +269,7 @@ let complete st w (task : task) =
       w.park_depth <- d;
       w.seen_batches <- (match st.active.(sid) with Some _ -> 1 | None -> 0);
       Obs.Recorder.emit_status st.rc ~worker:w.id ~time:st.time Obs.Recorder.Pending;
-      Obs.Recorder.emit_op_issue st.rc ~worker:w.id ~time:st.time ~sid;
-      Obs.Invariants.op_submitted st.inv ~sid;
+      Obs.Probe.submit st.obs ~time:st.time ~worker:w.id ~sid ~token:(-1);
       if st.tracing then
         st.trace <-
           Trace.Suspended { time = st.time; worker = w.id; node = task.node; sid }
@@ -399,10 +397,8 @@ let launch st w =
     members;
   if st.tracing then
     st.trace <- Trace.Launched { time = st.time; worker = w.id; sid; members } :: st.trace;
-  Obs.Recorder.emit_batch_start st.rc ~worker:w.id ~time:st.time ~sid
-    ~size:(Array.length members) ~setup:st.setup_charge ~mode:0;
-  Obs.Invariants.batch_started st.inv ~worker:w.id ~time:st.time ~sid
-    ~size:(Array.length members) ~cap:cfg.batch_cap;
+  Obs.Probe.launch st.obs ~time:st.time ~worker:w.id ~sid
+    ~size:(Array.length members) ~setup:st.setup_charge ~cap:cfg.batch_cap;
   st.active.(sid) <- Some { b_sid = sid; members };
   st.active_count <- st.active_count + 1;
   st.batches <- st.batches + 1;
@@ -434,14 +430,16 @@ let resume st w =
   | Some node ->
       if st.tracing then
         st.trace <- Trace.Resumed { time = st.time; worker = w.id; node } :: st.trace;
-      if st.recording then begin
-        Obs.Recorder.emit_op_done st.rc ~worker:w.id ~time:st.time
-          ~sid:(struct_of st node) ~batches_seen:w.seen_batches
-          ~latency:(st.time - w.suspend_time);
-        Obs.Recorder.emit_status st.rc ~worker:w.id ~time:st.time Obs.Recorder.Free
-      end;
-      Obs.Invariants.op_completed st.inv ~worker:w.id ~time:st.time
-        ~sid:(struct_of st node) ~batches_seen:w.seen_batches;
+      (* The resume step stands in for the launch and finish stamps, so
+         the op's Op_done latency runs from issue to resume (DESIGN.md
+         §7). Only Health and Reqtrace read the wait/exec split, and
+         [run] rejects both. *)
+      Obs.Probe.complete st.obs ~time:st.time ~worker:w.id
+        ~sid:(struct_of st node) ~token:(-1) ~issue:w.suspend_time
+        ~launch:st.time ~finish:st.time ~seen:w.seen_batches
+        ~batch_worker:w.id;
+      if st.recording then
+        Obs.Recorder.emit_status st.rc ~worker:w.id ~time:st.time Obs.Recorder.Free;
       w.status <- Free;
       w.suspended <- None;
       enable_successors st w { inst = st.core_inst; node } ~d:w.resume_depth;
@@ -588,16 +586,23 @@ let advance st k =
     st.workers;
   st.time <- t0 + k
 
-let run_internal ~tracing ~costs ~recorder ~invariants cfg workload =
+let run_internal ~tracing ~costs ~probe cfg workload =
   if cfg.p < 1 then invalid_arg "Batcher.run: p >= 1";
   if cfg.batch_cap < 1 then invalid_arg "Batcher.run: batch_cap >= 1";
   Costs.check costs;
+  let recorder = Obs.Probe.recorder probe in
   if
     Obs.Recorder.enabled recorder
     && (Obs.Recorder.clock recorder <> Obs.Recorder.Timesteps
        || Obs.Recorder.workers recorder < cfg.p)
   then
     invalid_arg "Batcher.run: recorder must use the Timesteps clock and cover p workers";
+  (* Both compare stamps with the monotonic clock (stall watchdog,
+     span timing), so timestep stamps would read as an instant stall. *)
+  if
+    Obs.Health.enabled (Obs.Probe.health probe)
+    || Obs.Reqtrace.enabled (Obs.Probe.reqtrace probe)
+  then invalid_arg "Batcher.run: Health and Reqtrace attach to the runtime only";
   Workload.reset_models workload;
   let core_inst = make_inst ~origin:OCore workload.Workload.core in
   let n_structs = Array.length workload.Workload.models in
@@ -671,9 +676,9 @@ let run_internal ~tracing ~costs ~recorder ~invariants cfg workload =
       batch_details = [];
       tracing;
       trace = [];
+      obs = probe;
       rc = recorder;
       recording = Obs.Recorder.enabled recorder;
-      inv = invariants;
     }
   in
   assign workers.(0) { inst = core_inst; node = core_inst.dag.Dag.source };
@@ -721,10 +726,8 @@ let run_internal ~tracing ~costs ~recorder ~invariants cfg workload =
   },
   List.rev st.trace
 
-let run ?(costs = Costs.identity) ?(recorder = Obs.Recorder.null)
-    ?(invariants = Obs.Invariants.null) cfg workload =
-  fst (run_internal ~tracing:false ~costs ~recorder ~invariants cfg workload)
+let run ?(costs = Costs.identity) ?(probe = Obs.Probe.null) cfg workload =
+  fst (run_internal ~tracing:false ~costs ~probe cfg workload)
 
-let run_traced ?(costs = Costs.identity) ?(recorder = Obs.Recorder.null)
-    ?(invariants = Obs.Invariants.null) cfg workload =
-  run_internal ~tracing:true ~costs ~recorder ~invariants cfg workload
+let run_traced ?(costs = Costs.identity) ?(probe = Obs.Probe.null) cfg workload =
+  run_internal ~tracing:true ~costs ~probe cfg workload

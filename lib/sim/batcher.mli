@@ -58,12 +58,7 @@ val default : p:int -> config
     batches, invariant checks on, seed 1. *)
 
 val run :
-  ?costs:Costs.t ->
-  ?recorder:Obs.Recorder.t ->
-  ?invariants:Obs.Invariants.t ->
-  config ->
-  Workload.t ->
-  Metrics.t
+  ?costs:Costs.t -> ?probe:Obs.Probe.t -> config -> Workload.t -> Metrics.t
 (** Simulate the workload to completion. The workload's models are
     [reset] before the run. Raises [Failure] on invariant violation or
     if [max_steps] is exceeded.
@@ -76,28 +71,27 @@ val run :
     the Brent terms are separable). Identity reproduces the unscaled
     run byte-for-byte.
 
-    [recorder] (default {!Obs.Recorder.null}, i.e. off) captures the
-    observability event stream — worker status transitions, steal
-    attempts, batch launch/completion with size and setup work, and
-    per-operation issue/completion with latency in timesteps and the
-    Lemma-2 batches-seen count — stamped with the simulator's timestep
-    clock. It must be a [Timesteps] recorder covering at least [p]
-    workers.
-
-    [invariants] (default {!Obs.Invariants.null}) feeds the online
-    checkers at every park/launch/completion — an audit {e independent}
-    of both the sim's internal [check_invariants] asserts and the
-    post-hoc {!Trace.validate}, exercising the exact hooks the real
-    runtime uses. Violations never raise here; read the counters after
-    the run. Note the ablation configs can legitimately break the
-    paper-default bounds (cap > p via [batch_cap], Lemma 2 via
-    [launch_threshold]/[sequential_batches]); size the checker's
+    [probe] (default {!Obs.Probe.null}, i.e. off) observes each op's
+    lifecycle through the same four hooks as the real runtime, stamped
+    with the simulator's timestep: op issue, batch start (with the
+    modeled setup work), batch end, and op done — whose latency runs
+    from issue to the worker's resume, and which carries the Lemma-2
+    batches-seen count. Its recorder additionally captures worker
+    status transitions, steal attempts and work-class runs; it must be
+    a [Timesteps] recorder covering at least [p] workers. The probe
+    must not carry {!Obs.Health} or {!Obs.Reqtrace}: both compare
+    stamps with the monotonic clock ([Invalid_argument]). Its
+    invariant checkers are an audit {e independent} of both the sim's
+    internal [check_invariants] asserts and the post-hoc
+    {!Trace.validate}; violations never raise here, so read the
+    counters after the run. The ablation configs can legitimately
+    break the paper-default bounds (Lemma 2 via [batch_cap],
+    [launch_threshold] or [sequential_batches]); size the checker's
     [lemma2_bound] accordingly. *)
 
 val run_traced :
   ?costs:Costs.t ->
-  ?recorder:Obs.Recorder.t ->
-  ?invariants:Obs.Invariants.t ->
+  ?probe:Obs.Probe.t ->
   config ->
   Workload.t ->
   Metrics.t * Trace.event list

@@ -12,8 +12,7 @@
 
     The batching protocol is the paper's, per shard: each of [shards]
     structure instances has its own batch flag (Invariant 1 per shard),
-    a launch collects up to [batch_cap] queued requests FIFO (the
-    pending-array + overflow-queue admission of the real runtime), and
+    a launch collects up to [batch_cap] queued requests FIFO, and
     every launch is wrapped in the Θ(P)-work / Θ(lg P)-span
     LAUNCHBATCH setup and cleanup stages. A batch's duration is the
     Brent bound of its cost DAG — (setup + BOP work)/p' + setup span +

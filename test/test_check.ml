@@ -89,7 +89,10 @@ let test_cross_check () =
   let recorder =
     Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:p ()
   in
-  let metrics = Sim.Batcher.run ~recorder (Sim.Batcher.default ~p) workload in
+  let metrics =
+    Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder ())
+      (Sim.Batcher.default ~p) workload
+  in
   check_ok (Check.Bound.cross_check ~workload ~metrics ~recorder ());
   check_ok
     (Check.Bound.cross_check ~ms_factor:16.0 ~workload ~metrics ~recorder ());

@@ -76,7 +76,7 @@ let test_stall_counter_fires () =
     Obs.Health.create ~invariants:inv ~stall_ns:1_000_000_000 ~workers:1
       ~structures:2 ()
   in
-  Obs.Health.op_issued hl ~sid:1;
+  Obs.Health.op_issued hl ~sid:1 ~now:(Obs.Clock.now_ns ());
   (* Well within the threshold: no episode. *)
   Obs.Health.check_stalls ~now:(Obs.Clock.now_ns ()) hl;
   check "no premature stall" 0 (Obs.Health.stall_count hl);
@@ -89,8 +89,8 @@ let test_stall_counter_fires () =
   Obs.Health.check_stalls ~now:(later + 1_000_000) hl;
   check "episode not re-counted" 1 (Obs.Health.stall_count hl);
   (* A launch closes the episode; a fresh freeze opens a new one. *)
-  Obs.Health.batch_collected hl ~sid:1 ~size:0;
-  Obs.Health.op_issued hl ~sid:1;
+  Obs.Health.batch_collected hl ~sid:1 ~size:0 ~now:(later + 2_000_000);
+  Obs.Health.op_issued hl ~sid:1 ~now:(later + 2_000_000);
   Obs.Health.check_stalls ~now:(later + 20_000_000_000) hl;
   check "new episode after launch" 2 (Obs.Health.stall_count hl)
 
@@ -113,8 +113,8 @@ let test_watchdog_detection_latency () =
     (fun () ->
       (* A pending op that never launches: a stall episode opens once
          stall_ns elapses, and only the watchdog is looking. *)
-      Obs.Health.op_issued hl ~sid:0;
       let t0 = Obs.Clock.now_ns () in
+      Obs.Health.op_issued hl ~sid:0 ~now:t0;
       let deadline = t0 + 2_000_000_000 in
       while
         Obs.Health.stall_count hl = 0 && Obs.Clock.now_ns () < deadline
@@ -198,20 +198,19 @@ let test_violation_events_on_recorder () =
 let test_phase_histo_and_burn () =
   let hl =
     Obs.Health.create
-      ~slo:{ Obs.Health.wait_ns = 100; exec_ns = 1_000; ovf_ns = 100 }
+      ~slo:{ Obs.Health.wait_ns = 100; exec_ns = 1_000 }
       ~workers:2 ~structures:1 ()
   in
   (* Two workers record phases for the same structure; reads merge. *)
-  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~wait:50 ~exec:500 ~ovf:0;
-  Obs.Health.op_phases hl ~worker:1 ~sid:0 ~wait:150 ~exec:2_000 ~ovf:0;
+  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~wait:50 ~exec:500;
+  Obs.Health.op_phases hl ~worker:1 ~sid:0 ~wait:150 ~exec:2_000;
   let h = Obs.Health.phase_histo hl ~sid:0 Obs.Health.Wait in
   check "merged count" 2 (Obs.Summary.Histo.count h);
   check "merged total" 200 (Obs.Summary.Histo.total h);
   check "merged max" 150 (Obs.Summary.Histo.max_v h);
   (* Exactly the over-SLO samples burn. *)
   check "wait burn" 1 (Obs.Health.burn_count hl ~sid:0 Obs.Health.Wait);
-  check "exec burn" 1 (Obs.Health.burn_count hl ~sid:0 Obs.Health.Exec);
-  check "ovf burn" 0 (Obs.Health.burn_count hl ~sid:0 Obs.Health.Ovf)
+  check "exec burn" 1 (Obs.Health.burn_count hl ~sid:0 Obs.Health.Exec)
 
 let test_heartbeat_age () =
   let hl = Obs.Health.create ~workers:2 ~structures:1 () in
@@ -229,9 +228,9 @@ let test_health_json_shape () =
   let inv = exact ~structures:1 () in
   let hl = Obs.Health.create ~invariants:inv ~workers:1 ~structures:1 () in
   Obs.Health.beat hl ~worker:0;
-  Obs.Health.op_issued hl ~sid:0;
-  Obs.Health.batch_collected hl ~sid:0 ~size:1;
-  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~wait:10 ~exec:20 ~ovf:0;
+  Obs.Health.op_issued hl ~sid:0 ~now:(Obs.Clock.now_ns ());
+  Obs.Health.batch_collected hl ~sid:0 ~size:1 ~now:(Obs.Clock.now_ns ());
+  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~wait:10 ~exec:20;
   let j = Obs.Health.to_json hl in
   (* Must be valid JSON carrying the fields the monitor digests. (No
      structural round-trip check: the strict parser reads integral
@@ -262,33 +261,55 @@ let test_health_json_shape () =
 
 (* ---- the quiet path allocates nothing ---- *)
 
+(* One probe lifecycle cycle (submit -> launch -> finish -> complete)
+   per iteration, stamped as the runtime stamps it, plus a heartbeat
+   and a sampler-side stall check. *)
+let probe_cycles probe ~n =
+  for _ = 1 to n do
+    Obs.Probe.beat probe ~worker:0;
+    let issue = Obs.Probe.now probe in
+    Obs.Probe.submit probe ~time:issue ~worker:0 ~sid:0 ~token:0;
+    let launch = Obs.Probe.now probe in
+    Obs.Probe.launch probe ~time:launch ~worker:0 ~sid:0 ~size:1 ~setup:0
+      ~cap:2;
+    let finish = Obs.Probe.now probe in
+    Obs.Probe.finish probe ~time:finish ~worker:0 ~sid:0 ~size:1;
+    Obs.Probe.complete probe ~time:(Obs.Probe.now probe) ~worker:0 ~sid:0
+      ~token:0 ~issue ~launch ~finish ~seen:1 ~batch_worker:0;
+    (* No [~now]: passing it would box a [Some] at every call site — the
+       sampler's own call reads the clock instead. *)
+    Obs.Health.check_stalls (Obs.Probe.health probe)
+  done
+
 let test_quiet_path_no_alloc () =
-  let inv = exact ~lemma2_bound:1024 ~structures:2 () in
+  let rc =
+    Obs.Recorder.create ~capacity:64 ~clock:Obs.Recorder.Nanoseconds ~workers:2
+      ()
+  in
+  let inv = exact ~recorder:rc ~lemma2_bound:1024 ~structures:2 () in
   let hl = Obs.Health.create ~invariants:inv ~workers:2 ~structures:2 () in
+  let rt = Obs.Reqtrace.create ~workers:2 ~classes:1 ~capacity:1 () in
+  let probe =
+    Obs.Probe.create ~recorder:rc ~invariants:inv ~health:hl ~reqtrace:rt ()
+  in
   (* Warm up one-time paths. *)
-  Obs.Health.beat hl ~worker:0;
-  Obs.Health.op_issued hl ~sid:0;
-  Obs.Health.batch_collected hl ~sid:0 ~size:1;
+  probe_cycles probe ~n:1;
   let words_before = Gc.minor_words () in
-  for i = 1 to 10_000 do
-    Obs.Health.beat hl ~worker:0;
-    Obs.Health.op_issued hl ~sid:0;
-    Obs.Invariants.op_submitted inv ~sid:0;
-    Obs.Invariants.batch_started inv ~worker:0 ~time:i ~sid:0 ~size:1 ~cap:2;
-    Obs.Health.batch_collected hl ~sid:0 ~size:1;
-    Obs.Health.op_phases hl ~worker:0 ~sid:0 ~wait:i ~exec:i ~ovf:0;
-    Obs.Invariants.batch_ended inv ~worker:0 ~time:i ~sid:0;
-    Obs.Invariants.op_completed inv ~worker:0 ~time:i ~sid:0 ~batches_seen:1;
-    (* No [~now]: passing it would box a [Some] at every call site —
-       the sampler's own call reads the clock instead. *)
-    Obs.Health.check_stalls hl
-  done;
+  probe_cycles probe ~n:10_000;
   let delta = Gc.minor_words () -. words_before in
   (* Gc.minor_words boxes a float per call; allow that slack but nothing
-     proportional to the 90k hook calls. *)
+     proportional to the 50k hook calls. *)
   if delta > 256. then
     Alcotest.failf "quiet monitoring path allocated %.0f minor words" delta;
-  check "and stayed quiet" 0 (Obs.Invariants.total_violations inv)
+  check "and stayed quiet" 0 (Obs.Invariants.total_violations inv);
+  check "every cycle reached health" 10_001
+    (Obs.Summary.Histo.count (Obs.Health.phase_histo hl ~sid:0 Obs.Health.Exec));
+  (* The same cycle with nothing attached. *)
+  let words_before = Gc.minor_words () in
+  probe_cycles Obs.Probe.null ~n:10_000;
+  let delta = Gc.minor_words () -. words_before in
+  if delta > 256. then
+    Alcotest.failf "null probe allocated %.0f minor words" delta
 
 (* ---- flight recorder ---- *)
 
@@ -366,11 +387,17 @@ let test_flight_dump () =
 let test_runtime_integration_clean () =
   (* A healthy run under Exact checking: every hook fires through
      Pool/Batcher_rt wiring and nothing trips, Lemma 2 at the paper's
-     default bound of 2 included. *)
+     default bound of 2 included. A recorder rides on the same probe,
+     and each subscriber sees each op exactly once. *)
   let n_ops = 256 in
+  let rc = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:2 () in
   let inv = Obs.Invariants.create ~structures:2 () in
   let hl = Obs.Health.create ~invariants:inv ~workers:2 ~structures:2 () in
-  let pool = Runtime.Pool.create ~health:hl ~num_workers:2 () in
+  let pool =
+    Runtime.Pool.create
+      ~probe:(Obs.Probe.create ~recorder:rc ~invariants:inv ~health:hl ())
+      ~num_workers:2 ()
+  in
   Fun.protect
     ~finally:(fun () -> Runtime.Pool.teardown pool)
     (fun () ->
@@ -388,14 +415,20 @@ let test_runtime_integration_clean () =
       check "no stalls" 0 (Obs.Health.stall_count hl);
       check "pending balance drained" 0 (Obs.Invariants.pending inv ~sid:0);
       check_bool "checkers ran" true (Obs.Invariants.checks_run inv > 0);
-      check_bool "phases recorded" true
-        (Obs.Summary.Histo.count
-           (Obs.Health.phase_histo hl ~sid:0 Obs.Health.Wait)
-        = n_ops);
+      List.iter
+        (fun (name, ph) ->
+          check name n_ops
+            (Obs.Summary.Histo.count (Obs.Health.phase_histo hl ~sid:0 ph)))
+        [ ("wait phases", Obs.Health.Wait); ("exec phases", Obs.Health.Exec) ];
       (* Heartbeats flowed on the workers that participated. *)
       let now = Obs.Clock.now_ns () in
       check_bool "worker 0 beat" true
-        (Obs.Health.heartbeat_age_ns hl ~worker:0 ~now >= 0))
+        (Obs.Health.heartbeat_age_ns hl ~worker:0 ~now >= 0));
+  (* The rings are read once every worker has stopped writing them. *)
+  let s = Obs.Summary.of_recorder rc in
+  check "recorded op-dones" n_ops s.Obs.Summary.ops;
+  check "recorded batch sizes sum to ops" n_ops
+    (Obs.Summary.Histo.total s.Obs.Summary.batch_size)
 
 let () =
   Alcotest.run "health"

@@ -147,7 +147,7 @@ let test_disabled_recorder_no_op () =
     Obs.Recorder.emit_status rc ~worker:0 ~time:i Obs.Recorder.Executing;
     Obs.Recorder.emit_steal rc ~worker:0 ~time:i ~victim:1 ~success:true
       ~batch_deque:false;
-    Obs.Recorder.emit_batch_start rc ~worker:0 ~time:i ~sid:0 ~size:4 ~setup:8 ~mode:0;
+    Obs.Recorder.emit_batch_start rc ~worker:0 ~time:i ~sid:0 ~size:4 ~setup:8;
     Obs.Recorder.emit_batch_end rc ~worker:0 ~time:i ~sid:0 ~size:4;
     Obs.Recorder.emit_op_issue rc ~worker:0 ~time:i ~sid:0;
     Obs.Recorder.emit_op_done rc ~worker:0 ~time:i ~sid:0 ~batches_seen:1
@@ -181,7 +181,7 @@ let test_enabled_recorder_no_alloc () =
     Obs.Recorder.emit_steal rc ~worker:0 ~time:t ~victim:1 ~success:true
       ~batch_deque:false;
     Obs.Recorder.emit_steals_suppressed rc ~worker:0 ~time:t ~count:17;
-    Obs.Recorder.emit_batch_start rc ~worker:0 ~time:t ~sid:0 ~size:4 ~setup:8 ~mode:0;
+    Obs.Recorder.emit_batch_start rc ~worker:0 ~time:t ~sid:0 ~size:4 ~setup:8;
     Obs.Recorder.emit_batch_end rc ~worker:0 ~time:t ~sid:0 ~size:4;
     Obs.Recorder.emit_op_issue rc ~worker:0 ~time:t ~sid:0;
     Obs.Recorder.emit_op_done rc ~worker:0 ~time:t ~sid:0 ~batches_seen:1
@@ -221,7 +221,7 @@ let test_recorder_event_readback () =
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:2 () in
   Obs.Recorder.emit_status rc ~worker:0 ~time:1 Obs.Recorder.Pending;
   Obs.Recorder.emit_steal rc ~worker:1 ~time:2 ~victim:0 ~success:false ~batch_deque:true;
-  Obs.Recorder.emit_batch_start rc ~worker:0 ~time:3 ~sid:7 ~size:5 ~setup:16 ~mode:2;
+  Obs.Recorder.emit_batch_start rc ~worker:0 ~time:3 ~sid:7 ~size:5 ~setup:16;
   Obs.Recorder.emit_op_done rc ~worker:1 ~time:4 ~sid:7 ~batches_seen:2 ~latency:3;
   (match Obs.Recorder.all_events rc with
   | [ e1; e2; e3; e4 ] ->
@@ -232,7 +232,7 @@ let test_recorder_event_readback () =
       | Obs.Recorder.Steal { victim = 0; success = false; batch_deque = true } -> ()
       | _ -> Alcotest.fail "event 2 kind");
       (match e3.Obs.Recorder.kind with
-      | Obs.Recorder.Batch_start { sid = 7; size = 5; setup = 16; mode = 2 } -> ()
+      | Obs.Recorder.Batch_start { sid = 7; size = 5; setup = 16 } -> ()
       | _ -> Alcotest.fail "event 3 kind");
       (match e4.Obs.Recorder.kind with
       | Obs.Recorder.Op_done { sid = 7; batches_seen = 2; latency = 3 } -> ()
@@ -248,13 +248,22 @@ let sim_workload ?(n = 200) () =
     ~model:(Batched.Skiplist.sim_model ~initial_size:100_000 ~records_per_node:10 ())
     ~records_per_node:10 ~n_nodes:n ()
 
-let run_recorded ?(p = 4) () =
+let run_recorded ?(p = 4) ?(invariants = Obs.Invariants.null) () =
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:p () in
-  let m = Sim.Batcher.run ~recorder:rc (Sim.Batcher.default ~p) (sim_workload ()) in
+  let m =
+    Sim.Batcher.run
+      ~probe:(Obs.Probe.create ~recorder:rc ~invariants ())
+      (Sim.Batcher.default ~p) (sim_workload ())
+  in
   (rc, m)
 
 let test_sim_recording_matches_metrics () =
-  let rc, m = run_recorded () in
+  (* Recorder and Exact checkers ride on one probe: each sees every op
+     and every batch exactly once. *)
+  let inv = Obs.Invariants.create ~mode:Obs.Invariants.Exact ~structures:1 () in
+  let rc, m = run_recorded ~invariants:inv () in
+  check "no violations" 0 (Obs.Invariants.total_violations inv);
+  check "pending balance drained" 0 (Obs.Invariants.pending inv ~sid:0);
   let s = Obs.Summary.of_recorder rc in
   check "batches" m.Sim.Metrics.batches s.Obs.Summary.batches;
   check "batch size total" m.Sim.Metrics.batch_size_total
@@ -371,7 +380,10 @@ let test_runtime_recording_smoke () =
   let p = 3 in
   let n = 200 in
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:p () in
-  let pool = Runtime.Pool.create ~recorder:rc ~num_workers:p () in
+  let pool =
+    Runtime.Pool.create ~probe:(Obs.Probe.create ~recorder:rc ()) ~num_workers:p
+      ()
+  in
   let counter = Batched.Counter.create () in
   let b =
     Runtime.Batcher_rt.create ~pool ~state:counter
@@ -400,15 +412,28 @@ let test_runtime_recording_smoke () =
 
 let test_recorder_clock_mismatch_rejected () =
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:4 () in
-  (match Runtime.Pool.create ~recorder:rc ~num_workers:4 () with
+  (match
+     Runtime.Pool.create ~probe:(Obs.Probe.create ~recorder:rc ())
+       ~num_workers:4 ()
+   with
   | exception Invalid_argument _ -> ()
   | pool ->
       Runtime.Pool.teardown pool;
       Alcotest.fail "pool accepted a Timesteps recorder");
   let rc_ns = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:2 () in
-  match Sim.Batcher.run ~recorder:rc_ns (Sim.Batcher.default ~p:2) (sim_workload ~n:4 ()) with
+  (match
+     Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc_ns ())
+       (Sim.Batcher.default ~p:2) (sim_workload ~n:4 ())
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "sim accepted a Nanoseconds recorder"
+  | _ -> Alcotest.fail "sim accepted a Nanoseconds recorder");
+  let health = Obs.Health.create ~workers:2 ~structures:1 () in
+  match
+    Sim.Batcher.run ~probe:(Obs.Probe.create ~health ())
+      (Sim.Batcher.default ~p:2) (sim_workload ~n:4 ())
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "sim accepted a wall-clock Health"
 
 (* ---- Histo.percentile edges ---- *)
 
@@ -501,7 +526,10 @@ let run_recorded_cfg ?(n = 200) cfg =
     Obs.Recorder.create ~clock:Obs.Recorder.Timesteps
       ~workers:cfg.Sim.Batcher.p ()
   in
-  let m = Sim.Batcher.run ~recorder:rc cfg (sim_workload ~n ()) in
+  let m =
+    Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc ()) cfg
+      (sim_workload ~n ())
+  in
   (rc, m)
 
 let check_sim_attrib cfg =
@@ -536,7 +564,10 @@ let test_attrib_sim_conservation () =
    inside each BOP. *)
 let recorded_counter_run ~p ~n ?(slow_ns = 0) () =
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:p () in
-  let pool = Runtime.Pool.create ~recorder:rc ~num_workers:p () in
+  let pool =
+    Runtime.Pool.create ~probe:(Obs.Probe.create ~recorder:rc ()) ~num_workers:p
+      ()
+  in
   let counter = Batched.Counter.create () in
   let b =
     Runtime.Batcher_rt.create ~pool ~state:counter
@@ -557,9 +588,7 @@ let recorded_counter_run ~p ~n ?(slow_ns = 0) () =
 
 let test_attrib_runtime_tiling () =
   (* Runtime buckets must tile each worker's observed span exactly:
-     class segments are emitted back to back in integer nanoseconds.
-     Every Batch_start event carries the batch-path tag 0, as the
-     simulator's do. *)
+     class segments are emitted back to back in integer nanoseconds. *)
   let p = 3 in
   let rc = recorded_counter_run ~p ~n:300 () in
   let a = Obs.Attrib.of_recorder rc in
@@ -577,9 +606,7 @@ let test_attrib_runtime_tiling () =
   List.iter
     (fun e ->
       match e.Obs.Recorder.kind with
-      | Obs.Recorder.Batch_start { mode = m; _ } ->
-          incr starts;
-          check "batch_start mode tag" 0 m
+      | Obs.Recorder.Batch_start _ -> incr starts
       | _ -> ())
     (Obs.Recorder.all_events rc);
   check_bool "batches recorded" true (!starts > 0)
@@ -760,7 +787,7 @@ let test_reqtrace_reservoir_concurrent () =
 
 let test_reqtrace_hooks_no_alloc () =
   (* The enabled-but-unsampled capture path must be allocation-free:
-     every hook is a handful of int-array stores plus the [@@noalloc]
+     every hook is a handful of array stores plus the [@@noalloc]
      clock read, and on_done's reservoir insert shifts plain ints.
      sample_every is huge so no token is export-sampled — sampling
      must not change the capture cost (it only tags the readout). *)
@@ -774,10 +801,8 @@ let test_reqtrace_hooks_no_alloc () =
   for tok = 0 to n - 1 do
     Obs.Reqtrace.on_release rt ~token:tok ~arrive_ns:(tok + 1);
     Obs.Reqtrace.on_start rt ~token:tok ~cls:0 ~worker:0;
-    Obs.Reqtrace.on_submit rt ~token:tok ~sid:0;
-    Obs.Reqtrace.on_publish rt ~token:tok;
-    Obs.Reqtrace.on_batch rt ~token:tok ~wait:0 ~exec:0 ~ovf:0 ~seen:1
-      ~worker:0 ~mode:0;
+    Obs.Reqtrace.on_submit rt ~token:tok ~sid:0 ~now:(Obs.Clock.now_ns ());
+    Obs.Reqtrace.on_batch rt ~token:tok ~wait:0 ~exec:0 ~seen:1 ~worker:0;
     Obs.Reqtrace.on_done rt ~token:tok ~worker:0
   done;
   let delta = Gc.minor_words () -. before in

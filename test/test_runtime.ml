@@ -3,8 +3,8 @@
    machine may have a single core, and correctness — not speedup — is
    what these tests establish. *)
 
-let with_pool n f =
-  let pool = Runtime.Pool.create ~num_workers:n () in
+let with_pool ?probe n f =
+  let pool = Runtime.Pool.create ?probe ~num_workers:n () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.teardown pool) (fun () -> f pool)
 
 (* ---------- Wsdeque ---------- *)
@@ -310,21 +310,6 @@ let test_batcher_rt_skiplist () =
       Alcotest.(check (list int)) "sorted 0..n-1" (List.init n Fun.id)
         (Batched.Skiplist.to_list sl))
 
-let test_batcher_rt_batch_cap_option () =
-  with_pool 4 (fun pool ->
-      let counter = Batched.Counter.create () in
-      let b =
-        Runtime.Batcher_rt.create ~batch_cap:2 ~pool ~state:counter
-          ~run_batch:(fun _pool st ops -> Batched.Counter.run_batch st ops)
-          ()
-      in
-      Runtime.Pool.run pool (fun () ->
-          Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:100 (fun _ ->
-              Runtime.Batcher_rt.batchify b (Batched.Counter.op 1)));
-      let st = Runtime.Batcher_rt.stats b in
-      Alcotest.(check bool) "cap 2 respected" true (st.Runtime.Batcher_rt.max_batch <= 2);
-      Alcotest.(check int) "value" 100 (Batched.Counter.value counter))
-
 let test_batcher_rt_parallel_bop () =
   (* A BOP that itself uses the pool's parallelism. *)
   with_pool 4 (fun pool ->
@@ -454,12 +439,11 @@ let test_batcher_rt_randomized_stress () =
 (* A batched "structure" whose batch log records admission order: the
    BOP appends each record's payload in ops-array order. Invariant 1
    (one batch in flight) is what makes the unsynchronized ref sound. *)
-let with_log_batcher ?(on_batch = fun () -> ()) ?invariants ~workers ~batch_cap
-    f =
-  with_pool workers (fun pool ->
+let with_log_batcher ?(on_batch = fun () -> ()) ?probe ~workers f =
+  with_pool ?probe workers (fun pool ->
       let log = ref [] in
       let b =
-        Runtime.Batcher_rt.create ~batch_cap ?invariants ~pool ~state:()
+        Runtime.Batcher_rt.create ~pool ~state:()
           ~run_batch:(fun _pool () ops ->
             on_batch ();
             Array.iter (fun id -> log := id :: !log) ops)
@@ -492,7 +476,9 @@ let test_batcher_rt_at_most_p_pending () =
     spin_ns 20_000;
     max_pending := max !max_pending (Obs.Invariants.pending inv ~sid:0)
   in
-  with_log_batcher ~on_batch ~invariants:inv ~workers:p ~batch_cap:p
+  with_log_batcher ~on_batch
+    ~probe:(Obs.Probe.create ~invariants:inv ())
+    ~workers:p
     (fun pool b admitted ->
       Runtime.Pool.run pool (fun () ->
           Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n (fun i ->
@@ -508,27 +494,6 @@ let test_batcher_rt_at_most_p_pending () =
         (st.Runtime.Batcher_rt.max_batch <= p);
       Alcotest.(check int) "no overflow path" 0 st.Runtime.Batcher_rt.ovf;
       Alcotest.(check int) "checkers quiet (Lemma 2 at 2 included)" 0
-        (Obs.Invariants.total_violations inv))
-
-let test_batcher_rt_cap_below_p () =
-  (* batch_cap = 2 on 3 workers: a launch may leave one published slot
-     behind, and the next collect scan starts after the last slot taken,
-     so that slot is admitted next. Every op is admitted exactly once,
-     and none starves: an op sees at most 3 launches while pending —
-     one launch already collecting when it was published, at most one
-     that filled the cap before reaching its slot, and its own. *)
-  let n = 300 in
-  let inv = Obs.Invariants.create ~lemma2_bound:3 ~structures:1 () in
-  with_log_batcher ~on_batch:(fun () -> spin_ns 20_000) ~invariants:inv
-    ~workers:3 ~batch_cap:2 (fun pool b admitted ->
-      Runtime.Pool.run pool (fun () ->
-          Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n (fun i ->
-              Runtime.Batcher_rt.batchify b i));
-      check_exactly_once ~n (admitted ());
-      let st = Runtime.Batcher_rt.stats b in
-      Alcotest.(check bool) "cap 2 respected" true
-        (st.Runtime.Batcher_rt.max_batch <= 2);
-      Alcotest.(check int) "no op starved past 3 launches" 0
         (Obs.Invariants.total_violations inv))
 
 let test_batcher_rt_bop_on_batch_deque () =
@@ -641,12 +606,15 @@ let test_batcher_rt_worker_id_migration () =
      suspends it and it may resume on another worker. Each publication
      goes to the slot of the worker running the task at that moment
      (batchify asserts the slot is free), so repeated submit rounds with
-     an await in between keep results linearizable. *)
+     an await in between keep results linearizable. The BOP spins, so
+     ops published while it runs wait behind the busy flag. *)
   with_pool 3 (fun pool ->
       let counter = Batched.Counter.create () in
       let b =
-        Runtime.Batcher_rt.create ~batch_cap:2 ~pool ~state:counter
-          ~run_batch:(fun _pool st ops -> Batched.Counter.run_batch st ops)
+        Runtime.Batcher_rt.create ~pool ~state:counter
+          ~run_batch:(fun _pool st ops ->
+            spin_ns 10_000;
+            Batched.Counter.run_batch st ops)
           ()
       in
       let tasks = 12 and rounds = 25 in
@@ -783,15 +751,15 @@ let test_pool_teardown_under_exception () =
 
 (* Sharded extension of the teardown-under-exception regression: the
    computation blows up while shard 0 has a batch in flight (its BOP is
-   mid-sleep on a worker) and shard 1 has trapped callers waiting (cap
-   1: one op launched, the rest published behind the flag). Teardown must
-   still join every domain, the exception must win the race, and the
-   runtime must stay healthy enough to run fresh sharded work. *)
+   mid-sleep on a worker) and trapped callers wait behind the busy flags
+   (ops published while a BOP sleeps). Teardown must still join every
+   domain, the exception must win the race, and the runtime must stay
+   healthy enough to run fresh sharded work. *)
 let test_shard_rt_teardown_in_flight () =
   (match
      with_pool 3 (fun pool ->
          let rt =
-           Runtime.Shard_rt.create ~batch_cap:1 ~pool ~shards:2
+           Runtime.Shard_rt.create ~pool ~shards:2
              ~state:(fun _ -> Batched.Counter.create ())
              ~run_batch:(fun _pool st ops ->
                Unix.sleepf 0.02;
@@ -864,7 +832,6 @@ let () =
         [
           Alcotest.test_case "counter linearizable" `Quick test_batcher_rt_counter;
           Alcotest.test_case "skiplist" `Quick test_batcher_rt_skiplist;
-          Alcotest.test_case "batch cap" `Quick test_batcher_rt_batch_cap_option;
           Alcotest.test_case "parallel BOP" `Quick test_batcher_rt_parallel_bop;
           Alcotest.test_case "three structures at once" `Quick
             test_batcher_rt_multiple_structures;
@@ -872,8 +839,6 @@ let () =
           Alcotest.test_case "randomized stress" `Slow test_batcher_rt_randomized_stress;
           Alcotest.test_case "at most P pending" `Quick
             test_batcher_rt_at_most_p_pending;
-          Alcotest.test_case "cap below P starves no op" `Quick
-            test_batcher_rt_cap_below_p;
           Alcotest.test_case "BOP halves on the batch deque" `Quick
             test_batcher_rt_bop_on_batch_deque;
           Alcotest.test_case "trapped helper leaves batch context" `Quick
