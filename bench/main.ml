@@ -154,7 +154,7 @@ let run_tables () =
 
 (* ---------- ATTRIB: Theorem-1 bucket decomposition ---------- *)
 
-(* Recorded simulator runs folded through Obs.Attrib: one row per
+(* Recorded simulator runs read out by Obs.Summary: one row per
    (workload, P) with every bound bucket as its own JSON field, so
    bench_diff can flag a regression in a single bucket (say, wait time
    growing while the makespan hides it behind shrinking idle). The
@@ -199,13 +199,12 @@ let attrib_row ~name ~p ~n workload =
     Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc ())
       (Sim.Batcher.default ~p) workload
   in
-  let a = Obs.Attrib.of_recorder rc in
-  (match Obs.Attrib.check ~expected:(p * m.Sim.Metrics.makespan) a with
+  let s = Obs.Summary.of_recorder rc in
+  (match Obs.Summary.check ~expected:(p * m.Sim.Metrics.makespan) s with
   | Ok () -> ()
   | Error e ->
       failwith (Printf.sprintf "ATTRIB conservation (%s p=%d): %s" name p e));
-  let b = a.Obs.Attrib.total in
-  (name, p, n, m, b)
+  (name, p, n, m, s.Obs.Summary.total)
 
 let run_attrib () =
   let title = "ATTRIB — Theorem-1 bucket decomposition (sim, per workload x P)"
@@ -222,16 +221,15 @@ let run_attrib () =
     "workload" "P" "n" "makespan" "core" "batch" "setup" "sched" "idle" "wait"
     "span";
   List.iter
-    (fun (name, p, n, (m : Sim.Metrics.t), (b : Obs.Attrib.buckets)) ->
+    (fun (name, p, n, (m : Sim.Metrics.t), (b : Obs.Summary.buckets)) ->
       Format.fprintf fmt "%-8s %3d %6d %9d %9d %9d %9d %9d %9d %9d %6d@." name
-        p n m.Sim.Metrics.makespan b.Obs.Attrib.core b.Obs.Attrib.batch
-        b.Obs.Attrib.setup b.Obs.Attrib.sched b.Obs.Attrib.idle
-        b.Obs.Attrib.wait m.Sim.Metrics.span_realized)
+        p n m.Sim.Metrics.makespan b.core b.batch b.setup b.sched b.idle b.wait
+        m.Sim.Metrics.span_realized)
     rows;
   record "ATTRIB" title
     (Obs.Json.List
        (List.map
-          (fun (name, p, n, (m : Sim.Metrics.t), (b : Obs.Attrib.buckets)) ->
+          (fun (name, p, n, (m : Sim.Metrics.t), (b : Obs.Summary.buckets)) ->
             Obs.Json.Obj
               [
                 ("workload", Obs.Json.Str name);
@@ -239,12 +237,12 @@ let run_attrib () =
                 ("n", Obs.Json.Int n);
                 ("makespan", Obs.Json.Int m.Sim.Metrics.makespan);
                 ("span_realized", Obs.Json.Int m.Sim.Metrics.span_realized);
-                ("attrib_core", Obs.Json.Int b.Obs.Attrib.core);
-                ("attrib_batch", Obs.Json.Int b.Obs.Attrib.batch);
-                ("attrib_setup", Obs.Json.Int b.Obs.Attrib.setup);
-                ("attrib_sched", Obs.Json.Int b.Obs.Attrib.sched);
-                ("attrib_idle", Obs.Json.Int b.Obs.Attrib.idle);
-                ("attrib_wait", Obs.Json.Int b.Obs.Attrib.wait);
+                ("attrib_core", Obs.Json.Int b.core);
+                ("attrib_batch", Obs.Json.Int b.batch);
+                ("attrib_setup", Obs.Json.Int b.setup);
+                ("attrib_sched", Obs.Json.Int b.sched);
+                ("attrib_idle", Obs.Json.Int b.idle);
+                ("attrib_wait", Obs.Json.Int b.wait);
               ])
           rows))
 

@@ -5,7 +5,15 @@
 
 let () =
   let shape = if Array.length Sys.argv > 1 then Sys.argv.(1) else "parallel" in
-  let n = try int_of_string Sys.argv.(2) with _ -> 8 in
+  let n =
+    if Array.length Sys.argv <= 2 then 8
+    else
+      match int_of_string_opt Sys.argv.(2) with
+      | Some n -> n
+      | None ->
+          Printf.eprintf "size %S is not an integer\n" Sys.argv.(2);
+          exit 2
+  in
   let model = Batched.Skiplist.sim_model ~initial_size:1024 () in
   let workload =
     match shape with

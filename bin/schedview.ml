@@ -1,16 +1,17 @@
-(* schedview: measured-vs-predicted Theorem-1 bound tables, per-worker
-   utilization, and critical-path breakdown for one workload, its
-   Chrome trace, plus a tabular viewer for snapshot JSONL streams.
+(* schedview: the measured-vs-predicted Theorem-1 bound table and the
+   recording summary for one workload, its Chrome trace, plus a tabular
+   viewer for snapshot JSONL streams.
 
    Default mode runs the workload deterministically through the
-   simulator (and, with --runtime, --out, --summary or --snapshot,
-   through the OCaml-domains runtime), with a recorder attached to each
-   run, folds the recording into Obs.Attrib / Obs.Critpath, and prints:
+   simulator (and, with --runtime, --out or --snapshot, through the
+   OCaml-domains runtime), with a recorder attached to each run, reads
+   each recording once into Obs.Summary, and prints:
 
    - the bound table: each Theorem-1 term next to the measured bucket
-     that realizes it, with the makespan/bound ratio;
-   - per-worker utilization rows (percentage of time per bucket);
-   - the serialization chains and top critical-path segments.
+     that realizes it, with the makespan/bound ratio (simulator only);
+   - each execution's Summary.pp: the six worker-time buckets, per-worker
+     utilization, status time, per-structure serialization chains,
+     histograms, the critical-path witness and its top segments.
 
    --out writes both runs as one Chrome trace-event JSON, as separate
    processes — open it in Perfetto / chrome://tracing. The sim process
@@ -18,68 +19,22 @@
    wall-clock. Worker tracks show status spans plus steal instants;
    each structure gets a synthetic batch track (tid 1000+sid) with one
    span per LAUNCHBATCH, and each worker a work track (tid 2000+w) of
-   class-colored Work spans. --summary prints both runs' aggregated
-   histograms; --snapshot streams live counter-delta JSONL.
+   class-colored Work spans. --snapshot streams live counter-delta
+   JSONL.
 
-   Conservation is a gate, not a report: if the attribution buckets do
-   not sum to P x makespan (sim) or fail to tile each worker's observed
-   span (runtime), schedview exits 1. CI runs this on every push.
+   Conservation is a gate, not a report: if the buckets do not sum to
+   P x makespan (sim) or fail to tile each worker's observed span
+   (runtime), schedview exits 1. CI runs this on every push.
 
      dune exec bin/schedview.exe -- --workload fig5 --p 4 --n 300
      dune exec bin/schedview.exe -- --workload multi --runtime --json sv.json
      dune exec bin/schedview.exe -- --workload fig5 --p 4 --out trace.json
-     dune exec bin/schedview.exe -- --workload multi --p 8 --summary
      dune exec bin/schedview.exe -- --snapshot-file live.jsonl *)
-
-let pct ~of_ v =
-  if of_ = 0 then 0.0 else 100.0 *. float_of_int v /. float_of_int of_
-
-(* ---- per-worker utilization table ---- *)
-
-let print_utilization (a : Obs.Attrib.t) =
-  Printf.printf
-    "  worker   core%%  batch%%  setup%%  sched%%   idle%%   wait%%   covered/span\n";
-  Array.iter
-    (fun (wa : Obs.Attrib.worker_account) ->
-      let span = wa.wa_last - wa.wa_first in
-      let b = wa.wa_buckets in
-      Printf.printf
-        "  %6d  %5.1f  %6.1f  %6.1f  %6.1f  %6.1f  %6.1f   %d/%d\n"
-        wa.wa_worker
-        (pct ~of_:span b.Obs.Attrib.core)
-        (pct ~of_:span b.Obs.Attrib.batch)
-        (pct ~of_:span b.Obs.Attrib.setup)
-        (pct ~of_:span b.Obs.Attrib.sched)
-        (pct ~of_:span b.Obs.Attrib.idle)
-        (pct ~of_:span b.Obs.Attrib.wait)
-        wa.wa_covered span)
-    a.Obs.Attrib.per_worker
-
-let print_critpath (cp : Obs.Critpath.t) ~makespan =
-  Printf.printf "  T_inf witness: %d (%.1f%% of makespan), max op latency %d\n"
-    cp.Obs.Critpath.t_inf_witness
-    (pct ~of_:makespan cp.Obs.Critpath.t_inf_witness)
-    cp.Obs.Critpath.max_op_latency;
-  Array.iter
-    (fun (c : Obs.Critpath.chain) ->
-      if c.Obs.Critpath.ch_batches > 0 then
-        Printf.printf
-          "  structure %d: %d batches serialized over %d units (longest %d)\n"
-          c.Obs.Critpath.ch_sid c.Obs.Critpath.ch_batches
-          c.Obs.Critpath.ch_serial c.Obs.Critpath.ch_longest)
-    cp.Obs.Critpath.chains;
-  List.iteri
-    (fun i (s : Obs.Critpath.segment) ->
-      if i < 5 then
-        Printf.printf "  top[%d]: %-5s sid=%d start=%d len=%d worker=%d\n" i
-          s.Obs.Critpath.sg_kind s.Obs.Critpath.sg_sid s.Obs.Critpath.sg_start
-          s.Obs.Critpath.sg_len s.Obs.Critpath.sg_worker)
-    cp.Obs.Critpath.top
 
 (* ---- sim: measured-vs-predicted bound table ---- *)
 
-let sim_tables ~workload ~(metrics : Sim.Metrics.t) ~(a : Obs.Attrib.t)
-    ~(cp : Obs.Critpath.t) =
+let bound_table ~workload ~(metrics : Sim.Metrics.t)
+    (tot : Obs.Summary.buckets) =
   let p = metrics.Sim.Metrics.p in
   let t1, t_inf, n_ops, m = Sim.Workload.core_metrics workload in
   let w = metrics.Sim.Metrics.batch_work + metrics.Sim.Metrics.setup_work in
@@ -91,7 +46,6 @@ let sim_tables ~workload ~(metrics : Sim.Metrics.t) ~(a : Obs.Attrib.t)
   let setup_span = 2 * ((2 * Batcher_core.Theory.log2i p) + 1) in
   let s = batch_span + setup_span in
   let predicted = Check.Bound.theorem1 ~workload ~metrics in
-  let tot = a.Obs.Attrib.total in
   let fdiv x y = if y = 0 then 0.0 else float_of_int x /. float_of_int y in
   Printf.printf
     "Theorem-1 decomposition (sim, %d workers, makespan %d steps):\n" p
@@ -99,54 +53,24 @@ let sim_tables ~workload ~(metrics : Sim.Metrics.t) ~(a : Obs.Attrib.t)
   Printf.printf "  %-22s %12s %12s   %s\n" "term" "predicted" "measured"
     "measured source";
   Printf.printf "  %-22s %12.1f %12.1f   %s\n" "T1/P" (fdiv t1 p)
-    (fdiv tot.Obs.Attrib.core p) "core bucket / P";
+    (fdiv tot.core p) "core bucket / P";
   Printf.printf "  %-22s %12.1f %12.1f   %s\n" "(W(n)+n*s(n))/P"
     (fdiv (w + (n_ops * s)) p)
-    (fdiv (tot.Obs.Attrib.batch + tot.Obs.Attrib.setup) p)
+    (fdiv (tot.batch + tot.setup) p)
     "(batch+setup) / P";
   Printf.printf "  %-22s %12d %12.1f   %s\n" "m*s(n)" (m * s)
-    (fdiv tot.Obs.Attrib.wait p) "wait bucket / P";
+    (fdiv tot.wait p) "wait bucket / P";
   Printf.printf "  %-22s %12d %12d   %s\n" "T_inf" t_inf
     metrics.Sim.Metrics.span_realized "realized span (witness below)";
   Printf.printf "  %-22s %12s %12.1f   %s\n" "sched+idle (unmodeled)" "-"
-    (fdiv (tot.Obs.Attrib.sched + tot.Obs.Attrib.idle) p)
+    (fdiv (tot.sched + tot.idle) p)
     "(sched+idle) / P";
   Printf.printf "  %-22s %12d %12d   ratio %.2f\n" "bound vs makespan" predicted
     metrics.Sim.Metrics.makespan
     (Check.Bound.ratio ~workload ~metrics);
   Printf.printf
     "  (n=%d ops, m=%d batches, s(n)=%d = widest batch span %d + setup %d)\n"
-    n_ops m s batch_span setup_span;
-  Printf.printf "\nPer-worker utilization (sim):\n";
-  print_utilization a;
-  Printf.printf "\nCritical path (sim):\n";
-  print_critpath cp ~makespan:metrics.Sim.Metrics.makespan
-
-(* ---- runtime: measured decomposition only (no sim-step prediction) ---- *)
-
-let runtime_tables ~(a : Obs.Attrib.t) ~(cp : Obs.Critpath.t) =
-  let tot = a.Obs.Attrib.total in
-  let covered = Obs.Attrib.total_covered a in
-  Printf.printf
-    "\nRuntime decomposition (%d workers, %d ns of observed worker time):\n"
-    a.Obs.Attrib.p covered;
-  let row name v =
-    Printf.printf "  %-8s %14d ns  %5.1f%%\n" name v (pct ~of_:covered v)
-  in
-  row "core" tot.Obs.Attrib.core;
-  row "batch" tot.Obs.Attrib.batch;
-  row "setup" tot.Obs.Attrib.setup;
-  row "sched" tot.Obs.Attrib.sched;
-  let span =
-    Array.fold_left
-      (fun acc (wa : Obs.Attrib.worker_account) ->
-        max acc (wa.wa_last - wa.wa_first))
-      0 a.Obs.Attrib.per_worker
-  in
-  Printf.printf "\nPer-worker utilization (runtime, span = loop entry..exit):\n";
-  print_utilization a;
-  Printf.printf "\nCritical path (runtime, ns):\n";
-  print_critpath cp ~makespan:span
+    n_ops m s batch_span setup_span
 
 (* ---- snapshot JSONL viewer ---- *)
 
@@ -203,16 +127,16 @@ let view_snapshot_file path =
 
 (* ---- driver ---- *)
 
-let main workload overhead p n seed ~runtime ~json ~out ~summary ~snapshot =
+let main workload overhead p n seed ~runtime ~json ~out ~snapshot =
   let snap_oc = Option.map open_out snapshot in
   let sim_rc, metrics, w =
     Workloads.run_sim ?snapshot_oc:snap_oc workload ~p ~n ~seed ~overhead
   in
-  let a = Obs.Attrib.of_recorder sim_rc in
-  let cp = Obs.Critpath.of_recorder sim_rc in
-  sim_tables ~workload:w ~metrics ~a ~cp;
+  let sim = Obs.Summary.of_recorder sim_rc in
+  bound_table ~workload:w ~metrics sim.Obs.Summary.total;
+  Format.printf "@.---- simulator ----@.%a@?" Obs.Summary.pp sim;
   (* The gate: conservation must hold exactly on the sim clock, and the
-     full cross-check (attrib vs sim counters, span/witness <= makespan)
+     full cross-check (buckets vs sim counters, span/witness <= makespan)
      must pass. CI treats a non-zero exit here as a regression. *)
   let fail who = function
     | Ok () -> ()
@@ -221,7 +145,7 @@ let main workload overhead p n seed ~runtime ~json ~out ~summary ~snapshot =
         exit 1
   in
   fail "sim conservation"
-    (Obs.Attrib.check ~expected:(p * metrics.Sim.Metrics.makespan) a);
+    (Obs.Summary.check ~expected:(p * metrics.Sim.Metrics.makespan) sim);
   fail "sim cross-check"
     (Check.Bound.cross_check ~workload:w ~metrics ~recorder:sim_rc ());
   Printf.printf "\nsim conservation: OK (buckets sum to %d x %d)\n" p
@@ -232,35 +156,26 @@ let main workload overhead p n seed ~runtime ~json ~out ~summary ~snapshot =
       let rt_rc =
         Workloads.run_runtime ?snapshot_oc:snap_oc workload ~p ~n ~seed
       in
-      let ra = Obs.Attrib.of_recorder rt_rc in
-      let rcp = Obs.Critpath.of_recorder rt_rc in
-      runtime_tables ~a:ra ~cp:rcp;
+      let rs = Obs.Summary.of_recorder rt_rc in
+      Format.printf "@.---- real runtime ----@.%a@?" Obs.Summary.pp rs;
       (* Runtime gate: buckets must tile each worker's observed span
          (segments are emitted back to back, so this is exact in
          integer nanoseconds unless events were dropped). *)
-      fail "runtime conservation" (Obs.Attrib.check ra);
+      fail "runtime conservation" (Obs.Summary.check rs);
       Printf.printf "\nruntime conservation: OK (buckets tile observed spans)\n";
-      Some (rt_rc, ra, rcp)
+      Some (rt_rc, rs)
     end
   in
   Option.iter close_out snap_oc;
   Option.iter (fun path -> Printf.printf "snapshots -> %s\n" path) snapshot;
   (match (out, rt) with
-  | Some path, Some (rt_rc, _, _) ->
+  | Some path, Some (rt_rc, _) ->
       Obs.Chrome.write_file ~path
         [
           { Obs.Chrome.pid = 1; name = "sim (1 step = 1us)"; recording = sim_rc };
           { Obs.Chrome.pid = 2; name = "runtime (wall clock)"; recording = rt_rc };
         ];
       Printf.printf "wrote %s\n" path
-  | _ -> ());
-  (match rt with
-  | Some (rt_rc, _, _) when summary ->
-      Format.printf "@.---- simulator ----@.%a" Obs.Summary.pp
-        (Obs.Summary.of_recorder sim_rc);
-      Format.printf "@.---- real runtime ----@.%a" Obs.Summary.pp
-        (Obs.Summary.of_recorder rt_rc);
-      Format.print_flush ()
   | _ -> ());
   (match json with
   | None -> ()
@@ -275,17 +190,12 @@ let main workload overhead p n seed ~runtime ~json ~out ~summary ~snapshot =
           ("span_realized", Obs.Json.Int metrics.Sim.Metrics.span_realized);
           ("bound", Obs.Json.Int (Check.Bound.theorem1 ~workload:w ~metrics));
           ("ratio", Obs.Json.Float (Check.Bound.ratio ~workload:w ~metrics));
-          ("sim_attrib", Obs.Attrib.to_json a);
-          ("sim_critpath", Obs.Critpath.to_json cp);
+          ("sim", Obs.Summary.to_json sim);
         ]
         @
         match rt with
         | None -> []
-        | Some (_, ra, rcp) ->
-            [
-              ("runtime_attrib", Obs.Attrib.to_json ra);
-              ("runtime_critpath", Obs.Critpath.to_json rcp);
-            ]
+        | Some (_, rs) -> [ ("runtime", Obs.Summary.to_json rs) ]
       in
       let oc = open_out path in
       output_string oc (Obs.Json.to_string (Obs.Json.Obj fields));
@@ -302,10 +212,11 @@ let usage () =
   prerr_endline
     "usage: schedview [--workload fig5|counter|multi] [--model tree|fused|none]\n\
     \                 [--p P] [--n N] [--seed S] [--runtime] [--json out.json]\n\
-    \                 [--out trace.json] [--summary] [--snapshot live.jsonl]\n\
+    \                 [--out trace.json] [--snapshot live.jsonl]\n\
     \       schedview --snapshot-file live.jsonl\n\n\
-     Prints the measured-vs-predicted Theorem-1 bound table, per-worker\n\
-     utilization, and critical-path chains for one workload. Exits 1 if\n\
+     Prints the measured-vs-predicted Theorem-1 bound table and each\n\
+     execution's recording summary (buckets, per-worker utilization,\n\
+     chains, histograms, critical path) for one workload. Exits 1 if\n\
      bucket conservation (sum = P x makespan / per-worker tiling) fails.\n\
     \  --workload       fig5 (default) | counter | multi\n\
     \  --model          simulator overhead model: tree (default) | fused | none\n\
@@ -313,10 +224,8 @@ let usage () =
     \  --n              operation count (default 200)\n\
     \  --seed           scheduler seed (default 1)\n\
     \  --runtime        also run and decompose the OCaml-domains runtime\n\
-    \  --json           write the decomposition as JSON to PATH\n\
+    \  --json           write the bound and each summary as JSON to PATH\n\
     \  --out            write both runs as one Chrome trace to PATH\n\
-    \                   (runs the runtime leg)\n\
-    \  --summary        print both runs' aggregated histograms\n\
     \                   (runs the runtime leg)\n\
     \  --snapshot       stream live counter-delta JSONL to PATH (tail -f it;\n\
     \                   runs the runtime leg)\n\
@@ -331,7 +240,6 @@ let () =
   let runtime = ref false in
   let json = ref None in
   let out = ref None in
-  let summary = ref false in
   let snapshot = ref None in
   let snapshot_file = ref None in
   let bad fmt =
@@ -385,7 +293,6 @@ let () =
         | "--runtime" -> runtime := true; go rest
         | "--json" -> value rest (fun v rest -> json := Some v; go rest)
         | "--out" | "-o" -> value rest (fun v rest -> out := Some v; go rest)
-        | "--summary" -> summary := true; go rest
         | "--snapshot" -> value rest (fun v rest -> snapshot := Some v; go rest)
         | "--snapshot-file" ->
             value rest (fun v rest -> snapshot_file := Some v; go rest)
@@ -400,5 +307,5 @@ let () =
   | None ->
       exit
         (main !workload !overhead !p !n !seed
-           ~runtime:(!runtime || !out <> None || !summary || !snapshot <> None)
-           ~json:!json ~out:!out ~summary:!summary ~snapshot:!snapshot)
+           ~runtime:(!runtime || !out <> None || !snapshot <> None)
+           ~json:!json ~out:!out ~snapshot:!snapshot)

@@ -100,7 +100,7 @@ let service_check ?(factor = 4.0) ~p ~wait_max ~total_work ~per_shard_ops
 (* Cross-validate the recorder-derived attribution against the
    simulator's own counters and against the bound's structure. The two
    accountings are produced by disjoint code paths (Work/Steal events
-   folded by Obs.Attrib vs. the [attribute] counters inside the
+   folded by Obs.Summary vs. the [attribute] counters inside the
    scheduler loop), so agreement here certifies both. *)
 let cross_check ?ms_factor ~workload ~metrics ~recorder () =
   let ( let* ) = Result.bind in
@@ -109,10 +109,10 @@ let cross_check ?ms_factor ~workload ~metrics ~recorder () =
     if Obs.Recorder.enabled recorder then Ok ()
     else Error "cross_check: recorder disabled"
   in
-  let a = Obs.Attrib.of_recorder recorder in
+  let a = Obs.Summary.of_recorder recorder in
   let* () =
     Result.map_error (fun e -> "attrib: " ^ e)
-      (Obs.Attrib.check ~expected:(metrics.p * metrics.makespan) a)
+      (Obs.Summary.check ~expected:(metrics.p * metrics.makespan) a)
   in
   let eq name got want =
     if got = want then Ok ()
@@ -121,9 +121,9 @@ let cross_check ?ms_factor ~workload ~metrics ~recorder () =
         (Printf.sprintf "attrib %s %d disagrees with sim counter %d" name got
            want)
   in
-  let* () = eq "core" a.Obs.Attrib.total.Obs.Attrib.core metrics.core_work in
-  let* () = eq "batch" a.Obs.Attrib.total.Obs.Attrib.batch metrics.batch_work in
-  let* () = eq "setup" a.Obs.Attrib.total.Obs.Attrib.setup metrics.setup_work in
+  let* () = eq "core" a.Obs.Summary.total.core metrics.core_work in
+  let* () = eq "batch" a.Obs.Summary.total.batch metrics.batch_work in
+  let* () = eq "setup" a.Obs.Summary.total.setup metrics.setup_work in
   (* Per-shard conservation: fold the recorder's Batch_start/Batch_end
      stream per sid and demand every structure collected exactly the
      ops the workload assigned it (each ds node is batched exactly
@@ -137,7 +137,7 @@ let cross_check ?ms_factor ~workload ~metrics ~recorder () =
     let bad = ref None in
     let fail fmt = Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt in
     Array.iter
-      (fun (sa : Obs.Attrib.structure_account) ->
+      (fun (sa : Obs.Summary.structure_account) ->
         batches := !batches + sa.sa_batches;
         ops := !ops + sa.sa_ops;
         setup := !setup + sa.sa_setup;
@@ -149,7 +149,7 @@ let cross_check ?ms_factor ~workload ~metrics ~recorder () =
             fail "sid %d batch-busy %d units exceeds makespan %d" sa.sa_sid
               sa.sa_busy metrics.makespan
         end)
-      a.Obs.Attrib.per_structure;
+      a.Obs.Summary.per_structure;
     Array.iteri
       (fun sid n_i ->
         if got.(sid) <> n_i then
@@ -172,13 +172,12 @@ let cross_check ?ms_factor ~workload ~metrics ~recorder () =
         (Printf.sprintf "span_realized %d exceeds makespan %d"
            metrics.span_realized metrics.makespan)
   in
-  let cp = Obs.Critpath.of_recorder recorder in
   let* () =
-    if cp.Obs.Critpath.t_inf_witness <= metrics.makespan then Ok ()
+    if a.Obs.Summary.t_inf_witness <= metrics.makespan then Ok ()
     else
       Error
         (Printf.sprintf "critical-path witness %d exceeds makespan %d"
-           cp.Obs.Critpath.t_inf_witness metrics.makespan)
+           a.Obs.Summary.t_inf_witness metrics.makespan)
   in
   match ms_factor with
   | None -> Ok ()
@@ -195,8 +194,7 @@ let cross_check ?ms_factor ~workload ~metrics ~recorder () =
       let w = metrics.batch_work + metrics.setup_work in
       let ns_sum, s_max = composed_terms ~workload ~metrics in
       let per_worker_wait =
-        float_of_int a.Obs.Attrib.total.Obs.Attrib.wait
-        /. float_of_int metrics.p
+        float_of_int a.Obs.Summary.total.wait /. float_of_int metrics.p
       in
       let budget =
         factor

@@ -102,17 +102,18 @@ val cross_check :
   recorder:Obs.Recorder.t ->
   unit ->
   (unit, string) result
-(** Cross-validate the event-derived attribution ({!Obs.Attrib}) of a
+(** Cross-validate the event-derived attribution ({!Obs.Summary}) of a
     recorded simulator run against the scheduler's own counters —
     disjoint code paths, so agreement certifies both. Checks, in order:
     bucket conservation (sum = P × makespan, per-worker tiling, no
     drops); attributed core/batch/setup equal the simulator's
     [core_work]/[batch_work]/[setup_work]; per-shard conservation —
     folding the recorder's Batch_start/Batch_end stream per sid
-    ({!Obs.Attrib.per_structure}) must show each structure collecting
+    ([Obs.Summary.per_structure]) must show each structure collecting
     exactly the ops the workload assigned it, totals re-summing to the
     sim counters, and no structure batch-busy longer than the makespan;
-    [span_realized] ≤ makespan; the {!Obs.Critpath} witness ≤ makespan.
+    [span_realized] ≤ makespan; the summary's critical-path witness ≤
+    makespan. The recording is read once.
     With [ms_factor], also requires the per-worker serialized-wait
     bucket to stay within
     [ms_factor × ((W+Σᵢnᵢ·sᵢ)/P + m·maxᵢsᵢ) + maxᵢsᵢ] — workers are

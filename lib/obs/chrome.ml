@@ -12,19 +12,6 @@ let ts_of recorder time =
   | Recorder.Timesteps -> float_of_int time  (* 1 timestep = 1 us *)
   | Recorder.Nanoseconds -> float_of_int time /. 1000.0
 
-let status_name = function
-  | Recorder.Free -> "free"
-  | Recorder.Pending -> "pending"
-  | Recorder.Executing -> "executing"
-  | Recorder.Done -> "done"
-
-let class_name = function
-  | Recorder.Wcore -> "core"
-  | Recorder.Wbatch -> "batch"
-  | Recorder.Wsetup -> "setup"
-  | Recorder.Wsched -> "sched"
-  | Recorder.Wwait -> "wait"
-
 (* One rendered trace event, before sorting. *)
 type ev = { e_tid : int; e_ts : float; e_json : float -> Json.t }
 
@@ -62,7 +49,7 @@ let worker_events t w acc =
     if !cur_status <> Recorder.Free && time > !since then
       push w !since
         (span
-           ~name:(status_name !cur_status)
+           ~name:(Recorder.status_name !cur_status)
            ~cat:"status" ~pid ~tid:w
            ~dur:(ts_of r time -. ts_of r !since)
            [])
@@ -103,7 +90,7 @@ let worker_events t w acc =
           (* The event marks the run's end; the span starts [units] clock
              units earlier, on the worker's companion work track. *)
           push (work_tid_base + w) (e.time - units)
-            (span ~name:(class_name cls) ~cat:"work" ~pid
+            (span ~name:(Recorder.work_class_name cls) ~cat:"work" ~pid
                ~tid:(work_tid_base + w)
                ~dur:(ts_of r e.time -. ts_of r (e.time - units))
                [ ("units", Json.Int units) ])

@@ -20,19 +20,6 @@ let create ?(path = "flight.json") ?(limit_per_worker = 2048) ?extra rc =
     last = None;
   }
 
-let status_name = function
-  | Recorder.Free -> "free"
-  | Recorder.Pending -> "pending"
-  | Recorder.Executing -> "executing"
-  | Recorder.Done -> "done"
-
-let class_name = function
-  | Recorder.Wcore -> "core"
-  | Recorder.Wbatch -> "batch"
-  | Recorder.Wsetup -> "setup"
-  | Recorder.Wsched -> "sched"
-  | Recorder.Wwait -> "wait"
-
 let event_json (e : Recorder.event) =
   let base k fields =
     Json.Obj
@@ -40,7 +27,8 @@ let event_json (e : Recorder.event) =
       :: fields)
   in
   match e.kind with
-  | Recorder.Status s -> base "status" [ ("status", Json.Str (status_name s)) ]
+  | Recorder.Status s ->
+      base "status" [ ("status", Json.Str (Recorder.status_name s)) ]
   | Recorder.Steal { victim; success; batch_deque } ->
       base "steal"
         [
@@ -64,7 +52,11 @@ let event_json (e : Recorder.event) =
   | Recorder.Steals_suppressed { count } ->
       base "steals_suppressed" [ ("count", Json.Int count) ]
   | Recorder.Work { cls; units } ->
-      base "work" [ ("cls", Json.Str (class_name cls)); ("units", Json.Int units) ]
+      base "work"
+        [
+          ("cls", Json.Str (Recorder.work_class_name cls));
+          ("units", Json.Int units);
+        ]
   | Recorder.Violation { check; sid; arg } ->
       base "violation"
         [
@@ -72,19 +64,6 @@ let event_json (e : Recorder.event) =
           ("sid", Json.Int sid);
           ("arg", Json.Int arg);
         ]
-
-let tag_names =
-  [|
-    "status";
-    "steal";
-    "batch_start";
-    "batch_end";
-    "op_issue";
-    "op_done";
-    "steals_suppressed";
-    "work";
-    "violation";
-  |]
 
 let last_events t w =
   let l = Recorder.events_of_worker t.rc w in
@@ -108,16 +87,14 @@ let dump_json ~reason t =
   Json.Obj
     [
       ("reason", Json.Str reason);
-      ( "clock",
-        Json.Str
-          (match Recorder.clock rc with
-          | Recorder.Timesteps -> "steps"
-          | Recorder.Nanoseconds -> "ns") );
+      ("clock", Json.Str (Recorder.clock_name (Recorder.clock rc)));
       ("workers", Json.Int workers);
       ( "tag_totals",
         Json.Obj
           (Array.to_list
-             (Array.mapi (fun k name -> (name, Json.Int totals.(k))) tag_names)) );
+             (Array.mapi
+                (fun k name -> (name, Json.Int totals.(k)))
+                Recorder.tag_names)) );
       ( "dropped",
         Json.List
           (List.init workers (fun w -> Json.Int (Recorder.dropped rc ~worker:w))) );

@@ -139,6 +139,36 @@ let check_name = function
   | Lemma2 -> "lemma2"
   | Stall -> "stall"
 
+let clock_name = function Timesteps -> "steps" | Nanoseconds -> "ns"
+
+let status_name = function
+  | Free -> "free"
+  | Pending -> "pending"
+  | Executing -> "executing"
+  | Done -> "done"
+
+let work_class_name = function
+  | Wcore -> "core"
+  | Wbatch -> "batch"
+  | Wsetup -> "setup"
+  | Wsched -> "sched"
+  | Wwait -> "wait"
+
+let tag_names =
+  [|
+    "status";
+    "steal";
+    "batch_start";
+    "batch_end";
+    "op_issue";
+    "op_done";
+    "steals_suppressed";
+    "work";
+    "violation";
+  |]
+
+let () = assert (Array.length tag_names = n_tags)
+
 let emit_status t ~worker ~time s = emit t ~worker ~time 0 (status_code s) 0 0
 
 let emit_steal t ~worker ~time ~victim ~success ~batch_deque =

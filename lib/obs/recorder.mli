@@ -31,7 +31,7 @@ type status = Free | Pending | Executing | Done
     the real runtime), and — runtime only — time a worker trapped in
     BATCHIFY spends waiting for its operation's batch outside batch
     tasks (the simulator records that as failed trapped steals). See
-    {!Attrib}. *)
+    {!Summary}. *)
 type work_class = Wcore | Wbatch | Wsetup | Wsched | Wwait
 
 (** Which online safety property a {!kind.Violation} event reports
@@ -69,7 +69,7 @@ type kind =
           one work class, ending at the event's time. Emitters flush a
           run when the class changes (and at shutdown), so per-worker
           [Work] segments tile the worker's busy timeline without
-          overlap — the invariant {!Attrib}'s conservation check rests
+          overlap — the invariant {!Summary.check}'s conservation rests
           on *)
   | Violation of { check : check; sid : int; arg : int }
       (** an online checker caught [check] broken for structure [sid];
@@ -104,6 +104,15 @@ val epoch : t -> int
     on {!null}). [time - epoch t] puts a raw stamp on the recorder's
     basis. *)
 
+val clock_name : clock -> string
+(** ["steps"] or ["ns"]: the unit JSON sinks print. *)
+
+val status_name : status -> string
+(** ["free"], ["pending"], ["executing"] or ["done"]. *)
+
+val work_class_name : work_class -> string
+(** ["core"], ["batch"], ["setup"], ["sched"] or ["wait"]. *)
+
 (* ---- hot-path emitters (scalar arguments only; no allocation) ---- *)
 
 val emit_status : t -> worker:int -> time:int -> status -> unit
@@ -124,8 +133,14 @@ val emit_violation :
 
 (* ---- live counters (safe to sample while a run is in flight) ---- *)
 
+val tag_names : string array
+(** Event tag names, indexed by tag code: ["status"], ["steal"],
+    ["batch_start"], ["batch_end"], ["op_issue"], ["op_done"],
+    ["steals_suppressed"], ["work"], ["violation"]. *)
+
 val n_tags : int
-(** Number of event tags; the length of {!tag_totals}'s result. *)
+(** Number of event tags; the length of {!tag_names} and of
+    {!tag_totals}'s result. *)
 
 val n_checks : int
 (** Number of {!check} variants; {!check_code} maps onto [0..n_checks-1]. *)
@@ -137,9 +152,7 @@ val check_name : check -> string
     [bin/monitor.exe]. *)
 
 val tag_totals : t -> int array
-(** Events emitted so far per tag (order: status, steal, batch_start,
-    batch_end, op_issue, op_done, steals_suppressed, work, violation),
-    summed over
+(** Events emitted so far per tag (in {!tag_names} order), summed over
     workers and {e including} events already overwritten by ring
     wraparound. Reading while workers are emitting is deliberately
     unsynchronized — each counter is a single plain-int load, so a

@@ -9,21 +9,6 @@ type t = {
   mutable closed : bool;
 }
 
-let tag_names =
-  [|
-    "status";
-    "steal";
-    "batch_start";
-    "batch_end";
-    "op_issue";
-    "op_done";
-    "steals_suppressed";
-    "work";
-    "violation";
-  |]
-
-let () = assert (Array.length tag_names = Recorder.n_tags)
-
 let no_extra () = []
 
 let to_channel ?(health = Health.null) ?(extra = no_extra) rc oc =
@@ -54,7 +39,9 @@ let to_file ?(health = Health.null) ?(extra = no_extra) rc ~path =
 let counters_json totals =
   Json.Obj
     (Array.to_list
-       (Array.mapi (fun k name -> (name, Json.Int totals.(k))) tag_names))
+       (Array.mapi
+          (fun k name -> (name, Json.Int totals.(k)))
+          Recorder.tag_names))
 
 let sample ?time t =
   if not t.closed then begin

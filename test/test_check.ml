@@ -96,11 +96,9 @@ let test_cross_check () =
   check_ok (Check.Bound.cross_check ~workload ~metrics ~recorder ());
   check_ok
     (Check.Bound.cross_check ~ms_factor:16.0 ~workload ~metrics ~recorder ());
-  let a = Obs.Attrib.of_recorder recorder in
+  let s = Obs.Summary.of_recorder recorder in
   (match
-     Obs.Attrib.check
-       ~expected:((p * metrics.Sim.Metrics.makespan) + 1)
-       a
+     Obs.Summary.check ~expected:((p * metrics.Sim.Metrics.makespan) + 1) s
    with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "off-by-one expectation accepted");

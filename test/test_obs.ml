@@ -257,6 +257,10 @@ let run_recorded ?(p = 4) ?(invariants = Obs.Invariants.null) () =
   in
   (rc, m)
 
+(* Σ of one per-structure field. *)
+let structure_sum f (s : Obs.Summary.t) =
+  Array.fold_left (fun acc sa -> acc + f sa) 0 s.Obs.Summary.per_structure
+
 let test_sim_recording_matches_metrics () =
   (* Recorder and Exact checkers ride on one probe: each sees every op
      and every batch exactly once. *)
@@ -265,15 +269,17 @@ let test_sim_recording_matches_metrics () =
   check "no violations" 0 (Obs.Invariants.total_violations inv);
   check "pending balance drained" 0 (Obs.Invariants.pending inv ~sid:0);
   let s = Obs.Summary.of_recorder rc in
-  check "batches" m.Sim.Metrics.batches s.Obs.Summary.batches;
+  check "batches" m.Sim.Metrics.batches
+    (structure_sum (fun sa -> sa.Obs.Summary.sa_batches) s);
   check "batch size total" m.Sim.Metrics.batch_size_total
     (Obs.Summary.Histo.total s.Obs.Summary.batch_size);
   check "max batch size" m.Sim.Metrics.max_batch_size
     (Obs.Summary.Histo.max_v s.Obs.Summary.batch_size);
-  check "ops" 200 s.Obs.Summary.ops;
+  check "ops" 200 (Obs.Summary.Histo.count s.Obs.Summary.op_latency);
   check "steal attempts" m.Sim.Metrics.steal_attempts s.Obs.Summary.steal_attempts;
   check "steal successes" m.Sim.Metrics.steal_successes s.Obs.Summary.steal_successes;
-  check "setup work" m.Sim.Metrics.setup_work s.Obs.Summary.setup_total;
+  check "setup work" m.Sim.Metrics.setup_work
+    (structure_sum (fun sa -> sa.Obs.Summary.sa_setup) s);
   check "lemma2 max" m.Sim.Metrics.max_batches_while_pending
     s.Obs.Summary.max_batches_seen;
   (* The empirical Lemma-2 statement under the paper's scheduler. *)
@@ -366,9 +372,16 @@ let test_summary_json () =
   let rc, m = run_recorded () in
   let s = Obs.Summary.of_recorder rc in
   let j = roundtrip (Obs.Summary.to_json s) in
-  (match Obs.Json.member "batches" j with
-  | Some (Obs.Json.Int b) -> check "json batches" m.Sim.Metrics.batches b
-  | _ -> Alcotest.fail "summary json missing batches");
+  (match Obs.Json.member "per_structure" j with
+  | Some (Obs.Json.List l) ->
+      check "json batches" m.Sim.Metrics.batches
+        (List.fold_left
+           (fun acc sa ->
+             match Obs.Json.member "batches" sa with
+             | Some (Obs.Json.Int b) -> acc + b
+             | _ -> Alcotest.fail "summary json structure missing batches")
+           0 l)
+  | _ -> Alcotest.fail "summary json missing per_structure");
   match Obs.Json.member "max_batches_while_pending" j with
   | Some (Obs.Json.Int v) ->
       check "json lemma2" m.Sim.Metrics.max_batches_while_pending v
@@ -396,10 +409,12 @@ let test_runtime_recording_smoke () =
   Runtime.Pool.teardown pool;
   check "counter value" n (Batched.Counter.value counter);
   let s = Obs.Summary.of_recorder rc in
-  check "every op completed" n s.Obs.Summary.ops;
+  check "every op completed" n
+    (Obs.Summary.Histo.count s.Obs.Summary.op_latency);
   check "batch sizes sum to ops" n (Obs.Summary.Histo.total s.Obs.Summary.batch_size);
   let st = Runtime.Batcher_rt.stats b in
-  check "batch events match stats" st.Runtime.Batcher_rt.batches s.Obs.Summary.batches;
+  check "batch events match stats" st.Runtime.Batcher_rt.batches
+    (structure_sum (fun sa -> sa.Obs.Summary.sa_batches) s);
   check_bool "latencies positive" true
     (Obs.Summary.Histo.min_v s.Obs.Summary.op_latency > 0);
   (* And the combined two-process trace is valid JSON. *)
@@ -516,8 +531,8 @@ let test_work_event_readback () =
       | _ -> Alcotest.fail "work event 2 kind")
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
   let s = Obs.Summary.of_recorder rc in
-  check "work units batch" 7 s.Obs.Summary.work_units.(1);
-  check "work units sched" 1 s.Obs.Summary.work_units.(3)
+  check "work units batch" 7 s.Obs.Summary.total.batch;
+  check "work units sched" 1 s.Obs.Summary.total.sched
 
 (* ---- attribution ---- *)
 
@@ -534,13 +549,13 @@ let run_recorded_cfg ?(n = 200) cfg =
 
 let check_sim_attrib cfg =
   let rc, m = run_recorded_cfg cfg in
-  let a = Obs.Attrib.of_recorder rc in
-  (match Obs.Attrib.check ~expected:(m.Sim.Metrics.p * m.Sim.Metrics.makespan) a with
+  let s = Obs.Summary.of_recorder rc in
+  (match Obs.Summary.check ~expected:(m.Sim.Metrics.p * m.Sim.Metrics.makespan) s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "conservation (p=%d): %s" m.Sim.Metrics.p e);
-  check "core = sim core_work" m.Sim.Metrics.core_work a.Obs.Attrib.total.Obs.Attrib.core;
-  check "batch = sim batch_work" m.Sim.Metrics.batch_work a.Obs.Attrib.total.Obs.Attrib.batch;
-  check "setup = sim setup_work" m.Sim.Metrics.setup_work a.Obs.Attrib.total.Obs.Attrib.setup;
+  check "core = sim core_work" m.Sim.Metrics.core_work s.Obs.Summary.total.core;
+  check "batch = sim batch_work" m.Sim.Metrics.batch_work s.Obs.Summary.total.batch;
+  check "setup = sim setup_work" m.Sim.Metrics.setup_work s.Obs.Summary.total.setup;
   check_bool "span_realized positive" true (m.Sim.Metrics.span_realized > 0);
   check_bool "span_realized <= makespan" true
     (m.Sim.Metrics.span_realized <= m.Sim.Metrics.makespan)
@@ -591,17 +606,17 @@ let test_attrib_runtime_tiling () =
      class segments are emitted back to back in integer nanoseconds. *)
   let p = 3 in
   let rc = recorded_counter_run ~p ~n:300 () in
-  let a = Obs.Attrib.of_recorder rc in
-  (match Obs.Attrib.check a with
+  let s = Obs.Summary.of_recorder rc in
+  (match Obs.Summary.check s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "runtime tiling: %s" e);
-  check "all workers accounted" p (Array.length a.Obs.Attrib.per_worker);
-  check_bool "some core time" true (a.Obs.Attrib.total.Obs.Attrib.core > 0);
-  check_bool "some batch time" true (a.Obs.Attrib.total.Obs.Attrib.batch > 0);
-  check_bool "covered > 0" true (Obs.Attrib.total_covered a > 0);
+  check "all workers accounted" p (Array.length s.Obs.Summary.per_worker);
+  check_bool "some core time" true (s.Obs.Summary.total.core > 0);
+  check_bool "some batch time" true (s.Obs.Summary.total.batch > 0);
+  check_bool "covered > 0" true (Obs.Summary.bucket_total s.Obs.Summary.total > 0);
   (* Runtime recordings have no sim-style idle: a free worker's
      between-task time is sched. *)
-  check "no idle bucket" 0 a.Obs.Attrib.total.Obs.Attrib.idle;
+  check "no idle bucket" 0 s.Obs.Summary.total.idle;
   let starts = ref 0 in
   List.iter
     (fun e ->
@@ -616,18 +631,64 @@ let test_attrib_runtime_wait () =
      BATCHIFY while the other runs the batch spends that time in the
      wait bucket, and the buckets still tile each worker's span. *)
   let rc = recorded_counter_run ~p:2 ~n:200 ~slow_ns:50_000 () in
-  let a = Obs.Attrib.of_recorder rc in
-  (match Obs.Attrib.check a with
+  let s = Obs.Summary.of_recorder rc in
+  (match Obs.Summary.check s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "runtime tiling: %s" e);
-  check_bool "trapped time lands in wait" true
-    (a.Obs.Attrib.total.Obs.Attrib.wait > 0);
-  check_bool "batch time recorded" true (a.Obs.Attrib.total.Obs.Attrib.batch > 0)
+  check_bool "trapped time lands in wait" true (s.Obs.Summary.total.wait > 0);
+  check_bool "batch time recorded" true (s.Obs.Summary.total.batch > 0)
+
+let test_runtime_status_time () =
+  (* The runtime emits no Status events, so each worker is free for
+     exactly its observed span — the span conservation measures. *)
+  let s = Obs.Summary.of_recorder (recorded_counter_run ~p:2 ~n:100 ()) in
+  Array.iter
+    (fun (wa : Obs.Summary.worker_account) ->
+      let span = wa.wa_last - wa.wa_first in
+      check "status time sums to the span" span
+        (Array.fold_left ( + ) 0 wa.wa_status);
+      check "all of it free" span wa.wa_status.(0))
+    s.Obs.Summary.per_worker
+
+let test_sim_wait () =
+  (* On the simulator, trapped workers' failed steals are the wait
+     bucket; with them, the six buckets are exactly P x makespan. *)
+  let rc, m = run_recorded () in
+  let s = Obs.Summary.of_recorder rc in
+  check_bool "wait positive" true (s.Obs.Summary.total.wait > 0);
+  check "buckets sum to P x makespan"
+    (m.Sim.Metrics.p * m.Sim.Metrics.makespan)
+    (Obs.Summary.bucket_total s.Obs.Summary.total)
+
+let test_wrapped_batch () =
+  (* A 4-slot ring: the first Batch_start is overwritten, its Batch_end
+     survives. The end still counts as a batch, but no duration: busy
+     and the witness see only the paired batch [11, 14]. *)
+  let rc =
+    Obs.Recorder.create ~capacity:4 ~clock:Obs.Recorder.Timesteps ~workers:1 ()
+  in
+  Obs.Recorder.emit_batch_start rc ~worker:0 ~time:1 ~sid:0 ~size:1 ~setup:0;
+  Obs.Recorder.emit_op_issue rc ~worker:0 ~time:2 ~sid:0;
+  Obs.Recorder.emit_batch_end rc ~worker:0 ~time:10 ~sid:0 ~size:1;
+  Obs.Recorder.emit_batch_start rc ~worker:0 ~time:11 ~sid:0 ~size:1 ~setup:0;
+  Obs.Recorder.emit_batch_end rc ~worker:0 ~time:14 ~sid:0 ~size:1;
+  let s = Obs.Summary.of_recorder rc in
+  check "one event dropped" 1 s.Obs.Summary.dropped;
+  (match s.Obs.Summary.per_structure with
+  | [| sa |] ->
+      check "both ends count" 2 sa.Obs.Summary.sa_batches;
+      check "one launch survives" 1 sa.Obs.Summary.sa_ops;
+      check "busy is the paired batch" 3 sa.Obs.Summary.sa_busy;
+      check "longest is the paired batch" 3 sa.Obs.Summary.sa_longest
+  | a -> Alcotest.failf "expected one structure, got %d" (Array.length a));
+  check "witness leaves the unpaired end out" 3 s.Obs.Summary.t_inf_witness;
+  match Obs.Summary.check s with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "check accepted a wrapped recording"
 
 let test_attrib_json () =
   let rc, m = run_recorded () in
-  let a = Obs.Attrib.of_recorder rc in
-  let j = roundtrip (Obs.Attrib.to_json a) in
+  let j = roundtrip (Obs.Summary.to_json (Obs.Summary.of_recorder rc)) in
   (match Obs.Json.member "total" j with
   | Some tot -> (
       match Obs.Json.member "batch" tot with
@@ -643,31 +704,26 @@ let test_attrib_json () =
 
 let test_critpath_sim () =
   let rc, m = run_recorded () in
-  let cp = Obs.Critpath.of_recorder rc in
-  check_bool "witness positive" true (cp.Obs.Critpath.t_inf_witness > 0);
+  let s = Obs.Summary.of_recorder rc in
+  check_bool "witness positive" true (s.Obs.Summary.t_inf_witness > 0);
   check_bool "witness <= makespan" true
-    (cp.Obs.Critpath.t_inf_witness <= m.Sim.Metrics.makespan);
-  let total_batches =
-    Array.fold_left
-      (fun acc c -> acc + c.Obs.Critpath.ch_batches)
-      0 cp.Obs.Critpath.chains
-  in
+    (s.Obs.Summary.t_inf_witness <= m.Sim.Metrics.makespan);
+  let total_batches = structure_sum (fun sa -> sa.Obs.Summary.sa_batches) s in
   check "chains see every batch" m.Sim.Metrics.batches total_batches;
   Array.iter
-    (fun (c : Obs.Critpath.chain) ->
+    (fun (sa : Obs.Summary.structure_account) ->
       check_bool "serial chain <= makespan" true
-        (c.Obs.Critpath.ch_serial <= m.Sim.Metrics.makespan);
-      check_bool "longest <= serial" true
-        (c.Obs.Critpath.ch_longest <= c.Obs.Critpath.ch_serial))
-    cp.Obs.Critpath.chains;
+        (sa.sa_busy <= m.Sim.Metrics.makespan);
+      check_bool "longest <= serial" true (sa.sa_longest <= sa.sa_busy))
+    s.Obs.Summary.per_structure;
   (* top-k is sorted by decreasing length. *)
   let rec sorted = function
-    | (a : Obs.Critpath.segment) :: (b :: _ as rest) ->
-        a.Obs.Critpath.sg_len >= b.Obs.Critpath.sg_len && sorted rest
+    | (a : Obs.Summary.segment) :: (b :: _ as rest) ->
+        a.sg_len >= b.sg_len && sorted rest
     | _ -> true
   in
-  check_bool "top sorted" true (sorted cp.Obs.Critpath.top);
-  check_bool "top bounded" true (List.length cp.Obs.Critpath.top <= 10)
+  check_bool "top sorted" true (sorted s.Obs.Summary.top);
+  check_bool "top bounded" true (List.length s.Obs.Summary.top <= 10)
 
 (* ---- snapshots ---- *)
 
@@ -931,6 +987,11 @@ let () =
           Alcotest.test_case "runtime buckets tile spans" `Quick
             test_attrib_runtime_tiling;
           Alcotest.test_case "attrib to_json" `Quick test_attrib_json;
+          Alcotest.test_case "runtime status time is the observed span" `Quick
+            test_runtime_status_time;
+          Alcotest.test_case "sim wait is conserved" `Quick test_sim_wait;
+          Alcotest.test_case "wrapped ring drops the unpaired batch" `Quick
+            test_wrapped_batch;
         ] );
       ( "critpath",
         [ Alcotest.test_case "witness and chains" `Quick test_critpath_sim ] );

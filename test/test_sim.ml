@@ -1,4 +1,4 @@
-(* Scheduler simulator tests: work-stealing baseline, BATCHER invariants
+(* Scheduler simulator tests: the work-stealing bound, BATCHER invariants
    and conservation laws, baselines, and fuzzing over workload shapes. *)
 
 let counter_workload ?(records = 1) ~n () =
@@ -13,17 +13,21 @@ let skiplist_workload ?(records = 1) ~initial ~n () =
 
 (* ---------- plain work stealing ---------- *)
 
+(* BATCHER on a DAG with no data-structure nodes is Theorem 1 with
+   n = m = 0: the classic ABP work-stealing bound O(T1/P + T∞). *)
+let run_core ?(seed = 1) ~p w =
+  Sim.Batcher.run { (Sim.Batcher.default ~p) with Sim.Batcher.seed } w
+
 let test_ws_single_worker_exact () =
   let w = Sim.Workload.pure_core ~leaf_cost:10 ~leaves:32 in
-  let m = Sim.Ws.run (Sim.Ws.default ~p:1) w.Sim.Workload.core in
+  let m = run_core ~p:1 w in
   Alcotest.(check int) "makespan = T1 on one worker" (Dag.work w.Sim.Workload.core)
     m.Sim.Metrics.makespan
 
 let test_ws_speedup () =
   let w = Sim.Workload.pure_core ~leaf_cost:100 ~leaves:256 in
-  let d = w.Sim.Workload.core in
-  let m1 = Sim.Ws.run (Sim.Ws.default ~p:1) d in
-  let m8 = Sim.Ws.run (Sim.Ws.default ~p:8) d in
+  let m1 = run_core ~p:1 w in
+  let m8 = run_core ~p:8 w in
   let speedup = Sim.Metrics.speedup ~baseline:m1 m8 in
   Alcotest.(check bool) "near-linear speedup" true (speedup > 5.0)
 
@@ -33,7 +37,7 @@ let test_ws_greedy_bound () =
     (fun (leaves, cost, p) ->
       let w = Sim.Workload.pure_core ~leaf_cost:cost ~leaves in
       let d = w.Sim.Workload.core in
-      let m = Sim.Ws.run (Sim.Ws.default ~p) d in
+      let m = run_core ~p w in
       let bound = (Dag.work d / p) + Dag.span d in
       Alcotest.(check bool)
         (Printf.sprintf "leaves=%d cost=%d p=%d: %d <= 8*%d" leaves cost p
@@ -44,21 +48,14 @@ let test_ws_greedy_bound () =
 
 let test_ws_work_conservation () =
   let w = Sim.Workload.pure_core ~leaf_cost:7 ~leaves:100 in
-  let d = w.Sim.Workload.core in
-  let m = Sim.Ws.run (Sim.Ws.default ~p:4) d in
-  Alcotest.(check int) "all work executed once" (Dag.work d) m.Sim.Metrics.core_work
-
-let test_ws_rejects_ds_nodes () =
-  let w = counter_workload ~n:4 () in
-  (match Sim.Ws.run (Sim.Ws.default ~p:2) w.Sim.Workload.core with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ())
+  let m = run_core ~p:4 w in
+  Alcotest.(check int) "all work executed once" (Dag.work w.Sim.Workload.core)
+    m.Sim.Metrics.core_work
 
 let test_ws_deterministic () =
   let w = Sim.Workload.pure_core ~leaf_cost:5 ~leaves:128 in
-  let d = w.Sim.Workload.core in
-  let m1 = Sim.Ws.run { (Sim.Ws.default ~p:4) with Sim.Ws.seed = 99 } d in
-  let m2 = Sim.Ws.run { (Sim.Ws.default ~p:4) with Sim.Ws.seed = 99 } d in
+  let m1 = run_core ~seed:99 ~p:4 w in
+  let m2 = run_core ~seed:99 ~p:4 w in
   Alcotest.(check int) "same makespan" m1.Sim.Metrics.makespan m2.Sim.Metrics.makespan;
   Alcotest.(check int) "same steals" m1.Sim.Metrics.steal_attempts
     m2.Sim.Metrics.steal_attempts
@@ -682,7 +679,6 @@ let () =
           Alcotest.test_case "speedup" `Quick test_ws_speedup;
           Alcotest.test_case "greedy bound" `Quick test_ws_greedy_bound;
           Alcotest.test_case "work conservation" `Quick test_ws_work_conservation;
-          Alcotest.test_case "rejects ds nodes" `Quick test_ws_rejects_ds_nodes;
           Alcotest.test_case "deterministic" `Quick test_ws_deterministic;
         ] );
       ( "deque",
