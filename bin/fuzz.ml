@@ -1,18 +1,19 @@
 (* Fuzzing driver over lib/check: a conformance pass (every batched
    structure against its sequential oracle, through both the real
-   runtime and the simulator), a sharded conformance pass (each
-   shardable structure through K real batcher instances with routing,
-   per-shard oracle and cross-shard merge checks), and a
-   schedule-configuration sweep (random core DAGs x random scheduler
-   ablations — including a shard_k rotation — validated against the
-   paper's protocol rules and the per-shard composed Theorem-1 bound).
+   runtime and the simulator; the skip list, hash table and ostree also
+   at K = 2 and 4 shards, with routing, per-shard oracle and cross-shard
+   fan-out checks) and a schedule-configuration sweep (random core DAGs
+   x random scheduler ablations — including a shard_k rotation —
+   validated against the paper's protocol rules and the per-shard
+   composed Theorem-1 bound; runtime legs run at the case's shard
+   count).
    Failing cases are shrunk and printed as ready-to-paste OCaml.
    Exits 1 on any failure — suitable for CI and the @fuzz-smoke /
    @shard-smoke aliases. *)
 
 open Cmdliner
 
-(* Runtime-side ablations rotated across the conformance subjects: the
+(* Runtime-side ablations rotated across the conformance runs: the
    default backoff policy and two extreme ones (all-spin,
    sleep-almost-immediately with a single steal try per round). Extreme
    idle policies change steal/launch interleavings, not results — any
@@ -36,54 +37,38 @@ let conf_ablations =
 
 let run_conformance ~n_ops ~seed ~verbose =
   let failures = ref 0 in
+  let runs =
+    List.concat_map
+      (fun s -> List.map (fun k -> (s, k)) (Check.Conformance.shard_counts s))
+      Check.Conformance.subjects
+  in
+  Printf.printf "== conformance: %d (structure, K) runs + order_list ==\n%!"
+    (List.length runs);
   List.iteri
-    (fun i subject ->
+    (fun i (subject, shards) ->
       let name = Check.Conformance.subject_name subject in
       let tag, backoff =
         List.nth conf_ablations (i mod List.length conf_ablations)
       in
-      match Check.Conformance.run ~n_ops ~seed ?backoff subject with
+      match Check.Conformance.run ~n_ops ~seed ~shards ?backoff subject with
       | Ok r ->
           if verbose then
             Printf.printf
-              "conformance %-10s%s ok  (runtime: %d batches, max %d; sim: %d \
-               batches, makespan %d)\n\
+              "conformance %-10s K=%d%s ok  (runtime: %d batches, max %d; \
+               sim: %d batches, makespan %d)\n\
                %!"
-              name tag r.Check.Conformance.rt_batches r.rt_max_batch
+              name shards tag r.Check.Conformance.rt_batches r.rt_max_batch
               r.sim_batches r.sim_makespan
       | Error e ->
           incr failures;
-          Printf.printf "conformance %-10s%s FAIL: %s\n%!" name tag e)
-    Check.Conformance.subjects;
+          Printf.printf "conformance %-10s K=%d%s FAIL: %s\n%!" name shards tag
+            e)
+    runs;
   (match Check.Conformance.order_list_check ~n:n_ops ~seed () with
   | Ok () -> if verbose then Printf.printf "conformance order_list ok\n%!"
   | Error e ->
       incr failures;
       Printf.printf "conformance order_list FAIL: %s\n%!" e);
-  !failures
-
-(* Sharded conformance: each shardable structure through K real batcher
-   instances (K = 1 pins the combinator's identity case), with routing,
-   per-shard oracle replay and cross-shard merge checks — see
-   [Check.Shard_conf]. *)
-let run_shard_conformance ~n_ops ~seed ~verbose =
-  let failures = ref 0 in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun shards ->
-          match Check.Shard_conf.run ~n_ops ~seed ~name ~shards () with
-          | Ok r ->
-              if verbose then
-                Printf.printf
-                  "sharded    %-10s K=%d ok  (%d ops, %d batches, max %d)\n%!"
-                  name shards r.Check.Shard_conf.sc_ops r.sc_batches
-                  r.sc_max_batch
-          | Error e ->
-              incr failures;
-              Printf.printf "sharded    %-10s K=%d FAIL: %s\n%!" name shards e)
-        [ 1; 2; 4 ])
-    Check.Shard_conf.structures;
   !failures
 
 let run_sweep ~seeds ~start ~max_p ~max_size ~bound_factor ~deadline ~shard_k
@@ -132,26 +117,14 @@ let run_sweep ~seeds ~start ~max_p ~max_size ~bound_factor ~deadline ~shard_k
   List.length fails
 
 let main seeds start max_p max_size bound_factor time_budget conformance_ops
-    skip_conformance skip_shard_conformance skip_schedule shard_k verbose =
+    skip_conformance skip_schedule shard_k verbose =
   let seeds = max 0 seeds in
   let deadline =
     Option.map (fun b -> Unix.gettimeofday () +. b) time_budget
   in
   let conf_failures =
     if skip_conformance then 0
-    else begin
-      Printf.printf "== conformance: %d structures + order_list ==\n%!"
-        (List.length Check.Conformance.subjects);
-      run_conformance ~n_ops:conformance_ops ~seed:1 ~verbose
-    end
-  in
-  let shard_conf_failures =
-    if skip_shard_conformance then 0
-    else begin
-      Printf.printf "== sharded conformance: %d structures x K in {1,2,4} ==\n%!"
-        (List.length Check.Shard_conf.structures);
-      run_shard_conformance ~n_ops:conformance_ops ~seed:1 ~verbose
-    end
+    else run_conformance ~n_ops:conformance_ops ~seed:1 ~verbose
   in
   let sweep_failures =
     if skip_schedule then 0
@@ -164,7 +137,7 @@ let main seeds start max_p max_size bound_factor time_budget conformance_ops
         ~shard_k ~verbose
     end
   in
-  let total = conf_failures + shard_conf_failures + sweep_failures in
+  let total = conf_failures + sweep_failures in
   if total = 0 then begin
     Printf.printf "all checks passed\n%!";
     0
@@ -216,12 +189,6 @@ let conformance_ops_arg =
 let skip_conformance_arg =
   Arg.(value & flag & info [ "skip-conformance" ] ~doc:"Schedule fuzzing only.")
 
-let skip_shard_conformance_arg =
-  Arg.(
-    value & flag
-    & info [ "skip-shard-conformance" ]
-        ~doc:"Skip the sharded (multi-instance) conformance pass.")
-
 let skip_schedule_arg =
   Arg.(value & flag & info [ "skip-schedule" ] ~doc:"Conformance only.")
 
@@ -245,7 +212,7 @@ let cmd =
     Term.(
       const main $ seeds_arg $ start_arg $ max_p_arg $ max_size_arg
       $ bound_factor_arg $ time_budget_arg $ conformance_ops_arg
-      $ skip_conformance_arg $ skip_shard_conformance_arg $ skip_schedule_arg
+      $ skip_conformance_arg $ skip_schedule_arg
       $ shard_k_arg $ verbose_arg)
 
 let () = exit (Cmd.eval' cmd)

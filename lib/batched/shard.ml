@@ -178,6 +178,7 @@ let ostree : (Ostree.t ref, Ostree.op) spec =
                      sub)
             in
             Fanout { sub; merge }
+        | Ostree.Select _ when shards <= 1 -> Point 0
         | Ostree.Select _ ->
             (* An exact order-statistic select needs a multi-round
                quantile search across shards; a single scatter round

@@ -79,6 +79,7 @@ val hashtable : (Hashtable.t, Hashtable.op) spec
 val ostree : (Ostree.t ref, Ostree.op) spec
 (** Insert/Delete route by key; Range fans out with a sorted merge;
     Rank fans out and sums (each key below the pivot lives in exactly
-    one shard). Select raises [Invalid_argument] — an exact
-    order-statistic needs a multi-round quantile search, which a
-    single scatter round cannot express. *)
+    one shard). Select plans to shard 0 when [shards <= 1] and raises
+    [Invalid_argument] otherwise — an exact order-statistic over K > 1
+    shards needs a multi-round quantile search, which a single scatter
+    round cannot express. *)

@@ -1,18 +1,5 @@
 (* QCheck arbitraries over fuzz cases and scheduler configs. The
-   seeded op-script generators live in [Opgen]; the aliases below keep
-   the old [Gen.*] names working. *)
-
-let script = Opgen.script
-let counter_op = Opgen.counter_op
-let fifo_op = Opgen.fifo_op
-let stack_op = Opgen.stack_op
-let pqueue_op = Opgen.pqueue_op
-let hashtable_op = Opgen.hashtable_op
-let skiplist_op = Opgen.skiplist_op
-let sharded_skiplist_op = Opgen.sharded_skiplist_op
-let sharded_ostree_op = Opgen.sharded_ostree_op
-let two_three_op = Opgen.two_three_op
-let ostree_op = Opgen.ostree_op
+   seeded op-script generators live in [Opgen]. *)
 
 let config_gen ?(min_p = 1) ?(max_p = 8) () =
   let open QCheck.Gen in

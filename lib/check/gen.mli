@@ -1,56 +1,6 @@
-(** Random-input generators for the conformance and fuzzing layers.
-
-    Two kinds live here: plain seeded generators of operation scripts
-    (deterministic in an {!Util.Rng.t}, used by {!Conformance} and the
-    soak CLI) and qcheck generators of scheduler configurations and fuzz
-    cases (used by the property tests in [test/test_check.ml]).
-
-    Script generators take the script length [n] where operand ranges
-    depend on it. The 2-3 tree and order-statistic tree generators keep
-    insert keys injective across the script: those structures dedupe
-    same-key inserts {e within} a batch with [List.sort_uniq], whose
-    surviving record is implementation-defined, so a conformance oracle
-    could not predict which duplicate record gets the [inserted] flag.
-    The skip list (stable insertion order) and hash table (batch order
-    per bucket) define in-batch duplicates exactly, so their generators
-    reuse keys freely. *)
-
-val script : gen:(Util.Rng.t -> int -> 'op) -> n:int -> seed:int -> 'op array
-(** [script ~gen ~n ~seed] draws ops [gen rng 0 .. gen rng (n-1)] in
-    index order from a fresh stream — deterministic in [seed]. *)
-
-val counter_op : Util.Rng.t -> int -> Batched.Counter.op
-(** Increments of -9..9. *)
-
-val fifo_op : Util.Rng.t -> int -> Batched.Fifo.op
-(** ~60% enqueues. *)
-
-val stack_op : Util.Rng.t -> int -> Batched.Stack.op
-(** ~60% pushes. *)
-
-val pqueue_op : Util.Rng.t -> int -> Batched.Pqueue.op
-(** ~60% inserts; priorities are distinct across the script (extraction
-    order on priority ties is implementation-defined). *)
-
-val hashtable_op : n:int -> Util.Rng.t -> int -> Batched.Hashtable.op
-(** Inserts, lookups and removes over a small key space (collisions
-    intended). *)
-
-val skiplist_op : n:int -> Util.Rng.t -> int -> Batched.Skiplist.op
-(** Inserts, membership tests and deletes over a small key space. *)
-
-val sharded_skiplist_op : n:int -> Util.Rng.t -> int -> Batched.Skiplist.op
-(** Like {!skiplist_op} with ~1/8 cross-shard range queries mixed in. *)
-
-val sharded_ostree_op : n:int -> Util.Rng.t -> int -> Batched.Ostree.op
-(** Injective insert keys; deletes, ranks (cross-shard sums) and range
-    queries — never Select, which is not shardable. *)
-
-val two_three_op : n:int -> Util.Rng.t -> int -> Batched.Two_three.op
-(** Injective insert keys; queries and deletes over the same range. *)
-
-val ostree_op : n:int -> Util.Rng.t -> int -> Batched.Ostree.op
-(** Injective insert keys; deletes, ranks and selects ride along. *)
+(** QCheck generators of scheduler configurations and fuzz cases, used
+    by the property tests in [test/test_check.ml]. The seeded
+    operation-script generators live in {!Opgen}. *)
 
 val config_gen :
   ?min_p:int -> ?max_p:int -> unit -> Sim.Batcher.config QCheck.Gen.t

@@ -38,15 +38,6 @@ let hashtable_op ~n rng _i =
   | _ -> Batched.Hashtable.remove (small_key ~n rng)
 
 let skiplist_op ~n rng _i =
-  match Util.Rng.int rng 4 with
-  | 0 | 1 -> Batched.Skiplist.insert (small_key ~n rng)
-  | 2 -> Batched.Skiplist.mem (small_key ~n rng)
-  | _ -> Batched.Skiplist.delete (small_key ~n rng)
-
-(* Sharded-conformance scripts: point-op mixes with an occasional
-   cross-shard fan-out (range / rank), never Select — an exact
-   order-statistic is not shardable (see [Batched.Shard.ostree]). *)
-let sharded_skiplist_op ~n rng _i =
   match Util.Rng.int rng 8 with
   | 0 | 1 | 2 -> Batched.Skiplist.insert (small_key ~n rng)
   | 3 | 4 -> Batched.Skiplist.mem (small_key ~n rng)
@@ -55,25 +46,19 @@ let sharded_skiplist_op ~n rng _i =
       let lo = small_key ~n rng in
       Batched.Skiplist.range ~lo ~hi:(lo + 1 + Util.Rng.int rng (max 8 (n / 2)))
 
-let sharded_ostree_op ~n rng i =
-  match Util.Rng.int rng 8 with
-  | 0 | 1 | 2 -> Batched.Ostree.insert_op (2 * i)
-  | 3 | 4 -> Batched.Ostree.delete_op (Util.Rng.int rng (2 * max 1 n))
-  | 5 | 6 -> Batched.Ostree.rank_op (Util.Rng.int rng (2 * max 1 n))
-  | _ ->
-      let lo = Util.Rng.int rng (2 * max 1 n) in
-      Batched.Ostree.range_op ~lo ~hi:(lo + 1 + Util.Rng.int rng (2 * max 1 n))
-
 let two_three_op ~n rng i =
   match Util.Rng.int rng 4 with
   | 0 | 1 -> Batched.Two_three.insert_op (2 * i)
   | 2 -> Batched.Two_three.mem_op (Util.Rng.int rng (2 * max 1 n))
   | _ -> Batched.Two_three.delete_op (Util.Rng.int rng (2 * max 1 n))
 
-let ostree_op ~n rng i =
-  match Util.Rng.int rng 5 with
-  | 0 | 1 -> Batched.Ostree.insert_op (2 * i)
-  | 2 -> Batched.Ostree.delete_op (Util.Rng.int rng (2 * max 1 n))
-  | 3 -> Batched.Ostree.rank_op (Util.Rng.int rng (2 * max 1 n))
-  | _ -> Batched.Ostree.select_op (Util.Rng.int rng (max 1 n))
-
+let ostree_op ~n ~shards rng i =
+  let key () = Util.Rng.int rng (2 * max 1 n) in
+  match Util.Rng.int rng 8 with
+  | 0 | 1 | 2 -> Batched.Ostree.insert_op (2 * i)
+  | 3 | 4 -> Batched.Ostree.delete_op (key ())
+  | 5 ->
+      let lo = key () in
+      Batched.Ostree.range_op ~lo ~hi:(lo + 1 + key ())
+  | 6 when shards <= 1 -> Batched.Ostree.select_op (Util.Rng.int rng (max 1 n))
+  | _ -> Batched.Ostree.rank_op (key ())

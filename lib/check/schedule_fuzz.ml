@@ -238,18 +238,21 @@ let run_case ?(bound_factor = 16.0) ?(rt_conf = false) c =
     else Ok ()
   in
   (* Optional real-runtime leg: the fuzzed structure and seed through a
-     real pool, checked against the sequential oracle (and the simulator
-     again) by [Conformance], under Exact Lemma-2 checkers.
+     real pool, at the case's shard count when the structure shards,
+     checked against the sequential oracle (and the simulator again) by
+     [Conformance], under Exact Lemma-2 checkers.
      Off by default — it spawns domains per case — and enabled by the
      fuzz driver and a dedicated test sweep. *)
   if not rt_conf then Ok ()
   else
+    let subject = Conformance.find (conf_subject_of c.model) in
     match
       Conformance.run
         ~n_ops:(min (max c.size 8) 48)
         ~seed:c.wl_seed
         ~workers:(min c.p 3)
-        (Conformance.find (conf_subject_of c.model))
+        ~shards:(if Conformance.shardable subject then max 1 c.shard_k else 1)
+        subject
     with
     | Ok _ -> Ok ()
     | Error e -> Error ("runtime conformance: " ^ e)

@@ -80,10 +80,11 @@ val run_case :
 (** Execute and cross-check one case. [bound_factor] is forwarded to
     {!Bound.check} (paper-default cases only). [rt_conf] (default
     [false]: it spawns a real pool per case) additionally pushes the
-    case's structure and seed through {!Conformance.run}, so the
-    runtime's trapped batch path meets fuzzed workload shapes against
-    the sequential oracle, under Exact Lemma-2 checkers at the paper's
-    bound of 2. *)
+    case's structure and seed through {!Conformance.run}, at the case's
+    [shard_k] when the structure is {!Conformance.shardable} and at one
+    shard otherwise, so the runtime's trapped batch path meets fuzzed
+    workload shapes against the sequential oracle, under Exact Lemma-2
+    checkers at the paper's bound of 2. *)
 
 val case_of_seed : ?max_p:int -> ?max_size:int -> int -> case
 (** Deterministic case from a single fuzz seed. *)

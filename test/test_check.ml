@@ -15,6 +15,21 @@ let conformance_cases =
           check_ok (Check.Conformance.run ~n_ops:48 s)))
     Check.Conformance.subjects
 
+(* The shardable subjects at every K in [shard_counts], through the same
+   entry point, with routing, per-shard oracles and cross-shard fan-outs
+   checked. K = 1 is the sharded path's identity case, so it repeats the
+   plain case above. *)
+let sharded_conformance_cases =
+  List.concat_map
+    (fun s ->
+      let name = Check.Conformance.subject_name s in
+      List.map
+        (fun k ->
+          Alcotest.test_case (Printf.sprintf "%s K=%d" name k) `Quick
+            (fun () -> check_ok (Check.Conformance.run ~n_ops:48 ~shards:k s)))
+        (Check.Conformance.shard_counts s))
+    (List.filter Check.Conformance.shardable Check.Conformance.subjects)
+
 (* A second seed and pool shape, so the CAS race carves different
    batches than the default run. *)
 let test_conformance_reseeded () =
@@ -25,6 +40,18 @@ let test_conformance_reseeded () =
 
 let test_order_list_conformance () =
   check_ok (Check.Conformance.order_list_check ())
+
+(* A shard count the subject cannot run at is an [Error], not a run. *)
+let test_bad_shard_counts () =
+  let refused what = function
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+    | Error _ -> ()
+  in
+  let run k name =
+    Check.Conformance.run ~n_ops:8 ~shards:k (Check.Conformance.find name)
+  in
+  refused "counter at K=2" (run 2 "counter");
+  refused "skiplist at K=0" (run 0 "skiplist")
 
 (* ---------- schedule fuzzing ---------- *)
 
@@ -108,19 +135,34 @@ let test_cross_check () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "disabled recorder accepted"
 
-(* ---------- sharding: conformance, fuzz rotation, shrinking ---------- *)
+(* ---------- sharding: plans, fuzz rotation, shrinking ---------- *)
 
-(* Sharded conformance across K instances of the real runtime; K = 1
-   regression-tests the combinator's identity case. *)
-let shard_conf_cases =
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun k ->
-          Alcotest.test_case (Printf.sprintf "%s K=%d" name k) `Quick (fun () ->
-              check_ok (Check.Shard_conf.run ~n_ops:48 ~name ~shards:k ())))
-        [ 1; 2; 4 ])
-    Check.Shard_conf.structures
+(* A one-shard ostree answers Select as the bare tree does; over two
+   shards an exact select is not shardable and the plan refuses it. *)
+let test_one_shard_select () =
+  let open Batched in
+  let keys = [| 5; 1; 9; 3 |] in
+  let sharded = Shard.create Shard.ostree ~shards:1 in
+  Array.iter (fun k -> Shard.apply_seq sharded (Ostree.insert_op k)) keys;
+  let bare = Ostree.run_batch Ostree.empty (Array.map Ostree.insert_op keys) in
+  let selected = function
+    | Ostree.Select s -> s.Ostree.selected
+    | _ -> assert false
+  in
+  let via_shard = Ostree.select_op 2 and via_bare = Ostree.select_op 2 in
+  (match Shard.plan sharded via_shard with
+  | Shard.Point 0 -> ()
+  | _ -> Alcotest.fail "select did not plan to shard 0");
+  Shard.apply_seq sharded via_shard;
+  ignore (Ostree.run_batch bare [| via_bare |]);
+  Alcotest.(check (option int)) "bare tree" (Some 5) (selected via_bare);
+  Alcotest.(check (option int)) "one shard" (selected via_bare)
+    (selected via_shard);
+  match
+    Shard.apply_seq (Shard.create Shard.ostree ~shards:2) (Ostree.select_op 0)
+  with
+  | () -> Alcotest.fail "select over two shards accepted"
+  | exception Invalid_argument _ -> ()
 
 (* Forcing shard_k on generated cases exercises the per-shard composed
    Theorem-1 bound and per-shard conservation on every schedule. *)
@@ -328,6 +370,8 @@ let () =
         [
           Alcotest.test_case "reseeded" `Quick test_conformance_reseeded;
           Alcotest.test_case "order_list" `Quick test_order_list_conformance;
+          Alcotest.test_case "shard counts out of range" `Quick
+            test_bad_shard_counts;
         ] );
       ( "fuzz",
         [
@@ -339,12 +383,14 @@ let () =
           Alcotest.test_case "bound smoke" `Quick test_bound_smoke;
           Alcotest.test_case "attribution cross-check" `Quick test_cross_check;
         ] );
-      ("sharded-conformance", shard_conf_cases);
+      ("sharded-conformance", sharded_conformance_cases);
       ( "sharded-fuzz",
         [
           Alcotest.test_case "forced shard_k sweeps" `Quick test_sharded_sweep;
           Alcotest.test_case "seeded cross-shard case shrinks" `Quick
             test_sharded_shrink_reproducer;
+          Alcotest.test_case "one-shard ostree answers select" `Quick
+            test_one_shard_select;
         ] );
       ( "determinism",
         [
