@@ -15,25 +15,25 @@ let ps_arg default =
   let doc = "Comma-separated worker counts to simulate." in
   Arg.(value & opt (list int) default & info [ "workers" ] ~docv:"P,P,..." ~doc)
 
+let records_arg =
+  Arg.(
+    value
+    & opt int 100_000
+    & info [ "records" ] ~docv:"N" ~doc:"Insertions per cell (paper: 100000).")
+
+let sizes_arg default =
+  Arg.(
+    value
+    & opt (list int) default
+    & info [ "sizes" ] ~docv:"S,S,..." ~doc:"Initial skip-list sizes.")
+
 (* E1 *)
 let fig5_cmd =
-  let records =
-    Arg.(
-      value
-      & opt int 100_000
-      & info [ "records" ] ~docv:"N" ~doc:"Total insertions (paper: 100000).")
-  in
   let per_node =
     Arg.(
       value
       & opt int 100
       & info [ "per-node" ] ~docv:"K" ~doc:"Records per BATCHIFY call (paper: 100).")
-  in
-  let sizes =
-    Arg.(
-      value
-      & opt (list int) [ 20_000; 100_000; 1_000_000; 10_000_000; 100_000_000 ]
-      & info [ "sizes" ] ~docv:"S,S,..." ~doc:"Initial skip-list sizes.")
   in
   let csv =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit comma-separated rows for plotting.")
@@ -60,9 +60,54 @@ let fig5_cmd =
   Cmd.v
     (Cmd.info "fig5" ~doc:"E1: Figure 5 — BATCHER vs sequential skip list")
     Term.(
-      const run $ records $ per_node $ sizes
+      const run $ records_arg $ per_node
+      $ sizes_arg [ 20_000; 100_000; 1_000_000; 10_000_000; 100_000_000 ]
       $ ps_arg [ 1; 2; 3; 4; 5; 6; 7; 8 ]
       $ seed_arg $ csv)
+
+(* A CPU-bound loop that touches no memory. *)
+let spin () =
+  let x = ref 0 in
+  for i = 1 to 100_000_000 do
+    x := (!x * 1103515245) + i
+  done;
+  ignore (Sys.opaque_identity !x)
+
+(* One loop alone, then two at once on two domains. Two CPUs show as
+   two times close to the lone one; one CPU as twice it. *)
+let host_control () =
+  let time () =
+    let t0 = Unix.gettimeofday () in
+    spin ();
+    Unix.gettimeofday () -. t0
+  in
+  let alone = time () in
+  let d1 = Domain.spawn time and d2 = Domain.spawn time in
+  let t1 = Domain.join d1 and t2 = Domain.join d2 in
+  Format.fprintf fmt
+    "%17s host control: one loop %.3f s alone; two at once %.3f and %.3f s (x%.2f)@." ""
+    alone t1 t2
+    (Float.max t1 t2 /. alone)
+
+(* E1 on the real runtime *)
+let fig5_rt_cmd =
+  let run records sizes seed =
+    Batcher_core.Report.fig5_rt_header fmt ~records;
+    let agree initial p =
+      let r = Batcher_core.Experiments.fig5_rt_cell ~seed ~initial ~records ~p () in
+      Batcher_core.Report.fig5_rt_row fmt r;
+      if p = 2 then host_control ();
+      r.Batcher_core.Experiments.agree
+    in
+    let cells = List.concat_map (fun s -> List.map (agree s) [ 1; 2 ]) sizes in
+    if not (List.for_all Fun.id cells) then exit 1
+  in
+  Cmd.v
+    (Cmd.info "fig5-rt"
+       ~doc:
+         "E1 on the real runtime: BATCHER at P = 1 and 2 against the sequential \
+          skip list, timed. Exits 1 when a cell's final key set differs from SEQ's.")
+    Term.(const run $ records_arg $ sizes_arg [ 20_000; 1_000_000 ] $ seed_arg)
 
 (* E2 *)
 let flatcomb_cmd =
@@ -210,7 +255,7 @@ let () =
   let group =
     Cmd.group info
       [
-        fig5_cmd; flatcomb_cmd; counter_cmd; tree_cmd; stack_cmd; theory_cmd;
+        fig5_cmd; fig5_rt_cmd; flatcomb_cmd; counter_cmd; tree_cmd; stack_cmd; theory_cmd;
         theorem3_cmd; lemma2_cmd; pthreaded_cmd; multi_cmd; ablate_steal_cmd; ablate_launch_cmd;
         ablate_cap_cmd; ablate_overhead_cmd; ablate_granularity_cmd; all_cmd;
       ]

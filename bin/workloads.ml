@@ -77,7 +77,7 @@ let run_runtime ?snapshot_oc ?(snapshot_interval_s = 0.01) kind ~p ~n ~seed =
       snapshot_oc
   in
   let pfor pool n body =
-    Runtime.Pool.parallel_for pool ~grain:8 ~lo:0 ~hi:n body
+    Runtime.Pool.parallel_for pool ~lo:0 ~hi:n body
   in
   let skiplist ~sid =
     let sl = Batched.Skiplist.create ~seed () in

@@ -3,11 +3,13 @@
 
     The batched insert (BOP) follows the paper's three steps: (1) build a
     small list from the batch's records, (2) search for every record's
-    position in the main list, (3) splice. In the real implementation the
-    records are sorted by key and every search starts from the head, so a
-    batch of [x] keys costs O(x lg N) expected; the simulator cost model
-    exposes the parallel shape (searches in parallel, build/splice
-    sequential), exactly as the prototype in the paper did.
+    position in the main list, (3) splice. Here the build sorts the
+    batch's insert keys, the searches walk chunks of keys in lockstep so
+    that their cache misses overlap (each from the head: a batch of [x]
+    keys costs O(x lg N) expected), and the splice runs in descending key
+    order, which keeps every saved search position valid. The simulator
+    cost model exposes the parallel shape (searches in parallel,
+    build/splice sequential), as the paper's implementation did.
 
     Tower heights come from a deterministic private stream, so runs are
     reproducible. Keys are a set: inserting a present key is a no-op.
@@ -53,27 +55,37 @@ val delete : int -> op
 val range : lo:int -> hi:int -> op
 
 val run_batch : t -> op array -> unit
-(** Phase order within a batch: inserts, then deletes, then queries
-    (membership and ranges, which observe the batch's net effect). *)
+(** [run_batch_with] with a sequential [pfor]. *)
 
 val run_batch_with :
   pfor:(int -> (int -> unit) -> unit) -> t -> op array -> unit
-(** Like {!run_batch}, but the search phase runs through [pfor count body]
-    — the paper's actual BOP: searches into the main list proceed in
-    parallel (they are read-only), and the splice phase is sequential,
-    revalidating each saved search position past splices of smaller keys
-    from the same batch. Pass [Runtime.Pool.parallel_for pool ~lo:0
-    ~hi:count] (suitably wrapped) to parallelize for real; behavior is
-    identical to {!run_batch} for any correct [pfor].
+(** The paper's BOP. Phase order within a batch: inserts, then deletes,
+    then queries (membership and ranges, which observe the batch's net
+    effect). Of equal insert keys, the earliest in batch order is the
+    one that inserts.
 
-    Only the insert searches go through [pfor]. Deletes, then membership
-    and range queries, run sequentially after the splice phase: at the
-    measured batch sizes (mean 2.0 on two workers) a forked membership
-    search cost more than it saved (DESIGN.md §16). *)
+    The insert searches, and then the membership searches, run in
+    chunks of keys through [pfor count body]: pass
+    [Runtime.Pool.parallel_for pool ~lo:0 ~hi:count] (suitably wrapped)
+    to run chunks in parallel. The searches only read the list; the
+    splices, deletes and range queries run sequentially. A lone insert
+    or lone membership query takes the plain search, with no chunk.
+    Results are the same for any correct [pfor].
+
+    Each key's predecessor row goes into a matrix the list keeps across
+    batches, so a batch allocates per inserted record only the height
+    draw that {!insert_seq} allocates (pinned by a test). *)
 
 val insert_seq : t -> int -> bool
 (** Single-key insert; [true] if the key was new. The sequential baseline
-    of Figure 5. Raises [Invalid_argument] on [max_int]. *)
+    of Figure 5. Raises [Invalid_argument] on [max_int].
+
+    It keeps a finger: every operation leaves one exact row of
+    predecessors behind (for some key q, the rightmost node below q on
+    each level). A key above the row's level-0 node climbs a few levels
+    from the row before it walks down; any other key, or one the climb
+    cannot reach, walks from the head. An ascending run of inserts then
+    costs O(1) levels per key. *)
 
 val mem_seq : t -> int -> bool
 
@@ -91,8 +103,8 @@ val check_invariants : t -> unit
     slices tile the used region; the live ones are exactly the level-0
     list, strictly ascending, [length t] of them; every level-l list is
     a subsequence of level 0 through exactly the towers taller than l;
-    every freed slice sits once on its height's free list. Raises
-    [Failure]. *)
+    every freed slice sits once on its height's free list; the finger
+    holds exact predecessors. Raises [Failure]. *)
 
 val sim_model :
   initial_size:int -> ?records_per_node:int -> ?search_scale:float -> unit -> Model.t

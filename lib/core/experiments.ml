@@ -42,6 +42,79 @@ let fig5 ?(n_records = 100_000) ?(records_per_node = 100) ?(ps = default_ps)
       { initial; seq_throughput = Sim.Metrics.throughput seq; batcher })
     sizes
 
+(* ---------- E1 on the real runtime ---------- *)
+
+type fig5_rt_row = {
+  rt_initial : int;
+  rt_p : int;
+  seq_s : float;
+  bat_s : float;
+  words_per_record : float;
+  agree : bool;
+}
+
+let fig5_rt_records_per_node = 100
+
+let wall f =
+  let t0 = Obs.Clock.now_ns () in
+  let r = f () in
+  (r, float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9)
+
+(* Minor words allocated by every domain, the joined ones included:
+   after a minor collection, [Gc.quick_stat] counts them exactly. *)
+let minor_words_all () =
+  Gc.minor ();
+  (Gc.quick_stat ()).minor_words
+
+let fig5_rt_cell ?(seed = 1) ~initial ~records ~p () =
+  let module Sk = Batched.Skiplist in
+  (* The initial keys are even and the fresh ones odd, so every fresh
+     key is new to the list (two fresh draws may still coincide). *)
+  let rng = Util.Rng.create ~seed in
+  let draw () = Util.Rng.int rng (1 lsl 40) in
+  let initial_keys = Array.init initial (fun _ -> 2 * draw ()) in
+  let fresh = Array.init records (fun _ -> (2 * draw ()) + 1) in
+  let build () =
+    let sl = Sk.create ~seed () in
+    Array.iter (fun k -> ignore (Sk.insert_seq sl k)) initial_keys;
+    sl
+  in
+  let seq_list = build () in
+  let (), seq_s =
+    wall (fun () -> Array.iter (fun k -> ignore (Sk.insert_seq seq_list k)) fresh)
+  in
+  let bat_list = build () in
+  let per_node = fig5_rt_records_per_node in
+  let w0 = minor_words_all () in
+  let pool = Runtime.Pool.create ~num_workers:p () in
+  let b =
+    Runtime.Batcher_rt.create ~pool ~state:bat_list
+      ~run_batch:(fun pool sl batch ->
+        Sk.run_batch_with
+          ~pfor:(fun n body -> Runtime.Pool.parallel_for pool ~lo:0 ~hi:n body)
+          sl
+          (Array.concat (Array.to_list batch)))
+      ()
+  in
+  let (), bat_s =
+    wall (fun () ->
+        Runtime.Pool.run pool (fun () ->
+            Runtime.Pool.parallel_for pool ~grain:1 ~lo:0
+              ~hi:((records + per_node - 1) / per_node)
+              (fun i ->
+                let lo = i * per_node in
+                Runtime.Batcher_rt.batchify b
+                  (Array.init (Int.min per_node (records - lo)) (fun j ->
+                       Sk.insert fresh.(lo + j))))))
+  in
+  Runtime.Pool.teardown pool;
+  let words_per_record = (minor_words_all () -. w0) /. float_of_int records in
+  let agree =
+    (match Sk.check_invariants bat_list with () -> true | exception Failure _ -> false)
+    && Sk.to_list bat_list = Sk.to_list seq_list
+  in
+  { rt_initial = initial; rt_p = p; seq_s; bat_s; words_per_record; agree }
+
 (* ---------- E2: flat combining ---------- *)
 
 type flatcomb_row = {

@@ -27,6 +27,32 @@ val fig5 :
     BATCHER point averages over [seeds] (default: three seeds derived
     from [seed]); the sequential baseline is deterministic. *)
 
+(** E1 on the real runtime — one cell of Figure 5, timed. Two lists are
+    built from the same [initial] random keys, inserted in random order,
+    so the arena holds nodes in no key order. SEQ inserts [records]
+    fresh keys into one with [insert_seq]; BAT inserts the same keys, in
+    the same order, into the other through BATCHIFY, 100 records per
+    call (the paper's value), from a grain-1 parallel loop on a pool of
+    [p] workers. Its BOP concatenates the batch's record arrays into one
+    [Skiplist.run_batch_with] under the pool's [parallel_for]. *)
+type fig5_rt_row = {
+  rt_initial : int;
+  rt_p : int;
+  seq_s : float;  (** wall-clock seconds *)
+  bat_s : float;
+  words_per_record : float;
+      (** minor words that every domain allocated over the pool's life,
+          per record: the callers' records and arrays, the batcher's and
+          the BOP's *)
+  agree : bool;
+      (** BAT's final key set equals SEQ's and its layout passes
+          [check_invariants] *)
+}
+
+val fig5_rt_records_per_node : int
+
+val fig5_rt_cell : ?seed:int -> initial:int -> records:int -> p:int -> unit -> fig5_rt_row
+
 (** E2 — flat-combining comparison on the skip-list workload. *)
 type flatcomb_row = {
   fc_p : int;

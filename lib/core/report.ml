@@ -46,6 +46,21 @@ let fig5 fmt (rows : Experiments.fig5_row list) =
   in
   Format.fprintf fmt "@.max stddev/mean across seeds: %.3f%%@." (100.0 *. max_cv)
 
+let fig5_rt_header fmt ~records =
+  Format.fprintf fmt
+    "E1 on the runtime: %d fresh inserts, %d records per BATCHIFY, lists built \
+     from random keys@."
+    records Experiments.fig5_rt_records_per_node;
+  Format.fprintf fmt "%9s %3s %9s %9s %8s %10s@." "initial" "P" "SEQ ms" "BAT ms" "BAT/SEQ"
+    "words/rec"
+
+let fig5_rt_row fmt (r : Experiments.fig5_rt_row) =
+  Format.fprintf fmt "%9d %3d %9.1f %9.1f %8.2f %10.1f%s@." r.Experiments.rt_initial
+    r.Experiments.rt_p (1000. *. r.Experiments.seq_s) (1000. *. r.Experiments.bat_s)
+    (r.Experiments.seq_s /. r.Experiments.bat_s)
+    r.Experiments.words_per_record
+    (if r.Experiments.agree then "" else "  KEY SET DIFFERS FROM SEQ")
+
 let flatcomb fmt rows =
   Format.fprintf fmt "E2: BATCHER vs flat combining vs SEQ (skip-list, throughput)@.";
   hr fmt;

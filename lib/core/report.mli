@@ -3,6 +3,11 @@
     output matches the rows/series the paper reports. *)
 
 val fig5 : Format.formatter -> Experiments.fig5_row list -> unit
+val fig5_rt_header : Format.formatter -> records:int -> unit
+
+val fig5_rt_row : Format.formatter -> Experiments.fig5_rt_row -> unit
+(** One row per cell, so a caller can print each as it finishes. *)
+
 val flatcomb : Format.formatter -> Experiments.flatcomb_row list -> unit
 val example : name:string -> Format.formatter -> Experiments.example_row list -> unit
 val theory : Format.formatter -> Experiments.theory_row list -> unit

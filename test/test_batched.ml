@@ -342,25 +342,6 @@ let seq_pfor n body =
     body i
   done
 
-let test_skiplist_parallel_bop_parity () =
-  (* run_batch_with with a sequential pfor must produce the same list as
-     run_batch for the same batches. *)
-  let rng = Util.Rng.create ~seed:31 in
-  let a = Sk.create ~seed:1 () and b = Sk.create ~seed:1 () in
-  for _ = 1 to 20 do
-    let batch () =
-      Array.init (Util.Rng.int rng 12 + 1) (fun _ -> Sk.insert (Util.Rng.int rng 200))
-    in
-    let ba = batch () in
-    (* Same keys in both structures. *)
-    let bb = Array.map (function Sk.Insert r -> Sk.insert r.Sk.key | op -> op) ba in
-    Sk.run_batch a ba;
-    Sk.run_batch_with ~pfor:seq_pfor b bb
-  done;
-  Sk.check_invariants a;
-  Sk.check_invariants b;
-  Alcotest.(check (list int)) "same contents" (Sk.to_list a) (Sk.to_list b)
-
 let test_skiplist_parallel_bop_duplicates () =
   let s = Sk.create () in
   Sk.run_batch_with ~pfor:seq_pfor s [| Sk.insert 5; Sk.insert 5; Sk.insert 3 |];
@@ -478,6 +459,31 @@ let test_skiplist_update_allocation () =
   if inserts > (3. *. 2_000.) +. 16. then
     Alcotest.failf "2000 insert_seq allocated %.0f minor words" inserts
 
+(* A batch allocates per record only what insert_seq does, the boxed
+   height draw: its sort, rows and searches reuse arrays the list keeps
+   across batches. The first batch grows them; the second is measured.
+   The bound is 5 words per inserted record. *)
+let test_skiplist_batch_allocation () =
+  let s = Sk.create ~seed:3 () in
+  for i = 0 to 4_999 do
+    ignore (Sk.insert_seq s (2 * i))
+  done;
+  let batch lo = Array.init 100 (fun i -> Sk.insert ((2 * (lo + i)) + 1)) in
+  let warm = batch 0 and measured = batch 1_000 in
+  Sk.run_batch_with ~pfor:seq_pfor s warm;
+  let before = Gc.minor_words () in
+  Sk.run_batch_with ~pfor:seq_pfor s measured;
+  let words = Gc.minor_words () -. before in
+  let inserted =
+    Array.fold_left
+      (fun n -> function Sk.Insert r when r.Sk.inserted -> n + 1 | _ -> n)
+      0 measured
+  in
+  Alcotest.(check int) "inserted" 100 inserted;
+  Sk.check_invariants s;
+  if words > 5. *. 100. then
+    Alcotest.failf "a batch of 100 inserts allocated %.0f minor words" words
+
 (* Rounds of insert, delete-all and re-insert from an empty list: the
    first round grows the arena through several doublings, and later
    rounds reuse the freed slices instead of growing it further. *)
@@ -509,9 +515,49 @@ let test_skiplist_arena_churn () =
     Alcotest.failf "five rounds took %d words, one took %d: freed slices not reused"
       (words ()) !full
 
+module IS = Set.Make (Int)
+
+let mixed_op (kind, k) =
+  match kind with
+  | 0 -> Sk.insert k
+  | 1 -> Sk.delete k
+  | 2 -> Sk.mem k
+  | _ -> Sk.range ~lo:k ~hi:(k + 16)
+
+(* A batch's answers against [model] in the documented phase order
+   (inserts, then deletes, then queries), applying the batch to [model]. *)
+let batch_matches_set model ops =
+  let ok = ref true in
+  let expect b = ok := !ok && b in
+  Array.iter
+    (function
+      | Sk.Insert r ->
+          expect (r.Sk.inserted = not (IS.mem r.Sk.key !model));
+          model := IS.add r.Sk.key !model
+      | _ -> ())
+    ops;
+  Array.iter
+    (function
+      | Sk.Delete r ->
+          expect (r.Sk.deleted = IS.mem r.Sk.del_key !model);
+          model := IS.remove r.Sk.del_key !model
+      | _ -> ())
+    ops;
+  Array.iter
+    (function
+      | Sk.Mem r -> expect (r.Sk.found = IS.mem r.Sk.mem_key !model)
+      | Sk.Range r ->
+          expect
+            (r.Sk.r_keys
+            = IS.elements (IS.filter (fun k -> r.Sk.r_lo <= k && k < r.Sk.r_hi) !model))
+      | _ -> ())
+    ops;
+  !ok
+
 (* Mixed batches through run_batch_with with the searches spread over a
    real two-worker pool, checked op by op against Set in the documented
-   phase order, and the arena audited after every batch. *)
+   phase order, and the arena audited after every batch. Batches reach
+   past one chunk of searches, so chunks do run in parallel. *)
 let pool2 = lazy (Runtime.Pool.create ~num_workers:2 ())
 
 let () =
@@ -521,55 +567,88 @@ let prop_skiplist_pooled_bop_matches_set =
   QCheck.Test.make ~name:"pooled BOP mixed batches match Set" ~count:100
     QCheck.(
       list_of_size Gen.(1 -- 8)
-        (list_of_size Gen.(0 -- 24) (pair (int_bound 3) (int_bound 120))))
+        (list_of_size Gen.(0 -- 400) (pair (int_bound 3) (int_bound 300))))
     (fun batches ->
-      let module IS = Set.Make (Int) in
       let pool = Lazy.force pool2 in
       let pfor n body = Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n body in
       let s = Sk.create () in
-      let model = ref IS.empty and ok = ref true in
-      let expect b = ok := !ok && b in
-      List.iter
+      let model = ref IS.empty in
+      List.for_all
         (fun batch ->
-          let ops =
-            Array.of_list
-              (List.map
-                 (fun (kind, k) ->
-                   match kind with
-                   | 0 -> Sk.insert k
-                   | 1 -> Sk.delete k
-                   | 2 -> Sk.mem k
-                   | _ -> Sk.range ~lo:k ~hi:(k + 16))
-                 batch)
-          in
+          let ops = Array.of_list (List.map mixed_op batch) in
           Runtime.Pool.run pool (fun () -> Sk.run_batch_with ~pfor s ops);
           Sk.check_invariants s;
-          Array.iter
-            (function
-              | Sk.Insert r ->
-                  expect (r.Sk.inserted = not (IS.mem r.Sk.key !model));
-                  model := IS.add r.Sk.key !model
-              | _ -> ())
-            ops;
-          Array.iter
-            (function
-              | Sk.Delete r ->
-                  expect (r.Sk.deleted = IS.mem r.Sk.del_key !model);
-                  model := IS.remove r.Sk.del_key !model
-              | _ -> ())
-            ops;
-          Array.iter
-            (function
-              | Sk.Mem r -> expect (r.Sk.found = IS.mem r.Sk.mem_key !model)
-              | Sk.Range r ->
-                  expect
-                    (r.Sk.r_keys
-                    = IS.elements (IS.filter (fun k -> r.Sk.r_lo <= k && k < r.Sk.r_hi) !model))
-              | _ -> ())
-            ops;
-          expect (Sk.to_list s = IS.elements !model))
-        batches;
-      !ok)
+          batch_matches_set model ops && Sk.to_list s = IS.elements !model)
+        batches)
+
+(* Every path of the list against Set, with check_invariants after each
+   step: ascending insert_seq runs, the finger's case; lone insert_seq
+   and delete_seq of random and repeated keys; and mixed batches whose
+   keys repeat and whose inserts and membership queries span several
+   lockstep chunks. check_invariants audits the finger (row 0) on every
+   call, so a path that leaves it stale fails here, as does a splice
+   order that leaves a saved row stale. *)
+type sl_step =
+  | Run of int * int * int  (* insert_seq lo, lo + stride, ... : n keys *)
+  | Ins of int
+  | Del of int
+  | Batch of (int * int) list
+
+let sl_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map3 (fun lo n stride -> Run (lo, n, stride)) (int_bound 200) (int_range 1 40)
+             (int_range 1 3));
+        (3, map (fun k -> Ins k) (int_bound 300));
+        (2, map (fun k -> Del k) (int_bound 300));
+        ( 2,
+          map
+            (fun ops -> Batch ops)
+            (list_size (int_range 2 300)
+               (pair (frequencyl [ (3, 0); (1, 1); (2, 2); (1, 3) ]) (int_bound 300))) );
+      ])
+
+let sl_step_print = function
+  | Run (lo, n, stride) -> Printf.sprintf "Run (%d, %d, %d)" lo n stride
+  | Ins k -> Printf.sprintf "Ins %d" k
+  | Del k -> Printf.sprintf "Del %d" k
+  | Batch ops ->
+      Printf.sprintf "Batch [%s]"
+        (String.concat "; " (List.map (fun (o, k) -> Printf.sprintf "(%d, %d)" o k) ops))
+
+let prop_skiplist_paths_match_set =
+  QCheck.Test.make ~name:"skiplist seq and batch paths match Set" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list sl_step_print))
+       QCheck.Gen.(pair small_nat (list_size (int_range 1 25) sl_step_gen)))
+    (fun (seed, steps) ->
+      let s = Sk.create ~seed () in
+      let model = ref IS.empty in
+      let insert k =
+        let fresh = not (IS.mem k !model) in
+        model := IS.add k !model;
+        Sk.insert_seq s k = fresh
+      in
+      List.for_all
+        (fun step ->
+          let ok =
+            match step with
+            | Run (lo, n, stride) ->
+                List.for_all (fun i -> insert (lo + (i * stride))) (List.init n Fun.id)
+            | Ins k -> insert k
+            | Del k ->
+                let present = IS.mem k !model in
+                model := IS.remove k !model;
+                Sk.delete_seq s k = present
+            | Batch ops ->
+                let ops = Array.of_list (List.map mixed_op ops) in
+                Sk.run_batch_with ~pfor:seq_pfor s ops;
+                batch_matches_set model ops
+          in
+          Sk.check_invariants s;
+          ok && Sk.to_list s = IS.elements !model)
+        steps)
 
 (* ---------- 2-3 tree ---------- *)
 
@@ -767,6 +846,7 @@ let qcheck_cases =
       prop_skiplist_parallel_bop_matches_set;
       prop_skiplist_range_matches_set;
       prop_skiplist_pooled_bop_matches_set;
+      prop_skiplist_paths_match_set;
       prop_two_three_matches_set;
       prop_two_three_with_deletes_matches_set;
       prop_pqueue_heapsort;
@@ -808,12 +888,12 @@ let () =
           Alcotest.test_case "delete" `Quick test_skiplist_delete;
           Alcotest.test_case "delete all" `Quick test_skiplist_delete_all;
           Alcotest.test_case "batch phases" `Quick test_skiplist_batch_phases;
-          Alcotest.test_case "parallel BOP parity" `Quick test_skiplist_parallel_bop_parity;
           Alcotest.test_case "parallel BOP duplicates" `Quick
             test_skiplist_parallel_bop_duplicates;
           Alcotest.test_case "max_int reserved" `Quick test_skiplist_max_int_reserved;
           Alcotest.test_case "mem allocation-free" `Quick test_skiplist_mem_allocation_free;
           Alcotest.test_case "update allocation" `Quick test_skiplist_update_allocation;
+          Alcotest.test_case "batch allocation" `Quick test_skiplist_batch_allocation;
           Alcotest.test_case "arena churn" `Quick test_skiplist_arena_churn;
         ] );
       ( "two_three",
