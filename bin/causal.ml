@@ -12,15 +12,15 @@
    bound's prediction. The runtime leg injects calibrated delays into
    every *other* phase of the real batch path (virtual speedup by
    relative slowdown, Coz-style) and diffs each cell against a
-   uniformly-dilated control run. CAUSAL rows for both legs merge into
-   the results file in one call; exit 1 on any span-conservation
-   breach or Theorem-1 evaluation failure. *)
+   uniformly-dilated control run. Each leg prints its ranked table;
+   exit 1 on any span-conservation breach or Theorem-1 evaluation
+   failure. *)
 
 let usage () =
   prerr_endline
     "usage: causal [options]\n\n\
-     Runs the causal what-if grid on one scenario and merges CAUSAL\n\
-     rows into the results file.\n\
+     Runs the causal what-if grid on one scenario and prints each\n\
+     leg's ranked table.\n\
     \  --scenario NAME  scenario to profile (default standard; --list)\n\
     \  --list           list scenarios and exit\n\
     \  --exec MODE      sim | runtime | both (default both)\n\
@@ -33,7 +33,6 @@ let usage () =
     \                   scenario's duration and 1s)\n\
     \  --shards K       runtime shard count (default: scenario's max K)\n\
     \  --seed N         override the scenario's seed\n\
-    \  --out PATH       results file (default BENCH_results.json)\n\
     \  --quiet          print only the ranked tables and failures\n\
      Exit status: 0 ok, 1 span-conservation breach or Theorem-1\n\
      bound-evaluation failure, 2 usage error."
@@ -56,7 +55,6 @@ let () =
   let duration = ref None in
   let shards = ref None in
   let seed = ref None in
-  let out = ref "BENCH_results.json" in
   let quiet = ref false in
   let args = Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1)) in
   let rec go = function
@@ -117,9 +115,6 @@ let () =
             seed := Some n;
             go rest
         | _ -> die "--seed expects an integer, got %S" v)
-    | "--out" :: v :: rest ->
-        out := v;
-        go rest
     | ("--help" | "-h") :: _ ->
         usage ();
         exit 0
@@ -143,13 +138,11 @@ let () =
   let sc =
     match !seed with None -> sc | Some s -> { sc with Svc.Scenario.seed = s }
   in
-  let rows = ref [] in
   let errors = ref [] in
   let leg name run =
     if not !quiet then Printf.printf "[causal] %s leg: %s\n%!" name !scenario;
     let r = run () in
     print_string (Obs.Causal.render r.Svc.Causal.profile);
-    rows := !rows @ r.Svc.Causal.rows;
     errors := !errors @ r.Svc.Causal.errors
   in
   if !exec = "sim" || !exec = "both" then
@@ -158,9 +151,6 @@ let () =
     leg "runtime" (fun () ->
         Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration
           ?shards:!shards ?factors:!factors sc);
-  Svc.Report.merge_causal ~path:!out ~scenario:sc.Svc.Scenario.name !rows;
-  Printf.printf "[causal] merged %d CAUSAL rows for %s into %s\n%!"
-    (List.length !rows) sc.Svc.Scenario.name !out;
   match !errors with
   | [] -> ()
   | fails ->

@@ -1,7 +1,6 @@
 (* Command-line driver for the reproduction experiments: one subcommand
-   per experiment id in DESIGN.md, plus `all`. The benchmark harness
-   (bench/main.exe) runs the same tables non-interactively; this CLI
-   exposes the knobs. *)
+   per experiment id in DESIGN.md, plus `all`. test/dune pins the
+   simulated tables' output at small sizes as expect tests. *)
 
 open Cmdliner
 
@@ -75,7 +74,7 @@ let spin () =
 
 (* One loop alone, then two at once on two domains. Two CPUs show as
    two times close to the lone one; one CPU as twice it. *)
-let host_control () =
+let host_control when_ =
   let time () =
     let t0 = Unix.gettimeofday () in
     spin ();
@@ -85,8 +84,8 @@ let host_control () =
   let d1 = Domain.spawn time and d2 = Domain.spawn time in
   let t1 = Domain.join d1 and t2 = Domain.join d2 in
   Format.fprintf fmt
-    "%17s host control: one loop %.3f s alone; two at once %.3f and %.3f s (x%.2f)@." ""
-    alone t1 t2
+    "%17s host control %s: one loop %.3f s alone; two at once %.3f and %.3f s (x%.2f)@."
+    "" when_ alone t1 t2
     (Float.max t1 t2 /. alone)
 
 (* E1 on the real runtime *)
@@ -94,9 +93,10 @@ let fig5_rt_cmd =
   let run records sizes seed =
     Batcher_core.Report.fig5_rt_header fmt ~records;
     let agree initial p =
+      if p = 2 then host_control "before";
       let r = Batcher_core.Experiments.fig5_rt_cell ~seed ~initial ~records ~p () in
       Batcher_core.Report.fig5_rt_row fmt r;
-      if p = 2 then host_control ();
+      if p = 2 then host_control "after";
       r.Batcher_core.Experiments.agree
     in
     let cells = List.concat_map (fun s -> List.map (agree s) [ 1; 2 ]) sizes in
@@ -106,8 +106,27 @@ let fig5_rt_cmd =
     (Cmd.info "fig5-rt"
        ~doc:
          "E1 on the real runtime: BATCHER at P = 1 and 2 against the sequential \
-          skip list, timed. Exits 1 when a cell's final key set differs from SEQ's.")
+          skip list, timed, with a host control before and after each P = 2 cell. \
+          Exits 1 when a cell's final key set differs from SEQ's.")
     Term.(const run $ records_arg $ sizes_arg [ 20_000; 1_000_000 ] $ seed_arg)
+
+(* M3 *)
+let shard_k_cmd =
+  let ops =
+    Arg.(value & opt int 384 & info [ "ops" ] ~docv:"N" ~doc:"Operations per timed run.")
+  in
+  let run ops =
+    let rows = Batcher_core.Experiments.shard_scaling ~ops () in
+    Batcher_core.Report.shard_scaling fmt rows;
+    if not (List.for_all (fun r -> r.Batcher_core.Experiments.sk_agree) rows) then exit 1
+  in
+  Cmd.v
+    (Cmd.info "shard-k"
+       ~doc:
+         "M3: BATCHIFY on K = 1, 2, 4, 8 shards of a structure whose batch costs 1 ms / K, \
+          on the runtime at 2 workers. Exits 1 when the shards' counters do not sum to \
+          the ops submitted.")
+    Term.(const run $ ops)
 
 (* E2 *)
 let flatcomb_cmd =
@@ -172,9 +191,7 @@ let lemma2_cmd =
 (* E10 *)
 let multi_cmd =
   let run seed =
-    Batcher_core.Report.multi fmt (Batcher_core.Experiments.multi_structure ~seed ());
-    Batcher_core.Report.granularity fmt
-      (Batcher_core.Experiments.ablate_granularity ~seed ())
+    Batcher_core.Report.multi fmt (Batcher_core.Experiments.multi_structure ~seed ())
   in
   Cmd.v (Cmd.info "multi" ~doc:"E10: several batched structures at once")
     Term.(const run $ seed_arg)
@@ -198,10 +215,7 @@ let ablate_overhead_cmd =
 
 let pthreaded_cmd =
   let run seed =
-    Batcher_core.Report.pthreaded fmt (Batcher_core.Experiments.pthreaded ~seed ());
-    Batcher_core.Report.multi fmt (Batcher_core.Experiments.multi_structure ~seed ());
-    Batcher_core.Report.granularity fmt
-      (Batcher_core.Experiments.ablate_granularity ~seed ())
+    Batcher_core.Report.pthreaded fmt (Batcher_core.Experiments.pthreaded ~seed ())
   in
   Cmd.v (Cmd.info "pthreaded" ~doc:"E9: statically threaded programs")
     Term.(const run $ seed_arg)
@@ -255,7 +269,7 @@ let () =
   let group =
     Cmd.group info
       [
-        fig5_cmd; fig5_rt_cmd; flatcomb_cmd; counter_cmd; tree_cmd; stack_cmd; theory_cmd;
+        fig5_cmd; fig5_rt_cmd; shard_k_cmd; flatcomb_cmd; counter_cmd; tree_cmd; stack_cmd; theory_cmd;
         theorem3_cmd; lemma2_cmd; pthreaded_cmd; multi_cmd; ablate_steal_cmd; ablate_launch_cmd;
         ablate_cap_cmd; ablate_overhead_cmd; ablate_granularity_cmd; all_cmd;
       ]

@@ -9,14 +9,12 @@
    waits against the composed Theorem-1 bound terms
    (Check.Bound.service_check); the runtime leg is a timed open-loop
    run over Pool/Shard_rt per shard count, every request measured from
-   its scheduled arrival stamp. SVC rows are merged into the results
-   file, preserving other experiments and other scenarios' rows. *)
+   its scheduled arrival stamp. Every point prints on stdout. *)
 
 let usage () =
   prerr_endline
     "usage: service [options]\n\n\
-     Runs one service scenario open-loop and merges SVC rows into the\n\
-     results file.\n\
+     Runs one service scenario open-loop and prints every point.\n\
     \  --scenario NAME  scenario to run (default standard; see --list)\n\
     \  --list           list scenarios and exit\n\
     \  --exec MODE      sim | runtime | both (default both)\n\
@@ -24,16 +22,14 @@ let usage () =
     \                   min 2 -- the dispatcher owns a worker)\n\
     \  --duration S     override the runtime leg's measured seconds\n\
     \  --seed N         override the scenario's seed\n\
-    \  --out PATH       results file (default BENCH_results.json)\n\
     \  --snapshot PATH  stream Obs.Snapshot JSONL (runtime leg) to PATH\n\
     \  --load-sweep     instead of the normal legs: sweep the runtime\n\
     \                   leg over offered-load multipliers (x0.25..x4 of\n\
-    \                   rt_rate), find the throughput knee, and merge\n\
-    \                   SVC_LOAD rows (latency digest + per-phase\n\
-    \                   latency shares per point) into the results file\n\
+    \                   rt_rate), find the throughput knee, and print\n\
+    \                   each point's latency and per-phase latency shares\n\
     \  --mults LIST     comma-separated multipliers for --load-sweep\n\
     \                   (default 0.25,0.5,1,2,4)\n\
-    \  --quiet          print only failures and the final summary\n\
+    \  --quiet          print only failures and the load sweep's knees\n\
      Exit status: 0 ok, 1 a sim point escaped the Theorem-1 wait\n\
      budget or a load-sweep point breached span conservation, 2 usage\n\
      error."
@@ -67,7 +63,6 @@ let () =
   let workers = ref None in
   let duration = ref None in
   let seed = ref None in
-  let out = ref "BENCH_results.json" in
   let snapshot = ref None in
   let load_sweep = ref false in
   let mults = ref None in
@@ -107,9 +102,6 @@ let () =
             seed := Some n;
             go rest
         | _ -> die "--seed expects an integer, got %S" v)
-    | "--out" :: v :: rest ->
-        out := v;
-        go rest
     | "--snapshot" :: v :: rest ->
         snapshot := Some v;
         go rest
@@ -201,10 +193,6 @@ let () =
                    p.Svc.Sweep.mult e))
         sw.Svc.Sweep.points
     in
-    let rows = Svc.Sweep.rows sw in
-    Svc.Report.merge_svc_load ~path:!out ~scenario:sc.Svc.Scenario.name rows;
-    Printf.printf "[svc] merged %d SVC_LOAD rows for %s into %s\n%!"
-      (List.length rows) sc.Svc.Scenario.name !out;
     match breaches with
     | [] -> exit 0
     | fails ->
@@ -214,7 +202,6 @@ let () =
         exit 1
   end;
   let bound_failures = ref [] in
-  let all_rows = ref [] in
   if !exec = "sim" || !exec = "both" then begin
     if not !quiet then
       Printf.printf "[svc] sim leg: %s, shards=%d, %d requests, P sweep %s\n%!"
@@ -241,8 +228,7 @@ let () =
         | Error e ->
             bound_failures :=
               Printf.sprintf "P=%d: %s" pt.Svc.Sim_driver.p e
-              :: !bound_failures);
-        all_rows := !all_rows @ Svc.Report.rows_of_sim sc pt)
+              :: !bound_failures))
       (Svc.Sim_driver.run sc)
   end;
   if !exec = "runtime" || !exec = "both" then begin
@@ -266,15 +252,10 @@ let () =
             pt.Svc.Rt_driver.stalls pt.Svc.Rt_driver.slo_burns;
         print_classes ~quiet:!quiet
           (pt.Svc.Rt_driver.classes
-          @ [ Svc.Latency.digest "lag" pt.Svc.Rt_driver.lag_ns ]);
-        all_rows := !all_rows @ Svc.Report.rows_of_rt sc pt)
+          @ [ Svc.Latency.digest "lag" pt.Svc.Rt_driver.lag_ns ]))
       (Svc.Rt_driver.run ?workers:!workers ?snapshot_path:!snapshot
          ?duration_s:!duration sc)
   end;
-  Svc.Report.merge_svc ~path:!out ~scenario:sc.Svc.Scenario.name
-    !all_rows;
-  Printf.printf "[svc] merged %d SVC rows for %s into %s\n%!"
-    (List.length !all_rows) sc.Svc.Scenario.name !out;
   match !bound_failures with
   | [] -> ()
   | fails ->

@@ -115,6 +115,77 @@ let fig5_rt_cell ?(seed = 1) ~initial ~records ~p () =
   in
   { rt_initial = initial; rt_p = p; seq_s; bat_s; words_per_record; agree }
 
+(* ---------- M3: shard scaling on the runtime ---------- *)
+
+type shard_row = {
+  sk_shards : int;
+  sk_workers : int;
+  sk_ops : int;
+  sk_ns : int;
+  sk_cv : float;
+  sk_batches : int;
+  sk_max_batch : int;
+  sk_agree : bool;
+}
+
+let shard_scaling_workers = 2
+let shard_scaling_reps = 8
+let shard_scaling_service_s = 0.001
+
+(* The BOP of a structure with linear service: at 1/K of the keyspace a
+   batch costs s(n/K) = 1 ms / K, a sleep ahead of a real counter BOP
+   so that every op is still counted. *)
+let shard_cell ~ops shards =
+  let pool = Runtime.Pool.create ~num_workers:shard_scaling_workers () in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Pool.teardown pool)
+    (fun () ->
+      let service = shard_scaling_service_s /. float_of_int shards in
+      let rt =
+        Runtime.Shard_rt.create ~pool ~shards
+          ~state:(fun _ -> Batched.Counter.create ())
+          ~run_batch:(fun _pool st batch ->
+            Unix.sleepf service;
+            Batched.Counter.run_batch st batch)
+          ()
+      in
+      let submitted = ref 0 in
+      let submit_all n =
+        submitted := !submitted + n;
+        Runtime.Pool.run pool (fun () ->
+            Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:n (fun i ->
+                Runtime.Shard_rt.batchify rt
+                  ~shard:(Batched.Shard.route ~shards i)
+                  (Batched.Counter.op 1)))
+      in
+      submit_all (Int.min 64 ops);
+      let samples =
+        Array.init shard_scaling_reps (fun _ ->
+            let t0 = Obs.Clock.now_ns () in
+            submit_all ops;
+            float_of_int (Obs.Clock.now_ns () - t0))
+      in
+      let t = Util.Stats.summarize samples in
+      let counted = ref 0 in
+      for i = 0 to shards - 1 do
+        counted := !counted + Batched.Counter.value (Runtime.Shard_rt.state rt i)
+      done;
+      let st = Runtime.Shard_rt.total_stats rt in
+      {
+        sk_shards = shards;
+        sk_workers = shard_scaling_workers;
+        sk_ops = ops;
+        sk_ns = int_of_float t.Util.Stats.min;
+        sk_cv = t.Util.Stats.stddev /. t.Util.Stats.mean;
+        sk_batches = st.Runtime.Batcher_rt.batches;
+        sk_max_batch = st.Runtime.Batcher_rt.max_batch;
+        sk_agree = !counted = !submitted;
+      })
+
+let shard_scaling ?(ops = 384) () =
+  if ops < 1 then invalid_arg "Experiments.shard_scaling: ops < 1";
+  List.map (shard_cell ~ops) [ 1; 2; 4; 8 ]
+
 (* ---------- E2: flat combining ---------- *)
 
 type flatcomb_row = {

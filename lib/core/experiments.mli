@@ -53,6 +53,40 @@ val fig5_rt_records_per_node : int
 
 val fig5_rt_cell : ?seed:int -> initial:int -> records:int -> p:int -> unit -> fig5_rt_row
 
+(** M3 — shard scaling on the runtime: a grain-1 parallel loop of
+    [batchify] calls on {!Runtime.Shard_rt} with K shards, K ∈ {1, 2,
+    4, 8}, on two workers. Each shard's BOP sleeps
+    {!shard_scaling_service_s}/K before a counter BOP: a structure
+    whose batch costs s(n/K) at 1/K of the keyspace. At K = 1 the
+    batch flag serializes every sleep (Invariant 1); at K > 1 batches
+    of different shards overlap while each gets K times cheaper, the
+    mechanism of the composed bound O((T1 + K n s(n/K))/P + m s(n/K) +
+    T∞). Keys route through {!Batched.Shard.route}. *)
+type shard_row = {
+  sk_shards : int;
+  sk_workers : int;
+  sk_ops : int;  (** ops per timed run *)
+  sk_ns : int;  (** fastest of {!shard_scaling_reps} timed runs *)
+  sk_cv : float;
+      (** stddev/mean of the timed runs: above a few percent, read
+          [sk_ns] as a bound rather than a value *)
+  sk_batches : int;  (** over every run, the warm-up included *)
+  sk_max_batch : int;
+  sk_agree : bool;
+      (** the shards' counters sum to the number of ops submitted *)
+}
+
+val shard_scaling_reps : int
+(** 8 *)
+
+val shard_scaling_service_s : float
+(** 0.001: the K = 1 batch's service time *)
+
+val shard_scaling : ?ops:int -> unit -> shard_row list
+(** One row per K, K = 1 first. [ops] (default 384) is the op count
+    of each timed run; a warm-up of min(64, ops) ops runs first.
+    Raises [Invalid_argument] when [ops < 1]. *)
+
 (** E2 — flat-combining comparison on the skip-list workload. *)
 type flatcomb_row = {
   fc_p : int;

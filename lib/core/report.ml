@@ -61,6 +61,28 @@ let fig5_rt_row fmt (r : Experiments.fig5_rt_row) =
     r.Experiments.words_per_record
     (if r.Experiments.agree then "" else "  KEY SET DIFFERS FROM SEQ")
 
+let shard_scaling fmt (rows : Experiments.shard_row list) =
+  Format.fprintf fmt
+    "M3: sharded BATCHIFY on the runtime, each BOP sleeping %g ms / K; best of %d \
+     runs@."
+    (1000. *. Experiments.shard_scaling_service_s)
+    Experiments.shard_scaling_reps;
+  hr fmt;
+  Format.fprintf fmt "%3s %8s %6s %11s %11s %7s %6s %8s %10s@." "K" "workers" "ops" "ns"
+    "ops/s" "vs K=1" "cv%" "batches" "max_batch";
+  let base = match rows with r :: _ -> r.Experiments.sk_ns | [] -> 0 in
+  List.iter
+    (fun (r : Experiments.shard_row) ->
+      let ns = float_of_int r.Experiments.sk_ns in
+      Format.fprintf fmt "%3d %8d %6d %11d %11.0f %6.2fx %6.1f %8d %10d%s@."
+        r.Experiments.sk_shards r.Experiments.sk_workers r.Experiments.sk_ops
+        r.Experiments.sk_ns
+        (float_of_int r.Experiments.sk_ops *. 1e9 /. ns)
+        (float_of_int base /. ns) (100. *. r.Experiments.sk_cv) r.Experiments.sk_batches
+        r.Experiments.sk_max_batch
+        (if r.Experiments.sk_agree then "" else "  MISMATCH"))
+    rows
+
 let flatcomb fmt rows =
   Format.fprintf fmt "E2: BATCHER vs flat combining vs SEQ (skip-list, throughput)@.";
   hr fmt;

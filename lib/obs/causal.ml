@@ -144,67 +144,6 @@ let profile ~exec ~label ~baseline ~shares cells =
     divergent;
   }
 
-(* ---- BENCH_results.json rows (experiment id CAUSAL) ----
-
-   Identity fields: whatever the caller passes in [ident] (scenario,
-   store, p, shards, mode...) plus exec/phase/speedup/cls; metrics:
-   the measured figures, their deltas vs baseline, the share
-   prediction and the divergence. The baseline is the phase="baseline"
-   speedup=1 row. Speedup is rendered through the same float printer
-   as every metric so identical grids produce byte-identical rows. *)
-
-let num f = if Float.is_nan f then Json.Null else Json.Float f
-
-let measure_fields m =
-  [
-    ("goodput", Json.Float m.goodput);
-    ("mean_ns", Json.Float m.mean_ns);
-    ("p99_ns", Json.Float m.p99_ns);
-    ("max_ns", Json.Float m.max_ns);
-    ("bound_ns", num m.bound_ns);
-  ]
-
-let rows ~ident t =
-  let base ~phase ~speedup ~cls rest =
-    Json.Obj
-      ([ ("exec", Json.Str t.exec) ]
-      @ ident
-      @ [
-          ("phase", Json.Str phase);
-          ("speedup", Json.Str (Printf.sprintf "%g" speedup));
-          ("cls", Json.Str cls);
-        ]
-      @ rest)
-  in
-  let baseline_row =
-    base ~phase:"baseline" ~speedup:1.0 ~cls:"all"
-      (measure_fields t.baseline
-      @ List.map
-          (fun (name, v) -> ("share_" ^ name, Json.Float v))
-          t.shares)
-  in
-  let cell_rows =
-    List.concat_map
-      (fun c ->
-        base ~phase:c.phase ~speedup:c.speedup ~cls:"all"
-          (measure_fields c.m
-          @ [
-              ("d_mean", num c.d_mean);
-              ("d_p99", num c.d_p99);
-              ("d_goodput", num c.d_goodput);
-              ("d_bound", num c.d_bound);
-              ("share_predicted", num c.share_predicted);
-              ("divergence", num c.divergence);
-            ])
-        :: List.map
-             (fun (cls, d) ->
-               base ~phase:c.phase ~speedup:c.speedup ~cls
-                 [ ("d_mean", num d) ])
-             c.d_class)
-      t.cells
-  in
-  baseline_row :: cell_rows
-
 (* ---- human-readable table ---- *)
 
 let pct f = if Float.is_nan f then "    -  " else Printf.sprintf "%+6.1f%%" (100.0 *. f)

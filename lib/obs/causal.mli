@@ -12,7 +12,7 @@
     (phase × speedup) grid cell, it computes deltas, the share-based
     prediction each cell should match if shares {e were} sensitivities,
     the divergence between the two, the measured-vs-bound winner
-    comparison, and renders the ranked table / CAUSAL report rows.
+    comparison, and renders the ranked table.
     How a cell is produced is the caller's business ([Svc.Causal]):
     exact cost scaling on the virtual clock ({!Sim.Costs}), or
     calibrated delay injection on the runtime (virtual speedup of X =
@@ -95,14 +95,6 @@ val profile :
   profile
 (** Assemble the profile: winners and divergences are computed from
     each phase's deepest-speedup cell. *)
-
-val rows : ident:(string * Json.t) list -> profile -> Json.t list
-(** CAUSAL rows for BENCH_results.json: one [phase="baseline"] row
-    (measures + share_* fields) plus, per cell, one [cls="all"] row
-    (measures, d_*, share_predicted, divergence) and one row per op
-    class (d_mean). [ident] fields (scenario, store, p, shards,
-    mode...) are spliced into every row; phase/speedup/cls complete
-    the signature. NaN metrics render as JSON null. *)
 
 val render : profile -> string
 (** The ranked causal-profile table: baseline, per-cell deltas with

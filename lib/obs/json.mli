@@ -1,10 +1,11 @@
 (** Minimal JSON tree, writer, and parser.
 
     Dependency-free on purpose (the container has no yojson): enough of
-    RFC 8259 for the Chrome [trace_event] sink, the [BENCH_results.json]
-    schema, and the tests that validate both. Numbers are floats on
-    parse; the writer prints integers without a fractional part so
-    round-trips of counters stay readable. *)
+    RFC 8259 for the Chrome [trace_event] sink, the snapshot and health
+    streams, the benchmark's result files, and the tests that validate
+    them. Numbers are floats on parse; the writer prints integers
+    without a fractional part so round-trips of counters stay
+    readable. *)
 
 type t =
   | Null

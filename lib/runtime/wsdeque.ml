@@ -1,8 +1,8 @@
 (* Work-stealing deque with the whole synchronization state packed into
    ONE atomic word — the par-ml variant of Chase-Lev (SNIPPETS.md calls
    it "a single atomic variable for the state of the deque"), replacing
-   the classic two-atomic (top, bottom) formulation we used before (that
-   version survives as [bench/deque_legacy.ml] for M2 head-to-heads).
+   the classic two-atomic (top, bottom) formulation we used before (it
+   lost both of M2's cells, EXPERIMENTS.md, and is deleted).
 
    Encoding:  word = (top lsl size_bits) lor size,   both non-negative.
    [top] is the steal index; [size] the element count; the owner's write

@@ -1,6 +1,6 @@
 (** Lock-free work-stealing deque with all synchronization state packed
     into a single cache-line-padded atomic word — the par-ml variant of
-    Chase-Lev (DESIGN.md §13).
+    Chase-Lev (DESIGN.md §8.7, §8.9).
 
     The word encodes [(top lsl size_bits) lor size]; the owner's write
     index is always [top + size], an invariant steals preserve. [push]
@@ -10,8 +10,7 @@
     [top] when taking the last element, which keeps [top] strictly
     monotone and rules out the ABA a pre-CAS element read would
     otherwise risk. Full protocol and ABA argument in the
-    implementation; the previous two-atomic version is preserved as
-    [bench/deque_legacy.ml] for M2 comparisons.
+    implementation.
 
     Elements live directly in a flat [Obj.t] buffer (no per-[push]
     boxing). The buffer grows on demand (owner-side only) up to

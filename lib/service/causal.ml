@@ -23,7 +23,6 @@
 
 type result = {
   profile : Obs.Causal.profile;
-  rows : Obs.Json.t list;
   errors : string list;
 }
 
@@ -45,10 +44,6 @@ let measure_of_classes ~goodput ~bound_ns classes =
           else Some (c.Latency.cls, c.Latency.mean_ns))
         classes;
   }
-
-let store_name (sc : Scenario.t) =
-  let (module S : Store.STORE) = sc.Scenario.store in
-  S.name
 
 (* ---- sim leg ---- *)
 
@@ -142,19 +137,7 @@ let run_sim ?p ?(factors = default_sim_factors) (sc : Scenario.t) =
            base_pt.Sim_driver.requests)
       ~baseline ~shares cells
   in
-  let ident =
-    [
-      ("scenario", Obs.Json.Str sc.Scenario.name);
-      ("store", Obs.Json.Str (store_name sc));
-      ("p", Obs.Json.Int p);
-      ("shards", Obs.Json.Int sc.Scenario.sim_shards);
-    ]
-  in
-  {
-    profile;
-    rows = Obs.Causal.rows ~ident profile;
-    errors = List.rev !errors;
-  }
+  { profile; errors = List.rev !errors }
 
 (* ---- runtime leg ---- *)
 
@@ -261,16 +244,4 @@ let run_rt ?workers ?duration_s ?shards ?(factors = default_rt_factors)
            sc.Scenario.name shards base_pt.Rt_driver.workers duration_s)
       ~baseline ~shares cells
   in
-  let ident =
-    [
-      ("scenario", Obs.Json.Str sc.Scenario.name);
-      ("store", Obs.Json.Str (store_name sc));
-      ("p", Obs.Json.Int base_pt.Rt_driver.workers);
-      ("shards", Obs.Json.Int shards);
-    ]
-  in
-  {
-    profile;
-    rows = Obs.Causal.rows ~ident profile;
-    errors = List.rev !errors;
-  }
+  { profile; errors = List.rev !errors }

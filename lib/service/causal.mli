@@ -29,7 +29,6 @@
 
 type result = {
   profile : Obs.Causal.profile;
-  rows : Obs.Json.t list;  (** CAUSAL report rows, ident included *)
   errors : string list;
       (** conservation breaches and bound-evaluation failures, in
           occurrence order — the caller's exit-1 handle; empty on a

@@ -32,7 +32,6 @@ type knee = {
 }
 
 type t = {
-  scenario : Scenario.t;
   points : point list;
   knees : knee list;
 }
@@ -117,59 +116,4 @@ let run ?(mults = default_mults) ?shards ?workers ?duration_s
       shards
   in
   let knees = knees_of_points ~shards points in
-  { scenario = sc; points; knees }
-
-(* SVC_LOAD rows. Identity fields: exec/scenario/store/p/shards/mult/
-   cls. Each grid point emits one "all" row with goodput, the latency
-   digest and the phase shares; each K emits one cls="knee" row whose
-   knee_req_s metric is the gate handle. *)
-let rows t =
-  let sc = t.scenario in
-  let store =
-    let (module S : Store.STORE) = sc.Scenario.store in
-    S.name
-  in
-  let base ~k ~cls rest =
-    Obs.Json.Obj
-      ([
-         ("exec", Obs.Json.Str "runtime");
-         ("scenario", Obs.Json.Str sc.Scenario.name);
-         ("store", Obs.Json.Str store);
-         ("shards", Obs.Json.Int k);
-         ("cls", Obs.Json.Str cls);
-       ]
-      @ rest)
-  in
-  let point_rows =
-    List.map
-      (fun p ->
-        let all = Latency.all_of p.pt.Rt_driver.classes in
-        base ~k:p.shards ~cls:"all"
-          ([
-             ("mult", Obs.Json.Float p.mult);
-             ("p", Obs.Json.Int p.pt.Rt_driver.workers);
-             ("offered_req_s", Obs.Json.Float p.offered_req_s);
-             ("goodput", Obs.Json.Float p.pt.Rt_driver.goodput);
-             ("requests", Obs.Json.Int p.pt.Rt_driver.requests);
-             ("p50_ns", Obs.Json.Float all.Latency.p50_ns);
-             ("p99_ns", Obs.Json.Float all.Latency.p99_ns);
-             ("p999_ns", Obs.Json.Float all.Latency.p999_ns);
-             ("p999_approx", Obs.Json.Bool all.Latency.p999_approx);
-           ]
-          @ List.map
-              (fun (name, v) -> ("share_" ^ name, Obs.Json.Float v))
-              p.shares))
-      t.points
-  in
-  let knee_rows =
-    List.map
-      (fun kn ->
-        base ~k:kn.k_shards ~cls:"knee"
-          [
-            ("knee_req_s", Obs.Json.Float kn.knee_req_s);
-            ("knee_mult", Obs.Json.Float kn.knee_mult);
-            ("knee_absent", Obs.Json.Bool kn.k_absent);
-          ])
-      t.knees
-  in
-  point_rows @ knee_rows
+  { points; knees }

@@ -29,15 +29,12 @@ type knee = {
           fell short *)
   knee_mult : float;  (** the multiplier of that point (0.0 likewise) *)
   k_absent : bool;
-      (** true when {e no} swept multiplier kept up — the knee row is
-          still emitted (with [knee_absent] true) so a saturated
-          configuration shows up as an explicit verdict rather than a
-          silently missing row, and [--gate-knee] in
-          [bin/bench_diff.exe] treats it as a trip *)
+      (** true when {e no} swept multiplier kept up — the knee is
+          still returned, so a saturated configuration shows up as an
+          explicit verdict rather than a missing knee *)
 }
 
 type t = {
-  scenario : Scenario.t;
   points : point list;  (** shards × mults, in that nesting *)
   knees : knee list;  (** one per shard count *)
 }
@@ -74,12 +71,3 @@ val run :
 (** Run the grid. Defaults: {!default_mults}, shards = the scenario's
     largest K, duration
     min(scenario, 1 s) per point (a sweep multiplies runs). *)
-
-val rows : t -> Obs.Json.t list
-(** [SVC_LOAD] rows for BENCH_results.json: one ["all"] row per grid
-    point (identity: scenario/store/shards/mult; metrics:
-    offered_req_s, goodput, latency digest, share_* phase shares) and
-    one ["knee"] row per K carrying [knee_req_s] and
-    [knee_absent] — the [--gate-knee] handles in
-    [bin/bench_diff.exe]. Merge with
-    {!Report.merge_svc_load}. *)

@@ -536,19 +536,18 @@ let test_work_event_readback () =
 
 (* ---- attribution ---- *)
 
-let run_recorded_cfg ?(n = 200) cfg =
+let run_recorded_cfg cfg workload =
   let rc =
     Obs.Recorder.create ~clock:Obs.Recorder.Timesteps
       ~workers:cfg.Sim.Batcher.p ()
   in
   let m =
-    Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc ()) cfg
-      (sim_workload ~n ())
+    Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc ()) cfg workload
   in
   (rc, m)
 
-let check_sim_attrib cfg =
-  let rc, m = run_recorded_cfg cfg in
+let check_sim_attrib (cfg, workload) =
+  let rc, m = run_recorded_cfg cfg (workload ()) in
   let s = Obs.Summary.of_recorder rc in
   (match Obs.Summary.check ~expected:(m.Sim.Metrics.p * m.Sim.Metrics.makespan) s with
   | Ok () -> ()
@@ -562,18 +561,38 @@ let check_sim_attrib cfg =
 
 let test_attrib_sim_conservation () =
   (* Exact bucket conservation must hold across scheduler shapes, not
-     just the paper default: every (worker, timestep) does exactly one
-     classifiable thing. *)
+     just the paper default, and across workloads: one record per node
+     on a counter, and a counter interleaved with a skip list. Every
+     (worker, timestep) does exactly one classifiable thing. *)
+  let skiplist () = sim_workload () in
+  let counter () =
+    Sim.Workload.parallel_ops ~model:(Batched.Counter.sim_model ())
+      ~records_per_node:1 ~n_nodes:200 ()
+  in
+  let interleaved () =
+    Sim.Workload.interleaved_ops
+      ~models:
+        [
+          Batched.Counter.sim_model ();
+          Batched.Skiplist.sim_model ~initial_size:100_000 ~records_per_node:10 ();
+        ]
+      ~records_per_node:10 ~n_nodes:200 ()
+  in
   List.iter check_sim_attrib
-    [
-      Sim.Batcher.default ~p:1;
-      Sim.Batcher.default ~p:4;
-      { (Sim.Batcher.default ~p:3) with Sim.Batcher.overhead = Sim.Batcher.No_setup };
-      { (Sim.Batcher.default ~p:5) with
-        Sim.Batcher.steal_policy = Sim.Batcher.Core_only;
-        seed = 9 };
-      { (Sim.Batcher.default ~p:4) with Sim.Batcher.launch_threshold = 4 };
-    ]
+    ([
+       (Sim.Batcher.default ~p:1, skiplist);
+       (Sim.Batcher.default ~p:4, skiplist);
+       ( { (Sim.Batcher.default ~p:3) with Sim.Batcher.overhead = Sim.Batcher.No_setup },
+         skiplist );
+       ( { (Sim.Batcher.default ~p:5) with
+           Sim.Batcher.steal_policy = Sim.Batcher.Core_only;
+           seed = 9 },
+         skiplist );
+       ({ (Sim.Batcher.default ~p:4) with Sim.Batcher.launch_threshold = 4 }, skiplist);
+     ]
+    @ List.concat_map
+        (fun p -> [ (Sim.Batcher.default ~p, counter); (Sim.Batcher.default ~p, interleaved) ])
+        [ 2; 4 ])
 
 (* A recorded counter run on a [p]-worker pool; [slow_ns] busy-waits
    inside each BOP. *)

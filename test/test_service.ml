@@ -543,75 +543,6 @@ let test_snapshot_extra_fields () =
       | _ -> Alcotest.fail "extra field missing or wrong")
   | Error e -> Alcotest.fail ("unparseable snapshot line: " ^ e))
 
-(* ---------- report merge ---------- *)
-
-let row ~scenario v =
-  Obs.Json.Obj
-    [
-      ("exec", Obs.Json.Str "sim");
-      ("scenario", Obs.Json.Str scenario);
-      ("cls", Obs.Json.Str "all");
-      ("p99_ns", Obs.Json.Float v);
-    ]
-
-let svc_rows j =
-  match Obs.Json.member "experiments" j with
-  | Some (Obs.Json.List exps) -> (
-      match
-        List.find_opt
-          (fun e -> Obs.Json.member "id" e = Some (Obs.Json.Str "SVC"))
-          exps
-      with
-      | Some e -> (
-          match Obs.Json.member "rows" e with
-          | Some (Obs.Json.List rows) -> rows
-          | _ -> [])
-      | None -> [])
-  | _ -> []
-
-let test_report_merge_preserves () =
-  let path = Filename.temp_file "svc_bench" ".json" in
-  (* Seed the file with a foreign experiment that must survive. *)
-  Batcher_core.Report_json.write_file ~path
-    (Obs.Json.Obj
-       [
-         ("schema_version", Obs.Json.Int 1);
-         ( "experiments",
-           Obs.Json.List
-             [
-               Obs.Json.Obj
-                 [ ("id", Obs.Json.Str "E1"); ("rows", Obs.Json.List []) ];
-             ] );
-       ]);
-  Svc.Report.merge_svc ~path ~scenario:"a" [ row ~scenario:"a" 1.0 ];
-  Svc.Report.merge_svc ~path ~scenario:"b" [ row ~scenario:"b" 2.0 ];
-  (* Re-running scenario a replaces its rows, keeps b's. *)
-  Svc.Report.merge_svc ~path ~scenario:"a" [ row ~scenario:"a" 3.0 ];
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  match Obs.Json.parse s with
-  | Error e -> Alcotest.fail e
-  | Ok j ->
-      let rows = svc_rows j in
-      Alcotest.(check int) "one row per scenario" 2 (List.length rows);
-      let p99_of scen =
-        List.find_map
-          (fun r ->
-            if Obs.Json.member "scenario" r = Some (Obs.Json.Str scen) then
-              Option.bind (Obs.Json.member "p99_ns" r) Obs.Json.to_float_opt
-            else None)
-          rows
-      in
-      Alcotest.(check (option (float 0.0))) "a replaced" (Some 3.0) (p99_of "a");
-      Alcotest.(check (option (float 0.0))) "b kept" (Some 2.0) (p99_of "b");
-      (match Obs.Json.member "experiments" j with
-      | Some (Obs.Json.List exps) ->
-          Alcotest.(check int) "foreign experiment preserved" 2
-            (List.length exps)
-      | _ -> Alcotest.fail "experiments missing")
-
 (* ---------- identity costs reproduce the pre-causal engine ---------- *)
 
 (* Golden digests captured on the standard scenario BEFORE Sim.Costs
@@ -725,15 +656,13 @@ let test_causal_sim_profile () =
      diverges from its Reqtrace latency share. *)
   Alcotest.(check bool) "shares != sensitivity somewhere" true
     (p.Obs.Causal.divergent <> []);
-  (* Exact determinism: the whole profile, rows included, replays. *)
+  (* Exact determinism: the whole profile replays. *)
   let r2 = Svc.Causal.run_sim ~factors:[ 2.0; 4.0 ] sc in
   (* Structural compare, not (=): the share knob's share_predicted/
      divergence are NaN by design, and NaN = NaN is false while
      compare treats them equal. *)
   Alcotest.(check int) "profile deterministic" 0
-    (compare r.Svc.Causal.profile r2.Svc.Causal.profile);
-  Alcotest.(check int) "rows deterministic" 0
-    (compare r.Svc.Causal.rows r2.Svc.Causal.rows)
+    (compare r.Svc.Causal.profile r2.Svc.Causal.profile)
 
 (* The runtime leg's delay injection must keep every Reqtrace stamp a
    real clock reading: span conservation holds on an injected run. *)
@@ -797,99 +726,6 @@ let qcheck_replay =
     (fun seed ->
       let g = Gen.make ~seed ~n_keys:10_000 ~rate:25_000.0 () in
       Gen.generate_n g ~n:200 = Gen.generate_n g ~n:200)
-
-(* merge_experiment is the report files' only writer, so its two
-   contracts get property coverage: re-merging the same rows is
-   idempotent (CI re-runs must not churn the file), and merging
-   scenario A neither drops nor reorders scenario B's rows (nor any
-   foreign experiment). Rows are synthesized with varying counts and
-   metric values; the file is round-tripped through disk each time,
-   like the real thing. *)
-
-let synth_rows ~scenario ~salt n =
-  List.init n (fun i ->
-      Obs.Json.Obj
-        [
-          ("exec", Obs.Json.Str "sim");
-          ("scenario", Obs.Json.Str scenario);
-          ("cls", Obs.Json.Str (Printf.sprintf "c%d" i));
-          (* +0.5 keeps the float non-integral: an integral Float
-             serializes as "17", which parses back as Int — a
-             representation change the properties' structural
-             comparisons would false-positive on. *)
-          ("p99_ns", Obs.Json.Float (fi ((salt * 31) + i) +. 0.5));
-        ])
-
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let with_temp_report f =
-  let path = Filename.temp_file "svc_merge" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let qcheck_merge_idempotent =
-  QCheck.Test.make ~name:"merge_experiment re-merge is idempotent" ~count:30
-    QCheck.(pair (0 -- 6) (0 -- 10_000))
-    (fun (n, salt) ->
-      with_temp_report (fun path ->
-          let rows = synth_rows ~scenario:"a" ~salt n in
-          Svc.Report.merge_svc ~path ~scenario:"a" rows;
-          let once = slurp path in
-          Svc.Report.merge_svc ~path ~scenario:"a" rows;
-          once = slurp path))
-
-let qcheck_merge_preserves_others =
-  QCheck.Test.make
-    ~name:"merging A never drops or reorders B's rows" ~count:30
-    QCheck.(triple (1 -- 6) (0 -- 6) (0 -- 10_000))
-    (fun (nb, na, salt) ->
-      with_temp_report (fun path ->
-          let b_rows = synth_rows ~scenario:"b" ~salt nb in
-          (* A foreign experiment must survive the SVC merges too. *)
-          Batcher_core.Report_json.write_file ~path
-            (Obs.Json.Obj
-               [
-                 ("schema_version", Obs.Json.Int 1);
-                 ( "experiments",
-                   Obs.Json.List
-                     [
-                       Obs.Json.Obj
-                         [
-                           ("id", Obs.Json.Str "E1");
-                           ( "rows",
-                             Obs.Json.List
-                               (synth_rows ~scenario:"x" ~salt 2) );
-                         ];
-                     ] );
-               ]);
-          Svc.Report.merge_svc ~path ~scenario:"b" b_rows;
-          Svc.Report.merge_svc ~path ~scenario:"a"
-            (synth_rows ~scenario:"a" ~salt:(salt + 1) na);
-          match Obs.Json.parse (slurp path) with
-          | Error _ -> false
-          | Ok j ->
-              let b_after =
-                List.filter
-                  (fun r ->
-                    Obs.Json.member "scenario" r = Some (Obs.Json.Str "b"))
-                  (svc_rows j)
-              in
-              let e1_intact =
-                match Obs.Json.member "experiments" j with
-                | Some (Obs.Json.List exps) ->
-                    List.exists
-                      (fun e ->
-                        Obs.Json.member "id" e = Some (Obs.Json.Str "E1")
-                        && Obs.Json.member "rows" e
-                           = Some
-                               (Obs.Json.List (synth_rows ~scenario:"x" ~salt 2)))
-                      exps
-                | _ -> false
-              in
-              b_after = b_rows && e1_intact))
 
 let () =
   Alcotest.run "service"
@@ -955,8 +791,6 @@ let () =
           Alcotest.test_case "empty run digest" `Quick test_latency_empty_run;
           Alcotest.test_case "snapshot extra fields" `Quick
             test_snapshot_extra_fields;
-          Alcotest.test_case "report merge preserves" `Quick
-            test_report_merge_preserves;
           Alcotest.test_case "store registry" `Quick test_store_registry;
           Alcotest.test_case "mix folding" `Quick test_mix_folding;
         ] );
@@ -965,8 +799,6 @@ let () =
           [
             qcheck_zipf_in_range;
             qcheck_replay;
-            qcheck_merge_idempotent;
-            qcheck_merge_preserves_others;
             qcheck_digest_quantiles;
           ] );
     ]
