@@ -33,7 +33,6 @@ let usage () =
     \                   scenario's duration and 1s)\n\
     \  --shards K       runtime shard count (default: scenario's max K)\n\
     \  --seed N         override the scenario's seed\n\
-    \  --quiet          print only the ranked tables and failures\n\
      Exit status: 0 ok, 1 span-conservation breach or Theorem-1\n\
      bound-evaluation failure, 2 usage error."
 
@@ -55,15 +54,11 @@ let () =
   let duration = ref None in
   let shards = ref None in
   let seed = ref None in
-  let quiet = ref false in
   let args = Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1)) in
   let rec go = function
     | [] -> ()
     | "--list" :: rest ->
         list_only := true;
-        go rest
-    | "--quiet" :: rest ->
-        quiet := true;
         go rest
     | "--scenario" :: v :: rest ->
         scenario := v;
@@ -139,18 +134,17 @@ let () =
     match !seed with None -> sc | Some s -> { sc with Svc.Scenario.seed = s }
   in
   let errors = ref [] in
-  let leg name run =
-    if not !quiet then Printf.printf "[causal] %s leg: %s\n%!" name !scenario;
-    let r = run () in
+  (* [render] opens with the leg's "[causal] <exec> leg:" header. *)
+  let leg (r : Svc.Causal.result) =
     print_string (Obs.Causal.render r.Svc.Causal.profile);
     errors := !errors @ r.Svc.Causal.errors
   in
   if !exec = "sim" || !exec = "both" then
-    leg "sim" (fun () -> Svc.Causal.run_sim ?p:!p ?factors:!factors sc);
+    leg (Svc.Causal.run_sim ?p:!p ?factors:!factors sc);
   if !exec = "runtime" || !exec = "both" then
-    leg "runtime" (fun () ->
-        Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration
-          ?shards:!shards ?factors:!factors sc);
+    leg
+      (Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration
+         ?shards:!shards ?factors:!factors sc);
   match !errors with
   | [] -> ()
   | fails ->

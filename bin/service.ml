@@ -174,10 +174,13 @@ let () =
     List.iter
       (fun (kn : Svc.Sweep.knee) ->
         Printf.printf "  knee: K=%d %s\n" kn.Svc.Sweep.k_shards
-          (if kn.Svc.Sweep.knee_req_s > 0.0 then
-             Printf.sprintf "%.0f req/s (x%g)" kn.Svc.Sweep.knee_req_s
-               kn.Svc.Sweep.knee_mult
-           else "below the lowest swept rate"))
+          (match kn.Svc.Sweep.k_status with
+          | Svc.Sweep.Inside_grid ->
+              Printf.sprintf "%.0f req/s (x%g)" kn.Svc.Sweep.knee_req_s
+                kn.Svc.Sweep.knee_mult
+          | Svc.Sweep.Top_kept_up ->
+              Printf.sprintf "≥ %.0f req/s (top of grid)" kn.Svc.Sweep.knee_req_s
+          | Svc.Sweep.No_point_kept_up -> "below the lowest swept rate"))
       sw.Svc.Sweep.knees;
     (* Per-point span conservation is the sweep's self-check: the phase
        shares are only meaningful if every span's phases sum to its

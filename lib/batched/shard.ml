@@ -12,9 +12,11 @@
 let route ~shards key =
   if shards <= 1 then 0
   else begin
-    (* Fibonacci mix (same constant as [Hashtable.bucket_of]) so that
-       clustered key ranges still spread across shards; [land max_int]
-       clears the sign bit, making the result total over all of [int]. *)
+    (* Fibonacci mix so that clustered key ranges still spread across
+       shards; [land max_int] clears the sign bit, making the result
+       total over all of [int]. A hash table picks slots from the top
+       bits of another multiplier ([Hashtable.home]), so one shard's keys
+       still spread over its whole table. *)
     let h = key * 0x2545F4914F6CDD1D in
     (h lxor (h lsr 31)) land max_int mod shards
   end

@@ -262,9 +262,8 @@ let hashtable =
             oracle = o;
             oracle_batch =
               (fun b ->
-                (* Records apply in batch order per bucket; replaying the
-                   whole batch in batch order preserves every bucket's
-                   order, so results match exactly. *)
+                (* Records apply in batch order, as the oracle replays
+                   them, so results match exactly. *)
                 let err = ref None in
                 Array.iter
                   (function

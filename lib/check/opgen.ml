@@ -30,12 +30,22 @@ let pqueue_op rng i =
 
 let small_key ~n rng = Util.Rng.int rng (max 8 (n / 2))
 
+(* About 1 key in 16 is [min_int] (the key the table keeps beside its
+   array), [max_int] or a small negative key. *)
+let hashtable_key ~n rng =
+  if Util.Rng.int rng 16 > 0 then small_key ~n rng
+  else
+    match Util.Rng.int rng 3 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | _ -> -1 - small_key ~n rng
+
 let hashtable_op ~n rng _i =
   match Util.Rng.int rng 4 with
   | 0 | 1 ->
-      Batched.Hashtable.insert ~key:(small_key ~n rng) ~value:(Util.Rng.int rng 1000)
-  | 2 -> Batched.Hashtable.lookup (small_key ~n rng)
-  | _ -> Batched.Hashtable.remove (small_key ~n rng)
+      Batched.Hashtable.insert ~key:(hashtable_key ~n rng) ~value:(Util.Rng.int rng 1000)
+  | 2 -> Batched.Hashtable.lookup (hashtable_key ~n rng)
+  | _ -> Batched.Hashtable.remove (hashtable_key ~n rng)
 
 let skiplist_op ~n rng _i =
   match Util.Rng.int rng 8 with

@@ -8,9 +8,9 @@
     same-key inserts {e within} a batch with [List.sort_uniq], whose
     surviving record is implementation-defined, so a conformance oracle
     could not predict which duplicate record gets the [inserted] flag.
-    The skip list (stable insertion order) and hash table (batch order
-    per bucket) define in-batch duplicates exactly, so their generators
-    reuse keys freely. *)
+    The skip list (stable insertion order) and hash table (batch order)
+    define in-batch duplicates exactly, so their generators reuse keys
+    freely. *)
 
 val script : gen:(Util.Rng.t -> int -> 'op) -> n:int -> seed:int -> 'op array
 (** [script ~gen ~n ~seed] draws ops [gen rng 0 .. gen rng (n-1)] in
@@ -31,7 +31,9 @@ val pqueue_op : Util.Rng.t -> int -> Batched.Pqueue.op
 
 val hashtable_op : n:int -> Util.Rng.t -> int -> Batched.Hashtable.op
 (** Inserts, lookups and removes over a small key space (collisions
-    intended). *)
+    intended). About 1 op in 16 takes [min_int], [max_int] or a small
+    negative key instead, so the table's side binding for [min_int]
+    runs through sharding, the runtime and the oracle. *)
 
 val skiplist_op : n:int -> Util.Rng.t -> int -> Batched.Skiplist.op
 (** Inserts, membership tests and deletes over a small key space, with

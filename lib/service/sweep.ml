@@ -24,11 +24,13 @@ type point = {
   shares : (string * float) list;  (* Obs.Reqtrace.shares of the point *)
 }
 
+type knee_status = No_point_kept_up | Inside_grid | Top_kept_up
+
 type knee = {
   k_shards : int;
   knee_req_s : float;  (* 0.0 when no swept point kept up *)
   knee_mult : float;
-  k_absent : bool;  (* no swept multiplier kept up at all *)
+  k_status : knee_status;
 }
 
 type t = {
@@ -42,20 +44,22 @@ let default_mults = [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
 let scale (sc : Scenario.t) mult =
   { sc with Scenario.rt_rate = sc.Scenario.rt_rate *. mult }
 
-(* Knee extraction is pure over the measured points so the absent-knee
-   contract (a K whose every swept multiplier failed to keep up yields
-   an explicit [k_absent] knee, never a silent omission) is
-   unit-testable without timed runs. *)
+(* Knee extraction is pure over the measured points, so its status
+   (no point kept up, a knee inside the grid, or the grid's top kept up
+   and the knee is only a lower bound) is unit-testable without timed
+   runs. *)
 let knees_of_points ~shards points =
   List.map
     (fun k ->
+      let mine = List.filter (fun p -> p.shards = k) points in
       let keeping =
         List.filter
           (fun p ->
-            p.shards = k && p.offered_req_s > 0.0
+            p.offered_req_s > 0.0
             && p.pt.Rt_driver.goodput /. p.offered_req_s >= knee_threshold)
-          points
+          mine
       in
+      let top = List.fold_left (fun m p -> Float.max m p.mult) 0.0 mine in
       let best =
         List.fold_left
           (fun acc p ->
@@ -70,10 +74,17 @@ let knees_of_points ~shards points =
             k_shards = k;
             knee_req_s = p.offered_req_s;
             knee_mult = p.mult;
-            k_absent = false;
+            k_status =
+              (if List.exists (fun p -> p.mult = top) keeping then Top_kept_up
+               else Inside_grid);
           }
       | None ->
-          { k_shards = k; knee_req_s = 0.0; knee_mult = 0.0; k_absent = true })
+          {
+            k_shards = k;
+            knee_req_s = 0.0;
+            knee_mult = 0.0;
+            k_status = No_point_kept_up;
+          })
     shards
 
 let run ?(mults = default_mults) ?shards ?workers ?duration_s

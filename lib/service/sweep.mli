@@ -21,6 +21,16 @@ type point = {
           queue/sched/pending/exec shares of total latency (sum to 1) *)
 }
 
+(** Where the knee sits in the swept grid. *)
+type knee_status =
+  | No_point_kept_up
+      (** even the lowest multiplier fell short: the capacity is below
+          the grid *)
+  | Inside_grid  (** a higher multiplier fell short: the knee is bracketed *)
+  | Top_kept_up
+      (** the highest multiplier kept up: the knee is only a lower
+          bound on the capacity *)
+
 type knee = {
   k_shards : int;
   knee_req_s : float;
@@ -28,10 +38,7 @@ type knee = {
           {!knee_threshold} of offered; 0.0 when even the lowest point
           fell short *)
   knee_mult : float;  (** the multiplier of that point (0.0 likewise) *)
-  k_absent : bool;
-      (** true when {e no} swept multiplier kept up — the knee is
-          still returned, so a saturated configuration shows up as an
-          explicit verdict rather than a missing knee *)
+  k_status : knee_status;
 }
 
 type t = {
@@ -53,13 +60,13 @@ val scale : Scenario.t -> float -> Scenario.t
 
 val knees_of_points : shards:int list -> point list -> knee list
 (** Pure knee extraction over measured points, one knee per K in the
-    given order — including an explicit [k_absent] knee for a K whose
-    every point failed {!knee_threshold}. *)
+    given order, each with its {!knee_status} — a K whose every point
+    failed {!knee_threshold} still gets a knee. *)
 
 val default_mults : float list
-(** [0.25; 0.5; 1.0; 2.0; 4.0] — spans comfortable to past-saturation
-    on the calibrated scenarios (standard's 4× offered exceeds this
-    box's measured capacity). *)
+(** [0.25; 0.5; 1.0; 2.0; 4.0] around the scenario's calibrated rate.
+    A host fast enough keeps up at every multiplier (the knee is then
+    [Top_kept_up]); larger [mults] find its capacity. *)
 
 val run :
   ?mults:float list ->

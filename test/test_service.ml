@@ -383,6 +383,50 @@ let test_sweep_offered_counts_bursts () =
           p.Svc.Sweep.offered_req_s)
     sw.Svc.Sweep.points
 
+(* Knee extraction over synthetic points, one K per status: every
+   multiplier keeps up (the knee is the grid's top, a lower bound), the
+   top one falls short (the knee is inside the grid), none keeps up. *)
+let test_sweep_knee_status () =
+  let point shards mult kept : Svc.Sweep.point =
+    let offered = 10_000.0 *. mult in
+    {
+      Svc.Sweep.shards;
+      mult;
+      offered_req_s = offered;
+      pt =
+        {
+          Svc.Rt_driver.shards;
+          workers = 2;
+          requests = 0;
+          elapsed_ns = 0.0;
+          goodput = (if kept then offered else 0.5 *. offered);
+          classes = [];
+          batches = 0;
+          max_batch = 0;
+          stalls = 0;
+          slo_burns = 0;
+          lag_ns = [||];
+          trace = Obs.Reqtrace.null;
+        };
+      shares = [];
+    }
+  in
+  let points =
+    [ point 1 1.0 true; point 1 2.0 true; point 1 4.0 true ]
+    @ [ point 2 1.0 true; point 2 2.0 true; point 2 4.0 false ]
+    @ [ point 4 1.0 false; point 4 2.0 false; point 4 4.0 false ]
+  in
+  match Svc.Sweep.knees_of_points ~shards:[ 1; 2; 4 ] points with
+  | [ k1; k2; k4 ] ->
+      Alcotest.(check bool) "K=1 top kept up" true (k1.Svc.Sweep.k_status = Svc.Sweep.Top_kept_up);
+      Alcotest.(check (float 0.0)) "K=1 knee is the top" 40_000.0 k1.Svc.Sweep.knee_req_s;
+      Alcotest.(check bool) "K=2 inside" true (k2.Svc.Sweep.k_status = Svc.Sweep.Inside_grid);
+      Alcotest.(check (float 0.0)) "K=2 knee at x2" 2.0 k2.Svc.Sweep.knee_mult;
+      Alcotest.(check bool) "K=4 none kept up" true
+        (k4.Svc.Sweep.k_status = Svc.Sweep.No_point_kept_up);
+      Alcotest.(check (float 0.0)) "K=4 no rate" 0.0 k4.Svc.Sweep.knee_req_s
+  | knees -> Alcotest.failf "%d knees for 3 shard counts" (List.length knees)
+
 (* ---------- per-request span traces through the drivers ---------- *)
 
 (* The acceptance property of the anatomy subsystem: on a real traced
@@ -766,6 +810,7 @@ let () =
           Alcotest.test_case "runtime tiny point" `Quick test_rt_driver_tiny;
           Alcotest.test_case "sweep offered rate counts bursts" `Quick
             test_sweep_offered_counts_bursts;
+          Alcotest.test_case "sweep knee status" `Quick test_sweep_knee_status;
         ] );
       ( "reqtrace",
         [

@@ -212,6 +212,30 @@ let test_hashtable_growth () =
   Alcotest.(check bool) "shrank" true (H.buckets h < big);
   H.check_invariants h
 
+(* One op at a time, the table grows past 1 binding per 2 slots and
+   shrinks under 1 per 16, down to 64 slots: in buckets of 4 slots, the
+   points [sim_model] charges and the ledger's open-write sizing
+   assumes. Only the counts are pinned, not the slot numbers. *)
+let test_hashtable_resize_points () =
+  let h = H.create () in
+  let changes = ref [] in
+  let watch f =
+    let b = H.buckets h in
+    f ();
+    if H.buckets h <> b then changes := H.length h :: !changes
+  in
+  for k = 0 to 999 do
+    watch (fun () -> ignore (H.insert_seq h ~key:k ~value:k))
+  done;
+  let grew = List.rev !changes in
+  changes := [];
+  for k = 0 to 999 do
+    watch (fun () -> ignore (H.remove_seq h k))
+  done;
+  Alcotest.(check (list int)) "growth counts" [ 33; 65; 129; 257; 513 ] grew;
+  Alcotest.(check (list int)) "shrink counts" [ 127; 63; 31; 15; 7 ] (List.rev !changes);
+  H.check_invariants h
+
 let prop_hashtable_matches_map =
   QCheck.Test.make ~name:"hashtable batches match Map" ~count:150
     QCheck.(
@@ -244,7 +268,19 @@ let prop_hashtable_matches_map =
 (* Replace, remove, reinsert and lookup over a few hot keys, on a table
    grown by [fill] cold keys; then the cold keys are removed a chunk per
    batch, so the table shrink-resizes around the hot bindings. Every
-   record's answer is checked against the model in batch order. *)
+   record's answer is checked against the model in batch order. The hot
+   keys are mostly 0..20, with [min_int] (the empty-slot key, bound
+   beside the array), [max_int] and -1..-8: at most 31 of them. *)
+let hot_key =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      frequency
+        [
+          (14, int_bound 20);
+          (1, oneofl [ min_int; max_int ]);
+          (1, map (fun k -> -1 - k) (int_bound 7));
+        ])
+
 let prop_hashtable_churn_matches_map =
   QCheck.Test.make ~name:"hashtable replace/remove/reinsert/shrink matches Map"
     ~count:100
@@ -252,7 +288,7 @@ let prop_hashtable_churn_matches_map =
       pair (int_bound 400)
         (list_of_size Gen.(0 -- 10)
            (list_of_size Gen.(0 -- 30)
-              (triple (int_bound 2) (int_bound 20) small_nat))))
+              (triple (int_bound 2) hot_key small_nat))))
     (fun (fill, batches) ->
       let module IM = Map.Make (Int) in
       let h = H.create () in
@@ -297,26 +333,70 @@ let prop_hashtable_churn_matches_map =
       H.check_invariants h;
       grown && churned && drained
       && H.to_sorted_bindings h = IM.bindings !model
-      (* 200+ cold keys grow the table to >= 128 buckets; at most 21 hot
-         keys remain, under a quarter of that. *)
+      (* 200+ cold keys grow the table to >= 512 slots; at most 31 hot
+         keys remain, under a sixteenth of that. *)
       && (fill < 200 || H.buckets h < big))
 
-(* A lookup that misses walks its chain without allocating: the chain
-   blocks are unboxed bindings compared by int equality, and a miss
-   returns the constant None. *)
+(* Below the growth threshold, only a hit's [Some] allocates: bindings
+   are ints in the table's one array, keys compare as ints, and a miss
+   returns the constant None. 10,000 bindings sit in 32,768 slots, so
+   removing 5,000 stays above the shrink point and inserting them again
+   stays below the growth point. *)
 let test_hashtable_miss_allocation_free () =
   let h = H.create () in
-  for k = 0 to 4_999 do
+  for k = 0 to 9_999 do
     ignore (H.insert_seq h ~key:(2 * k) ~value:k)
   done;
-  let misses = ref 0 in
-  let before = Gc.minor_words () in
-  for k = 0 to 4_999 do
-    if Option.is_none (H.lookup_seq h ((2 * k) + 1)) then incr misses
-  done;
-  let delta = Gc.minor_words () -. before in
+  let slots = H.buckets h in
+  let words what f =
+    let before = Gc.minor_words () in
+    for k = 0 to 4_999 do
+      f k
+    done;
+    let delta = Gc.minor_words () -. before in
+    if delta > 16. then Alcotest.failf "%s allocated %.0f minor words" what delta
+  in
+  let misses = ref 0 and wrong = ref 0 in
+  words "missed lookups" (fun k ->
+      if Option.is_none (H.lookup_seq h ((2 * k) + 1)) then incr misses);
+  words "removals that hit" (fun k -> if not (H.remove_seq h (2 * k)) then incr wrong);
+  words "fresh inserts" (fun k -> if H.insert_seq h ~key:(2 * k) ~value:k then incr wrong);
+  words "replacing inserts" (fun k ->
+      if not (H.insert_seq h ~key:(2 * k) ~value:(k + 1)) then incr wrong);
   Alcotest.(check int) "misses" 5_000 !misses;
-  if delta > 16. then Alcotest.failf "missed lookups allocated %.0f minor words" delta
+  Alcotest.(check int) "wrong answers" 0 !wrong;
+  Alcotest.(check int) "no resize" slots (H.buckets h);
+  Alcotest.(check int) "length" 10_000 (H.length h);
+  H.check_invariants h
+
+(* The keys [Shard.route] sends to shard 0 spread over the whole table
+   they grow. At that size a uniform hash reaches only about 1 - e^-0.4
+   of the slots, so the check reads homes 4 bits coarser (blocks of 16
+   slots), which the keys outnumber 4 to 8 times: a uniform hash reaches
+   about 98% of them. A home taken from the hash bits that the route
+   reduces mod K would reach at most 1/K. *)
+let test_hashtable_shard_spread () =
+  let rec lg n = if n <= 1 then 0 else 1 + lg (n / 2) in
+  List.iter
+    (fun shards ->
+      let keys =
+        List.filter
+          (fun k -> Batched.Shard.route ~shards k = 0)
+          (List.init 50_000 (fun i -> 2 * i))
+      in
+      let h = H.create () in
+      List.iter (fun k -> ignore (H.insert_seq h ~key:k ~value:k)) keys;
+      let bits = lg (H.buckets h) - 4 in
+      let reached = Array.make (1 lsl bits) false in
+      List.iter (fun k -> reached.(H.home ~bits k) <- true) keys;
+      let share =
+        float_of_int (Array.fold_left (fun n r -> if r then n + 1 else n) 0 reached)
+        /. float_of_int (1 lsl bits)
+      in
+      if share < 0.9 then
+        Alcotest.failf "K=%d: shard 0's keys reach %.1f%% of the home blocks" shards
+          (100. *. share))
+    [ 2; 4 ]
 
 (* ---------- order-statistic tree ---------- *)
 
@@ -423,8 +503,11 @@ let () =
           Alcotest.test_case "basic" `Quick test_hashtable_basic;
           Alcotest.test_case "batch order" `Quick test_hashtable_batch_order;
           Alcotest.test_case "growth and shrink" `Quick test_hashtable_growth;
+          Alcotest.test_case "resize points" `Quick test_hashtable_resize_points;
           Alcotest.test_case "missed lookup allocation-free" `Quick
             test_hashtable_miss_allocation_free;
+          Alcotest.test_case "shard keys spread over the table" `Quick
+            test_hashtable_shard_spread;
         ] );
       ( "ostree",
         [
