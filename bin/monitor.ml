@@ -1,9 +1,15 @@
-(* Health-stream monitor: consumes the JSONL written by
-   [Obs.Snapshot] with a [Health] instance attached (one JSON object
-   per line, carrying counter totals/deltas plus a ["health"] field),
-   renders a status table, and exits non-zero if the stream ever shows
-   an invariant violation, a stall-watchdog episode, or a stalled
-   structure — the CI teeth behind the always-on monitoring layer.
+(* Snapshot-stream monitor: consumes the JSONL written by
+   [Obs.Snapshot] (one JSON object per line, carrying counter
+   totals/deltas and, with a [Health] instance attached, a ["health"]
+   field), renders a status table, and exits non-zero if the stream
+   ever shows an invariant violation, a stall-watchdog episode, or a
+   stalled structure — the CI teeth behind the always-on monitoring
+   layer. A counter-only stream is rendered too.
+
+   Each row is one sample: its seq and time [t], the completed ops and
+   their delta, the work/steal/batch-start/batch-end event deltas, the
+   violation and stall counts, the pending ops, the dropped events, and
+   the oldest worker heartbeat.
 
      dune exec bin/monitor.exe -- soak_health.jsonl
      dune exec bin/monitor.exe -- --follow --interval 0.5 live.jsonl
@@ -18,8 +24,9 @@ module Json = Obs.Json
 let usage () =
   prerr_endline
     "usage: monitor [--follow] [--interval S] [--idle-timeout S] [--quiet] FILE\n\n\
-     Tails a health snapshot stream (Obs.Snapshot JSONL with a \"health\"\n\
-     field) and exits 1 on any invariant violation or stall.\n\
+     Renders a snapshot stream (Obs.Snapshot JSONL, with or without a\n\
+     \"health\" field) and exits 1 on any invariant violation or stall,\n\
+     or on an empty or unparseable stream.\n\
     \  --follow        poll FILE for appended lines instead of one pass\n\
     \  --interval      poll period in seconds (default 0.5)\n\
     \  --idle-timeout  stop following after S seconds with no new lines\n\
@@ -62,8 +69,10 @@ let obj_sum keys j =
 
 type digest = {
   seq : int;
+  t : int;
   ops_total : int;
   ops_delta : int;
+  deltas : int list;  (* work, steal, batch_start, batch_end *)
   dropped : int;
   violation_events : int;  (* recorder tag total *)
   inv_violations : int;  (* health.invariants.violations, summed *)
@@ -79,8 +88,13 @@ let digest_of j =
   let structures = jlist [ "health"; "structures" ] j in
   {
     seq = jint0 [ "seq" ] j;
+    t = jint0 [ "t" ] j;
     ops_total = jint0 [ "totals"; "op_done" ] j;
     ops_delta = jint0 [ "deltas"; "op_done" ] j;
+    deltas =
+      List.map
+        (fun tag -> jint0 [ "deltas"; tag ] j)
+        [ "work"; "steal"; "batch_start"; "batch_end" ];
     dropped = jint0 [ "dropped" ] j;
     violation_events = jint0 [ "totals"; "violation" ] j;
     inv_violations = obj_sum [ "health"; "invariants"; "violations" ] j;
@@ -134,15 +148,17 @@ type state = {
 
 let header st =
   if not st.quiet && st.rows_since_header = 0 then
-    Printf.printf "%6s %10s %8s %6s %6s %7s %7s %10s\n" "seq" "ops" "+ops"
-      "viol" "stall" "pend" "drop" "beat(ms)"
+    Printf.printf "%6s %14s %10s %8s %8s %8s %8s %8s %6s %6s %7s %7s %10s\n"
+      "seq" "t" "ops" "+ops" "+work" "+steal" "+bstart" "+bend" "viol" "stall"
+      "pend" "drop" "beat(ms)"
 
 let row st d =
   if not st.quiet then begin
     header st;
     st.rows_since_header <- (st.rows_since_header + 1) mod 20;
-    Printf.printf "%6d %10d %8d %6d %6d %7d %7d %10.1f%s\n" d.seq d.ops_total
-      d.ops_delta
+    Printf.printf "%6d %14d %10d %8d" d.seq d.t d.ops_total d.ops_delta;
+    List.iter (Printf.printf " %8d") d.deltas;
+    Printf.printf " %6d %6d %7d %7d %10.1f%s\n"
       (d.violation_events + d.inv_violations)
       d.stalls d.pending d.dropped d.max_beat_age_ms
       (if unhealthy d then "  <-- UNHEALTHY" else "")

@@ -1,6 +1,5 @@
 (* schedview: the measured-vs-predicted Theorem-1 bound table and the
-   recording summary for one workload, its Chrome trace, plus a tabular
-   viewer for snapshot JSONL streams.
+   recording summary for one workload, and its Chrome trace.
 
    Default mode runs the workload deterministically through the
    simulator (and, with --runtime, --out or --snapshot, through the
@@ -20,7 +19,7 @@
    each structure gets a synthetic batch track (tid 1000+sid) with one
    span per LAUNCHBATCH, and each worker a work track (tid 2000+w) of
    class-colored Work spans. --snapshot streams live counter-delta
-   JSONL.
+   JSONL, which bin/monitor.exe renders.
 
    Conservation is a gate, not a report: if the buckets do not sum to
    P x makespan (sim) or fail to tile each worker's observed span
@@ -28,8 +27,7 @@
 
      dune exec bin/schedview.exe -- --workload fig5 --p 4 --n 300
      dune exec bin/schedview.exe -- --workload multi --runtime --json sv.json
-     dune exec bin/schedview.exe -- --workload fig5 --p 4 --out trace.json
-     dune exec bin/schedview.exe -- --snapshot-file live.jsonl *)
+     dune exec bin/schedview.exe -- --workload fig5 --p 4 --out trace.json *)
 
 (* ---- sim: measured-vs-predicted bound table ---- *)
 
@@ -71,59 +69,6 @@ let bound_table ~workload ~(metrics : Sim.Metrics.t)
   Printf.printf
     "  (n=%d ops, m=%d batches, s(n)=%d = widest batch span %d + setup %d)\n"
     n_ops m s batch_span setup_span
-
-(* ---- snapshot JSONL viewer ---- *)
-
-let view_snapshot_file path =
-  let ic =
-    try open_in path
-    with Sys_error e ->
-      prerr_endline ("schedview: " ^ e);
-      exit 2
-  in
-  let die fmt =
-    Printf.ksprintf
-      (fun m ->
-        close_in_noerr ic;
-        prerr_endline ("schedview: " ^ path ^ ": " ^ m);
-        exit 2)
-      fmt
-  in
-  let geti j key =
-    match Option.bind (Obs.Json.member key j) Obs.Json.to_float_opt with
-    | Some f -> int_of_float f
-    | None -> die "line missing %S" key
-  in
-  let delta j tag =
-    match Obs.Json.member "deltas" j with
-    | Some d -> (
-        match Option.bind (Obs.Json.member tag d) Obs.Json.to_float_opt with
-        | Some f -> int_of_float f
-        | None -> 0)
-    | None -> die "line missing deltas"
-  in
-  Printf.printf "  %6s %14s %8s %8s %8s %8s %8s %8s\n" "seq" "t" "dropped"
-    "d.work" "d.steal" "d.b_start" "d.b_end" "d.op_done";
-  let lines = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then begin
-         match Obs.Json.parse line with
-         | Error e -> die "bad JSON line %d: %s" (!lines + 1) e
-         | Ok j ->
-             incr lines;
-             Printf.printf "  %6d %14d %8d %8d %8d %8d %8d %8d\n" (geti j "seq")
-               (geti j "t") (geti j "dropped") (delta j "work")
-               (delta j "steal") (delta j "batch_start") (delta j "batch_end")
-               (delta j "op_done")
-       end
-     done
-   with End_of_file -> ());
-  close_in_noerr ic;
-  if !lines = 0 then die "no snapshot lines";
-  Printf.printf "  (%d samples)\n" !lines;
-  0
 
 (* ---- driver ---- *)
 
@@ -212,8 +157,7 @@ let usage () =
   prerr_endline
     "usage: schedview [--workload fig5|counter|multi] [--model tree|fused|none]\n\
     \                 [--p P] [--n N] [--seed S] [--runtime] [--json out.json]\n\
-    \                 [--out trace.json] [--snapshot live.jsonl]\n\
-    \       schedview --snapshot-file live.jsonl\n\n\
+    \                 [--out trace.json] [--snapshot live.jsonl]\n\n\
      Prints the measured-vs-predicted Theorem-1 bound table and each\n\
      execution's recording summary (buckets, per-worker utilization,\n\
      chains, histograms, critical path) for one workload. Exits 1 if\n\
@@ -227,9 +171,8 @@ let usage () =
     \  --json           write the bound and each summary as JSON to PATH\n\
     \  --out            write both runs as one Chrome trace to PATH\n\
     \                   (runs the runtime leg)\n\
-    \  --snapshot       stream live counter-delta JSONL to PATH (tail -f it;\n\
-    \                   runs the runtime leg)\n\
-    \  --snapshot-file  render a snapshot JSONL stream as a table instead"
+    \  --snapshot       stream live counter-delta JSONL to PATH (tail -f it,\n\
+    \                   or render it with monitor.exe; runs the runtime leg)"
 
 let () =
   let workload = ref Workloads.Fig5 in
@@ -241,7 +184,6 @@ let () =
   let json = ref None in
   let out = ref None in
   let snapshot = ref None in
-  let snapshot_file = ref None in
   let bad fmt =
     Printf.ksprintf
       (fun m ->
@@ -294,18 +236,13 @@ let () =
         | "--json" -> value rest (fun v rest -> json := Some v; go rest)
         | "--out" | "-o" -> value rest (fun v rest -> out := Some v; go rest)
         | "--snapshot" -> value rest (fun v rest -> snapshot := Some v; go rest)
-        | "--snapshot-file" ->
-            value rest (fun v rest -> snapshot_file := Some v; go rest)
         | "--help" | "-h" -> usage (); exit 0
         | _ -> bad "unknown option %S" arg)
   in
   go (List.tl args);
   if !p < 1 then bad "--p must be >= 1";
   if !n < 1 then bad "--n must be >= 1";
-  match !snapshot_file with
-  | Some path -> exit (view_snapshot_file path)
-  | None ->
-      exit
-        (main !workload !overhead !p !n !seed
-           ~runtime:(!runtime || !out <> None || !snapshot <> None)
-           ~json:!json ~out:!out ~snapshot:!snapshot)
+  exit
+    (main !workload !overhead !p !n !seed
+       ~runtime:(!runtime || !out <> None || !snapshot <> None)
+       ~json:!json ~out:!out ~snapshot:!snapshot)

@@ -1,15 +1,29 @@
-(* Open-loop KV-service runner: one named scenario, both executions.
+(* Open-loop KV-service runner: one named scenario, both executions,
+   and where each request's latency goes.
 
      dune exec bin/service.exe -- --scenario standard
-     dune exec bin/service.exe -- --scenario smoke --exec sim
+     dune exec bin/service.exe -- --scenario smoke --exec sim --top 5
+     dune exec bin/service.exe -- --scenario smoke --exec runtime \
+       --shards 2 --trace trace.json
+     dune exec bin/service.exe -- --scenario smoke --load-sweep
+     dune exec bin/service.exe -- --scenario smoke --causal --exec sim
      dune exec bin/service.exe -- --list
 
-   The sim leg sweeps the scenario's worker counts on the virtual
-   clock (Sim.Openloop) and cross-checks every point's per-request
-   waits against the composed Theorem-1 bound terms
-   (Check.Bound.service_check); the runtime leg is a timed open-loop
-   run over Pool/Shard_rt per shard count, every request measured from
-   its scheduled arrival stamp. Every point prints on stdout. *)
+   The default mode runs the legs. The sim leg sweeps the scenario's
+   worker counts on the virtual clock (Sim.Openloop) and cross-checks
+   every point's per-request waits against the composed Theorem-1
+   bound terms (Check.Bound.service_check); the runtime leg is a timed
+   open-loop run over Pool/Shard_rt per shard count, every request
+   measured from its scheduled arrival stamp. --top or --trace turns
+   request tracing on, and each point then prints its anatomy: the
+   slowest requests per op class, each latency split exactly into
+   queue + sched + pending + exec + post, and the share of all latency
+   in each phase. --trace writes every traced point as one process of
+   a Perfetto trace (Obs.Chrome's request view).
+
+   --load-sweep re-runs the runtime leg over offered-load multipliers
+   and finds the throughput knee; --causal runs the what-if grid
+   (Svc.Causal). Every traced span must pass Obs.Reqtrace.check. *)
 
 let usage () =
   prerr_endline
@@ -18,21 +32,33 @@ let usage () =
     \  --scenario NAME  scenario to run (default standard; see --list)\n\
     \  --list           list scenarios and exit\n\
     \  --exec MODE      sim | runtime | both (default both)\n\
+    \  --p N            run the sim leg at N workers only\n\
+    \  --shards K       run the runtime leg at K shards only\n\
     \  --workers N      runtime pool size (default: recommended count,\n\
     \                   min 2 -- the dispatcher owns a worker)\n\
-    \  --duration S     override the runtime leg's measured seconds\n\
+    \  --duration S     runtime seconds per point (default: the\n\
+    \                   scenario's; min of it and 1 s with --load-sweep\n\
+    \                   and --causal)\n\
     \  --seed N         override the scenario's seed\n\
     \  --snapshot PATH  stream Obs.Snapshot JSONL (runtime leg) to PATH\n\
-    \  --load-sweep     instead of the normal legs: sweep the runtime\n\
-    \                   leg over offered-load multipliers (x0.25..x4 of\n\
-    \                   rt_rate), find the throughput knee, and print\n\
-    \                   each point's latency and per-phase latency shares\n\
-    \  --mults LIST     comma-separated multipliers for --load-sweep\n\
-    \                   (default 0.25,0.5,1,2,4)\n\
+    \  --top N          trace requests; print each point's N slowest\n\
+    \                   per op class (default 10) and its phase shares\n\
+    \  --trace PATH     trace requests; write each traced point's\n\
+    \                   sampled and slowest spans as Perfetto JSON\n\
     \  --quiet          print only failures and the load sweep's knees\n\
-     Exit status: 0 ok, 1 a sim point escaped the Theorem-1 wait\n\
-     budget or a load-sweep point breached span conservation, 2 usage\n\
-     error."
+     Modes, instead of the legs:\n\
+    \  --load-sweep     sweep the runtime leg over offered-load\n\
+    \                   multipliers, find the throughput knee, and print\n\
+    \                   each point's latency and phase shares\n\
+    \  --mults LIST     comma-separated multipliers (default\n\
+    \                   0.25,0.5,1,2,4)\n\
+    \  --causal         the what-if grid: speed one phase up per cell\n\
+    \                   and print each leg's ranked table\n\
+    \  --factors LIST   comma-separated virtual speedups > 1\n\
+    \                   (default sim 1.25,2,4; runtime 2)\n\
+     Exit status: 0 ok, 1 a sim point escaped the Theorem-1 wait budget,\n\
+     a traced span's phases do not sum to its latency, or a what-if\n\
+     cell failed; 2 usage error."
 
 let die fmt =
   Printf.ksprintf
@@ -42,95 +68,144 @@ let die fmt =
       exit 2)
     fmt
 
-let kns ns = Printf.sprintf "%.1f" (ns /. 1e3)
+let us ns = ns /. 1e3
+let ius ns = us (float_of_int ns)
 
-let print_classes ~quiet classes =
-  if not quiet then
-    List.iter
-      (fun (c : Svc.Latency.class_stats) ->
-        Printf.printf "    %-6s n=%-7d p50=%sus p99=%sus p999=%sus max=%sus\n"
-          c.Svc.Latency.cls c.Svc.Latency.requests
-          (kns c.Svc.Latency.p50_ns)
-          (kns c.Svc.Latency.p99_ns)
-          (kns c.Svc.Latency.p999_ns)
-          (kns c.Svc.Latency.max_ns))
-      classes
+let print_classes classes =
+  List.iter
+    (fun (c : Svc.Latency.class_stats) ->
+      Printf.printf
+        "    %-6s n=%-7d p50=%.1fus p99=%.1fus p999=%.1fus max=%.1fus\n"
+        c.Svc.Latency.cls c.Svc.Latency.requests (us c.Svc.Latency.p50_ns)
+        (us c.Svc.Latency.p99_ns) (us c.Svc.Latency.p999_ns)
+        (us c.Svc.Latency.max_ns))
+    classes
+
+(* Each phase's share of all latency: the load sweep's and the
+   anatomy's one printer. *)
+let print_shares shares =
+  List.iter
+    (fun (name, v) -> Printf.printf " %s=%.1f%%" name (100.0 *. v))
+    shares;
+  print_newline ()
+
+let print_span (s : Obs.Reqtrace.span) =
+  Printf.printf
+    "      #%-7d %8.1fus = q %7.1f + sched %7.1f + pend %7.1f + exec %7.1f \
+     + post %7.1f  m=%-2d  w%d>w%d>w%d\n"
+    s.Obs.Reqtrace.token
+    (ius s.Obs.Reqtrace.latency_ns)
+    (ius s.Obs.Reqtrace.queue_ns)
+    (ius s.Obs.Reqtrace.sched_pre_ns)
+    (ius s.Obs.Reqtrace.pending_ns)
+    (ius s.Obs.Reqtrace.exec_ns)
+    (ius s.Obs.Reqtrace.sched_post_ns)
+    s.Obs.Reqtrace.batches_seen s.Obs.Reqtrace.w_start
+    s.Obs.Reqtrace.w_batch s.Obs.Reqtrace.w_done
+
+(* A traced point's anatomy: per op class its slowest [top] spans with
+   their batches-while-pending (the empirical Lemma-2 figure, reported
+   against the paper's dual-deque bound of 2, not asserted), then the
+   phase shares over every span. *)
+let print_anatomy ~top trace =
+  Array.iteri
+    (fun c cls ->
+      match Obs.Reqtrace.slowest ~cls:c trace with
+      | [] -> ()
+      | spans ->
+          let max_m =
+            List.fold_left
+              (fun acc (s : Obs.Reqtrace.span) ->
+                max acc s.Obs.Reqtrace.batches_seen)
+              0 spans
+          in
+          let n = (Obs.Reqtrace.totals ~cls:c trace).Obs.Reqtrace.n in
+          Printf.printf
+            "    %s: n=%d slowest %d of %d captured, max \
+             batches-while-pending (slowest set) m=%d%s\n"
+            cls n
+            (min top (List.length spans))
+            n max_m
+            (if max_m > 2 then " (> the paper's Lemma-2 bound of 2)" else "");
+          List.iteri (fun i s -> if i < top then print_span s) spans)
+    Svc.Gen.class_names;
+  let tt = Obs.Reqtrace.totals trace in
+  Printf.printf "    attribution over %d spans:" tt.Obs.Reqtrace.n;
+  print_shares (Obs.Reqtrace.shares tt)
+
+let positive flag v =
+  match int_of_string_opt v with
+  | Some n when n > 0 -> n
+  | _ -> die "%s expects a positive integer, got %S" flag v
+
+let list_of flag ~min v =
+  let parsed =
+    List.map
+      (fun s ->
+        match float_of_string_opt (String.trim s) with
+        | Some f when f > min -> f
+        | _ -> die "%s expects numbers > %g, got %S" flag min s)
+      (String.split_on_char ',' v)
+  in
+  if parsed = [] then die "%s expects at least one number" flag;
+  parsed
 
 let () =
   let scenario = ref "standard" in
   let list_only = ref false in
   let exec = ref "both" in
+  let p = ref None and shards = ref None in
   let workers = ref None in
   let duration = ref None in
   let seed = ref None in
   let snapshot = ref None in
-  let load_sweep = ref false in
-  let mults = ref None in
+  let top = ref None and trace_path = ref None in
   let quiet = ref false in
-  let args = Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1)) in
+  let load_sweep = ref false and mults = ref None in
+  let causal = ref false and factors = ref None in
   let rec go = function
     | [] -> ()
-    | "--list" :: rest ->
-        list_only := true;
-        go rest
-    | "--quiet" :: rest ->
-        quiet := true;
-        go rest
-    | "--scenario" :: v :: rest ->
-        scenario := v;
-        go rest
+    | "--list" :: rest -> list_only := true; go rest
+    | "--quiet" :: rest -> quiet := true; go rest
+    | "--load-sweep" :: rest -> load_sweep := true; go rest
+    | "--causal" :: rest -> causal := true; go rest
+    | "--scenario" :: v :: rest -> scenario := v; go rest
     | "--exec" :: v :: rest ->
         if v <> "sim" && v <> "runtime" && v <> "both" then
           die "--exec expects sim|runtime|both, got %S" v;
         exec := v;
         go rest
-    | "--workers" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            workers := Some n;
-            go rest
-        | _ -> die "--workers expects a positive integer, got %S" v)
+    | "--p" :: v :: rest -> p := Some (positive "--p" v); go rest
+    | "--shards" :: v :: rest -> shards := Some (positive "--shards" v); go rest
+    | "--workers" :: v :: rest ->
+        workers := Some (positive "--workers" v);
+        go rest
+    | "--top" :: v :: rest -> top := Some (positive "--top" v); go rest
     | "--duration" :: v :: rest -> (
         match float_of_string_opt v with
-        | Some d when d > 0.0 ->
-            duration := Some d;
-            go rest
+        | Some d when d > 0.0 -> duration := Some d; go rest
         | _ -> die "--duration expects positive seconds, got %S" v)
     | "--seed" :: v :: rest -> (
         match int_of_string_opt v with
-        | Some n ->
-            seed := Some n;
-            go rest
-        | _ -> die "--seed expects an integer, got %S" v)
-    | "--snapshot" :: v :: rest ->
-        snapshot := Some v;
-        go rest
-    | "--load-sweep" :: rest ->
-        load_sweep := true;
-        go rest
+        | Some n -> seed := Some n; go rest
+        | None -> die "--seed expects an integer, got %S" v)
+    | "--snapshot" :: v :: rest -> snapshot := Some v; go rest
+    | "--trace" :: v :: rest -> trace_path := Some v; go rest
     | "--mults" :: v :: rest ->
-        let parsed =
-          List.map
-            (fun s ->
-              match float_of_string_opt (String.trim s) with
-              | Some m when m > 0.0 -> m
-              | _ -> die "--mults expects positive numbers, got %S" s)
-            (String.split_on_char ',' v)
-        in
-        if parsed = [] then die "--mults expects at least one multiplier";
-        mults := Some parsed;
+        mults := Some (list_of "--mults" ~min:0.0 v);
         go rest
-    | ("--help" | "-h") :: _ ->
-        usage ();
-        exit 0
+    | "--factors" :: v :: rest ->
+        factors := Some (list_of "--factors" ~min:1.0 v);
+        go rest
+    | ("--help" | "-h") :: _ -> usage (); exit 0
     | arg :: _ -> die "unknown argument %s" arg
   in
-  go args;
+  go (List.tl (Array.to_list Sys.argv));
+  if !load_sweep && !causal then die "--load-sweep and --causal are two modes";
   if !list_only then begin
     List.iter
       (fun (s : Svc.Scenario.t) ->
-        Printf.printf "%-14s %s\n" s.Svc.Scenario.name
-          s.Svc.Scenario.descr)
+        Printf.printf "%-14s %s\n" s.Svc.Scenario.name s.Svc.Scenario.descr)
       Svc.Scenario.all;
     exit 0
   end;
@@ -141,35 +216,66 @@ let () =
         die "unknown scenario %S (have: %s)" !scenario
           (String.concat ", " (Svc.Scenario.names ()))
   in
+  (* --seed, --p and --shards override the scenario's own. *)
   let sc =
-    match !seed with
-    | None -> sc
-    | Some s -> { sc with Svc.Scenario.seed = s }
+    {
+      sc with
+      Svc.Scenario.seed = Option.value !seed ~default:sc.Svc.Scenario.seed;
+      sim_p = Option.fold ~none:sc.Svc.Scenario.sim_p ~some:(fun p -> [ p ]) !p;
+      rt_shards =
+        Option.fold ~none:sc.Svc.Scenario.rt_shards
+          ~some:(fun k -> [ k ])
+          !shards;
+    }
   in
-  if !load_sweep then begin
-    if not !quiet then
-      Printf.printf "[svc] load sweep: %s, base rate %.0f req/s\n%!"
-        sc.Svc.Scenario.name sc.Svc.Scenario.rt_rate;
+  let sim = !exec <> "runtime" and rt = !exec <> "sim" in
+  let say fmt = if !quiet then Printf.ifprintf stdout fmt else Printf.printf fmt in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let conserve label trace =
+    match Obs.Reqtrace.check trace with
+    | Ok () -> ()
+    | Error e -> fail "span conservation: %s: %s" label e
+  in
+  if !causal then begin
+    let leg (r : Svc.Causal.result) =
+      (* [render] opens with the leg's "[causal] <exec> leg:" header. *)
+      print_string (Obs.Causal.render r.Svc.Causal.profile);
+      List.iter (fail "what-if: %s") r.Svc.Causal.errors
+    in
+    if sim then leg (Svc.Causal.run_sim ?factors:!factors sc);
+    if rt then
+      leg
+        (Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration
+           ?factors:!factors sc)
+  end
+  else if !load_sweep then begin
+    say "[svc] load sweep: %s, base rate %.0f req/s\n%!" sc.Svc.Scenario.name
+      sc.Svc.Scenario.rt_rate;
     let sw =
       Svc.Sweep.run ?mults:!mults ?workers:!workers ?duration_s:!duration sc
     in
     List.iter
       (fun (p : Svc.Sweep.point) ->
+        let pt = p.Svc.Sweep.pt in
+        let label =
+          Printf.sprintf "K=%d x%g" p.Svc.Sweep.shards p.Svc.Sweep.mult
+        in
         if not !quiet then begin
-          let all = Svc.Latency.all_of p.Svc.Sweep.pt.Svc.Rt_driver.classes in
           Printf.printf
             "  K=%d x%-4g offered=%7.0f goodput=%7.0f req/s (%.0f%%) \
              p99=%.1fus"
             p.Svc.Sweep.shards p.Svc.Sweep.mult p.Svc.Sweep.offered_req_s
-            p.Svc.Sweep.pt.Svc.Rt_driver.goodput
-            (100.0 *. p.Svc.Sweep.pt.Svc.Rt_driver.goodput
-            /. p.Svc.Sweep.offered_req_s)
-            (all.Svc.Latency.p99_ns /. 1e3);
-          List.iter
-            (fun (name, v) -> Printf.printf " %s=%.0f%%" name (100.0 *. v))
-            p.Svc.Sweep.shares;
-          print_newline ()
-        end)
+            pt.Svc.Rt_driver.goodput
+            (100.0 *. pt.Svc.Rt_driver.goodput /. p.Svc.Sweep.offered_req_s)
+            (us
+               (Svc.Latency.all_of pt.Svc.Rt_driver.classes)
+                 .Svc.Latency.p99_ns);
+          print_shares p.Svc.Sweep.shares
+        end;
+        (* The shares mean something only if every span's phases sum
+           to its measured latency. *)
+        conserve label pt.Svc.Rt_driver.trace)
       sw.Svc.Sweep.points;
     List.iter
       (fun (kn : Svc.Sweep.knee) ->
@@ -181,41 +287,27 @@ let () =
           | Svc.Sweep.Top_kept_up ->
               Printf.sprintf "≥ %.0f req/s (top of grid)" kn.Svc.Sweep.knee_req_s
           | Svc.Sweep.No_point_kept_up -> "below the lowest swept rate"))
-      sw.Svc.Sweep.knees;
-    (* Per-point span conservation is the sweep's self-check: the phase
-       shares are only meaningful if every span's phases sum to its
-       measured latency. *)
-    let breaches =
-      List.filter_map
-        (fun (p : Svc.Sweep.point) ->
-          match Obs.Reqtrace.check p.Svc.Sweep.pt.Svc.Rt_driver.trace with
-          | Ok () -> None
-          | Error e ->
-              Some
-                (Printf.sprintf "K=%d x%g: %s" p.Svc.Sweep.shards
-                   p.Svc.Sweep.mult e))
-        sw.Svc.Sweep.points
+      sw.Svc.Sweep.knees
+  end
+  else begin
+    let traced = !top <> None || !trace_path <> None in
+    let top = Option.value !top ~default:10 in
+    let points = ref [] in
+    let anatomy label trace =
+      if traced then begin
+        if not !quiet then print_anatomy ~top trace;
+        conserve label trace;
+        if !trace_path <> None then points := (label, trace) :: !points
+      end
     in
-    match breaches with
-    | [] -> exit 0
-    | fails ->
-        List.iter
-          (fun f -> Printf.printf "[svc] FAIL span conservation: %s\n" f)
-          fails;
-        exit 1
-  end;
-  let bound_failures = ref [] in
-  if !exec = "sim" || !exec = "both" then begin
-    if not !quiet then
-      Printf.printf "[svc] sim leg: %s, shards=%d, %d requests, P sweep %s\n%!"
+    if sim then begin
+      say "[svc] sim leg: %s, shards=%d, %d requests, P sweep %s\n%!"
         sc.Svc.Scenario.name sc.Svc.Scenario.sim_shards
         sc.Svc.Scenario.sim_requests
-        (String.concat ","
-           (List.map string_of_int sc.Svc.Scenario.sim_p));
-    List.iter
-      (fun (pt : Svc.Sim_driver.point) ->
-        if not !quiet then
-          Printf.printf
+        (String.concat "," (List.map string_of_int sc.Svc.Scenario.sim_p));
+      List.iter
+        (fun (pt : Svc.Sim_driver.point) ->
+          say
             "  P=%-3d goodput=%.0f req/s batches=%d max_batch=%d m=%d \
              in_system<=%d %s\n"
             pt.Svc.Sim_driver.p pt.Svc.Sim_driver.goodput
@@ -225,44 +317,60 @@ let () =
             (match pt.Svc.Sim_driver.bound with
             | Ok () -> "bound OK"
             | Error _ -> "bound FAIL");
-        print_classes ~quiet:!quiet pt.Svc.Sim_driver.classes;
-        (match pt.Svc.Sim_driver.bound with
-        | Ok () -> ()
-        | Error e ->
-            bound_failures :=
-              Printf.sprintf "P=%d: %s" pt.Svc.Sim_driver.p e
-              :: !bound_failures))
-      (Svc.Sim_driver.run sc)
-  end;
-  if !exec = "runtime" || !exec = "both" then begin
-    if not !quiet then
-      Printf.printf "[svc] runtime leg: %s, K sweep %s, %.1fs measured\n%!"
+          if not !quiet then print_classes pt.Svc.Sim_driver.classes;
+          (match pt.Svc.Sim_driver.bound with
+          | Ok () -> ()
+          | Error e ->
+              fail "Theorem-1 wait budget: P=%d: %s" pt.Svc.Sim_driver.p e);
+          anatomy
+            (Printf.sprintf "%s sim P=%d" sc.Svc.Scenario.name
+               pt.Svc.Sim_driver.p)
+            pt.Svc.Sim_driver.trace)
+        (Svc.Sim_driver.run ~trace:traced sc)
+    end;
+    if rt then begin
+      say "[svc] runtime leg: %s, K sweep %s, %.1fs measured\n%!"
         sc.Svc.Scenario.name
-        (String.concat ","
-           (List.map string_of_int sc.Svc.Scenario.rt_shards))
-        (match !duration with
-        | Some d -> d
-        | None -> sc.Svc.Scenario.duration_s);
-    List.iter
-      (fun (pt : Svc.Rt_driver.point) ->
-        if not !quiet then
-          Printf.printf
+        (String.concat "," (List.map string_of_int sc.Svc.Scenario.rt_shards))
+        (Option.value !duration ~default:sc.Svc.Scenario.duration_s);
+      List.iter
+        (fun (pt : Svc.Rt_driver.point) ->
+          say
             "  K=%-2d P=%d n=%d goodput=%.0f req/s batches=%d max_batch=%d \
              stalls=%d burns=%d\n"
             pt.Svc.Rt_driver.shards pt.Svc.Rt_driver.workers
             pt.Svc.Rt_driver.requests pt.Svc.Rt_driver.goodput
             pt.Svc.Rt_driver.batches pt.Svc.Rt_driver.max_batch
             pt.Svc.Rt_driver.stalls pt.Svc.Rt_driver.slo_burns;
-        print_classes ~quiet:!quiet
-          (pt.Svc.Rt_driver.classes
-          @ [ Svc.Latency.digest "lag" pt.Svc.Rt_driver.lag_ns ]))
-      (Svc.Rt_driver.run ?workers:!workers ?snapshot_path:!snapshot
-         ?duration_s:!duration sc)
+          if not !quiet then
+            print_classes
+              (pt.Svc.Rt_driver.classes
+              @ [ Svc.Latency.digest "lag" pt.Svc.Rt_driver.lag_ns ]);
+          anatomy
+            (Printf.sprintf "%s runtime K=%d P=%d" sc.Svc.Scenario.name
+               pt.Svc.Rt_driver.shards pt.Svc.Rt_driver.workers)
+            pt.Svc.Rt_driver.trace)
+        (Svc.Rt_driver.run ?workers:!workers ?snapshot_path:!snapshot
+           ?duration_s:!duration ~trace:traced sc)
+    end;
+    Option.iter
+      (fun path ->
+        let events =
+          List.concat
+            (List.mapi
+               (fun i (name, trace) ->
+                 Obs.Chrome.requests ~pid:(i + 1) ~name
+                   ~classes:Svc.Gen.class_names
+                   (Obs.Reqtrace.exported trace))
+               (List.rev !points))
+        in
+        Obs.Chrome.write_events ~path events;
+        say "[svc] wrote %d trace events for %d points to %s\n"
+          (List.length events) (List.length !points) path)
+      !trace_path
   end;
-  match !bound_failures with
+  match List.rev !failures with
   | [] -> ()
   | fails ->
-      List.iter
-        (fun f -> Printf.printf "[svc] FAIL Theorem-1 wait budget: %s\n" f)
-        (List.rev fails);
+      List.iter (fun f -> Printf.printf "[svc] FAIL %s\n" f) fails;
       exit 1

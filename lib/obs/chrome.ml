@@ -168,19 +168,30 @@ let batch_events t acc =
     open_batches;
   !acc
 
+let meta ~pid ?tid what name =
+  Json.Obj
+    ([
+       ("name", Json.Str what);
+       ("ph", Json.Str "M");
+       ("ts", Json.Float 0.0);
+       ("pid", Json.Int pid);
+     ]
+    @ (match tid with None -> [] | Some tid -> [ ("tid", Json.Int tid) ])
+    @ [ ("args", Json.Obj [ ("name", Json.Str name) ]) ])
+
+let thread_name ~pid tid name = meta ~pid ~tid "thread_name" name
+
+let structure_tracks ~pid sids =
+  Hashtbl.fold
+    (fun sid () acc ->
+      thread_name ~pid (batch_tid_base + sid)
+        (Printf.sprintf "structure %d batches" sid)
+      :: acc)
+    sids []
+
 let metadata t =
-  let meta ~name ~tid args =
-    Json.Obj
-      ([
-         ("name", Json.Str name);
-         ("ph", Json.Str "M");
-         ("ts", Json.Float 0.0);
-         ("pid", Json.Int t.pid);
-       ]
-      @ (match tid with None -> [] | Some tid -> [ ("tid", Json.Int tid) ])
-      @ [ ("args", Json.Obj args) ])
-  in
-  let procs = [ meta ~name:"process_name" ~tid:(Some 0) [ ("name", Json.Str t.name) ] ] in
+  let pid = t.pid in
+  let procs = [ meta ~pid ~tid:0 "process_name" t.name ] in
   if not (Recorder.enabled t.recording) then procs
   else begin
     let sids = Hashtbl.create 8 in
@@ -193,63 +204,153 @@ let metadata t =
       (Recorder.all_events t.recording);
     let workers =
       List.init (Recorder.workers t.recording) (fun w ->
-          meta ~name:"thread_name" ~tid:(Some w)
-            [ ("name", Json.Str (Printf.sprintf "worker %d" w)) ])
+          thread_name ~pid w (Printf.sprintf "worker %d" w))
     in
     let work_tracks =
       if (Recorder.tag_totals t.recording).(7) = 0 then []
       else
         List.init (Recorder.workers t.recording) (fun w ->
-            meta ~name:"thread_name"
-              ~tid:(Some (work_tid_base + w))
-              [ ("name", Json.Str (Printf.sprintf "worker %d work" w)) ])
+            thread_name ~pid (work_tid_base + w)
+              (Printf.sprintf "worker %d work" w))
     in
-    let batches =
-      Hashtbl.fold
-        (fun sid () acc ->
-          meta ~name:"thread_name"
-            ~tid:(Some (batch_tid_base + sid))
-            [ ("name", Json.Str (Printf.sprintf "structure %d batches" sid)) ]
-          :: acc)
-        sids []
-    in
-    procs @ workers @ work_tracks @ batches
+    procs @ workers @ work_tracks @ structure_tracks ~pid sids
   end
+
+(* Sort so ts is monotone within each (pid, tid) track; stable to keep
+   emission order for equal timestamps. [acc] is in reverse emission
+   order. *)
+let sorted acc =
+  List.stable_sort
+    (fun a b ->
+      match compare a.e_tid b.e_tid with 0 -> compare a.e_ts b.e_ts | c -> c)
+    (List.rev acc)
+  |> List.map (fun e -> e.e_json e.e_ts)
 
 let track_events t =
   if not (Recorder.enabled t.recording) then []
-  else begin
-    let acc =
-      List.fold_left
-        (fun acc w -> worker_events t w acc)
-        []
-        (List.init (Recorder.workers t.recording) Fun.id)
-    in
-    let acc = batch_events t acc in
-    (* Sort so ts is monotone within each (pid, tid) track; stable to
-       keep emission order for equal timestamps. *)
-    List.stable_sort
-      (fun a b ->
-        match compare a.e_tid b.e_tid with 0 -> compare a.e_ts b.e_ts | c -> c)
-      (List.rev acc)
-    |> List.map (fun e -> e.e_json e.e_ts)
-  end
+  else
+    List.fold_left
+      (fun acc w -> worker_events t w acc)
+      []
+      (List.init (Recorder.workers t.recording) Fun.id)
+    |> batch_events t |> sorted
 
-let to_json tracks =
+(* ---- request view ---- *)
+
+let flow ~ph ~id ~pid ~tid ts =
+  obj ~name:"req" ~cat:"req" ~ph ~ts ~pid ~tid
+    (("id", Json.Int id) :: (if ph = "f" then [ ("bp", Json.Str "e") ] else []))
+
+let requests ~pid ~name ~classes spans =
+  let n_cls = max 1 (Array.length classes) in
+  let max_lanes = batch_tid_base / n_cls in
+  let t_base =
+    List.fold_left
+      (fun acc (s : Reqtrace.span) -> min acc s.arrive_ns)
+      max_int spans
+  in
+  let us ns = float_of_int ns /. 1e3 in
+  let acc = ref [] in
+  let push tid ns mk =
+    acc := { e_tid = tid; e_ts = us (ns - t_base); e_json = mk } :: !acc
+  in
+  (* Requests of one class overlap in time, and slices on one thread
+     must not: each class gets lanes, filled first-fit in arrival
+     order. lanes.(c) holds the end stamp of each lane, lane 0 first. *)
+  let lanes = Array.make n_cls [] in
+  let rec fit ~at ~fin l = function
+    | [] -> if l < max_lanes then Some (l, [ fin ]) else None
+    | e :: rest when e <= at -> Some (l, fin :: rest)
+    | e :: rest ->
+        Option.map
+          (fun (l', rest') -> (l', e :: rest'))
+          (fit ~at ~fin (l + 1) rest)
+  in
+  (* One slice per batch: a batch's members share its structure, its
+     launch stamp and its duration. *)
+  let batches = Hashtbl.create 64 and sids = Hashtbl.create 8 in
+  let arrival (a : Reqtrace.span) (b : Reqtrace.span) =
+    compare (a.arrive_ns, a.token) (b.arrive_ns, b.token)
+  in
+  List.iter
+    (fun (s : Reqtrace.span) ->
+      let at = s.arrive_ns in
+      match fit ~at ~fin:(at + s.latency_ns) 0 lanes.(s.cls) with
+      | None -> ()
+      | Some (lane, ends) ->
+          lanes.(s.cls) <- ends;
+          let tid = s.cls + (n_cls * lane) in
+          let args =
+            [
+              ("token", Json.Int s.token);
+              ("sid", Json.Int s.sid);
+              ("batches_seen", Json.Int s.batches_seen);
+            ]
+          in
+          let launch = at + s.queue_ns + s.sched_pre_ns + s.pending_ns in
+          ignore
+            (List.fold_left
+               (fun t0 (ph, d) ->
+                 if d > 0 then
+                   push tid t0
+                     (span ~name:ph ~cat:"req" ~pid ~tid ~dur:(us d) args);
+                 t0 + d)
+               at
+               [
+                 ("queue", s.queue_ns);
+                 ("sched", s.sched_pre_ns);
+                 ("pending", s.pending_ns);
+                 ("exec", s.exec_ns);
+                 ("sched_post", s.sched_post_ns);
+               ]);
+          let btid = batch_tid_base + s.sid in
+          let key = (s.sid, launch, s.exec_ns) in
+          if not (Hashtbl.mem batches key) then begin
+            Hashtbl.add batches key ();
+            Hashtbl.replace sids s.sid ();
+            push btid launch
+              (span ~name:"batch" ~cat:"batch" ~pid ~tid:btid
+                 ~dur:(us s.exec_ns)
+                 [ ("sid", Json.Int s.sid) ])
+          end;
+          let id = (pid lsl 32) lor s.token in
+          push tid at (flow ~ph:"s" ~id ~pid ~tid);
+          push btid launch (flow ~ph:"f" ~id ~pid ~tid:btid))
+    (List.stable_sort arrival spans);
+  let lane_names =
+    List.concat
+      (List.mapi
+         (fun c ends ->
+           List.mapi
+             (fun l _ ->
+               thread_name ~pid (c + (n_cls * l))
+                 (if l = 0 then classes.(c)
+                  else Printf.sprintf "%s (%d)" classes.(c) (l + 1)))
+             ends)
+         (Array.to_list lanes))
+  in
+  (meta ~pid ~tid:0 "process_name" name :: lane_names)
+  @ structure_tracks ~pid sids @ sorted !acc
+
+(* ---- output ---- *)
+
+let envelope events =
   Json.Obj
-    [
-      ( "traceEvents",
-        Json.List (List.concat_map (fun t -> metadata t @ track_events t) tracks) );
-      ("displayTimeUnit", Json.Str "ms");
-    ]
+    [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.Str "ms") ]
 
+let recording_events tracks =
+  List.concat_map (fun t -> metadata t @ track_events t) tracks
+
+let to_json tracks = envelope (recording_events tracks)
 let to_string tracks = Json.to_string (to_json tracks)
 
-let write_file ~path tracks =
+let write_events ~path events =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       let buf = Buffer.create 65536 in
-      Json.write buf (to_json tracks);
+      Json.write buf (envelope events);
       Buffer.output_buffer oc buf)
+
+let write_file ~path tracks = write_events ~path (recording_events tracks)

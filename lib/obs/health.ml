@@ -1,13 +1,13 @@
-type slo = { wait_ns : int; exec_ns : int }
+type slo = { pending_ns : int; exec_ns : int }
 
-let default_slo = { wait_ns = 100_000_000; exec_ns = 100_000_000 }
+let default_slo = { pending_ns = 100_000_000; exec_ns = 100_000_000 }
 
-type phase = Wait | Exec
+type phase = Pending | Exec
 
 let n_phases = 2
-let phase_idx = function Wait -> 0 | Exec -> 1
-let phase_name = function Wait -> "wait" | Exec -> "exec"
-let phases = [ Wait; Exec ]
+let phase_idx = function Pending -> 0 | Exec -> 1
+let phase_name = function Pending -> "pending" | Exec -> "exec"
+let phases = [ Pending; Exec ]
 
 type t = {
   on : bool;
@@ -114,14 +114,14 @@ let batch_collected t ~sid ~size ~now =
     t.stalled.(sid) <- false
   end
 
-let op_phases t ~worker ~sid ~wait ~exec =
+let op_phases t ~worker ~sid ~pending ~exec =
   if t.on && sid_ok t sid && worker >= 0 && worker < t.workers then begin
     let base = ((worker * t.structures) + sid) * n_phases in
-    Summary.Histo.add t.phase.(base) wait;
+    Summary.Histo.add t.phase.(base) pending;
     Summary.Histo.add t.phase.(base + 1) exec;
     Atomic.incr t.ops.(sid);
     let bb = sid * n_phases in
-    if wait > t.slo.wait_ns then Atomic.incr t.burn.(bb);
+    if pending > t.slo.pending_ns then Atomic.incr t.burn.(bb);
     if exec > t.slo.exec_ns then Atomic.incr t.burn.(bb + 1)
   end
 
@@ -217,16 +217,18 @@ let to_json ?now t =
           Json.List
             (List.init t.structures (fun sid ->
                  Json.Obj
-                   ([
-                      ("sid", Json.Int sid);
-                      ("pending", Json.Int (Atomic.get t.pend.(sid)));
-                      ("launches", Json.Int (Atomic.get t.launches.(sid)));
-                      ("ops", Json.Int (Atomic.get t.ops.(sid)));
-                      ("stalled", Json.Bool t.stalled.(sid));
-                    ]
-                   @ List.map
-                       (fun ph -> (phase_name ph, phase_json t ~sid ph))
-                       phases))) );
+                   [
+                     ("sid", Json.Int sid);
+                     ("pending", Json.Int (Atomic.get t.pend.(sid)));
+                     ("launches", Json.Int (Atomic.get t.launches.(sid)));
+                     ("ops", Json.Int (Atomic.get t.ops.(sid)));
+                     ("stalled", Json.Bool t.stalled.(sid));
+                     ( "phases",
+                       Json.Obj
+                         (List.map
+                            (fun ph -> (phase_name ph, phase_json t ~sid ph))
+                            phases) );
+                   ])) );
         ("invariants", Invariants.to_json t.inv);
       ]
   end

@@ -15,8 +15,8 @@
       {!Invariants} counters; the episode closes when a batch launches
       or the structure drains.
     - {b Phase latency} — each completed op's time is decomposed into
-      pending-wait (issue → its batch's launch) and batch-exec (launch
-      → batch completion). Per worker × structure × phase power-of-two
+      pending (issue → its batch's launch) and exec (launch → batch
+      completion), {!Reqtrace}'s names for the same two phases. Per worker × structure × phase power-of-two
       histograms, each written only by its worker — the op's own
       (single-writer, allocation-free) — and
       merged with {!Summary.Histo.merge} at sample time; each phase has
@@ -30,13 +30,15 @@
     is live; readers may see a sample a few events stale, never torn. *)
 
 (** Per-phase SLO thresholds in nanoseconds. *)
-type slo = { wait_ns : int; exec_ns : int }
+type slo = { pending_ns : int; exec_ns : int }
 
 val default_slo : slo
 (** 100 ms per phase — loose enough not to burn on a loaded CI box;
     production callers pass their own. *)
 
-type phase = Wait | Exec
+type phase = Pending | Exec
+(** {!Summary}'s [wait] bucket is another quantity: worker time trapped
+    in BATCHIFY, not an op's time before its batch launched. *)
 
 type t
 
@@ -76,7 +78,8 @@ val batch_collected : t -> sid:int -> size:int -> now:int -> unit
 (** A launch at raw stamp [now] collected [size] ops from [sid]; feeds
     the watchdog (closes any stall episode) and the pending gauge. *)
 
-val op_phases : t -> worker:int -> sid:int -> wait:int -> exec:int -> unit
+val op_phases :
+  t -> worker:int -> sid:int -> pending:int -> exec:int -> unit
 (** Phase decomposition of one completed op, in ns, recorded by the
     op's own worker once the op is done; [worker]'s histograms must
     have no other writer. *)
@@ -115,5 +118,6 @@ val burn_count : t -> sid:int -> phase -> int
 val to_json : ?now:int -> t -> Json.t
 (** The ["health"] object carried on snapshot lines: per-worker beat
     ages, per-structure gauges + merged phase stats + burn counters,
-    the stall total, and the attached invariants' counters. [Json.Null]
-    when disabled. *)
+    the stall total, and the attached invariants' counters. A
+    structure's ["pending"] is its pending-op gauge; its two phase
+    objects sit under ["phases"]. [Json.Null] when disabled. *)

@@ -65,9 +65,9 @@ let finish p ~time ~worker ~sid ~size =
 let complete p ~time ~worker ~sid ~token ~issue ~launch ~finish ~seen
     ~batch_worker =
   if p.on then begin
-    let wait = launch - issue and exec = finish - launch in
-    Health.op_phases p.hl ~worker ~sid ~wait ~exec;
-    Reqtrace.on_batch p.rt ~token ~wait ~exec ~seen ~worker:batch_worker;
+    let pending = launch - issue and exec = finish - launch in
+    Health.op_phases p.hl ~worker ~sid ~pending ~exec;
+    Reqtrace.on_batch p.rt ~token ~pending ~exec ~seen ~worker:batch_worker;
     let rtime = time - p.epoch in
     Recorder.emit_op_done p.rc ~worker ~time:rtime ~sid ~batches_seen:seen
       ~latency:(finish - issue);

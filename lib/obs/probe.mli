@@ -87,9 +87,9 @@ val complete :
     the stamps of its {!submit}, its batch's {!launch} and that batch's
     {!finish}; [seen] counts the launches of [sid] while it was pending
     (the Lemma-2 figure) and [batch_worker] ran its batch. The op's
-    wait (issue → launch) and exec (launch → finish) go to Health and
+    pending (issue → launch) and exec (launch → finish) go to Health and
     Reqtrace; the recorder gets an [Op_done] of latency
     [finish - issue]. The simulator passes its resume step as
     [launch] and [finish], so its latency runs from issue to resume
-    (DESIGN.md §7); it rejects Health and Reqtrace, the readers of wait
-    and exec. *)
+    (DESIGN.md §7); it rejects Health and Reqtrace, the readers of
+    pending and exec. *)

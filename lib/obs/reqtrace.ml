@@ -32,7 +32,7 @@ type t = {
   submit : int array;
   fin : int array;
   (* batch-path deltas + metadata *)
-  d_wait : int array;
+  d_pending : int array;
   d_exec : int array;
   seen : int array;
   cls : int array;
@@ -61,7 +61,7 @@ let null =
     start = empty;
     submit = empty;
     fin = empty;
-    d_wait = empty;
+    d_pending = empty;
     d_exec = empty;
     seen = empty;
     cls = empty;
@@ -94,7 +94,7 @@ let create ?(sample_every = 32) ?(k = 16) ~workers ~classes ~capacity () =
     start = a ();
     submit = a ();
     fin = a ();
-    d_wait = a ();
+    d_pending = a ();
     d_exec = a ();
     seen = a ();
     cls = a ();
@@ -133,9 +133,9 @@ let[@inline] on_submit t ~token ~sid ~now =
     Array.unsafe_set t.sid token sid
   end
 
-let[@inline] on_batch t ~token ~wait ~exec ~seen ~worker =
+let[@inline] on_batch t ~token ~pending ~exec ~seen ~worker =
   if tracked t token then begin
-    Array.unsafe_set t.d_wait token wait;
+    Array.unsafe_set t.d_pending token pending;
     Array.unsafe_set t.d_exec token exec;
     Array.unsafe_set t.seen token seen;
     Array.unsafe_set t.w_batch token worker
@@ -185,7 +185,7 @@ let record_sim t ~token ~cls ~sid ~arrive_ns ~pending_ns ~exec_ns ~seen =
     t.start.(token) <- arrive_ns;
     t.submit.(token) <- arrive_ns;
     t.fin.(token) <- arrive_ns + pending_ns + exec_ns;
-    t.d_wait.(token) <- pending_ns;
+    t.d_pending.(token) <- pending_ns;
     t.d_exec.(token) <- exec_ns;
     t.seen.(token) <- seen;
     t.cls.(token) <- cls;
@@ -225,7 +225,7 @@ let span t token =
     and start = t.start.(token)
     and submit = t.submit.(token)
     and fin = t.fin.(token) in
-    let pending = t.d_wait.(token) and exec = t.d_exec.(token) in
+    let pending = t.d_pending.(token) and exec = t.d_exec.(token) in
     let latency = fin - arrive in
     (* The residual decomposition: latency = queue + sched_pre +
        pending + exec + sched_post by construction (sched_post is
@@ -286,6 +286,18 @@ let reservoir ?cls t =
 
 let slowest ?cls t =
   List.filter_map (fun (_, tok) -> span t tok) (reservoir ?cls t)
+
+let exported t =
+  let slow = Array.make (max 1 t.cap) false in
+  for c = 0 to t.classes - 1 do
+    List.iter (fun (_, tok) -> slow.(tok) <- true) (reservoir ~cls:c t)
+  done;
+  let acc = ref [] in
+  for tok = t.cap - 1 downto 0 do
+    if slow.(tok) || tok mod t.sample_every = 0 then
+      Option.iter (fun s -> acc := s :: !acc) (span t tok)
+  done;
+  !acc
 
 type totals = {
   n : int;
@@ -369,7 +381,7 @@ let check t =
           err :=
             Some
               (Printf.sprintf "token %d: sched_post %d < 0 (fin-submit=%d \
-                               wait=%d exec=%d)"
+                               pending=%d exec=%d)"
                  s.token s.sched_post_ns
                  (t.fin.(s.token) - t.submit.(s.token))
                  s.pending_ns s.exec_ns));

@@ -30,9 +30,9 @@
     stamps, a reservoir winner's anatomy is materialized whole.
 
     [sample_every] does not gate capture (capture is free); it marks
-    every Nth token {!span.sampled} so exporters
-    (bin/anatomy.exe's Perfetto sink) can thin the timeline without
-    losing the tail — slowest-K spans are always exported. *)
+    every Nth token {!span.sampled} so a timeline ({!exported}, which
+    {!Chrome.requests} renders) is thinned without losing the tail —
+    slowest-K spans are always exported. *)
 
 type t
 
@@ -73,8 +73,8 @@ val on_submit : t -> token:int -> sid:int -> now:int -> unit
     [pending] is measured from. *)
 
 val on_batch :
-  t -> token:int -> wait:int -> exec:int -> seen:int -> worker:int -> unit
-(** The op's worker resumed after its batch completed. [wait]/[exec]
+  t -> token:int -> pending:int -> exec:int -> seen:int -> worker:int -> unit
+(** The op's worker resumed after its batch completed. [pending]/[exec]
     are durations between the batch path's stamps (issue → launch,
     launch → done); [seen] is the op's batches-while-pending (the
     Lemma-2 figure); [worker] ran the batch. For fan-out requests only
@@ -111,7 +111,7 @@ type span = {
   latency_ns : int;  (** completion − scheduled arrival *)
   queue_ns : int;  (** arrival → serve-task start *)
   sched_pre_ns : int;  (** serve-task start → BATCHIFY *)
-  pending_ns : int;  (** BATCHIFY → batch launch (Lemma-2 wait) *)
+  pending_ns : int;  (** BATCHIFY → batch launch (the Lemma-2 window) *)
   exec_ns : int;  (** batch launch → batch completion *)
   sched_post_ns : int;  (** batch completion → continuation resumed;
                             includes the cross-shard join of fan-outs *)
@@ -140,6 +140,10 @@ val reservoir : ?cls:int -> t -> (int * int) list
 
 val slowest : ?cls:int -> t -> span list
 (** {!reservoir} materialized whole, worst first. *)
+
+val exported : t -> span list
+(** A timeline's spans: every {!span.sampled} span plus every class's
+    {!slowest}, each once, in token order. *)
 
 type totals = {
   n : int;  (** completed requests in the aggregate *)

@@ -50,9 +50,9 @@ let measure_of_classes ~goodput ~bound_ns classes =
 (* phase, family, Reqtrace share predicting it, costs for speedup f.
    The share mapping states what the share-based prediction *would*
    be: all four batch-interior knobs live inside the exec phase (the
-   sim's batch duration), sched maps to the structurally-zero sched
-   phase, and the worker-share knob has no share at all — divergence
-   between these predictions and the measured deltas is the point. *)
+   sim's batch duration), and the worker-share knob has no share at
+   all — divergence between these predictions and the measured deltas
+   is the point. *)
 let sim_phases =
   [
     ( "bop_work",
@@ -71,10 +71,6 @@ let sim_phases =
       "span",
       Some "exec",
       fun f -> { Sim.Costs.identity with Sim.Costs.setup_span = 1.0 /. f } );
-    ( "sched",
-      "sched",
-      Some "sched",
-      fun f -> { Sim.Costs.identity with Sim.Costs.sched = 1.0 /. f } );
     ( "share",
       "share",
       None,
@@ -85,21 +81,17 @@ let measure_of_sim (pt : Sim_driver.point) =
   measure_of_classes ~goodput:pt.Sim_driver.goodput
     ~bound_ns:pt.Sim_driver.bound_budget_ns pt.Sim_driver.classes
 
-let run_sim ?p ?(factors = default_sim_factors) (sc : Scenario.t) =
+let run_sim ?(factors = default_sim_factors) (sc : Scenario.t) =
   if factors = [] then invalid_arg "Causal.run_sim: factors must be non-empty";
   List.iter
     (fun f ->
       if Float.is_nan f || f <= 1.0 then
         invalid_arg "Causal.run_sim: factors must be > 1")
     factors;
-  (* Default P: the *first* swept worker count — the scenarios put the
+  (* P: the *first* swept worker count — the scenarios put the
      overloaded end there, where causal structure is richest (under
      overload a phase's share wildly understates its sensitivity). *)
-  let p =
-    match p with
-    | Some p -> p
-    | None -> ( match sc.Scenario.sim_p with p :: _ -> p | [] -> 1)
-  in
+  let p = match sc.Scenario.sim_p with p :: _ -> p | [] -> 1 in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   (* Baseline is traced: its shares feed the share-based predictions,
@@ -172,7 +164,7 @@ let measure_of_rt (pt : Rt_driver.point) =
   measure_of_classes ~goodput:pt.Rt_driver.goodput ~bound_ns:nan
     pt.Rt_driver.classes
 
-let run_rt ?workers ?duration_s ?shards ?(factors = default_rt_factors)
+let run_rt ?workers ?duration_s ?(factors = default_rt_factors)
     (sc : Scenario.t) =
   if factors = [] then invalid_arg "Causal.run_rt: factors must be non-empty";
   List.iter
@@ -181,10 +173,7 @@ let run_rt ?workers ?duration_s ?shards ?(factors = default_rt_factors)
         invalid_arg "Causal.run_rt: factors must be > 1")
     factors;
   let shards =
-    match shards with
-    | Some k -> k
-    | None -> (
-        match List.rev sc.Scenario.rt_shards with k :: _ -> k | [] -> 1)
+    match List.rev sc.Scenario.rt_shards with k :: _ -> k | [] -> 1
   in
   let duration_s =
     match duration_s with

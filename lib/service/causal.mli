@@ -42,20 +42,19 @@ val default_rt_factors : float list
 (** [[2.0]] — each runtime factor costs 1 control + 3 cell timed
     runs. *)
 
-val run_sim : ?p:int -> ?factors:float list -> Scenario.t -> result
-(** [p] defaults to the {e first} entry of the scenario's [sim_p]
-    sweep — the overloaded end on the stock scenarios, where causal
-    structure is richest. [factors] (default {!default_sim_factors})
+val run_sim : ?factors:float list -> Scenario.t -> result
+(** At the {e first} worker count of the scenario's [sim_p] sweep —
+    the overloaded end on the stock scenarios, where causal structure
+    is richest. [factors] (default {!default_sim_factors})
     must all be > 1; phases swept: [bop_work], [bop_span],
-    [setup_work], [setup_span], [sched], [share]. *)
+    [setup_work], [setup_span], [share]. *)
 
 val run_rt :
   ?workers:int ->
   ?duration_s:float ->
-  ?shards:int ->
   ?factors:float list ->
   Scenario.t ->
   result
-(** Phases swept: [bop], [setup], [submit]. [shards] defaults to the
-    scenario's largest K, [duration_s] to min(scenario, 1 s) per
-    point, [factors] to {!default_rt_factors}. *)
+(** At the scenario's largest K. Phases swept: [bop], [setup],
+    [submit]. [duration_s] defaults to min(scenario, 1 s) per point,
+    [factors] to {!default_rt_factors}. *)

@@ -8,6 +8,7 @@ let class_name = function
 
 let class_index = function Get -> 0 | Put -> 1 | Delete -> 2 | Range -> 3
 let n_classes = 4
+let class_names = Array.map class_name [| Get; Put; Delete; Range |]
 
 type mix = { get : float; put : float; delete : float; range : float }
 

@@ -31,6 +31,9 @@ val class_name : op_class -> string
 val class_index : op_class -> int
 val n_classes : int
 
+val class_names : string array
+(** [class_names.(class_index c) = class_name c]. *)
+
 type mix = { get : float; put : float; delete : float; range : float }
 (** Nonnegative weights, normalized internally; at least one must be
     positive. *)

@@ -13,8 +13,6 @@ type point = {
   trace : Obs.Reqtrace.t;  (* per-request spans; null unless ?trace *)
 }
 
-let class_of_index = [| Gen.Get; Gen.Put; Gen.Delete; Gen.Range |]
-
 (* The dispatcher releases every due request, then sleeps toward the
    next arrival. Releases can be late by the sleep granularity (~0.1 ms)
    or by a lost OS timeslice — harmless to honesty, because latency is
@@ -191,14 +189,14 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
                 incr pos)
               by_class.(c))
           samples;
-        (Gen.class_name class_of_index.(c), Array.sub a 0 total))
+        (Gen.class_names.(c), Array.sub a 0 total))
   in
   let st = Runtime.Shard_rt.total_stats srt in
   let slo_burns = ref 0 in
   for sid = 0 to shards - 1 do
     List.iter
       (fun ph -> slo_burns := !slo_burns + Obs.Health.burn_count hl ~sid ph)
-      [ Obs.Health.Wait; Obs.Health.Exec ]
+      [ Obs.Health.Pending; Obs.Health.Exec ]
   done;
   let elapsed_ns = float_of_int !elapsed in
   {

@@ -15,8 +15,6 @@ type point = {
   trace : Obs.Reqtrace.t;
 }
 
-let class_of_index = [| Gen.Get; Gen.Put; Gen.Delete; Gen.Range |]
-
 let run_point ?(trace = false) ?(costs = Sim.Costs.identity) (sc : Scenario.t)
     ~p =
   let (module S : Store.STORE) = sc.Scenario.store in
@@ -55,7 +53,7 @@ let run_point ?(trace = false) ?(costs = Sim.Costs.identity) (sc : Scenario.t)
     Array.to_list
       (Array.mapi
          (fun i samples ->
-           (Gen.class_name class_of_index.(i), Array.of_list samples))
+           (Gen.class_names.(i), Array.of_list samples))
          per_class)
   in
   (* The virtual-clock anatomy is two phases — pending-wait (arrival to

@@ -87,18 +87,12 @@ let knees_of_points ~shards points =
           })
     shards
 
-let run ?(mults = default_mults) ?shards ?workers ?duration_s
-    (sc : Scenario.t) =
+let run ?(mults = default_mults) ?workers ?duration_s (sc : Scenario.t) =
   if mults = [] then invalid_arg "Sweep.run: mults must be non-empty";
+  (* The scenario's largest K: the knee of the most scaled
+     configuration is the headline number. *)
   let shards =
-    match shards with
-    | Some ks -> ks
-    | None -> (
-        (* Default: the scenario's largest K — the knee of the most
-           scaled configuration is the headline number. *)
-        match List.rev sc.Scenario.rt_shards with
-        | k :: _ -> [ k ]
-        | [] -> [ 1 ])
+    match List.rev sc.Scenario.rt_shards with k :: _ -> [ k ] | [] -> [ 1 ]
   in
   (* A sweep multiplies runs; keep each point short unless the caller
      asks otherwise. *)

@@ -1,6 +1,6 @@
-(** Latency vs offered load: a recorded rate-multiplier × K grid over
-    the runtime leg, with per-point phase attribution and
-    the throughput knee.
+(** Latency vs offered load: a rate-multiplier grid over the runtime
+    leg at the scenario's largest K, with per-point phase attribution
+    and the throughput knee.
 
     Every grid point runs {!Rt_driver.run_point} with request tracing
     on, so alongside goodput and the latency digest it carries the
@@ -69,12 +69,7 @@ val default_mults : float list
     [Top_kept_up]); larger [mults] find its capacity. *)
 
 val run :
-  ?mults:float list ->
-  ?shards:int list ->
-  ?workers:int ->
-  ?duration_s:float ->
-  Scenario.t ->
-  t
-(** Run the grid. Defaults: {!default_mults}, shards = the scenario's
-    largest K, duration
-    min(scenario, 1 s) per point (a sweep multiplies runs). *)
+  ?mults:float list -> ?workers:int -> ?duration_s:float -> Scenario.t -> t
+(** Run the grid at the scenario's largest K. Defaults:
+    {!default_mults}, duration min(scenario, 1 s) per point (a sweep
+    multiplies runs). *)

@@ -3,7 +3,6 @@ type t = {
   bop_span : float;
   setup_work : float;
   setup_span : float;
-  sched : float;
   p_share : float;
 }
 
@@ -13,7 +12,6 @@ let identity =
     bop_span = 1.0;
     setup_work = 1.0;
     setup_span = 1.0;
-    sched = 1.0;
     p_share = 1.0;
   }
 
@@ -37,5 +35,4 @@ let check c =
   pos "bop_span" c.bop_span;
   pos "setup_work" c.setup_work;
   pos "setup_span" c.setup_span;
-  pos "sched" c.sched;
   pos "p_share" c.p_share

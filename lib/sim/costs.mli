@@ -17,27 +17,25 @@
     nothing vanishes, it never goes negative).
 
     Which knobs act where:
-    - {!Openloop} (the analytic service engine) honors all six:
+    - {!Openloop} (the analytic service engine) honors all five:
       [bop_work]/[bop_span] scale each launch's BOP Brent terms,
       [setup_work]/[setup_span] the Θ(P)/Θ(lg P) LAUNCHBATCH stages,
-      [sched] the configured dispatch delay ([Openloop.config]'s
-      [sched_delay], default 0), and [p_share] the per-shard worker
-      share max(1, P/K) (scaled, then clamped back to ≥ 1 — so at
-      P/K ≤ 1 the knob still models granting a shard more workers).
+      and [p_share] the per-shard worker share max(1, P/K) (scaled,
+      then clamped back to ≥ 1 — so at P/K ≤ 1 the knob still models
+      granting a shard more workers).
     - {!Batcher} (the DAG-lowering scheduler sim) honors
       [bop_work] and [setup_work] by scaling the {e leaf costs} of the
       BOP and overhead [Par] trees before lowering. In a real DAG,
       work and span are coupled — scaling leaves scales both together
-      — so the span-only and sched knobs have no separate meaning
-      there and are ignored; the Openloop engine is where the
-      span-vs-work distinction is exact. *)
+      — so the span-only knobs have no separate meaning there and are
+      ignored; the Openloop engine is where the span-vs-work
+      distinction is exact. *)
 
 type t = {
   bop_work : float;
   bop_span : float;
   setup_work : float;
   setup_span : float;
-  sched : float;
   p_share : float;
 }
 

@@ -1,10 +1,10 @@
 type req = { at : int; shard : int; cls : int }
 
-type config = { p : int; shards : int; batch_cap : int; sched_delay : int }
+type config = { p : int; shards : int; batch_cap : int }
 
-let config ?batch_cap ?(sched_delay = 0) ~p ~shards () =
+let config ?batch_cap ~p ~shards () =
   let batch_cap = match batch_cap with Some c -> c | None -> p in
-  { p; shards; batch_cap; sched_delay }
+  { p; shards; batch_cap }
 
 type result = {
   waits : int array;
@@ -37,7 +37,6 @@ let run ?(costs = Costs.identity) cfg ~models reqs =
   if cfg.p < 1 then invalid_arg "Openloop.run: p >= 1";
   if cfg.shards < 1 then invalid_arg "Openloop.run: shards >= 1";
   if cfg.batch_cap < 1 then invalid_arg "Openloop.run: batch_cap >= 1";
-  if cfg.sched_delay < 0 then invalid_arg "Openloop.run: sched_delay >= 0";
   Costs.check costs;
   if Array.length models <> cfg.shards then
     invalid_arg "Openloop.run: one model per shard";
@@ -59,8 +58,8 @@ let run ?(costs = Costs.identity) cfg ~models reqs =
   (* LAUNCHBATCH overhead: the paper's Θ(P)-work / Θ(lg P)-span setup
      and cleanup stages, identical to [Batcher]'s Tree_setup model.
      What-if scaling ([costs], identity by default) applies per term:
-     setup here, BOP work/span per launch below, the dispatch delay,
-     and the per-shard worker share — scaled after the max(1, P/K)
+     setup here, BOP work/span per launch below, and the per-shard
+     worker share — scaled after the max(1, P/K)
      clamp so granting a one-worker shard more virtual workers is
      expressible, then clamped back to >= 1. *)
   let overhead = Par.balanced ~leaf_cost:(fun _ -> 1) cfg.p in
@@ -69,7 +68,6 @@ let run ?(costs = Costs.identity) cfg ~models reqs =
   let p_share =
     max 1 (Costs.scale costs.Costs.p_share (max 1 (cfg.p / cfg.shards)))
   in
-  let sched_delay = Costs.scale costs.Costs.sched cfg.sched_delay in
   let waits = Array.make n 0 in
   let launch_waits = Array.make n 0 in
   let batches_seen = Array.make n 0 in
@@ -93,12 +91,10 @@ let run ?(costs = Costs.identity) cfg ~models reqs =
       let bop = models.(sid).Batched.Model.batch_cost members in
       let bop_work = Costs.scale costs.Costs.bop_work (Par.work bop)
       and bop_span = Costs.scale costs.Costs.bop_span (Par.span bop) in
-      (* Brent bound of the wrapped batch DAG, plus the (default-zero)
-         dispatch delay between winning the flag and the first setup
-         node — the sim-side stand-in for the runtime's sched phase. *)
+      (* Brent bound of the wrapped batch DAG. *)
       let duration =
         ((setup_work + bop_work + p_share - 1) / p_share)
-        + setup_span + bop_span + sched_delay
+        + setup_span + bop_span
       in
       s.busy <- Some { launched_at = now; done_at = now + duration; members };
       s.launches <- s.launches + 1;

@@ -35,16 +35,10 @@ type config = {
   p : int;  (** workers *)
   shards : int;
   batch_cap : int;  (** records per launch; the paper's cap is [p] *)
-  sched_delay : int;
-      (** cost units between a launch decision and the first setup
-          node — the sim-side stand-in for the runtime's sched phase.
-          Default 0 (the engine's admission is immediate); nonzero
-          only for ablations and what-if runs ({!Costs}). *)
 }
 
-val config :
-  ?batch_cap:int -> ?sched_delay:int -> p:int -> shards:int -> unit -> config
-(** [batch_cap] defaults to [p] (Invariant 2); [sched_delay] to 0. *)
+val config : ?batch_cap:int -> p:int -> shards:int -> unit -> config
+(** [batch_cap] defaults to [p] (Invariant 2). *)
 
 type result = {
   waits : int array;
@@ -88,8 +82,8 @@ val run :
     out of range or a negative arrival time.
 
     [costs] (default {!Costs.identity}) applies per-phase what-if
-    scale factors — BOP work/span, LAUNCHBATCH setup work/span, the
-    dispatch delay, and the per-shard worker share — for causal
+    scale factors — BOP work/span, LAUNCHBATCH setup work/span, and
+    the per-shard worker share — for causal
     profiling; under the identity record the run is byte-identical to
     one without the plumbing. Raises [Invalid_argument] on
     non-positive factors. *)

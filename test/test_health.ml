@@ -198,18 +198,19 @@ let test_violation_events_on_recorder () =
 let test_phase_histo_and_burn () =
   let hl =
     Obs.Health.create
-      ~slo:{ Obs.Health.wait_ns = 100; exec_ns = 1_000 }
+      ~slo:{ Obs.Health.pending_ns = 100; exec_ns = 1_000 }
       ~workers:2 ~structures:1 ()
   in
   (* Two workers record phases for the same structure; reads merge. *)
-  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~wait:50 ~exec:500;
-  Obs.Health.op_phases hl ~worker:1 ~sid:0 ~wait:150 ~exec:2_000;
-  let h = Obs.Health.phase_histo hl ~sid:0 Obs.Health.Wait in
+  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~pending:50 ~exec:500;
+  Obs.Health.op_phases hl ~worker:1 ~sid:0 ~pending:150 ~exec:2_000;
+  let h = Obs.Health.phase_histo hl ~sid:0 Obs.Health.Pending in
   check "merged count" 2 (Obs.Summary.Histo.count h);
   check "merged total" 200 (Obs.Summary.Histo.total h);
   check "merged max" 150 (Obs.Summary.Histo.max_v h);
   (* Exactly the over-SLO samples burn. *)
-  check "wait burn" 1 (Obs.Health.burn_count hl ~sid:0 Obs.Health.Wait);
+  check "pending burn" 1
+    (Obs.Health.burn_count hl ~sid:0 Obs.Health.Pending);
   check "exec burn" 1 (Obs.Health.burn_count hl ~sid:0 Obs.Health.Exec)
 
 let test_heartbeat_age () =
@@ -230,7 +231,7 @@ let test_health_json_shape () =
   Obs.Health.beat hl ~worker:0;
   Obs.Health.op_issued hl ~sid:0 ~now:(Obs.Clock.now_ns ());
   Obs.Health.batch_collected hl ~sid:0 ~size:1 ~now:(Obs.Clock.now_ns ());
-  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~wait:10 ~exec:20;
+  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~pending:10 ~exec:20;
   let j = Obs.Health.to_json hl in
   (* Must be valid JSON carrying the fields the monitor digests. (No
      structural round-trip check: the strict parser reads integral
@@ -419,7 +420,10 @@ let test_runtime_integration_clean () =
         (fun (name, ph) ->
           check name n_ops
             (Obs.Summary.Histo.count (Obs.Health.phase_histo hl ~sid:0 ph)))
-        [ ("wait phases", Obs.Health.Wait); ("exec phases", Obs.Health.Exec) ];
+        [
+          ("pending phases", Obs.Health.Pending);
+          ("exec phases", Obs.Health.Exec);
+        ];
       (* Heartbeats flowed on the workers that participated. *)
       let now = Obs.Clock.now_ns () in
       check_bool "worker 0 beat" true

@@ -366,6 +366,129 @@ let test_chrome_json_valid () =
   check_bool "batch track present" true
     (Hashtbl.fold (fun (_, tid) _ acc -> acc || tid = Obs.Chrome.batch_tid_base) last false)
 
+(* The request view over hand-built spans: two structures whose
+   batches overlap in time, one batch of two ops, and two overlapping
+   requests of one class. *)
+let test_chrome_request_view () =
+  let mk ~token ~cls ~sid ~arrive q sp p e post =
+    {
+      Obs.Reqtrace.token;
+      cls;
+      sid;
+      sampled = true;
+      arrive_ns = arrive;
+      latency_ns = q + sp + p + e + post;
+      queue_ns = q;
+      sched_pre_ns = sp;
+      pending_ns = p;
+      exec_ns = e;
+      sched_post_ns = post;
+      batches_seen = 1;
+      w_start = 0;
+      w_batch = 0;
+      w_done = 0;
+    }
+  in
+  let spans =
+    [
+      (* tokens 0 and 1 share structure 0's batch at [1000, 1500) *)
+      mk ~token:0 ~cls:0 ~sid:0 ~arrive:100 100 200 600 500 50;
+      mk ~token:1 ~cls:0 ~sid:0 ~arrive:300 50 150 500 500 100;
+      (* structure 1's batch [1100, 1300) overlaps it in time *)
+      mk ~token:2 ~cls:1 ~sid:1 ~arrive:400 0 100 600 200 0;
+      (* structure 0's next batch starts as the first one ends *)
+      mk ~token:3 ~cls:1 ~sid:0 ~arrive:1200 100 0 200 300 10;
+    ]
+  in
+  let events =
+    Obs.Chrome.requests ~pid:3 ~name:"point" ~classes:[| "get"; "put" |]
+      (List.rev spans)
+  in
+  let str name ev =
+    match field name ev with Obs.Json.Str s -> s | _ -> Alcotest.fail name
+  in
+  let num name ev =
+    match Obs.Json.to_float_opt (field name ev) with
+    | Some f -> f
+    | None -> Alcotest.failf "field %S not a number" name
+  in
+  let timed = List.filter (fun ev -> str "ph" ev <> "M") events in
+  let on_track pred = List.filter (fun ev -> pred (as_int "tid" ev)) timed in
+  let slices pred =
+    List.filter (fun ev -> str "ph" ev = "X") (on_track pred)
+  in
+  let eps = 1e-9 in
+  (* Each batch gets exactly one slice, and no two slices of one
+     structure track overlap. *)
+  let batches tid = slices (( = ) tid) in
+  let b0 = batches Obs.Chrome.batch_tid_base
+  and b1 = batches (Obs.Chrome.batch_tid_base + 1) in
+  check "structure 0 batches" 2 (List.length b0);
+  check "structure 1 batches" 1 (List.length b1);
+  List.iter
+    (fun track ->
+      ignore
+        (List.fold_left
+           (fun last ev ->
+             check_bool "no overlap on a structure track" true
+               (num "ts" ev >= last -. eps);
+             num "ts" ev +. num "dur" ev)
+           neg_infinity track))
+    [ b0; b1 ];
+  (* Every flow start has its finish. *)
+  let flows ph =
+    List.sort compare
+      (List.filter_map
+         (fun ev -> if str "ph" ev = ph then Some (as_int "id" ev) else None)
+         timed)
+  in
+  check "one flow per request" 4 (List.length (flows "s"));
+  Alcotest.(check (list int)) "every s has its f" (flows "s") (flows "f");
+  (* ts is monotone on every track. *)
+  let last = Hashtbl.create 8 in
+  List.iter
+    (fun ev ->
+      let tid = as_int "tid" ev and ts = num "ts" ev in
+      (match Hashtbl.find_opt last tid with
+      | Some prev -> check_bool "monotone ts per track" true (ts >= prev)
+      | None -> ());
+      Hashtbl.replace last tid ts)
+    timed;
+  (* A request's phase slices tile its latency from its arrival; the
+     earliest arrival is ts 0. *)
+  let phases = slices (fun tid -> tid < Obs.Chrome.batch_tid_base) in
+  List.iter
+    (fun (s : Obs.Reqtrace.span) ->
+      let mine =
+        List.filter
+          (fun ev -> as_int "token" (field "args" ev) = s.Obs.Reqtrace.token)
+          phases
+      in
+      let tid = as_int "tid" (List.hd mine) in
+      let fin =
+        List.fold_left
+          (fun at ev ->
+            check "one track per request" tid (as_int "tid" ev);
+            Alcotest.(check (float eps)) "phases back to back" at (num "ts" ev);
+            at +. num "dur" ev)
+          (float_of_int (s.Obs.Reqtrace.arrive_ns - 100) /. 1e3)
+          mine
+      in
+      Alcotest.(check (float eps))
+        "phases tile the latency"
+        (float_of_int
+           (s.Obs.Reqtrace.arrive_ns + s.Obs.Reqtrace.latency_ns - 100)
+        /. 1e3)
+        fin)
+    spans;
+  (* The two overlapping get requests sit on two lanes. *)
+  let tid_of token =
+    as_int "tid"
+      (List.find (fun ev -> as_int "token" (field "args" ev) = token) phases)
+  in
+  check_bool "overlapping requests of a class on two lanes" true
+    (tid_of 0 <> tid_of 1)
+
 (* ---- summary JSON ---- *)
 
 let test_summary_json () =
@@ -877,7 +1000,7 @@ let test_reqtrace_hooks_no_alloc () =
     Obs.Reqtrace.on_release rt ~token:tok ~arrive_ns:(tok + 1);
     Obs.Reqtrace.on_start rt ~token:tok ~cls:0 ~worker:0;
     Obs.Reqtrace.on_submit rt ~token:tok ~sid:0 ~now:(Obs.Clock.now_ns ());
-    Obs.Reqtrace.on_batch rt ~token:tok ~wait:0 ~exec:0 ~seen:1 ~worker:0;
+    Obs.Reqtrace.on_batch rt ~token:tok ~pending:0 ~exec:0 ~seen:1 ~worker:0;
     Obs.Reqtrace.on_done rt ~token:tok ~worker:0
   done;
   let delta = Gc.minor_words () -. before in
@@ -985,7 +1108,11 @@ let () =
           Alcotest.test_case "deterministic trace" `Quick test_sim_trace_deterministic;
         ] );
       ( "chrome",
-        [ Alcotest.test_case "valid trace-event JSON" `Quick test_chrome_json_valid ] );
+        [
+          Alcotest.test_case "valid trace-event JSON" `Quick
+            test_chrome_json_valid;
+          Alcotest.test_case "request view" `Quick test_chrome_request_view;
+        ] );
       ( "summary",
         [
           Alcotest.test_case "summary to_json" `Quick test_summary_json;

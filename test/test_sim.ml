@@ -294,7 +294,7 @@ let test_costs_scale () =
     [
       { Sim.Costs.identity with Sim.Costs.bop_work = 0.0 };
       { Sim.Costs.identity with Sim.Costs.setup_span = -1.0 };
-      { Sim.Costs.identity with Sim.Costs.sched = nan };
+      { Sim.Costs.identity with Sim.Costs.p_share = nan };
     ]
 
 let test_batcher_costs () =
