@@ -6,13 +6,13 @@
      dune exec bin/service.exe -- --scenario smoke --exec runtime \
        --shards 2 --trace trace.json
      dune exec bin/service.exe -- --scenario smoke --load-sweep
-     dune exec bin/service.exe -- --scenario smoke --causal --exec sim
      dune exec bin/service.exe -- --list
 
    The default mode runs the legs. The sim leg sweeps the scenario's
    worker counts on the virtual clock (Sim.Openloop) and cross-checks
    every point's per-request waits against the composed Theorem-1
-   bound terms (Check.Bound.service_check); the runtime leg is a timed
+   bound terms (Check.Bound.service_check), and prints the budget with
+   its work, serialization and slack terms; the runtime leg is a timed
    open-loop run over Pool/Shard_rt per shard count, every request
    measured from its scheduled arrival stamp. --top or --trace turns
    request tracing on, and each point then prints its anatomy: the
@@ -22,8 +22,8 @@
    a Perfetto trace (Obs.Chrome's request view).
 
    --load-sweep re-runs the runtime leg over offered-load multipliers
-   and finds the throughput knee; --causal runs the what-if grid
-   (Svc.Causal). Every traced span must pass Obs.Reqtrace.check. *)
+   and finds the throughput knee. Every traced span must pass
+   Obs.Reqtrace.check. *)
 
 let usage () =
   prerr_endline
@@ -37,28 +37,22 @@ let usage () =
     \  --workers N      runtime pool size (default: recommended count,\n\
     \                   min 2 -- the dispatcher owns a worker)\n\
     \  --duration S     runtime seconds per point (default: the\n\
-    \                   scenario's; min of it and 1 s with --load-sweep\n\
-    \                   and --causal)\n\
+    \                   scenario's; min of it and 1 s with --load-sweep)\n\
     \  --seed N         override the scenario's seed\n\
     \  --snapshot PATH  stream Obs.Snapshot JSONL (runtime leg) to PATH\n\
     \  --top N          trace requests; print each point's N slowest\n\
     \                   per op class (default 10) and its phase shares\n\
     \  --trace PATH     trace requests; write each traced point's\n\
     \                   sampled and slowest spans as Perfetto JSON\n\
-    \  --quiet          print only failures and the load sweep's knees\n\
-     Modes, instead of the legs:\n\
+    \  --quiet          print only failures and the load sweep's knee\n\
+     A mode, instead of the legs:\n\
     \  --load-sweep     sweep the runtime leg over offered-load\n\
     \                   multipliers, find the throughput knee, and print\n\
     \                   each point's latency and phase shares\n\
     \  --mults LIST     comma-separated multipliers (default\n\
     \                   0.25,0.5,1,2,4)\n\
-    \  --causal         the what-if grid: speed one phase up per cell\n\
-    \                   and print each leg's ranked table\n\
-    \  --factors LIST   comma-separated virtual speedups > 1\n\
-    \                   (default sim 1.25,2,4; runtime 2)\n\
-     Exit status: 0 ok, 1 a sim point escaped the Theorem-1 wait budget,\n\
-     a traced span's phases do not sum to its latency, or a what-if\n\
-     cell failed; 2 usage error."
+     Exit status: 0 ok, 1 a sim point escaped the Theorem-1 wait budget\n\
+     or a traced span's phases do not sum to its latency; 2 usage error."
 
 let die fmt =
   Printf.ksprintf
@@ -75,10 +69,11 @@ let print_classes classes =
   List.iter
     (fun (c : Svc.Latency.class_stats) ->
       Printf.printf
-        "    %-6s n=%-7d p50=%.1fus p99=%.1fus p999=%.1fus max=%.1fus\n"
-        c.Svc.Latency.cls c.Svc.Latency.requests (us c.Svc.Latency.p50_ns)
-        (us c.Svc.Latency.p99_ns) (us c.Svc.Latency.p999_ns)
-        (us c.Svc.Latency.max_ns))
+        "    %-6s n=%-7d mean=%.1fus p50=%.1fus p99=%.1fus p999=%.1fus \
+         max=%.1fus\n"
+        c.Svc.Latency.cls c.Svc.Latency.requests (us c.Svc.Latency.mean_ns)
+        (us c.Svc.Latency.p50_ns) (us c.Svc.Latency.p99_ns)
+        (us c.Svc.Latency.p999_ns) (us c.Svc.Latency.max_ns))
     classes
 
 (* Each phase's share of all latency: the load sweep's and the
@@ -138,17 +133,13 @@ let positive flag v =
   | Some n when n > 0 -> n
   | _ -> die "%s expects a positive integer, got %S" flag v
 
-let list_of flag ~min v =
-  let parsed =
-    List.map
-      (fun s ->
-        match float_of_string_opt (String.trim s) with
-        | Some f when f > min -> f
-        | _ -> die "%s expects numbers > %g, got %S" flag min s)
-      (String.split_on_char ',' v)
-  in
-  if parsed = [] then die "%s expects at least one number" flag;
-  parsed
+let mults_of v =
+  List.map
+    (fun s ->
+      match float_of_string_opt (String.trim s) with
+      | Some f when f > 0.0 -> f
+      | _ -> die "--mults expects positive numbers, got %S" s)
+    (String.split_on_char ',' v)
 
 let () =
   let scenario = ref "standard" in
@@ -162,13 +153,11 @@ let () =
   let top = ref None and trace_path = ref None in
   let quiet = ref false in
   let load_sweep = ref false and mults = ref None in
-  let causal = ref false and factors = ref None in
   let rec go = function
     | [] -> ()
     | "--list" :: rest -> list_only := true; go rest
     | "--quiet" :: rest -> quiet := true; go rest
     | "--load-sweep" :: rest -> load_sweep := true; go rest
-    | "--causal" :: rest -> causal := true; go rest
     | "--scenario" :: v :: rest -> scenario := v; go rest
     | "--exec" :: v :: rest ->
         if v <> "sim" && v <> "runtime" && v <> "both" then
@@ -191,17 +180,11 @@ let () =
         | None -> die "--seed expects an integer, got %S" v)
     | "--snapshot" :: v :: rest -> snapshot := Some v; go rest
     | "--trace" :: v :: rest -> trace_path := Some v; go rest
-    | "--mults" :: v :: rest ->
-        mults := Some (list_of "--mults" ~min:0.0 v);
-        go rest
-    | "--factors" :: v :: rest ->
-        factors := Some (list_of "--factors" ~min:1.0 v);
-        go rest
+    | "--mults" :: v :: rest -> mults := Some (mults_of v); go rest
     | ("--help" | "-h") :: _ -> usage (); exit 0
     | arg :: _ -> die "unknown argument %s" arg
   in
   go (List.tl (Array.to_list Sys.argv));
-  if !load_sweep && !causal then die "--load-sweep and --causal are two modes";
   if !list_only then begin
     List.iter
       (fun (s : Svc.Scenario.t) ->
@@ -237,19 +220,7 @@ let () =
     | Ok () -> ()
     | Error e -> fail "span conservation: %s: %s" label e
   in
-  if !causal then begin
-    let leg (r : Svc.Causal.result) =
-      (* [render] opens with the leg's "[causal] <exec> leg:" header. *)
-      print_string (Obs.Causal.render r.Svc.Causal.profile);
-      List.iter (fail "what-if: %s") r.Svc.Causal.errors
-    in
-    if sim then leg (Svc.Causal.run_sim ?factors:!factors sc);
-    if rt then
-      leg
-        (Svc.Causal.run_rt ?workers:!workers ?duration_s:!duration
-           ?factors:!factors sc)
-  end
-  else if !load_sweep then begin
+  if !load_sweep then begin
     say "[svc] load sweep: %s, base rate %.0f req/s\n%!" sc.Svc.Scenario.name
       sc.Svc.Scenario.rt_rate;
     let sw =
@@ -259,13 +230,13 @@ let () =
       (fun (p : Svc.Sweep.point) ->
         let pt = p.Svc.Sweep.pt in
         let label =
-          Printf.sprintf "K=%d x%g" p.Svc.Sweep.shards p.Svc.Sweep.mult
+          Printf.sprintf "K=%d x%g" sw.Svc.Sweep.shards p.Svc.Sweep.mult
         in
         if not !quiet then begin
           Printf.printf
             "  K=%d x%-4g offered=%7.0f goodput=%7.0f req/s (%.0f%%) \
              p99=%.1fus"
-            p.Svc.Sweep.shards p.Svc.Sweep.mult p.Svc.Sweep.offered_req_s
+            sw.Svc.Sweep.shards p.Svc.Sweep.mult p.Svc.Sweep.offered_req_s
             pt.Svc.Rt_driver.goodput
             (100.0 *. pt.Svc.Rt_driver.goodput /. p.Svc.Sweep.offered_req_s)
             (us
@@ -277,17 +248,15 @@ let () =
            to its measured latency. *)
         conserve label pt.Svc.Rt_driver.trace)
       sw.Svc.Sweep.points;
-    List.iter
-      (fun (kn : Svc.Sweep.knee) ->
-        Printf.printf "  knee: K=%d %s\n" kn.Svc.Sweep.k_shards
-          (match kn.Svc.Sweep.k_status with
-          | Svc.Sweep.Inside_grid ->
-              Printf.sprintf "%.0f req/s (x%g)" kn.Svc.Sweep.knee_req_s
-                kn.Svc.Sweep.knee_mult
-          | Svc.Sweep.Top_kept_up ->
-              Printf.sprintf "≥ %.0f req/s (top of grid)" kn.Svc.Sweep.knee_req_s
-          | Svc.Sweep.No_point_kept_up -> "below the lowest swept rate"))
-      sw.Svc.Sweep.knees
+    let kn = sw.Svc.Sweep.knee in
+    Printf.printf "  knee: K=%d %s\n" sw.Svc.Sweep.shards
+      (match kn.Svc.Sweep.k_status with
+      | Svc.Sweep.Inside_grid ->
+          Printf.sprintf "%.0f req/s (x%g)" kn.Svc.Sweep.knee_req_s
+            kn.Svc.Sweep.knee_mult
+      | Svc.Sweep.Top_kept_up ->
+          Printf.sprintf "≥ %.0f req/s (top of grid)" kn.Svc.Sweep.knee_req_s
+      | Svc.Sweep.No_point_kept_up -> "below the lowest swept rate")
   end
   else begin
     let traced = !top <> None || !trace_path <> None in
@@ -305,18 +274,26 @@ let () =
         sc.Svc.Scenario.name sc.Svc.Scenario.sim_shards
         sc.Svc.Scenario.sim_requests
         (String.concat "," (List.map string_of_int sc.Svc.Scenario.sim_p));
+      (* The budget's terms are in cost units of the virtual clock. *)
+      let term n = ius (n * sc.Svc.Scenario.sim_ns_per_unit) in
       List.iter
         (fun (pt : Svc.Sim_driver.point) ->
+          let t = pt.Svc.Sim_driver.bound_terms in
           say
             "  P=%-3d goodput=%.0f req/s batches=%d max_batch=%d m=%d \
-             in_system<=%d %s\n"
+             in_system<=%d %s budget=%.1fus (work %.1f + serial %.1f + \
+             slack %.1f)\n"
             pt.Svc.Sim_driver.p pt.Svc.Sim_driver.goodput
             pt.Svc.Sim_driver.batches pt.Svc.Sim_driver.max_batch
             pt.Svc.Sim_driver.max_batches_seen
             pt.Svc.Sim_driver.max_in_system
             (match pt.Svc.Sim_driver.bound with
             | Ok () -> "bound OK"
-            | Error _ -> "bound FAIL");
+            | Error _ -> "bound FAIL")
+            (us pt.Svc.Sim_driver.bound_budget_ns)
+            (term t.Check.Bound.work_term)
+            (term t.Check.Bound.serial_term)
+            (term t.Check.Bound.slack);
           if not !quiet then print_classes pt.Svc.Sim_driver.classes;
           (match pt.Svc.Sim_driver.bound with
           | Ok () -> ()

@@ -58,10 +58,11 @@ val service_terms :
   m:int ->
   service_terms
 (** The {!service_budget} expression split into its terms, for
-    dominant-term analysis (the causal profiler compares which term
-    dominates against which phase measurably matters: work-family
-    phases move [work_term], span-family phases move both
-    span-carrying terms). *)
+    dominant-term analysis: a point whose [work_term] dominates is
+    throughput-bound (faster batch or setup work pays), one whose
+    [serial_term] dominates is serialization-bound (only a shorter
+    batch span pays). [bin/service.exe] prints them on each sim
+    point's row. *)
 
 val service_budget :
   p:int ->

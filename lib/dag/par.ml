@@ -53,19 +53,6 @@ and branch_span arr lo hi =
     2 + max (branch_span arr lo mid) (branch_span arr mid hi)
   end
 
-(* Factor 1.0 returns the tree physically unchanged so identity-cost
-   what-if runs (Sim.Costs) stay byte-identical to unscaled ones. Leaf
-   clamping (>= 1) means scaling cannot erase a leaf: fork/join
-   structure — and therefore the span's tree-depth component — is
-   preserved, only the sequential chains stretch or shrink. *)
-let rec scale_costs ~factor t =
-  if factor = 1.0 then t
-  else
-    match t with
-    | Leaf c -> leaf (int_of_float (Float.round (factor *. float_of_int c)))
-    | Series l -> Series (List.map (scale_costs ~factor) l)
-    | Branch l -> Branch (List.map (scale_costs ~factor) l)
-
 let rec leaves = function
   | Leaf _ -> 1
   | Series l | Branch l -> List.fold_left (fun acc x -> acc + leaves x) 0 l

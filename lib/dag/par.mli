@@ -34,13 +34,6 @@ val work : t -> int
 val span : t -> int
 (** Longest path cost after lowering, including fork/join overhead. *)
 
-val scale_costs : factor:float -> t -> t
-(** Multiply every [Leaf] cost by [factor], rounding to nearest and
-    clamping at 1 (the fork/join structure is preserved, so span keeps
-    its tree-depth component). [factor = 1.0] returns the tree
-    physically unchanged — the identity guarantee what-if runs
-    ([Sim.Costs]) rely on. *)
-
 val leaves : t -> int
 (** Number of [Leaf] constructors. *)
 

@@ -30,45 +30,6 @@
    collect admits the op. So an op sees at most 2 launches while
    pending. *)
 
-(* Calibrated delay injection for causal profiling (DESIGN.md §15).
-   A virtual speedup of phase X by factor f is produced by slowing
-   every *other* phase by f and renormalizing (the Coz construction);
-   these are therefore slow-down factors, each >= 1. Injection is
-   self-calibrating: at each site the segment's own duration dt is
-   measured on the monotonic clock and the site then busy-waits
-   (f - 1)·dt, so no per-machine pre-calibration pass is needed and
-   the delay automatically tracks batch size and store.
-
-   Sites: [slow_submit] stretches the publication path inside
-   [batchify] (record reachable -> launch attempt); [slow_setup]
-   stretches LAUNCHBATCH overhead — working-set assembly before the
-   launch stamp and the stamp/done-mark epilogue before the flag
-   release (the paper's setup + cleanup stages); [slow_bop] stretches
-   the BOP body itself, inside the exec phase. All stamps the probe
-   takes are real clock readings around the injected spins, so span
-   conservation ([Obs.Reqtrace.check]) holds on injected runs by
-   construction. *)
-type inject = {
-  slow_submit : float;
-  slow_setup : float;
-  slow_bop : float;
-}
-
-let no_inject = { slow_submit = 1.0; slow_setup = 1.0; slow_bop = 1.0 }
-
-let spin_until_ns deadline =
-  while Obs.Clock.now_ns () < deadline do
-    Domain.cpu_relax ()
-  done
-
-(* Busy-wait (factor - 1) times the elapsed ns since [t0]. *)
-let[@inline never] inject_tail factor t0 =
-  if factor > 1.0 then begin
-    let now = Obs.Clock.now_ns () in
-    let extra = int_of_float ((factor -. 1.0) *. float_of_int (now - t0)) in
-    if extra > 0 then spin_until_ns (now + extra)
-  end
-
 (* Per-worker batch stamps, written by the launcher before it marks the
    op done and read by the op's caller afterwards: worker [w]'s stripe
    of [stamps] holds, at these offsets, its batch's launch stamp, its
@@ -89,10 +50,6 @@ type ('s, 'op) t = {
   run_batch : Pool.t -> 's -> 'op array -> unit;
   sid : int;
   obs : Obs.Probe.t;  (* the pool's probe: every observer of the batch path *)
-  inj : inject;  (* causal-profiling delay factors ([no_inject] = off) *)
-  (* One predictable branch on the hot paths: false compiles the
-     injection sites down to the zero-cost path. *)
-  injecting : bool;
   slots : 'op option Atomic.t array;  (* one per worker, padded *)
   stamps : int array;  (* per-worker stripes, see [st_start] *)
   taken : int array;  (* flag holder only: workers whose ops the batch holds *)
@@ -110,27 +67,14 @@ type stats = {
   ovf : int;
 }
 
-let create ?(sid = 0) ?(inject = no_inject) ~pool ~state ~run_batch () =
+let create ?(sid = 0) ~pool ~state ~run_batch () =
   let p = Pool.num_workers pool in
-  List.iter
-    (fun (name, f) ->
-      if Float.is_nan f || f < 1.0 then
-        invalid_arg
-          (Printf.sprintf "Batcher_rt.create: inject %s must be >= 1, got %g"
-             name f))
-    [
-      ("slow_submit", inject.slow_submit);
-      ("slow_setup", inject.slow_setup);
-      ("slow_bop", inject.slow_bop);
-    ];
   {
     pool;
     st = state;
     run_batch;
     sid;
     obs = Pool.probe pool;
-    inj = inject;
-    injecting = inject <> no_inject;
     slots = Array.init p (fun _ -> Pad.atomic None);
     stamps = Array.make (p * Pad.stride) 0;
     taken = Array.make p 0;
@@ -182,24 +126,19 @@ let launch t me =
      assembly and the done marks are LAUNCHBATCH overhead (n·s(n)), the
      BOP body itself is batch work (W(n)). *)
   if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
-  let t0_setup = if t.injecting then Obs.Clock.now_ns () else 0 in
   let len = collect t in
   if len > 0 then begin
     let ops = Array.make len (op_of t t.taken.(0)) in
     for i = 1 to len - 1 do
       ops.(i) <- op_of t t.taken.(i)
     done;
-    if t.injecting then inject_tail t.inj.slow_setup t0_setup;
     Atomic.incr t.launches;
     let t_start = Obs.Probe.now t.obs in
     Obs.Probe.launch t.obs ~time:t_start ~worker:me ~sid:t.sid ~size:len
       ~setup:0 ~cap:(Array.length t.slots);
     if observed then Pool.set_work_class t.pool Obs.Recorder.Wbatch;
-    let t0_bop = if t.injecting then Obs.Clock.now_ns () else 0 in
     Pool.exec_bop t.pool t.run_batch t.st ops;
-    if t.injecting then inject_tail t.inj.slow_bop t0_bop;
     if observed then Pool.set_work_class t.pool Obs.Recorder.Wsetup;
-    let t0_cleanup = if t.injecting then Obs.Clock.now_ns () else 0 in
     let done_time = Obs.Probe.now t.obs in
     if Obs.Probe.on t.obs then begin
       let done_launches = Atomic.get t.launches in
@@ -217,11 +156,7 @@ let launch t me =
     atomic_max t.max_batch len;
     for i = 0 to len - 1 do
       Atomic.set t.slots.(t.taken.(i)) None
-    done;
-    (* Cleanup half of the setup injection: stretching the stamp/done
-       epilogue extends flag occupancy, which is exactly what a slower
-       LAUNCHBATCH cleanup stage would cost the next batch. *)
-    if t.injecting then inject_tail t.inj.slow_setup t0_cleanup
+    done
   end;
   Atomic.set t.flag false;
   if observed then Pool.set_work_class t.pool Obs.Recorder.Wwait
@@ -251,17 +186,12 @@ let batchify ?(token = -1) t op =
   let observed = recording t in
   let issue = Obs.Probe.now t.obs in
   Obs.Probe.submit t.obs ~time:issue ~worker:w ~sid:t.sid ~token;
-  let t0_submit = if t.injecting then Obs.Clock.now_ns () else 0 in
   (* A trapped worker runs no core task, so its previous op is done and
      its slot is free. *)
   let published = Atomic.compare_and_set t.slots.(w) None (Some op) in
   assert published;
   (* The op is pending from here: Lemma 2 counts launches from now. *)
   let issue_launches = Atomic.get t.launches in
-  (* Submit-path injection: stretch the publication segment before the
-     launch attempt — the op is already reachable, so the delay models
-     a slower submission protocol, not a lost op. *)
-  if t.injecting then inject_tail t.inj.slow_submit t0_submit;
   let cls = if observed then Pool.work_class t.pool else Obs.Recorder.Wcore in
   if observed then Pool.set_work_class t.pool Obs.Recorder.Wwait;
   trap t w 0;

@@ -27,32 +27,8 @@
 
 type ('s, 'op) t
 
-type inject = {
-  slow_submit : float;
-      (** stretch the publication segment of {!batchify} (record
-          reachable → launch attempt) by this factor *)
-  slow_setup : float;
-      (** stretch LAUNCHBATCH overhead: working-set assembly before
-          the launch stamp, and the stamp/done-mark epilogue before the
-          flag release *)
-  slow_bop : float;  (** stretch the BOP body itself *)
-}
-(** Calibrated delay injection for causal profiling (DESIGN.md §15):
-    a virtual speedup of phase X by f = every {e other} phase slowed
-    by f, then measurements renormalized by the driver. Each factor is
-    a slow-down, ≥ 1. Injection is self-calibrating — each site
-    measures its own segment's duration dt on the monotonic clock and
-    busy-waits (f−1)·dt — so the delay tracks batch size and store
-    with no pre-calibration pass. {!Obs.Reqtrace} span
-    conservation holds on injected runs: every stamp is a real clock
-    reading taken around the spins. *)
-
-val no_inject : inject
-(** All factors 1.0 — compiled to the zero-cost path. *)
-
 val create :
   ?sid:int ->
-  ?inject:inject ->
   pool:Pool.t ->
   state:'s ->
   run_batch:(Pool.t -> 's -> 'op array -> unit) ->
@@ -66,12 +42,7 @@ val create :
     records, every BATCHIFY emits op-issue/op-done events with the
     operation's issue→batch-completion latency in nanoseconds and its
     "batches launched while pending" count (the Lemma-2 figure),
-    counted from the op's publication.
-
-    [inject] (default {!no_inject}) attaches causal-profiling delay
-    factors; factors must be ≥ 1 ([Invalid_argument] otherwise). With
-    the default the hot paths compile to the zero-cost shape — one
-    always-false branch per site. *)
+    counted from the op's publication. *)
 
 val batchify : ?token:int -> ('s, 'op) t -> 'op -> unit
 (** Submit one operation and wait, trapped, until the batch containing

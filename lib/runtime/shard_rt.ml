@@ -12,13 +12,13 @@ type ('s, 'op) t = {
   batchers : ('s, 'op) Batcher_rt.t array;
 }
 
-let create ?(sid_base = 0) ?inject ~pool ~shards ~state ~run_batch () =
+let create ?(sid_base = 0) ~pool ~shards ~state ~run_batch () =
   if shards < 1 then invalid_arg "Shard_rt.create: shards >= 1";
   {
     pool;
     batchers =
       Array.init shards (fun i ->
-          Batcher_rt.create ~sid:(sid_base + i) ?inject ~pool ~state:(state i)
+          Batcher_rt.create ~sid:(sid_base + i) ~pool ~state:(state i)
             ~run_batch ());
   }
 

@@ -22,7 +22,6 @@ type ('s, 'op) t
 
 val create :
   ?sid_base:int ->
-  ?inject:Batcher_rt.inject ->
   pool:Pool.t ->
   shards:int ->
   state:(int -> 's) ->
@@ -37,8 +36,7 @@ val create :
     under structure id [sid_base + i] (default base 0) and reports to
     the pool's probe like any {!Batcher_rt}; when the probe carries a
     health or invariant instance, it must cover [sid_base + shards]
-    structures. [inject] (default {!Batcher_rt.no_inject}) applies
-    causal-profiling delay factors to every shard's batch path. *)
+    structures. *)
 
 val shards : ('s, 'op) t -> int
 val pool : ('s, 'op) t -> Pool.t

@@ -37,7 +37,7 @@ let dispatch_loop ~t0 ~schedule ~lag ~release =
     end
   done
 
-let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
+let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
     (sc : Scenario.t) ~shards =
   let (module S : Store.STORE) = sc.Scenario.store in
   (* The dispatcher owns worker 0 for the whole run, so serving needs
@@ -82,7 +82,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
     (fun i st -> S.prepopulate st ~shards ~shard:i ~n_keys)
     stores;
   let srt =
-    Runtime.Shard_rt.create ?inject ~pool ~shards
+    Runtime.Shard_rt.create ~pool ~shards
       ~state:(fun i -> stores.(i))
       ~run_batch:S.run_batch ()
   in
@@ -215,8 +215,8 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false) ?inject
     trace = rtr;
   }
 
-let run ?workers ?snapshot_path ?duration_s ?trace ?inject sc =
+let run ?workers ?snapshot_path ?duration_s ?trace sc =
   List.map
     (fun shards ->
-      run_point ?workers ?snapshot_path ?duration_s ?trace ?inject sc ~shards)
+      run_point ?workers ?snapshot_path ?duration_s ?trace sc ~shards)
     sc.Scenario.rt_shards

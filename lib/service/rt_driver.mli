@@ -38,7 +38,6 @@ val run_point :
   ?snapshot_path:string ->
   ?duration_s:float ->
   ?trace:bool ->
-  ?inject:Runtime.Batcher_rt.inject ->
   Scenario.t ->
   shards:int ->
   point
@@ -53,16 +52,10 @@ val run_point :
     point's [trace] field: release/start/submit milestones, the batch
     path's wait/exec deltas, and the slowest-K reservoir per op class.
     The run's {!Obs.Health} instance is always on; the trace rides on
-    the same {!Obs.Probe} attached to the pool.
-
-    [inject] (default off) applies {!Runtime.Batcher_rt.inject}
-    causal-profiling delay factors to every shard's batch path; the
-    causal driver ([Svc.Causal]) uses it for the runtime leg's virtual
-    speedups. *)
+    the same {!Obs.Probe} attached to the pool. *)
 
 val run :
   ?workers:int -> ?snapshot_path:string -> ?duration_s:float -> ?trace:bool ->
-  ?inject:Runtime.Batcher_rt.inject ->
   Scenario.t -> point list
 (** The full K-sweep, [Scenario.rt_shards] in order. The snapshot file
     (when given) is truncated per point — last point wins. *)

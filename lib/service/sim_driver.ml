@@ -15,8 +15,7 @@ type point = {
   trace : Obs.Reqtrace.t;
 }
 
-let run_point ?(trace = false) ?(costs = Sim.Costs.identity) (sc : Scenario.t)
-    ~p =
+let run_point ?(trace = false) (sc : Scenario.t) ~p =
   let (module S : Store.STORE) = sc.Scenario.store in
   let shards = sc.Scenario.sim_shards in
   let unit_ns = sc.Scenario.sim_ns_per_unit in
@@ -39,7 +38,7 @@ let run_point ?(trace = false) ?(costs = Sim.Costs.identity) (sc : Scenario.t)
     Array.init shards (fun i -> S.model ~n_keys:sc.Scenario.n_keys ~shards i)
   in
   let cfg = Sim.Openloop.config ~p ~shards () in
-  let res = Sim.Openloop.run ~costs cfg ~models olreqs in
+  let res = Sim.Openloop.run cfg ~models olreqs in
   let n = Array.length res.Sim.Openloop.waits in
   let per_class = Array.make Gen.n_classes [] in
   let wait_max = ref 0 in
@@ -85,10 +84,8 @@ let run_point ?(trace = false) ?(costs = Sim.Costs.identity) (sc : Scenario.t)
       ~per_shard_span:res.Sim.Openloop.per_shard_span_max
       ~m:res.Sim.Openloop.max_batches_seen ()
   in
-  (* The same bound terms the check uses, exposed for the causal
-     profiler: each what-if cell re-evaluates the budget on its own
-     measured quantities, so measured-vs-bound sensitivity can be
-     compared cell by cell. *)
+  (* The same bound terms the check uses, printed beside the point so
+     the dominant term is on screen. *)
   let bound_terms =
     Check.Bound.service_terms ~p ~total_work:res.Sim.Openloop.total_work
       ~per_shard_ops:res.Sim.Openloop.per_shard_ops

@@ -22,10 +22,11 @@ type point = {
   bound_budget_ns : float;
       (** {!Check.Bound.service_budget} on this run's own measured
           terms, in virtual-clock ns — the analytic per-request wait
-          budget the causal profiler diffs cell by cell *)
+          budget *)
   bound_terms : Check.Bound.service_terms;
-      (** the budget split into work / serialization / slack terms,
-          for dominant-term analysis *)
+      (** the budget split into work / serialization / slack terms, in
+          virtual-clock units: which of them dominates says whether the
+          point is throughput-bound or serialization-bound *)
   trace : Obs.Reqtrace.t;
       (** per-request spans on the virtual clock —
           {!Obs.Reqtrace.null} unless run with [~trace:true]. Queue and
@@ -34,15 +35,11 @@ type point = {
           anatomy, and [batches_seen] is per-request exact. *)
 }
 
-val run_point :
-  ?trace:bool -> ?costs:Sim.Costs.t -> Scenario.t -> p:int -> point
+val run_point : ?trace:bool -> Scenario.t -> p:int -> point
 (** One sweep point: generate the scenario's request stream (fresh and
     identical for every point), route keys to shards, simulate, and
     digest. [trace] (default false) fills the point's [trace] field
-    deterministically. [costs] (default identity) applies what-if
-    per-phase cost scaling ({!Sim.Costs}) — the causal profiler's sim
-    leg; the request array is untouched, so two runs with equal costs
-    are byte-identical. *)
+    deterministically; two runs of one point are byte-identical. *)
 
 val run : ?trace:bool -> Scenario.t -> point list
 (** The full sweep, [Scenario.sim_p] in order. *)

@@ -9,7 +9,6 @@
     knee" and "what the tail is made of past it". *)
 
 type point = {
-  shards : int;
   mult : float;  (** rate multiplier applied to the scenario's rt_rate *)
   offered_req_s : float;
       (** the generated schedule's requests ÷ the run's duration — the
@@ -32,7 +31,6 @@ type knee_status =
           bound on the capacity *)
 
 type knee = {
-  k_shards : int;
   knee_req_s : float;
       (** highest swept offered rate whose delivered goodput is ≥
           {!knee_threshold} of offered; 0.0 when even the lowest point
@@ -42,8 +40,9 @@ type knee = {
 }
 
 type t = {
-  points : point list;  (** shards × mults, in that nesting *)
-  knees : knee list;  (** one per shard count *)
+  shards : int;  (** the one K the grid ran at *)
+  points : point list;  (** in multiplier order *)
+  knee : knee;
 }
 
 val knee_threshold : float
@@ -52,16 +51,10 @@ val knee_threshold : float
     schedule); past saturation it falls off sharply, so the exact
     threshold barely moves the knee. *)
 
-val scale : Scenario.t -> float -> Scenario.t
-(** [scale sc mult] is [sc] with its open-loop arrival rate multiplied
-    by [mult] — the per-point transform of the sweep grid, exported
-    for other rate-stretching experiments ([Svc.Causal]'s runtime leg
-    dilates arrivals by 1/f). *)
-
-val knees_of_points : shards:int list -> point list -> knee list
-(** Pure knee extraction over measured points, one knee per K in the
-    given order, each with its {!knee_status} — a K whose every point
-    failed {!knee_threshold} still gets a knee. *)
+val knee_of_points : point list -> knee
+(** Pure knee extraction over one K's measured points, with its
+    {!knee_status} — a grid whose every point failed
+    {!knee_threshold} still gets a knee. *)
 
 val default_mults : float list
 (** [0.25; 0.5; 1.0; 2.0; 4.0] around the scenario's calibrated rate.

@@ -87,13 +87,12 @@ type shape = {
   s_dag : Dag.t;
   s_lo : int;  (* BOP node-id range, as [inst.bop_lo]/[bop_hi] *)
   s_hi : int;
-  s_work : int;  (* Par work and span of the (scaled) BOP *)
+  s_work : int;  (* Par work and span of the BOP *)
   s_span : int;
 }
 
 type state = {
   cfg : config;
-  costs : Costs.t;  (* what-if cost scaling; Costs.identity = off *)
   workload : Workload.t;
   core_inst : inst;
   workers : worker array;
@@ -311,10 +310,6 @@ let batch_shape st raw =
   | None ->
       let cfg = st.cfg in
       let bop = if cfg.sequential_batches then Par.leaf (Par.work raw) else raw in
-      (* What-if scaling (Costs): in the DAG world work and span are
-         coupled, so scaling the BOP's leaf costs scales both together;
-         the identity factor returns the tree unchanged. *)
-      let bop = Par.scale_costs ~factor:st.costs.Costs.bop_work bop in
       let b = Dag.Build.create () in
       let pre =
         match cfg.overhead with
@@ -586,10 +581,9 @@ let advance st k =
     st.workers;
   st.time <- t0 + k
 
-let run_internal ~tracing ~costs ~probe cfg workload =
+let run_internal ~tracing ~probe cfg workload =
   if cfg.p < 1 then invalid_arg "Batcher.run: p >= 1";
   if cfg.batch_cap < 1 then invalid_arg "Batcher.run: batch_cap >= 1";
-  Costs.check costs;
   let recorder = Obs.Probe.recorder probe in
   if
     Obs.Recorder.enabled recorder
@@ -630,14 +624,12 @@ let run_internal ~tracing ~costs ~probe cfg workload =
      the pending array and the working-set compaction: Θ(p) work, Θ(lg p)
      span — or a sequential Θ(p) scan in flat-combining mode. *)
   let stage =
-    Par.scale_costs ~factor:costs.Costs.setup_work
-      (if cfg.sequential_batches then Par.leaf cfg.p
-       else Par.balanced ~leaf_cost:(fun _ -> 1) cfg.p)
+    if cfg.sequential_batches then Par.leaf cfg.p
+    else Par.balanced ~leaf_cost:(fun _ -> 1) cfg.p
   in
   let st =
     {
       cfg;
-      costs;
       workload;
       core_inst;
       workers;
@@ -726,8 +718,8 @@ let run_internal ~tracing ~costs ~probe cfg workload =
   },
   List.rev st.trace
 
-let run ?(costs = Costs.identity) ?(probe = Obs.Probe.null) cfg workload =
-  fst (run_internal ~tracing:false ~costs ~probe cfg workload)
+let run ?(probe = Obs.Probe.null) cfg workload =
+  fst (run_internal ~tracing:false ~probe cfg workload)
 
-let run_traced ?(costs = Costs.identity) ?(probe = Obs.Probe.null) cfg workload =
-  run_internal ~tracing:true ~costs ~probe cfg workload
+let run_traced ?(probe = Obs.Probe.null) cfg workload =
+  run_internal ~tracing:true ~probe cfg workload

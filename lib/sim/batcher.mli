@@ -57,19 +57,10 @@ val default : p:int -> config
 (** Paper parameters: alternating steals, threshold 1, cap [p], parallel
     batches, invariant checks on, seed 1. *)
 
-val run :
-  ?costs:Costs.t -> ?probe:Obs.Probe.t -> config -> Workload.t -> Metrics.t
+val run : ?probe:Obs.Probe.t -> config -> Workload.t -> Metrics.t
 (** Simulate the workload to completion. The workload's models are
     [reset] before the run. Raises [Failure] on invariant violation or
     if [max_steps] is exceeded.
-
-    [costs] (default {!Costs.identity}) applies what-if cost scaling
-    for causal profiling: [bop_work] scales the leaf costs of every
-    BOP [Par] tree and [setup_work] those of the LAUNCHBATCH overhead
-    stages (work and span scale together — they are coupled in a real
-    DAG; the span-only/sched/p_share knobs act in {!Openloop}, where
-    the Brent terms are separable). Identity reproduces the unscaled
-    run byte-for-byte.
 
     [probe] (default {!Obs.Probe.null}, i.e. off) observes each op's
     lifecycle through the same four hooks as the real runtime, stamped
@@ -90,7 +81,6 @@ val run :
     [lemma2_bound] accordingly. *)
 
 val run_traced :
-  ?costs:Costs.t ->
   ?probe:Obs.Probe.t ->
   config ->
   Workload.t ->

@@ -33,11 +33,10 @@ type shard_state = {
   mutable launches : int;
 }
 
-let run ?(costs = Costs.identity) cfg ~models reqs =
+let run cfg ~models reqs =
   if cfg.p < 1 then invalid_arg "Openloop.run: p >= 1";
   if cfg.shards < 1 then invalid_arg "Openloop.run: shards >= 1";
   if cfg.batch_cap < 1 then invalid_arg "Openloop.run: batch_cap >= 1";
-  Costs.check costs;
   if Array.length models <> cfg.shards then
     invalid_arg "Openloop.run: one model per shard";
   Array.iter (fun m -> m.Batched.Model.reset ()) models;
@@ -56,18 +55,12 @@ let run ?(costs = Costs.identity) cfg ~models reqs =
       { queue = Queue.create (); busy = None; launches = 0 })
   in
   (* LAUNCHBATCH overhead: the paper's Θ(P)-work / Θ(lg P)-span setup
-     and cleanup stages, identical to [Batcher]'s Tree_setup model.
-     What-if scaling ([costs], identity by default) applies per term:
-     setup here, BOP work/span per launch below, and the per-shard
-     worker share — scaled after the max(1, P/K)
-     clamp so granting a one-worker shard more virtual workers is
-     expressible, then clamped back to >= 1. *)
+     and cleanup stages, identical to [Batcher]'s Tree_setup model. Each
+     shard runs its batches on its share max(1, P/K) of the workers. *)
   let overhead = Par.balanced ~leaf_cost:(fun _ -> 1) cfg.p in
-  let setup_work = Costs.scale costs.Costs.setup_work (2 * Par.work overhead) in
-  let setup_span = Costs.scale costs.Costs.setup_span (2 * Par.span overhead) in
-  let p_share =
-    max 1 (Costs.scale costs.Costs.p_share (max 1 (cfg.p / cfg.shards)))
-  in
+  let setup_work = 2 * Par.work overhead in
+  let setup_span = 2 * Par.span overhead in
+  let p_share = max 1 (cfg.p / cfg.shards) in
   let waits = Array.make n 0 in
   let launch_waits = Array.make n 0 in
   let batches_seen = Array.make n 0 in
@@ -89,8 +82,7 @@ let run ?(costs = Costs.identity) cfg ~models reqs =
       let size = min cfg.batch_cap (Queue.length s.queue) in
       let members = Array.init size (fun _ -> Queue.pop s.queue) in
       let bop = models.(sid).Batched.Model.batch_cost members in
-      let bop_work = Costs.scale costs.Costs.bop_work (Par.work bop)
-      and bop_span = Costs.scale costs.Costs.bop_span (Par.span bop) in
+      let bop_work = Par.work bop and bop_span = Par.span bop in
       (* Brent bound of the wrapped batch DAG. *)
       let duration =
         ((setup_work + bop_work + p_share - 1) / p_share)

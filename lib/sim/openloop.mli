@@ -71,19 +71,10 @@ type result = {
   max_in_system : int;  (** peak arrived-but-not-completed count *)
 }
 
-val run :
-  ?costs:Costs.t -> config -> models:Batched.Model.t array -> req array ->
-  result
+val run : config -> models:Batched.Model.t array -> req array -> result
 (** Simulate to completion (the arrival process is finite; every
     request is eventually served). [models.(i)] is shard [i]'s cost
     model ([Array.length models = shards]); models are [reset] before
     the run. The request array need not be sorted; it is processed in
     arrival order. Raises [Invalid_argument] on a request with a shard
-    out of range or a negative arrival time.
-
-    [costs] (default {!Costs.identity}) applies per-phase what-if
-    scale factors — BOP work/span, LAUNCHBATCH setup work/span, and
-    the per-shard worker share — for causal
-    profiling; under the identity record the run is byte-identical to
-    one without the plumbing. Raises [Invalid_argument] on
-    non-positive factors. *)
+    out of range or a negative arrival time. *)

@@ -243,38 +243,6 @@ let test_openloop_sanity () =
   Alcotest.(check bool) "P=64 makespan <= P=4" true
     (r64.Sim.Openloop.makespan <= r.Sim.Openloop.makespan)
 
-(* The what-if cost knobs on Openloop: BOP work and span, and the
-   per-shard worker share that only Openloop honors. Every assertion
-   is exact — same request array, virtual clock. *)
-let test_openloop_costs () =
-  let olreqs, models = openloop_fixture () in
-  let run ?costs ~p () =
-    Sim.Openloop.run ?costs (Sim.Openloop.config ~p ~shards:2 ()) ~models
-      olreqs
-  in
-  let total r = Array.fold_left ( + ) 0 r.Sim.Openloop.waits in
-  let base = run ~p:8 () in
-  (* A virtual BOP speedup strictly helps a loaded system... *)
-  let fast =
-    run ~costs:{ Sim.Costs.identity with Sim.Costs.bop_work = 0.5 } ~p:8 ()
-  in
-  Alcotest.(check bool) "bop /2 cuts total wait" true (total fast < total base);
-  (* ...and a span-only speedup never hurts. *)
-  let fast_span =
-    run ~costs:{ Sim.Costs.identity with Sim.Costs.bop_span = 0.5 } ~p:8 ()
-  in
-  Alcotest.(check bool) "span /2 never hurts" true
-    (total fast_span <= total base);
-  (* The share knob is expressible even at P = 1, where the pre-scale
-     clamp already sits at its floor: granting a shard 4x the worker
-     share must strictly cut waits on this loaded fixture. *)
-  let p1 = run ~p:1 () in
-  let p1_boost =
-    run ~costs:{ Sim.Costs.identity with Sim.Costs.p_share = 4.0 } ~p:1 ()
-  in
-  Alcotest.(check bool) "share x4 at P=1 cuts wait" true
-    (total p1_boost < total p1)
-
 (* An idle system (arrivals far apart) must show the paper's Lemma-2
    figure: at most own batch + one in flight. *)
 let test_openloop_lemma2_when_underloaded () =
@@ -371,19 +339,18 @@ let test_sweep_offered_counts_bursts () =
           p.Svc.Sweep.offered_req_s)
     sw.Svc.Sweep.points
 
-(* Knee extraction over synthetic points, one K per status: every
+(* Knee extraction over synthetic points, one grid per status: every
    multiplier keeps up (the knee is the grid's top, a lower bound), the
    top one falls short (the knee is inside the grid), none keeps up. *)
 let test_sweep_knee_status () =
-  let point shards mult kept : Svc.Sweep.point =
+  let point mult kept : Svc.Sweep.point =
     let offered = 10_000.0 *. mult in
     {
-      Svc.Sweep.shards;
-      mult;
+      Svc.Sweep.mult;
       offered_req_s = offered;
       pt =
         {
-          Svc.Rt_driver.shards;
+          Svc.Rt_driver.shards = 1;
           workers = 2;
           requests = 0;
           elapsed_ns = 0.0;
@@ -399,21 +366,24 @@ let test_sweep_knee_status () =
       shares = [];
     }
   in
-  let points =
-    [ point 1 1.0 true; point 1 2.0 true; point 1 4.0 true ]
-    @ [ point 2 1.0 true; point 2 2.0 true; point 2 4.0 false ]
-    @ [ point 4 1.0 false; point 4 2.0 false; point 4 4.0 false ]
+  let knee kept =
+    Svc.Sweep.knee_of_points (List.map2 point [ 1.0; 2.0; 4.0 ] kept)
   in
-  match Svc.Sweep.knees_of_points ~shards:[ 1; 2; 4 ] points with
-  | [ k1; k2; k4 ] ->
-      Alcotest.(check bool) "K=1 top kept up" true (k1.Svc.Sweep.k_status = Svc.Sweep.Top_kept_up);
-      Alcotest.(check (float 0.0)) "K=1 knee is the top" 40_000.0 k1.Svc.Sweep.knee_req_s;
-      Alcotest.(check bool) "K=2 inside" true (k2.Svc.Sweep.k_status = Svc.Sweep.Inside_grid);
-      Alcotest.(check (float 0.0)) "K=2 knee at x2" 2.0 k2.Svc.Sweep.knee_mult;
-      Alcotest.(check bool) "K=4 none kept up" true
-        (k4.Svc.Sweep.k_status = Svc.Sweep.No_point_kept_up);
-      Alcotest.(check (float 0.0)) "K=4 no rate" 0.0 k4.Svc.Sweep.knee_req_s
-  | knees -> Alcotest.failf "%d knees for 3 shard counts" (List.length knees)
+  let top = knee [ true; true; true ] in
+  Alcotest.(check bool) "all kept up: top" true
+    (top.Svc.Sweep.k_status = Svc.Sweep.Top_kept_up);
+  Alcotest.(check (float 0.0)) "all kept up: knee is the top" 40_000.0
+    top.Svc.Sweep.knee_req_s;
+  let inside = knee [ true; true; false ] in
+  Alcotest.(check bool) "top fell short: inside" true
+    (inside.Svc.Sweep.k_status = Svc.Sweep.Inside_grid);
+  Alcotest.(check (float 0.0)) "top fell short: knee at x2" 2.0
+    inside.Svc.Sweep.knee_mult;
+  let none = knee [ false; false; false ] in
+  Alcotest.(check bool) "none kept up" true
+    (none.Svc.Sweep.k_status = Svc.Sweep.No_point_kept_up);
+  Alcotest.(check (float 0.0)) "none kept up: no rate" 0.0
+    none.Svc.Sweep.knee_req_s
 
 (* ---------- per-request span traces through the drivers ---------- *)
 
@@ -575,14 +545,11 @@ let test_snapshot_extra_fields () =
       | _ -> Alcotest.fail "extra field missing or wrong")
   | Error e -> Alcotest.fail ("unparseable snapshot line: " ^ e))
 
-(* ---------- identity costs reproduce the pre-causal engine ---------- *)
+(* ---------- Openloop golden digests ---------- *)
 
-(* Golden digests captured on the standard scenario BEFORE Sim.Costs
-   was threaded through Sim.Openloop (commit 36b5f90, bin of the
-   then-current tree): the causal-profiling cost knobs at their
-   identity values must reproduce the old engine to the byte —
-   Costs.scale with factor 1.0 returns its input unchanged, so not
-   one wait, launch-wait or batches-seen figure may move. *)
+(* Sim.Openloop on the standard scenario, recorded at commit 36b5f90:
+   the engine must reproduce these to the byte — not one wait,
+   launch-wait or batches-seen figure may move. *)
 let golden_standard =
   [
     (1, (241060, 20000, 1, 420000, 1038, 1874, 3101757911089112640));
@@ -598,7 +565,7 @@ let openloop_digest (r : Sim.Openloop.result) =
   Array.iter mix r.Sim.Openloop.batches_seen;
   !h
 
-let test_identity_costs_golden () =
+let test_openloop_golden () =
   let sc =
     match Svc.Scenario.find "standard" with
     | Some sc -> sc
@@ -622,99 +589,27 @@ let test_identity_costs_golden () =
   in
   List.iter
     (fun (p, (makespan, batches, max_batch, total_work, m, in_sys, dg)) ->
-      let run costs =
-        let models =
-          Array.init shards (fun i ->
-              S.model ~n_keys:sc.Svc.Scenario.n_keys ~shards i)
-        in
-        Sim.Openloop.run ?costs (Sim.Openloop.config ~p ~shards ()) ~models
-          olreqs
+      let models =
+        Array.init shards (fun i ->
+            S.model ~n_keys:sc.Svc.Scenario.n_keys ~shards i)
       in
-      (* Both the default path and an explicit identity Costs.t. *)
-      List.iter
-        (fun (label, costs) ->
-          let r = run costs in
-          Alcotest.(check int) (label ^ ": makespan") makespan
-            r.Sim.Openloop.makespan;
-          Alcotest.(check int) (label ^ ": batches") batches
-            r.Sim.Openloop.batches;
-          Alcotest.(check int) (label ^ ": max_batch") max_batch
-            r.Sim.Openloop.max_batch;
-          Alcotest.(check int) (label ^ ": total_work") total_work
-            r.Sim.Openloop.total_work;
-          Alcotest.(check int) (label ^ ": m") m
-            r.Sim.Openloop.max_batches_seen;
-          Alcotest.(check int) (label ^ ": max_in_system") in_sys
-            r.Sim.Openloop.max_in_system;
-          Alcotest.(check int) (label ^ ": per-request digest") dg
-            (openloop_digest r))
-        [
-          (Printf.sprintf "P=%d default" p, None);
-          (Printf.sprintf "P=%d identity" p, Some Sim.Costs.identity);
-        ])
+      let r =
+        Sim.Openloop.run (Sim.Openloop.config ~p ~shards ()) ~models olreqs
+      in
+      let label = Printf.sprintf "P=%d" p in
+      Alcotest.(check int) (label ^ ": makespan") makespan
+        r.Sim.Openloop.makespan;
+      Alcotest.(check int) (label ^ ": batches") batches r.Sim.Openloop.batches;
+      Alcotest.(check int) (label ^ ": max_batch") max_batch
+        r.Sim.Openloop.max_batch;
+      Alcotest.(check int) (label ^ ": total_work") total_work
+        r.Sim.Openloop.total_work;
+      Alcotest.(check int) (label ^ ": m") m r.Sim.Openloop.max_batches_seen;
+      Alcotest.(check int) (label ^ ": max_in_system") in_sys
+        r.Sim.Openloop.max_in_system;
+      Alcotest.(check int) (label ^ ": per-request digest") dg
+        (openloop_digest r))
     golden_standard
-
-(* ---------- causal what-if profile, sim leg ---------- *)
-
-let test_causal_sim_profile () =
-  let sc = smoke () in
-  let r = Svc.Causal.run_sim ~factors:[ 2.0; 4.0 ] sc in
-  Alcotest.(check (list string)) "no conservation/bound errors" []
-    r.Svc.Causal.errors;
-  let p = r.Svc.Causal.profile in
-  Alcotest.(check int) "full grid" (5 * 2)
-    (List.length p.Obs.Causal.cells);
-  (* Every sim cell carries the Theorem-1 comparison... *)
-  List.iter
-    (fun (c : Obs.Causal.cell) ->
-      Alcotest.(check bool)
-        (c.Obs.Causal.phase ^ ": cell bound evaluated")
-        true
-        (not (Float.is_nan c.Obs.Causal.m.Obs.Causal.bound_ns));
-      Alcotest.(check bool)
-        (c.Obs.Causal.phase ^ ": d_bound evaluated")
-        true
-        (not (Float.is_nan c.Obs.Causal.d_bound)))
-    p.Obs.Causal.cells;
-  (* ...and both winner verdicts resolve. *)
-  Alcotest.(check bool) "measured winner" true
-    (p.Obs.Causal.winner_measured <> None);
-  Alcotest.(check bool) "bound winner" true
-    (p.Obs.Causal.winner_bound <> None);
-  Alcotest.(check bool) "agreement verdict present" true
-    (p.Obs.Causal.agree <> None);
-  (* The smoke scenario at its overloaded P demonstrates the point of
-     causal profiling: at least one phase's measured sensitivity
-     diverges from its Reqtrace latency share. *)
-  Alcotest.(check bool) "shares != sensitivity somewhere" true
-    (p.Obs.Causal.divergent <> []);
-  (* Exact determinism: the whole profile replays. *)
-  let r2 = Svc.Causal.run_sim ~factors:[ 2.0; 4.0 ] sc in
-  (* Structural compare, not (=): the share knob's share_predicted/
-     divergence are NaN by design, and NaN = NaN is false while
-     compare treats them equal. *)
-  Alcotest.(check int) "profile deterministic" 0
-    (compare r.Svc.Causal.profile r2.Svc.Causal.profile)
-
-(* The runtime leg's delay injection must keep every Reqtrace stamp a
-   real clock reading: span conservation holds on an injected run. *)
-let test_rt_inject_conservation () =
-  let sc = smoke () in
-  let pt =
-    Svc.Rt_driver.run_point ~workers:2 ~duration_s:0.2 ~trace:true
-      ~inject:
-        {
-          Runtime.Batcher_rt.slow_submit = 2.0;
-          slow_setup = 1.5;
-          slow_bop = 2.0;
-        }
-      sc ~shards:2
-  in
-  Alcotest.(check bool) "served some requests" true
-    (pt.Svc.Rt_driver.requests > 100);
-  match Obs.Reqtrace.check pt.Svc.Rt_driver.trace with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "injected span conservation: %s" e
 
 (* ---------- stores ---------- *)
 
@@ -790,7 +685,8 @@ let () =
           Alcotest.test_case "sanity + wait bound" `Quick test_openloop_sanity;
           Alcotest.test_case "lemma-2 when underloaded" `Quick
             test_openloop_lemma2_when_underloaded;
-          Alcotest.test_case "what-if cost knobs" `Quick test_openloop_costs;
+          Alcotest.test_case "golden digests on standard" `Quick
+            test_openloop_golden;
         ] );
       ( "drivers",
         [
@@ -806,15 +702,6 @@ let () =
             test_rt_driver_trace_conservation;
           Alcotest.test_case "sim span conservation, deterministic" `Quick
             test_sim_driver_trace_conservation;
-          Alcotest.test_case "injected run conserves spans" `Quick
-            test_rt_inject_conservation;
-        ] );
-      ( "causal",
-        [
-          Alcotest.test_case "identity costs reproduce pre-causal goldens"
-            `Quick test_identity_costs_golden;
-          Alcotest.test_case "sim what-if profile" `Quick
-            test_causal_sim_profile;
         ] );
       ( "plumbing",
         [

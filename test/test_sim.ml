@@ -271,68 +271,6 @@ let test_batcher_small_cap () =
   Alcotest.(check bool) "cap respected" true (m.Sim.Metrics.max_batch_size <= 2);
   Alcotest.(check int) "ops all batched" 40 m.Sim.Metrics.batch_size_total
 
-(* ---------- causal cost knobs ---------- *)
-
-let test_costs_scale () =
-  (* factor 1.0 is an exact identity, not a float round-trip *)
-  List.iter
-    (fun v -> Alcotest.(check int) "identity exact" v (Sim.Costs.scale 1.0 v))
-    [ 0; 1; 7; 123_456; max_int / 4 ];
-  Alcotest.(check int) "halving" 3 (Sim.Costs.scale 0.5 6);
-  Alcotest.(check int) "rounds to nearest" 3 (Sim.Costs.scale 0.5 5);
-  Alcotest.(check int) "doubling" 14 (Sim.Costs.scale 2.0 7);
-  Alcotest.(check int) "clamped at zero" 0 (Sim.Costs.scale 0.001 1);
-  Alcotest.(check bool) "identity is identity" true
-    (Sim.Costs.is_identity Sim.Costs.identity);
-  Alcotest.(check bool) "scaled is not" false
-    (Sim.Costs.is_identity { Sim.Costs.identity with Sim.Costs.bop_work = 0.5 });
-  List.iter
-    (fun bad ->
-      match Sim.Costs.check bad with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "invalid costs accepted")
-    [
-      { Sim.Costs.identity with Sim.Costs.bop_work = 0.0 };
-      { Sim.Costs.identity with Sim.Costs.setup_span = -1.0 };
-      { Sim.Costs.identity with Sim.Costs.p_share = nan };
-    ]
-
-let test_batcher_costs () =
-  let w () = skiplist_workload ~initial:100_000 ~records:10 ~n:100 () in
-  let run ?costs () =
-    Sim.Batcher.run ?costs (Sim.Batcher.default ~p:4) (w ())
-  in
-  let base = run () in
-  (* Identity costs reproduce the default run exactly. *)
-  let ident = run ~costs:Sim.Costs.identity () in
-  Alcotest.(check int) "identity makespan" base.Sim.Metrics.makespan
-    ident.Sim.Metrics.makespan;
-  Alcotest.(check int) "identity batches" base.Sim.Metrics.batches
-    ident.Sim.Metrics.batches;
-  (* Doubling BOP leaf costs slows the clock; core work is untouched. *)
-  let slow =
-    run ~costs:{ Sim.Costs.identity with Sim.Costs.bop_work = 2.0 } ()
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "bop x2 slower (%d > %d)" slow.Sim.Metrics.makespan
-       base.Sim.Metrics.makespan)
-    true
-    (slow.Sim.Metrics.makespan > base.Sim.Metrics.makespan);
-  Alcotest.(check int) "core work unchanged" base.Sim.Metrics.core_work
-    slow.Sim.Metrics.core_work;
-  (* A virtual 2x speedup of the BOP goes the other way. *)
-  let fast =
-    run ~costs:{ Sim.Costs.identity with Sim.Costs.bop_work = 0.5 } ()
-  in
-  Alcotest.(check bool) "bop /2 faster" true
-    (fast.Sim.Metrics.makespan < base.Sim.Metrics.makespan);
-  (* Scaling setup overhead moves the makespan too. *)
-  let heavy_setup =
-    run ~costs:{ Sim.Costs.identity with Sim.Costs.setup_work = 4.0 } ()
-  in
-  Alcotest.(check bool) "setup x4 no faster" true
-    (heavy_setup.Sim.Metrics.makespan >= base.Sim.Metrics.makespan)
-
 (* ---------- trace validation ---------- *)
 
 let check_valid_trace ~p w =
@@ -705,11 +643,6 @@ let () =
           Alcotest.test_case "two structures" `Quick test_batcher_multi_structure;
           Alcotest.test_case "three structures" `Quick test_batcher_multi_structure_three;
           Alcotest.test_case "golden digest" `Quick test_batcher_golden_digest;
-        ] );
-      ( "costs",
-        [
-          Alcotest.test_case "scale semantics" `Quick test_costs_scale;
-          Alcotest.test_case "batcher what-if knobs" `Quick test_batcher_costs;
         ] );
       ( "ablations",
         [
