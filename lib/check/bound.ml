@@ -29,12 +29,24 @@ let composed_terms ~workload ~metrics =
     n_per;
   (!ns_sum, !s_max)
 
-let theorem1 ~workload ~metrics =
+type terms = {
+  core : int;
+  collection : int;
+  serial : int;
+  span : int;
+}
+
+let terms ~workload ~metrics =
   let open Sim.Metrics in
   let t1, t_inf, _n, m = Sim.Workload.core_metrics workload in
   let w = metrics.batch_work + metrics.setup_work in
   let ns_sum, s_max = composed_terms ~workload ~metrics in
-  max 1 (((t1 + w + ns_sum) / metrics.p) + (m * s_max) + t_inf)
+  let core = t1 / metrics.p in
+  { core; collection = ((t1 + w + ns_sum) / metrics.p) - core; serial = m * s_max; span = t_inf }
+
+let theorem1 ~workload ~metrics =
+  let t = terms ~workload ~metrics in
+  max 1 (t.core + t.collection + t.serial + t.span)
 
 let ratio ~workload ~metrics =
   float_of_int metrics.Sim.Metrics.makespan

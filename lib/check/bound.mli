@@ -29,8 +29,21 @@
     may legitimately exceed it, so {!Schedule_fuzz} applies {!check}
     only to paper-default-shaped configurations. *)
 
+(** The bound expression's four terms, in simulated timesteps. *)
+type terms = {
+  core : int;  (** T1/P, rounded down *)
+  collection : int;
+      (** (W + Σᵢ nᵢ·sᵢ)/P: the floor of (T1 + W + Σᵢ nᵢ·sᵢ)/P less
+          [core], so the four terms add up to {!theorem1} exactly *)
+  serial : int;  (** m·maxᵢ sᵢ *)
+  span : int;  (** T∞ *)
+}
+
+val terms : workload:Sim.Workload.t -> metrics:Sim.Metrics.t -> terms
+
 val theorem1 : workload:Sim.Workload.t -> metrics:Sim.Metrics.t -> int
-(** The bound expression, in simulated timesteps (at least 1). *)
+(** The bound expression, in simulated timesteps: the sum of
+    {!terms}' [core], [collection], [serial] and [span], at least 1. *)
 
 val ratio : workload:Sim.Workload.t -> metrics:Sim.Metrics.t -> float
 (** makespan / {!theorem1} — the quantity that must stay bounded. *)

@@ -66,7 +66,7 @@ let minor_words_all () =
   Gc.minor ();
   (Gc.quick_stat ()).minor_words
 
-let fig5_rt_cell ?(seed = 1) ~initial ~records ~p () =
+let fig5_rt_cell ?(seed = 1) ?probe ~initial ~records ~p () =
   let module Sk = Batched.Skiplist in
   (* The initial keys are even and the fresh ones odd, so every fresh
      key is new to the list (two fresh draws may still coincide). *)
@@ -86,7 +86,7 @@ let fig5_rt_cell ?(seed = 1) ~initial ~records ~p () =
   let bat_list = build () in
   let per_node = fig5_rt_records_per_node in
   let w0 = minor_words_all () in
-  let pool = Runtime.Pool.create ~num_workers:p () in
+  let pool = Runtime.Pool.create ?probe ~num_workers:p () in
   let b =
     Runtime.Batcher_rt.create ~pool ~state:bat_list
       ~run_batch:(fun pool sl batch ->
@@ -114,6 +114,110 @@ let fig5_rt_cell ?(seed = 1) ~initial ~records ~p () =
     && Sk.to_list bat_list = Sk.to_list seq_list
   in
   { rt_initial = initial; rt_p = p; seq_s; bat_s; words_per_record; agree }
+
+let fig5_sim_workload ~initial ~records =
+  skiplist_workload ~initial ~records_per_node:fig5_rt_records_per_node
+    ~n_nodes:(max 1 (records / fig5_rt_records_per_node))
+    ()
+
+(* The simulator is deterministic, so a first run into one-slot rings
+   counts each worker's events (survivors plus dropped), and a second
+   run into rings of the largest count keeps them all. *)
+let sim_recorded ?(seed = 1) ~p w =
+  let record capacity =
+    let rc =
+      Obs.Recorder.create ~capacity ~clock:Obs.Recorder.Timesteps ~workers:p ()
+    in
+    let cfg = { (Sim.Batcher.default ~p) with Sim.Batcher.seed } in
+    (rc, Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder:rc ()) cfg w)
+  in
+  let counted, _ = record 1 in
+  let events worker =
+    Obs.Recorder.length counted ~worker + Obs.Recorder.dropped counted ~worker
+  in
+  record (List.fold_left max 1 (List.init p events))
+
+(* ---------- Closed loops on both executions ---------- *)
+
+type closed_ds = Counter | Skiplist
+
+type closed = {
+  cl_structures : closed_ds list;
+  cl_initial : int;
+  cl_per_call : int;
+  cl_calls : int;
+}
+
+let closed_counter ~calls =
+  { cl_structures = [ Counter ]; cl_initial = 0; cl_per_call = 1; cl_calls = calls }
+
+let closed_multi ~calls =
+  {
+    cl_structures = [ Counter; Skiplist ];
+    cl_initial = 100_000;
+    cl_per_call = 10;
+    cl_calls = calls;
+  }
+
+let closed_sim c =
+  let model = function
+    | Counter -> Batched.Counter.sim_model ~records_per_node:c.cl_per_call ()
+    | Skiplist ->
+        Batched.Skiplist.sim_model ~initial_size:c.cl_initial
+          ~records_per_node:c.cl_per_call ()
+  in
+  Sim.Workload.interleaved_ops
+    ~models:(List.map model c.cl_structures)
+    ~records_per_node:c.cl_per_call ~n_nodes:c.cl_calls ()
+
+(* One structure, built at once; given its sid and the pool, its
+   BATCHIFY of call i's records and the count of records it has
+   applied. The skip list starts with the even keys below
+   2·[cl_initial], and call i inserts odd keys of its own, each new. *)
+let closed_structure ~seed c ds =
+  let attach state run_batch record applied ~sid pool =
+    let b =
+      Runtime.Batcher_rt.create ~sid ~pool ~state
+        ~run_batch:(fun pool st batch -> run_batch pool st (Array.concat (Array.to_list batch)))
+        ()
+    in
+    let call i = Array.init c.cl_per_call (fun j -> record ((i * c.cl_per_call) + j)) in
+    ((fun i -> Runtime.Batcher_rt.batchify b (call i)), applied)
+  in
+  match ds with
+  | Counter ->
+      let st = Batched.Counter.create () in
+      attach st
+        (fun _pool -> Batched.Counter.run_batch)
+        (fun _ -> Batched.Counter.op 1)
+        (fun () -> Batched.Counter.value st)
+  | Skiplist ->
+      let sl = Batched.Skiplist.create ~seed () in
+      for k = 0 to c.cl_initial - 1 do
+        ignore (Batched.Skiplist.insert_seq sl (2 * k))
+      done;
+      attach sl
+        (fun pool ->
+          Batched.Skiplist.run_batch_with ~pfor:(fun n body ->
+              Runtime.Pool.parallel_for pool ~lo:0 ~hi:n body))
+        (fun r -> Batched.Skiplist.insert ((2 * r) + 1))
+        (fun () -> Batched.Skiplist.length sl - c.cl_initial)
+
+(* The structures are built before the pool, whose workers' recorded
+   spans start when they are spawned. *)
+let closed_rt ?(seed = 1) ?probe ~p c =
+  let structures = List.map (closed_structure ~seed c) c.cl_structures in
+  let pool = Runtime.Pool.create ?probe ~num_workers:p () in
+  let legs = Array.of_list (List.mapi (fun sid attach -> attach ~sid pool) structures) in
+  let k = Array.length legs in
+  let (), wall_s =
+    wall (fun () ->
+        Runtime.Pool.run pool (fun () ->
+            Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:c.cl_calls (fun i ->
+                fst legs.(i mod k) i)))
+  in
+  Runtime.Pool.teardown pool;
+  (Array.map (fun (_, applied) -> applied ()) legs, wall_s)
 
 (* ---------- M3: shard scaling on the runtime ---------- *)
 

@@ -51,7 +51,48 @@ type fig5_rt_row = {
 
 val fig5_rt_records_per_node : int
 
-val fig5_rt_cell : ?seed:int -> initial:int -> records:int -> p:int -> unit -> fig5_rt_row
+val fig5_rt_cell :
+  ?seed:int -> ?probe:Obs.Probe.t -> initial:int -> records:int -> p:int -> unit -> fig5_rt_row
+(** [probe] (default {!Obs.Probe.null}) is BAT's pool's probe; a
+    recorder on it records the timed run. *)
+
+val fig5_sim_workload : initial:int -> records:int -> Sim.Workload.t
+(** The same cell on the simulator: {!fig5}'s skip-list model with
+    [initial] keys and [records]/100 nodes of 100 records each. *)
+
+val sim_recorded : ?seed:int -> p:int -> Sim.Workload.t -> Obs.Recorder.t * Sim.Metrics.t
+(** A [Sim.Batcher.default ~p] run into a [Timesteps] recorder that
+    holds every event: a first, deterministic run counts each worker's
+    events, and the second is recorded. *)
+
+(** A closed loop on both executions, from one spec: a grain-1 parallel
+    loop of [cl_calls] calls, call [i] making one BATCHIFY of
+    [cl_per_call] records on structure [i mod k] of the [k] in
+    [cl_structures] (its sid is its position). A counter record adds
+    1; a skip-list record inserts a key new to a list of [cl_initial]. *)
+type closed_ds = Counter | Skiplist
+
+type closed = {
+  cl_structures : closed_ds list;
+  cl_initial : int;
+  cl_per_call : int;
+  cl_calls : int;
+}
+
+val closed_counter : calls:int -> closed
+(** One counter, one record per call. *)
+
+val closed_multi : calls:int -> closed
+(** A counter and a 100,000-key skip list, ten records per call. *)
+
+val closed_sim : closed -> Sim.Workload.t
+(** {!Sim.Workload.interleaved_ops}, each model priced at [cl_per_call]
+    records per node. *)
+
+val closed_rt : ?seed:int -> ?probe:Obs.Probe.t -> p:int -> closed -> int array * float
+(** The loop on a pool of [p] workers: by sid, the records each
+    structure applied (the counter's value, the skip list's length less
+    [cl_initial]), and the loop's wall-clock seconds. *)
 
 (** M3 — shard scaling on the runtime: a grain-1 parallel loop of
     [batchify] calls on {!Runtime.Shard_rt} with K shards, K ∈ {1, 2,

@@ -13,7 +13,7 @@
     to 1 µs, real-runtime nanoseconds are divided by 1000. A simulator
     recording and a real-runtime recording of the same workload can be
     written side by side as two processes of one trace file — that is
-    exactly what [bin/schedview.exe --out] does.
+    exactly what [repro.exe schedview --trace] does.
 
     {b Request view} ({!requests}). One traced service point becomes
     one process: each op class has a track of its requests' phase

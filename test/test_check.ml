@@ -101,6 +101,16 @@ let test_bound_smoke () =
     true
     (r > 0.0 && r < 16.0)
 
+(* On a two-structure workload (a counter and a skip list), the bound's
+   terms add up to [theorem1]. *)
+let test_bound_terms_two_structures () =
+  let workload = Batcher_core.Experiments.(closed_sim (closed_multi ~calls:200)) in
+  let metrics = Sim.Batcher.run (Sim.Batcher.default ~p:4) workload in
+  let t = Check.Bound.terms ~workload ~metrics in
+  Alcotest.(check int) "terms add up to theorem1"
+    (Check.Bound.theorem1 ~workload ~metrics)
+    Check.Bound.(t.core + t.collection + t.serial + t.span)
+
 (* The attribution cross-check: recorder-derived buckets vs the
    simulator's own counters, on a recorded paper-default run. Also that
    a wrong expectation is actually rejected — the gate must be able to
@@ -113,13 +123,7 @@ let test_cross_check () =
     Sim.Workload.parallel_ops ~model ~records_per_node:10 ~n_nodes:80 ()
   in
   let p = 4 in
-  let recorder =
-    Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:p ()
-  in
-  let metrics =
-    Sim.Batcher.run ~probe:(Obs.Probe.create ~recorder ())
-      (Sim.Batcher.default ~p) workload
-  in
+  let recorder, metrics = Batcher_core.Experiments.sim_recorded ~p workload in
   check_ok (Check.Bound.cross_check ~workload ~metrics ~recorder ());
   check_ok
     (Check.Bound.cross_check ~ms_factor:16.0 ~workload ~metrics ~recorder ());
@@ -381,6 +385,8 @@ let () =
           Alcotest.test_case "shrink keeps passing cases" `Quick
             test_shrink_is_identity_on_passing;
           Alcotest.test_case "bound smoke" `Quick test_bound_smoke;
+          Alcotest.test_case "bound terms on two structures" `Quick
+            test_bound_terms_two_structures;
           Alcotest.test_case "attribution cross-check" `Quick test_cross_check;
         ] );
       ("sharded-conformance", sharded_conformance_cases);

@@ -188,6 +188,42 @@ let test_ablation_rows () =
       Alcotest.(check bool) "completed" true (r.Batcher_core.Experiments.ab_makespan > 0))
     (steal @ launch @ cap)
 
+(* The Figure-5 cell with a recorder on BAT's pool: the recording tiles
+   each worker's span, loses no event, and the cell still agrees with
+   SEQ. *)
+let test_fig5_rt_recorded () =
+  let p = 2 in
+  let recorder =
+    Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:p ()
+  in
+  let r =
+    Batcher_core.Experiments.fig5_rt_cell
+      ~probe:(Obs.Probe.create ~recorder ())
+      ~initial:2000 ~records:2000 ~p ()
+  in
+  Alcotest.(check bool) "agrees with SEQ" true r.Batcher_core.Experiments.agree;
+  Alcotest.(check int) "no event dropped" 0 (Obs.Recorder.total_dropped recorder);
+  let s = Obs.Summary.of_recorder recorder in
+  match Obs.Summary.check s with Ok () -> () | Error e -> Alcotest.fail e
+
+(* Each structure's runtime leg applies exactly the records its sim
+   workload carries: nodes per structure times records per node. *)
+let test_closed_legs_agree () =
+  List.iter
+    (fun (name, spec) ->
+      let w = Batcher_core.Experiments.closed_sim spec in
+      let carried =
+        Array.map
+          (fun n -> n * w.Sim.Workload.records_per_node)
+          (Sim.Workload.per_structure_nodes w)
+      in
+      let applied, _ = Batcher_core.Experiments.closed_rt ~p:2 spec in
+      Alcotest.(check (array int)) name carried applied)
+    [
+      ("counter", Batcher_core.Experiments.closed_counter ~calls:50);
+      ("multi", Batcher_core.Experiments.closed_multi ~calls:50);
+    ]
+
 let test_report_renders () =
   (* Smoke: every printer produces nonempty output without raising. *)
   let buf = Buffer.create 256 in
@@ -224,5 +260,8 @@ let () =
           Alcotest.test_case "ablation rows" `Slow test_ablation_rows;
           Alcotest.test_case "granularity rows" `Slow test_granularity_rows;
           Alcotest.test_case "report renders" `Quick test_report_renders;
+          Alcotest.test_case "fig5-rt cell recorded" `Quick test_fig5_rt_recorded;
+          Alcotest.test_case "closed legs apply the sim's records" `Quick
+            test_closed_legs_agree;
         ] );
     ]

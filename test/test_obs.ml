@@ -688,19 +688,8 @@ let test_attrib_sim_conservation () =
      on a counter, and a counter interleaved with a skip list. Every
      (worker, timestep) does exactly one classifiable thing. *)
   let skiplist () = sim_workload () in
-  let counter () =
-    Sim.Workload.parallel_ops ~model:(Batched.Counter.sim_model ())
-      ~records_per_node:1 ~n_nodes:200 ()
-  in
-  let interleaved () =
-    Sim.Workload.interleaved_ops
-      ~models:
-        [
-          Batched.Counter.sim_model ();
-          Batched.Skiplist.sim_model ~initial_size:100_000 ~records_per_node:10 ();
-        ]
-      ~records_per_node:10 ~n_nodes:200 ()
-  in
+  let counter () = Batcher_core.Experiments.(closed_sim (closed_counter ~calls:200)) in
+  let interleaved () = Batcher_core.Experiments.(closed_sim (closed_multi ~calls:200)) in
   List.iter check_sim_attrib
     ([
        (Sim.Batcher.default ~p:1, skiplist);
