@@ -36,14 +36,20 @@ type zipf = {
 
 let near_one theta = Float.abs (theta -. 1.0) < 1e-9
 
-let h_integral ~theta x =
+(* A float returned from a call is boxed, so the hat functions and the
+   draws below are [@inline]: their floats stay unboxed in the caller.
+   [uniform rng] is [Util.Rng.float rng 1.0] to the bit, built here from
+   the 53-bit int draw, which crosses the module boundary unboxed. *)
+let[@inline] uniform rng = float_of_int (Util.Rng.bits53 rng) /. 0x1p53
+
+let[@inline] h_integral ~theta x =
   if near_one theta then log x
   else begin
     let p = 1.0 -. theta in
     (exp (p *. log x) -. 1.0) /. p
   end
 
-let h_integral_inverse ~theta x =
+let[@inline] h_integral_inverse ~theta x =
   if near_one theta then exp x
   else begin
     let p = 1.0 -. theta in
@@ -51,7 +57,7 @@ let h_integral_inverse ~theta x =
     exp (log1p t /. p)
   end
 
-let h ~theta x = exp (-.theta *. log x)
+let[@inline] h ~theta x = exp (-.theta *. log x)
 
 let zipf ~n ~theta =
   if n < 1 then invalid_arg "Gen.zipf: n >= 1";
@@ -68,18 +74,20 @@ let zipf_sample rng z =
   if z.z_n = 1 then 0
   else begin
     let theta = z.z_theta in
-    let rec draw () =
-      let u = z.z_hn +. (Util.Rng.float rng 1.0 *. (z.z_hx1 -. z.z_hn)) in
+    (* A loop, not a local recursive function: that would be a closure
+       allocated on every call. *)
+    let k = ref 0 and accepted = ref false in
+    while not !accepted do
+      let u = z.z_hn +. (uniform rng *. (z.z_hx1 -. z.z_hn)) in
       let x = h_integral_inverse ~theta u in
-      let k = int_of_float (x +. 0.5) in
-      let k = if k < 1 then 1 else if k > z.z_n then z.z_n else k in
-      if
-        float_of_int k -. x <= z.z_s
-        || u >= h_integral ~theta (float_of_int k +. 0.5) -. h ~theta (float_of_int k)
-      then k - 1
-      else draw ()
-    in
-    draw ()
+      let c = int_of_float (x +. 0.5) in
+      let c = if c < 1 then 1 else if c > z.z_n then z.z_n else c in
+      k := c;
+      accepted :=
+        float_of_int c -. x <= z.z_s
+        || u >= h_integral ~theta (float_of_int c +. 0.5) -. h ~theta (float_of_int c)
+    done;
+    !k - 1
   end
 
 (* Rank-to-key bijection: multiply by an odd constant coprime to
@@ -169,16 +177,19 @@ let expected_rate t =
 
 type request = { arrive_ns : int; cls : op_class; key : int; key2 : int }
 
-(* One Exp(1) draw; [Rng.float] is in [0, 1), so the argument of [log]
+(* One Exp(1) draw; [uniform] is in [0, 1), so the argument of [log]
    is in (0, 1] and the result is finite and nonnegative. *)
-let exp1 rng = -.log (1.0 -. Util.Rng.float rng 1.0)
+let[@inline] exp1 rng = -.log (1.0 -. uniform rng)
+
+(* The stream's two instants. A record of floats only stores them
+   unboxed; a float field of a mixed record is boxed on every write. *)
+type clock = { mutable t_ns : float; mutable phase_end_ns : float }
 
 type stream = {
   g : t;
   rng : Util.Rng.t;
-  mutable t_ns : float;
+  c : clock;
   mutable on : bool;  (* inside a burst episode *)
-  mutable phase_end_ns : float;
   ring : int array;  (* recently touched keys *)
   mutable ring_len : int;
   mutable ring_pos : int;
@@ -194,9 +205,8 @@ let stream_of g =
   {
     g;
     rng;
-    t_ns = 0.0;
+    c = { t_ns = 0.0; phase_end_ns };
     on = false;
-    phase_end_ns;
     ring = Array.make g.recent_window 0;
     ring_len = 0;
     ring_pos = 0;
@@ -206,28 +216,28 @@ let stream_of g =
    work" against the piecewise-constant rate, switching burst phases
    exactly at their boundaries. *)
 let next_arrival_ns s =
-  let g = s.g in
+  let g = s.g and c = s.c in
   let w = ref (exp1 s.rng) in
   (match g.burst with
-  | None -> s.t_ns <- s.t_ns +. (!w /. (g.rate /. 1e9))
+  | None -> c.t_ns <- c.t_ns +. (!w /. (g.rate /. 1e9))
   | Some b ->
       let finished = ref false in
       while not !finished do
         let rate_ns = g.rate *. (if s.on then b.mult else 1.0) /. 1e9 in
-        let capacity = (s.phase_end_ns -. s.t_ns) *. rate_ns in
+        let capacity = (c.phase_end_ns -. c.t_ns) *. rate_ns in
         if !w <= capacity then begin
-          s.t_ns <- s.t_ns +. (!w /. rate_ns);
+          c.t_ns <- c.t_ns +. (!w /. rate_ns);
           finished := true
         end
         else begin
           w := !w -. capacity;
-          s.t_ns <- s.phase_end_ns;
+          c.t_ns <- c.phase_end_ns;
           s.on <- not s.on;
           let mean_s = if s.on then b.on_s else b.off_s in
-          s.phase_end_ns <- s.t_ns +. (exp1 s.rng *. mean_s *. 1e9)
+          c.phase_end_ns <- c.t_ns +. (exp1 s.rng *. mean_s *. 1e9)
         end
       done);
-  int_of_float s.t_ns
+  int_of_float c.t_ns
 
 let touch s key =
   s.ring.(s.ring_pos) <- key;
@@ -239,7 +249,7 @@ let draw_key s =
   let key =
     if
       g.locality > 0.0 && s.ring_len > 0
-      && Util.Rng.float s.rng 1.0 < g.locality
+      && uniform s.rng < g.locality
     then s.ring.(Util.Rng.int s.rng s.ring_len)
     else begin
       let rank = zipf_sample s.rng g.z in
@@ -250,7 +260,7 @@ let draw_key s =
   key
 
 let draw_class s =
-  let r = Util.Rng.float s.rng 1.0 in
+  let r = uniform s.rng in
   if r < s.g.cum.(0) then Get
   else if r < s.g.cum.(1) then Put
   else if r < s.g.cum.(2) then Delete

@@ -4,7 +4,11 @@
     {!Util.Stats.percentile}) rather than read off the pow-2 histogram
     buckets of {!Obs.Summary} — at service latency scales adjacent
     percentiles often land inside one pow-2 bucket, and a digest where
-    p50 = p99 is useless as a regression gate. *)
+    p50 = p99 is useless as a regression gate.
+
+    Both service drivers digest through {!of_samples}: each hands it
+    one class and one latency per request. Nothing boxes a sample, and
+    every sample is sorted once. *)
 
 type class_stats = {
   cls : string;  (** a {!Gen.class_name}, or ["all"] *)
@@ -22,14 +26,20 @@ type class_stats = {
 
 val digest : string -> float array -> class_stats
 (** [digest cls samples]: one digest of [samples] (ns) labelled [cls];
-    all-zero with [requests = 0] when [samples] is empty. *)
+    all-zero with [requests = 0] when [samples] is empty. [samples] is
+    left as it was. *)
 
-val of_samples : (string * float array) list -> class_stats list
-(** One digest per named class with at least one sample, plus an
-    ["all"] digest over the concatenation (always present and first in
-    the returned list — all-zero with [requests = 0] when there are no
-    samples at all, never nan). Sample arrays are latencies in
-    nanoseconds. *)
+val of_samples : cls:int array -> float array -> class_stats list
+(** [of_samples ~cls ns]: request [i], of class [cls.(i)] (a
+    {!Gen.class_index}), took [ns.(i)] nanoseconds. One digest per
+    class with at least one request, in class-index order, after an
+    ["all"] digest over every request (always present and first — all
+    zero with [requests = 0] when there are no requests, never nan).
+
+    One counting pass splits the samples by class; each class is sorted
+    once, and ["all"] merges the sorted classes. Each mean sums its
+    samples in request order. Raises [Invalid_argument] when the two
+    arrays differ in length. *)
 
 val all_of : class_stats list -> class_stats
 (** The ["all"] digest; raises [Not_found] when absent. *)

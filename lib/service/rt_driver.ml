@@ -88,9 +88,10 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   in
   let dispatched = Atomic.make 0 and completed = Atomic.make 0 in
   let t0_ref = ref (Obs.Clock.now_ns ()) in
-  let samples =
-    Array.init workers (fun _ -> Array.make Gen.n_classes ([] : float list))
-  in
+  (* Per request, by token: its latency. The task that serves a request
+     is its slot's only writer, and the array is read only after
+     [Pool.run] has awaited every promise. *)
+  let lat_ns = Array.make n 0.0 in
   let elapsed = ref 0 in
   let stop = Atomic.make false in
   let sampler =
@@ -146,16 +147,12 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
               ~token_shard:(Batched.Shard.route ~shards r.Gen.key)
               srt sub;
             merge ());
-        let lat = Obs.Clock.now_ns () - (!t0_ref + r.Gen.arrive_ns) in
-        (* Worker-exclusive push: one task runs per worker at a time
-           and there is no suspension point between the index read and
-           the cons. *)
+        lat_ns.(token) <-
+          float_of_int (Obs.Clock.now_ns () - (!t0_ref + r.Gen.arrive_ns));
         let w =
           match Runtime.Pool.worker_index () with Some w -> w | None -> 0
         in
         Obs.Reqtrace.on_done rtr ~token ~worker:w;
-        let by_class = samples.(w) in
-        by_class.(c) <- float_of_int lat :: by_class.(c);
         Atomic.incr completed
       in
       Runtime.Pool.run pool (fun () ->
@@ -172,24 +169,8 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
               | Some p -> Runtime.Pool.await pool p | None -> ())
             promises;
           elapsed := Obs.Clock.now_ns () - t0));
-  let named =
-    List.init Gen.n_classes (fun c ->
-        let total =
-          Array.fold_left
-            (fun acc by_class -> acc + List.length by_class.(c))
-            0 samples
-        in
-        let a = Array.make (max 1 total) 0.0 in
-        let pos = ref 0 in
-        Array.iter
-          (fun by_class ->
-            List.iter
-              (fun l ->
-                a.(!pos) <- l;
-                incr pos)
-              by_class.(c))
-          samples;
-        (Gen.class_names.(c), Array.sub a 0 total))
+  let cls =
+    Array.map (fun (r : Gen.request) -> Gen.class_index r.Gen.cls) schedule
   in
   let st = Runtime.Shard_rt.total_stats srt in
   let slo_burns = ref 0 in
@@ -206,7 +187,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
     elapsed_ns;
     goodput =
       (if elapsed_ns > 0.0 then float_of_int n /. (elapsed_ns /. 1e9) else 0.0);
-    classes = Latency.of_samples named;
+    classes = Latency.of_samples ~cls lat_ns;
     batches = st.Runtime.Batcher_rt.batches;
     max_batch = st.Runtime.Batcher_rt.max_batch;
     stalls = Obs.Health.stall_count hl;

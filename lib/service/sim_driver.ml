@@ -40,21 +40,14 @@ let run_point ?(trace = false) (sc : Scenario.t) ~p =
   let cfg = Sim.Openloop.config ~p ~shards () in
   let res = Sim.Openloop.run cfg ~models olreqs in
   let n = Array.length res.Sim.Openloop.waits in
-  let per_class = Array.make Gen.n_classes [] in
+  let cls = Array.make n 0 and lat_ns = Array.make n 0.0 in
   let wait_max = ref 0 in
-  Array.iteri
-    (fun i w ->
-      if w > !wait_max then wait_max := w;
-      let c = olreqs.(i).Sim.Openloop.cls in
-      per_class.(c) <- float_of_int (w * unit_ns) :: per_class.(c))
-    res.Sim.Openloop.waits;
-  let named =
-    Array.to_list
-      (Array.mapi
-         (fun i samples ->
-           (Gen.class_names.(i), Array.of_list samples))
-         per_class)
-  in
+  for i = 0 to n - 1 do
+    let w = res.Sim.Openloop.waits.(i) in
+    if w > !wait_max then wait_max := w;
+    cls.(i) <- olreqs.(i).Sim.Openloop.cls;
+    lat_ns.(i) <- float_of_int (w * unit_ns)
+  done;
   (* The virtual-clock anatomy is two phases — pending-wait (arrival to
      batch launch) and batch-exec (launch to completion); the engine
      admits at arrival and resumes at completion, so queue/sched are
@@ -106,7 +99,7 @@ let run_point ?(trace = false) (sc : Scenario.t) ~p =
     requests = n;
     makespan_ns;
     goodput = (if makespan_ns > 0.0 then float_of_int n /. (makespan_ns /. 1e9) else 0.0);
-    classes = Latency.of_samples named;
+    classes = Latency.of_samples ~cls lat_ns;
     batches = res.Sim.Openloop.batches;
     max_batch = res.Sim.Openloop.max_batch;
     max_batches_seen = res.Sim.Openloop.max_batches_seen;

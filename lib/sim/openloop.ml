@@ -14,22 +14,23 @@ type result = {
   batches : int;
   max_batch : int;
   total_work : int;
-  batch_details : Metrics.batch_detail list;
   per_shard_ops : int array;
   per_shard_span_max : int array;
   max_batches_seen : int;
   max_in_system : int;
 }
 
-type inflight = {
-  launched_at : int;
-  done_at : int;
-  members : int array;  (* request indices *)
-}
-
+(* One shard's FIFO of waiting requests is a chain through the run's one
+   [next] array (a request waits on one shard, once), so queueing
+   allocates nothing. [members] is the batch in flight while [busy]. *)
 type shard_state = {
-  queue : int Queue.t;  (* request indices, FIFO *)
-  mutable busy : inflight option;
+  mutable head : int;  (* first waiting request; valid when len > 0 *)
+  mutable tail : int;  (* last waiting request; valid when len > 0 *)
+  mutable len : int;
+  mutable busy : bool;
+  mutable launched_at : int;
+  mutable done_at : int;
+  mutable members : int array;  (* request indices *)
   mutable launches : int;
 }
 
@@ -48,12 +49,29 @@ let run cfg ~models reqs =
       if r.at < 0 then invalid_arg "Openloop.run: negative arrival time")
     reqs;
   (* Arrival order; stable so same-instant requests keep input order
-     (determinism — FIFO admission must not depend on sort internals). *)
+     (determinism — FIFO admission must not depend on sort internals).
+     A stream already in order, as Gen makes it, skips the sort. *)
   let order = Array.init n (fun i -> i) in
-  Array.stable_sort (fun i j -> Int.compare reqs.(i).at reqs.(j).at) order;
-  let shards = Array.init cfg.shards (fun _ ->
-      { queue = Queue.create (); busy = None; launches = 0 })
+  let in_order = ref true in
+  for i = 1 to n - 1 do
+    if reqs.(i).at < reqs.(i - 1).at then in_order := false
+  done;
+  if not !in_order then
+    Array.stable_sort (fun i j -> Int.compare reqs.(i).at reqs.(j).at) order;
+  let shards =
+    Array.init cfg.shards (fun _ ->
+        {
+          head = 0;
+          tail = 0;
+          len = 0;
+          busy = false;
+          launched_at = 0;
+          done_at = 0;
+          members = [||];
+          launches = 0;
+        })
   in
+  let next = Array.make n 0 in
   (* LAUNCHBATCH overhead: the paper's Θ(P)-work / Θ(lg P)-span setup
      and cleanup stages, identical to [Batcher]'s Tree_setup model. Each
      shard runs its batches on its share max(1, P/K) of the workers. *)
@@ -67,7 +85,6 @@ let run cfg ~models reqs =
   let launches_at_arrival = Array.make n 0 in
   let per_shard_ops = Array.make cfg.shards 0 in
   let per_shard_span_max = Array.make cfg.shards 0 in
-  let batch_details = ref [] in
   let batches = ref 0 in
   let max_batch = ref 0 in
   let total_work = ref 0 in
@@ -78,9 +95,14 @@ let run cfg ~models reqs =
   let completed = ref 0 in
   let try_launch sid now =
     let s = shards.(sid) in
-    if s.busy = None && not (Queue.is_empty s.queue) then begin
-      let size = min cfg.batch_cap (Queue.length s.queue) in
-      let members = Array.init size (fun _ -> Queue.pop s.queue) in
+    if (not s.busy) && s.len > 0 then begin
+      let size = min cfg.batch_cap s.len in
+      let members = Array.make size 0 in
+      for k = 0 to size - 1 do
+        members.(k) <- s.head;
+        s.head <- next.(s.head)
+      done;
+      s.len <- s.len - size;
       let bop = models.(sid).Batched.Model.batch_cost members in
       let bop_work = Par.work bop and bop_span = Par.span bop in
       (* Brent bound of the wrapped batch DAG. *)
@@ -88,38 +110,35 @@ let run cfg ~models reqs =
         ((setup_work + bop_work + p_share - 1) / p_share)
         + setup_span + bop_span
       in
-      s.busy <- Some { launched_at = now; done_at = now + duration; members };
+      s.busy <- true;
+      s.launched_at <- now;
+      s.done_at <- now + duration;
+      s.members <- members;
       s.launches <- s.launches + 1;
       incr batches;
       if size > !max_batch then max_batch := size;
       total_work := !total_work + setup_work + bop_work;
       per_shard_ops.(sid) <- per_shard_ops.(sid) + size;
       let s_i = bop_span + setup_span in
-      if s_i > per_shard_span_max.(sid) then per_shard_span_max.(sid) <- s_i;
-      batch_details :=
-        { Metrics.bd_sid = sid; bd_size = size; bd_work = bop_work;
-          bd_span = bop_span }
-        :: !batch_details
+      if s_i > per_shard_span_max.(sid) then per_shard_span_max.(sid) <- s_i
     end
   in
   let complete sid =
     let s = shards.(sid) in
-    match s.busy with
-    | None -> assert false
-    | Some b ->
-        Array.iter
-          (fun i ->
-            waits.(i) <- b.done_at - reqs.(i).at;
-            launch_waits.(i) <- b.launched_at - reqs.(i).at;
-            let seen = s.launches - launches_at_arrival.(i) in
-            batches_seen.(i) <- seen;
-            if seen > !max_seen then max_seen := seen;
-            decr in_system;
-            incr completed)
-          b.members;
-        if b.done_at > !makespan then makespan := b.done_at;
-        s.busy <- None;
-        try_launch sid b.done_at
+    assert s.busy;
+    for k = 0 to Array.length s.members - 1 do
+      let i = s.members.(k) in
+      waits.(i) <- s.done_at - reqs.(i).at;
+      launch_waits.(i) <- s.launched_at - reqs.(i).at;
+      let seen = s.launches - launches_at_arrival.(i) in
+      batches_seen.(i) <- seen;
+      if seen > !max_seen then max_seen := seen;
+      decr in_system;
+      incr completed
+    done;
+    if s.done_at > !makespan then makespan := s.done_at;
+    s.busy <- false;
+    try_launch sid s.done_at
   in
   let next_arrival = ref 0 in
   while !completed < n do
@@ -127,14 +146,13 @@ let run cfg ~models reqs =
       if !next_arrival < n then reqs.(order.(!next_arrival)).at else max_int
     in
     let t_done = ref max_int and done_sid = ref (-1) in
-    Array.iteri
-      (fun sid s ->
-        match s.busy with
-        | Some b when b.done_at < !t_done ->
-            t_done := b.done_at;
-            done_sid := sid
-        | _ -> ())
-      shards;
+    for sid = 0 to cfg.shards - 1 do
+      let s = shards.(sid) in
+      if s.busy && s.done_at < !t_done then begin
+        t_done := s.done_at;
+        done_sid := sid
+      end
+    done;
     (* Completions first at ties: a request arriving at the very instant
        a batch finishes sees a free shard, as in the real runtime where
        the finishing worker relaunches before new submitters re-check. *)
@@ -147,9 +165,10 @@ let run cfg ~models reqs =
       (* A batch already in flight at arrival counts toward the
          request's batches-seen (Lemma 2 counts it: ≤ 2 means one
          in-flight plus one's own when the system keeps up). *)
-      launches_at_arrival.(i) <-
-        (s.launches - if s.busy <> None then 1 else 0);
-      Queue.push i s.queue;
+      launches_at_arrival.(i) <- (s.launches - if s.busy then 1 else 0);
+      if s.len = 0 then s.head <- i else next.(s.tail) <- i;
+      s.tail <- i;
+      s.len <- s.len + 1;
       incr in_system;
       if !in_system > !max_in_system then max_in_system := !in_system;
       try_launch r.shard r.at
@@ -163,7 +182,6 @@ let run cfg ~models reqs =
     batches = !batches;
     max_batch = !max_batch;
     total_work = !total_work;
-    batch_details = !batch_details;
     per_shard_ops;
     per_shard_span_max;
     max_batches_seen = !max_seen;

@@ -57,8 +57,6 @@ type result = {
   batches : int;
   max_batch : int;
   total_work : int;  (** W: BOP plus setup/cleanup units over all batches *)
-  batch_details : Metrics.batch_detail list;
-      (** per launch, most recent first; [bd_sid] is the shard *)
   per_shard_ops : int array;  (** nᵢ of the composed Theorem-1 bound *)
   per_shard_span_max : int array;
       (** sᵢ: widest observed BOP span plus a launch's setup/cleanup

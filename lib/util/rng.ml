@@ -59,9 +59,9 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next64 t) 2) in
   v mod bound
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
-  bound *. (v /. 9007199254740992.0) (* 2^53 *)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next64 t) 11)
+
+let float t bound = bound *. (float_of_int (bits53 t) /. 0x1p53)
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 

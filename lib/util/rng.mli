@@ -25,7 +25,13 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); requires [bound > 0]. *)
 
 val float : t -> float -> float
-(** [float t bound] is uniform in [0, bound). *)
+(** [float t bound] is uniform in [0, bound):
+    [bound *. (float_of_int (bits53 t) /. 0x1p53)]. *)
+
+val bits53 : t -> int
+(** The top 53 bits of the next output, uniform in [\[0, 2{^53})].
+    A caller in another module that builds its float from this int
+    keeps the float unboxed; a float returned by {!float} is boxed. *)
 
 val bool : t -> bool
 

@@ -1,4 +1,6 @@
-(** Summary statistics over float samples, used by experiment reports. *)
+(** Summary statistics over float samples, used by experiment reports
+    and latency digests. Nothing here boxes a sample: the loops and the
+    sort read the arrays unboxed. *)
 
 type summary = {
   n : int;
@@ -13,6 +15,9 @@ val summarize : float array -> summary
 (** Raises [Invalid_argument] on an empty array. *)
 
 val mean : float array -> float
+(** Summed left to right from 0.0, as [Array.fold_left ( +. ) 0.0]
+    sums, so the result is bit-identical to that fold's. *)
+
 val stddev : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs q] for [q] in [0,1], linear interpolation. *)
@@ -21,6 +26,17 @@ val percentile_sorted : float array -> float -> float
 (** [percentile_sorted sorted q] is [percentile sorted q] for an array
     already in ascending order, without the copy and sort: several
     quantiles of one sample cost one sort. *)
+
+val sort : float array -> unit
+(** Sort in place into ascending order: the array
+    [Array.sort Float.compare] gives (nan below every number), without
+    boxing. A bottom-up merge sort over insertion-sorted runs of 16;
+    it allocates one scratch array of the input's length. *)
+
+val merge : float array array -> float array
+(** [merge runs]: every element of [runs], each already ascending (as
+    {!sort} leaves it), in one fresh ascending array. Adjacent runs are
+    merged pairwise, so [k] runs cost ⌈log₂ k⌉ passes, not a sort. *)
 
 val geomean : float array -> float
 (** Geometric mean; requires all samples positive. *)
