@@ -96,7 +96,7 @@ let run_sweep ~seeds ~start ~max_p ~max_size ~bound_factor ~deadline ~shard_k
   in
   (* rt_conf: every case additionally runs its structure and seed
      through the real runtime, conformance-checked against the
-     sequential oracle under Exact Lemma-2 checkers. *)
+     sequential oracle under Lemma-2 checkers. *)
   let cases_run, fails =
     Check.Schedule_fuzz.sweep ~bound_factor ~rt_conf:true ~max_p ~max_size
       ~should_stop ~on_case ~map_case ~seeds:seed_list ()

@@ -11,7 +11,8 @@
    violation and stall counts, the pending ops, the dropped events, and
    the oldest worker heartbeat.
 
-     dune exec bin/monitor.exe -- soak_health.jsonl
+     dune exec bin/service.exe -- --scenario smoke --snapshot health.jsonl
+     dune exec bin/monitor.exe -- health.jsonl
      dune exec bin/monitor.exe -- --follow --interval 0.5 live.jsonl
 
    One-shot mode (default) reads the file to EOF and renders every

@@ -655,9 +655,7 @@ let run ?(n_ops = 96) ?(seed = 1) ?(workers = 3) ?(sim_p = 4) ?(shards = 1)
       let hs = Array.init shards (fun _ -> s.fresh ~n:n_ops ~shards) in
       let script = Opgen.script ~gen:hs.(0).gen ~n:n_ops ~seed in
       let rt_batches = Array.make shards [] in
-      let inv =
-        Obs.Invariants.create ~mode:Obs.Invariants.Exact ~structures:shards ()
-      in
+      let inv = Obs.Invariants.create ~structures:shards () in
       let pool =
         Runtime.Pool.create
           ~probe:(Obs.Probe.create ~invariants:inv ())

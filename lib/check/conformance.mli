@@ -82,7 +82,7 @@ val run :
     [shards < 1] and for [shards > 1] on a subject that is not
     {!shardable}.
 
-    The runtime leg runs under [Exact] {!Obs.Invariants} checkers, one
+    The runtime leg runs under {!Obs.Invariants} checkers, one
     structure per shard, with the paper's Lemma-2 bound of 2 (its batch
     cap is the worker count), and any violation is an [Error].
 

@@ -60,12 +60,12 @@ type case = {
   batch_cap : int;
   overhead : Sim.Batcher.overhead_model;
   sequential_batches : bool;
-  inv_mode : Obs.Invariants.mode;
-      (** {!Obs.Invariants} mode threaded into the run — mostly [Exact]
-          (every schedule audited online, independently of the sim's
-          asserts and the trace validator), with [Sampled]/[Off] legs in
-          the rotation so those paths are fuzzed too. Any nonzero
-          violation counter fails the case. *)
+  checkers : bool;
+      (** Whether {!Obs.Invariants} checkers ride on the run — true in
+          five cases of six (every such schedule audited online,
+          independently of the sim's asserts and the trace validator),
+          false in the rest so the null checker's path is fuzzed too.
+          Any nonzero violation counter fails the case. *)
 }
 
 val workload_of : case -> Sim.Workload.t
@@ -83,7 +83,7 @@ val run_case :
     case's structure and seed through {!Conformance.run}, at the case's
     [shard_k] when the structure is {!Conformance.shardable} and at one
     shard otherwise, so the runtime's trapped batch path meets fuzzed
-    workload shapes against the sequential oracle, under Exact Lemma-2
+    workload shapes against the sequential oracle, under Lemma-2
     checkers at the paper's bound of 2. *)
 
 val case_of_seed : ?max_p:int -> ?max_size:int -> int -> case
@@ -131,4 +131,4 @@ val sweep :
     failure. Returns [(cases_run, failures)]. [map_case] rewrites each
     generated case before it runs (e.g. forcing [shard_k] for a
     sharded-only smoke sweep); [should_stop] is polled between cases
-    (soak-run time budgets); [on_case] observes progress. *)
+    (time budgets); [on_case] observes progress. *)

@@ -1,6 +1,5 @@
-type slo = { pending_ns : int; exec_ns : int }
-
-let default_slo = { pending_ns = 100_000_000; exec_ns = 100_000_000 }
+let slo_ns = 100_000_000
+let stall_ns = 1_000_000_000
 
 type phase = Pending | Exec
 
@@ -11,11 +10,8 @@ let phases = [ Pending; Exec ]
 
 type t = {
   on : bool;
-  inv : Invariants.t;
   workers : int;
   structures : int;
-  slo : slo;
-  stall_ns : int;
   hb : int array;  (* last beat (Clock ns) per worker; 0 = never *)
   hb_skip : int array;  (* beats until the next clock read, per worker *)
   pend : int Atomic.t array;  (* pending-op gauge per structure *)
@@ -23,7 +19,7 @@ type t = {
   last_launch : int array;  (* ns of the last collection per structure *)
   launches : int Atomic.t array;
   ops : int Atomic.t array;  (* ops with recorded phases per structure *)
-  stalled : bool array;  (* an open watchdog episode per structure *)
+  stalled : bool array;  (* an open stall episode per structure *)
   stalls : int Atomic.t;
   (* Histograms indexed ((worker * structures) + sid) * n_phases +
      phase: one writer each (the worker whose op completed), merged by
@@ -35,11 +31,8 @@ type t = {
 let null =
   {
     on = false;
-    inv = Invariants.null;
     workers = 0;
     structures = 0;
-    slo = default_slo;
-    stall_ns = 0;
     hb = [||];
     hb_skip = [||];
     pend = [||];
@@ -53,17 +46,13 @@ let null =
     burn = [||];
   }
 
-let create ?(slo = default_slo) ?(stall_ns = 1_000_000_000)
-    ?(invariants = Invariants.null) ~workers ~structures () =
+let create ~workers ~structures () =
   if workers < 1 then invalid_arg "Health.create: workers >= 1";
   if structures < 1 then invalid_arg "Health.create: structures >= 1";
   {
     on = true;
-    inv = invariants;
     workers;
     structures;
-    slo;
-    stall_ns;
     hb = Array.make workers 0;
     hb_skip = Array.make workers 0;
     pend = Array.init structures (fun _ -> Atomic.make 0);
@@ -121,8 +110,8 @@ let op_phases t ~worker ~sid ~pending ~exec =
     Summary.Histo.add t.phase.(base + 1) exec;
     Atomic.incr t.ops.(sid);
     let bb = sid * n_phases in
-    if pending > t.slo.pending_ns then Atomic.incr t.burn.(bb);
-    if exec > t.slo.exec_ns then Atomic.incr t.burn.(bb + 1)
+    if pending > slo_ns then Atomic.incr t.burn.(bb);
+    if exec > slo_ns then Atomic.incr t.burn.(bb + 1)
   end
 
 let check_stalls ?now t =
@@ -134,37 +123,15 @@ let check_stalls ?now t =
            pending" and "last launch" — a structure being steadily
            drained never stalls however long its backlog lives. *)
         let since = max t.pending_since.(sid) t.last_launch.(sid) in
-        if since > 0 && now - since > t.stall_ns then begin
+        if since > 0 && now - since > stall_ns then begin
           t.stalled.(sid) <- true;
-          Atomic.incr t.stalls;
-          Invariants.note_stall t.inv ~sid
+          Atomic.incr t.stalls
         end
       end
     done
   end
 
 let stall_count t = Atomic.get t.stalls
-
-type watchdog = { wd_stop : bool Atomic.t; wd_dom : unit Domain.t option }
-
-let watchdog_start ?(tick_s = 0.01) t =
-  if (not t.on) || tick_s <= 0.0 then
-    { wd_stop = Atomic.make true; wd_dom = None }
-  else begin
-    let stop = Atomic.make false in
-    let dom =
-      Domain.spawn (fun () ->
-          while not (Atomic.get stop) do
-            check_stalls t;
-            Unix.sleepf tick_s
-          done)
-    in
-    { wd_stop = stop; wd_dom = Some dom }
-  end
-
-let watchdog_stop w =
-  Atomic.set w.wd_stop true;
-  match w.wd_dom with None -> () | Some d -> Domain.join d
 
 let heartbeat_age_ns t ~worker ~now =
   if (not t.on) || worker < 0 || worker >= t.workers || t.hb.(worker) = 0 then -1
@@ -203,7 +170,7 @@ let to_json ?now t =
     let now = match now with Some v -> v | None -> Clock.now_ns () in
     Json.Obj
       [
-        ("stall_ns", Json.Int t.stall_ns);
+        ("stall_ns", Json.Int stall_ns);
         ("stalls", Json.Int (stall_count t));
         ( "workers",
           Json.List
@@ -229,6 +196,5 @@ let to_json ?now t =
                             (fun ph -> (phase_name ph, phase_json t ~sid ph))
                             phases) );
                    ])) );
-        ("invariants", Invariants.to_json t.inv);
       ]
   end

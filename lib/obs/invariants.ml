@@ -1,14 +1,9 @@
-type mode = Off | Sampled of int | Exact
-
 type t = {
   on : bool;
-  md : mode;
-  sample_every : int;  (* 1 in Exact mode *)
   rc : Recorder.t;
   lemma2_bound : int;
   pend : int Atomic.t array;  (* submitted − collected, per structure *)
   inflight : int Atomic.t array;  (* launched − ended, per structure *)
-  ops_done : int Atomic.t;
   checks : int Atomic.t;
   viol : int Atomic.t array;  (* length Recorder.n_checks *)
 }
@@ -16,38 +11,27 @@ type t = {
 let null =
   {
     on = false;
-    md = Off;
-    sample_every = 1;
     rc = Recorder.null;
     lemma2_bound = 0;
     pend = [||];
     inflight = [||];
-    ops_done = Atomic.make 0;
     checks = Atomic.make 0;
     viol = [||];
   }
 
-let create ?(mode = Exact) ?(lemma2_bound = 2) ?(recorder = Recorder.null)
-    ~structures () =
+let create ?(lemma2_bound = 2) ?(recorder = Recorder.null) ~structures () =
   if structures < 0 then invalid_arg "Invariants.create: structures >= 0";
-  match mode with
-  | Off -> null
-  | Sampled _ | Exact ->
-      {
-        on = true;
-        md = mode;
-        sample_every = (match mode with Sampled k -> max 1 k | _ -> 1);
-        rc = recorder;
-        lemma2_bound;
-        pend = Array.init structures (fun _ -> Atomic.make 0);
-        inflight = Array.init structures (fun _ -> Atomic.make 0);
-        ops_done = Atomic.make 0;
-        checks = Atomic.make 0;
-        viol = Array.init Recorder.n_checks (fun _ -> Atomic.make 0);
-      }
+  {
+    on = true;
+    rc = recorder;
+    lemma2_bound;
+    pend = Array.init structures (fun _ -> Atomic.make 0);
+    inflight = Array.init structures (fun _ -> Atomic.make 0);
+    checks = Atomic.make 0;
+    viol = Array.init Recorder.n_checks (fun _ -> Atomic.make 0);
+  }
 
 let active t = t.on
-let mode t = t.md
 
 let[@inline] in_range t sid = sid >= 0 && sid < Array.length t.pend
 
@@ -82,16 +66,10 @@ let batch_ended t ~worker ~time ~sid =
 
 let op_completed t ~worker ~time ~sid ~batches_seen =
   if t.on then begin
-    let n = Atomic.fetch_and_add t.ops_done 1 in
-    if n mod t.sample_every = 0 then begin
-      Atomic.incr t.checks;
-      if batches_seen > t.lemma2_bound then
-        fire t ~worker ~time Recorder.Lemma2 ~sid ~arg:batches_seen
-    end
+    Atomic.incr t.checks;
+    if batches_seen > t.lemma2_bound then
+      fire t ~worker ~time Recorder.Lemma2 ~sid ~arg:batches_seen
   end
-
-let note_stall t ~sid:_ =
-  if t.on then Atomic.incr t.viol.(Recorder.check_code Recorder.Stall)
 
 let violations t =
   if not t.on then Array.make Recorder.n_checks 0
@@ -102,15 +80,11 @@ let checks_run t = Atomic.get t.checks
 
 let pending t ~sid = if t.on && in_range t sid then Atomic.get t.pend.(sid) else 0
 
-let mode_name = function Off -> "off" | Sampled _ -> "sampled" | Exact -> "exact"
-
 let to_json t =
   if not t.on then Json.Null
   else
     Json.Obj
       [
-        ("mode", Json.Str (mode_name t.md));
-        ("sample_every", Json.Int t.sample_every);
         ("checks", Json.Int (checks_run t));
         ( "violations",
           Json.Obj

@@ -1,10 +1,9 @@
 (** Online checkers for the paper's safety properties.
 
     The post-mortem sinks ({!Summary}, {!Chrome}, [Sim.Trace]) can only
-    audit a bounded recording after the fact; a production soak needs
-    the invariants watched {e while} millions of ops flow. This module
-    keeps O(#structures) atomic counters and checks, at the moments the
-    scheduler acts:
+    audit a bounded recording after the fact; this module watches the
+    invariants {e while} the ops flow. It keeps O(#structures) atomic
+    counters and checks, at the moments the scheduler acts:
 
     - {b Invariant 1} — at most one batch of a structure in flight: a
       per-structure in-flight counter must step 0 → 1 at every
@@ -28,14 +27,9 @@
     time from any thread) and, when a recorder is attached, emits a
     {!Recorder.kind.Violation} event on the calling worker's ring.
 
-    Modes: [Exact] runs every check on every event (tests, fuzzing);
-    [Sampled k] still maintains the per-structure balances (they are
-    one atomic RMW each) but runs the per-op Lemma-2 check only once
-    every [k] completions; [Off] is free — {!create} returns {!null}
-    and every hook returns after one field load. Hooks are
-    allocation-free in all modes (pinned by a [Gc.minor_words] test). *)
-
-type mode = Off | Sampled of int | Exact
+    {!create} runs every check on every event; {!null} is off, and
+    each of its hooks returns after one field load. Hooks are
+    allocation-free either way (pinned by a [Gc.minor_words] test). *)
 
 type t
 
@@ -43,19 +37,16 @@ val null : t
 (** Disabled: [active null = false]; all hooks are no-ops. *)
 
 val create :
-  ?mode:mode ->
   ?lemma2_bound:int ->
   ?recorder:Recorder.t ->
   structures:int ->
   unit ->
   t
-(** [mode] defaults to [Exact]; [lemma2_bound] to the paper's 2.
-    [structures] sizes the per-structure counter tables — hooks for a
-    [sid] outside [0..structures-1] are ignored (checked, not trusted).
-    [Off] returns {!null}. *)
+(** [lemma2_bound] defaults to the paper's 2. [structures] sizes the
+    per-structure counter tables — hooks for a [sid] outside
+    [0..structures-1] are ignored (checked, not trusted). *)
 
 val active : t -> bool
-val mode : t -> mode
 
 (* ---- hot-path hooks (allocation-free; called by workers) ---- *)
 
@@ -73,13 +64,7 @@ val batch_ended : t -> worker:int -> time:int -> sid:int -> unit
 
 val op_completed :
   t -> worker:int -> time:int -> sid:int -> batches_seen:int -> unit
-(** An op resumed after its batch; checks [batches_seen ≤ lemma2_bound]
-    (subject to sampling in [Sampled] mode). *)
-
-val note_stall : t -> sid:int -> unit
-(** Fold one {!Health} stall-watchdog episode into the violation
-    counters (no event is emitted — the watchdog runs on the sampler
-    thread, which owns no ring). *)
+(** An op resumed after its batch; checks [batches_seen ≤ lemma2_bound]. *)
 
 (* ---- read-out (any thread, any time) ---- *)
 
@@ -90,14 +75,13 @@ val violations : t -> int array
 val total_violations : t -> int
 
 val checks_run : t -> int
-(** Check {e sites} executed (batch starts plus sampled op
-    completions) — evidence the checkers actually ran. *)
+(** Check {e sites} executed (batch starts plus op completions) —
+    evidence the checkers actually ran. *)
 
 val pending : t -> sid:int -> int
 (** Current pending balance for [sid] (submitted − collected); for
     tests. [0] when disabled or out of range. *)
 
 val to_json : t -> Json.t
-(** [{"mode":"exact","sample_every":1,"checks":N,
-     "violations":{"inv1":0,...,"stall":0}}], or [Json.Null] when
-    disabled. *)
+(** [{"checks":N,"violations":{"inv1":0,...,"lemma2":0}}], or
+    [Json.Null] when disabled. *)

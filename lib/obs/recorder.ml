@@ -4,7 +4,7 @@ type status = Free | Pending | Executing | Done
 
 type work_class = Wcore | Wbatch | Wsetup | Wsched | Wwait
 
-type check = Inv1 | Inv2 | Inv3 | Lemma2 | Stall
+type check = Inv1 | Inv2 | Inv3 | Lemma2
 
 type kind =
   | Status of status
@@ -121,23 +121,21 @@ let class_of_code = function
   | 3 -> Wsched
   | _ -> Wwait
 
-let check_code = function Inv1 -> 0 | Inv2 -> 1 | Inv3 -> 2 | Lemma2 -> 3 | Stall -> 4
+let check_code = function Inv1 -> 0 | Inv2 -> 1 | Inv3 -> 2 | Lemma2 -> 3
 
 let check_of_code = function
   | 0 -> Inv1
   | 1 -> Inv2
   | 2 -> Inv3
-  | 3 -> Lemma2
-  | _ -> Stall
+  | _ -> Lemma2
 
-let n_checks = 5
+let n_checks = 4
 
 let check_name = function
   | Inv1 -> "inv1"
   | Inv2 -> "inv2"
   | Inv3 -> "inv3"
   | Lemma2 -> "lemma2"
-  | Stall -> "stall"
 
 let clock_name = function Timesteps -> "steps" | Nanoseconds -> "ns"
 

@@ -35,13 +35,12 @@ type status = Free | Pending | Executing | Done
 type work_class = Wcore | Wbatch | Wsetup | Wsched | Wwait
 
 (** Which online safety property a {!kind.Violation} event reports
-    broken (see {!Invariants} and {!Health}): Invariant 1 (at most one
-    batch of a structure in flight), Invariant 2 (batch size ≤ its
-    cap), Invariant 3 (every collected op was pending exactly once —
-    dual-deque discipline), the Lemma-2 batches-while-pending bound,
-    and the {!Health} stall watchdog (ops pending but no launch within
-    the threshold). *)
-type check = Inv1 | Inv2 | Inv3 | Lemma2 | Stall
+    broken (see {!Invariants}): Invariant 1 (at most one batch of a
+    structure in flight), Invariant 2 (batch size ≤ its cap),
+    Invariant 3 (every collected op was pending exactly once —
+    dual-deque discipline), and the Lemma-2 batches-while-pending
+    bound. *)
+type check = Inv1 | Inv2 | Inv3 | Lemma2
 
 type kind =
   | Status of status  (** worker status transition *)
@@ -74,8 +73,8 @@ type kind =
   | Violation of { check : check; sid : int; arg : int }
       (** an online checker caught [check] broken for structure [sid];
           [arg] is the offending magnitude (concurrent batch count,
-          oversized batch size, collection deficit, batches seen, or
-          stall age) — see {!Invariants} for exact meanings *)
+          oversized batch size, collection deficit, or batches seen) —
+          see {!Invariants} for exact meanings *)
 
 type event = { worker : int; time : int; kind : kind }
 

@@ -60,7 +60,7 @@ let sample ?time t =
     let health_fields =
       if not (Health.enabled t.health) then []
       else begin
-        (* The sampler thread doubles as the watchdog: every snapshot
+        (* The sampler thread is the stall detector: every snapshot
            scans for stalled structures before reporting. *)
         Health.check_stalls t.health;
         [ ("health", Health.to_json t.health) ]

@@ -18,11 +18,10 @@
     file is always watchable mid-run. *)
 
 (** When a {!Health} instance is attached, each sample first runs its
-    stall watchdog ({!Health.check_stalls}) and then carries the full
+    stall check ({!Health.check_stalls}) and then carries the full
     health object — heartbeat ages, per-structure phase-latency stats,
-    burn counters, stall and invariant-violation totals — as a
-    ["health"] field on the line. This is the stream
-    [bin/monitor.exe] consumes. *)
+    burn counters and the stall total — as a ["health"] field on the
+    line. This is the stream [bin/monitor.exe] consumes. *)
 
 type t
 

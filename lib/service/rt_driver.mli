@@ -19,7 +19,7 @@ type point = {
   classes : Latency.class_stats list;  (** ["all"] first *)
   batches : int;
   max_batch : int;
-  stalls : int;  (** {!Obs.Health} stall-watchdog trips *)
+  stalls : int;  (** {!Obs.Health} stall episodes *)
   slo_burns : int;  (** end-to-end phase SLO burns, summed over shards *)
   lag_ns : float array;
       (** per request, in schedule order: how late the dispatcher

@@ -32,12 +32,6 @@ let trimmed_span ~tau t =
 let count_long ~tau t =
   List.length (List.filter (fun d -> d.bd_span > tau) t.batch_details)
 
-let count_wide ~tau t =
-  List.length (List.filter (fun d -> d.bd_work > t.p * tau) t.batch_details)
-
-let count_popular t =
-  List.length (List.filter (fun d -> 4 * d.bd_size > t.p) t.batch_details)
-
 let zero ~p =
   {
     p;
@@ -63,28 +57,3 @@ let throughput t =
   else float_of_int t.total_records /. float_of_int t.makespan
 
 let speedup ~baseline t = float_of_int baseline.makespan /. float_of_int t.makespan
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>p=%d makespan=%d@,work: core=%d batch=%d setup=%d@,\
-     batches=%d (avg size %.2f, max %d)@,\
-     steals: %d attempts, %d successes (free %d, trapped %d)@,\
-     lemma2 max batches while pending=%d@,span_realized=%d@,\
-     records=%d throughput=%.4f@]"
-    t.p t.makespan t.core_work t.batch_work t.setup_work t.batches
-    (if t.batches = 0 then 0.0
-     else float_of_int t.batch_size_total /. float_of_int t.batches)
-    t.max_batch_size t.steal_attempts t.steal_successes t.free_steal_attempts
-    t.trapped_steal_attempts t.max_batches_while_pending t.span_realized
-    t.total_records (throughput t)
-
-let pp_row_header fmt () =
-  Format.fprintf fmt "%4s %12s %12s %10s %8s %10s %12s" "P" "makespan"
-    "throughput" "batches" "avgsz" "steals" "setup"
-
-let pp_row fmt t =
-  Format.fprintf fmt "%4d %12d %12.5f %10d %8.2f %10d %12d" t.p t.makespan
-    (throughput t) t.batches
-    (if t.batches = 0 then 0.0
-     else float_of_int t.batch_size_total /. float_of_int t.batches)
-    t.steal_attempts t.setup_work

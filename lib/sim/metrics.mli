@@ -39,11 +39,6 @@ val trimmed_span : tau:int -> t -> int
     S_τ(n) in Definition 1. *)
 
 val count_long : tau:int -> t -> int
-val count_wide : tau:int -> t -> int
-(** Batches with w_A > P·τ. *)
-
-val count_popular : t -> int
-(** Batches with more than P/4 operations. *)
 
 val zero : p:int -> t
 
@@ -52,9 +47,3 @@ val throughput : t -> float
 
 val speedup : baseline:t -> t -> float
 (** [baseline.makespan / t.makespan]. *)
-
-val pp : Format.formatter -> t -> unit
-
-val pp_row_header : Format.formatter -> unit -> unit
-val pp_row : Format.formatter -> t -> unit
-(** Tabular one-line rendering used by the bench harness. *)

@@ -70,7 +70,7 @@ let test_sweep_small () =
 let test_sweep_rt_conf () =
   (* A small sweep with the real-runtime conformance leg on: each case's
      structure and seed run through a real pool against the sequential
-     oracle, under Exact Lemma-2 checkers at the paper's bound. *)
+     oracle, under Lemma-2 checkers at the paper's bound. *)
   let seeds = List.init 8 (fun i -> 4200 + i) in
   let cases_run, failures =
     Check.Schedule_fuzz.sweep ~rt_conf:true ~max_p:4 ~max_size:32 ~seeds ()

@@ -262,9 +262,9 @@ let structure_sum f (s : Obs.Summary.t) =
   Array.fold_left (fun acc sa -> acc + f sa) 0 s.Obs.Summary.per_structure
 
 let test_sim_recording_matches_metrics () =
-  (* Recorder and Exact checkers ride on one probe: each sees every op
+  (* Recorder and invariant checkers ride on one probe: each sees every op
      and every batch exactly once. *)
-  let inv = Obs.Invariants.create ~mode:Obs.Invariants.Exact ~structures:1 () in
+  let inv = Obs.Invariants.create ~structures:1 () in
   let rc, m = run_recorded ~invariants:inv () in
   check "no violations" 0 (Obs.Invariants.total_violations inv);
   check "pending balance drained" 0 (Obs.Invariants.pending inv ~sid:0);
