@@ -488,15 +488,28 @@ let sim_model ~initial_size ?(records_per_node = 1) ?(search_scale = 1.0) () =
   let size = ref initial_size in
   let reset () = size := initial_size in
   let search_cost () = Model.scaled (Model.log2_cost !size) search_scale in
+  (* The trees built at the current per-search cost, by record count: a
+     batch that repeats both gets the physically same tree, so a
+     caller's lookup of it ends at the root. *)
+  let memo_cost = ref 0 and memo = Hashtbl.create 8 in
   let batch_cost nodes =
     let x = records_per_node * Array.length nodes in
     let x = max 1 x in
     let per_search = search_cost () in
-    let build = Par.leaf x in
-    let searches = Par.balanced ~leaf_cost:(fun _ -> per_search) x in
-    let splice_phase = Par.leaf x in
     size := !size + x;
-    Par.series [ build; searches; splice_phase ]
+    if per_search <> !memo_cost then begin
+      Hashtbl.reset memo;
+      memo_cost := per_search
+    end;
+    match Hashtbl.find_opt memo x with
+    | Some tree -> tree
+    | None ->
+        let build = Par.leaf x in
+        let searches = Par.balanced ~leaf_cost:(fun _ -> per_search) x in
+        let splice_phase = Par.leaf x in
+        let tree = Par.series [ build; searches; splice_phase ] in
+        Hashtbl.add memo x tree;
+        tree
   in
   let seq_cost _ =
     let c = search_cost () + 2 in

@@ -112,4 +112,6 @@ val sim_model :
     [initial_size] elements. A batch of [x] records costs: build Θ(x)
     sequential; searches [x] parallel leaves of ~[search_scale]·lg(size)
     each; splice Θ(x) sequential. A lone sequential insert costs
-    ~[search_scale]·lg(size) + O(1). *)
+    ~[search_scale]·lg(size) + O(1). Batches with equal [x] and equal
+    per-search cost get the physically same tree while that cost
+    holds. *)

@@ -25,15 +25,17 @@ let fig5 ?(n_records = 100_000) ?(records_per_node = 100) ?(ps = default_ps)
   in
   List.map
     (fun initial ->
-      let mk () = skiplist_workload ~initial ~records_per_node ~n_nodes () in
-      let seq = Sim.Seqexec.run (mk ()) in
+      (* Every run resets the workload's model, so one workload serves
+         SEQ and every (P, seed) run. *)
+      let w = skiplist_workload ~initial ~records_per_node ~n_nodes () in
+      let seq = Sim.Seqexec.run w in
       let batcher =
         List.map
           (fun p ->
             let tps =
               Array.of_list
                 (List.map
-                   (fun seed -> Sim.Metrics.throughput (run_batcher ~p ~seed (mk ())))
+                   (fun seed -> Sim.Metrics.throughput (run_batcher ~p ~seed w))
                    seeds)
             in
             (p, Util.Stats.mean tps, Util.Stats.stddev tps))

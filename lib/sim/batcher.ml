@@ -34,11 +34,10 @@ let default ~p =
     max_steps = 2_000_000_000;
   }
 
-type origin = OCore | OBatch
-
+(* The run state of one dag: the core dag, or a batch dag of one
+   structure, which a shape keeps per slot and [launch] resets. *)
 type inst = {
   dag : Dag.t;
-  origin : origin;
   preds_left : int array;
   (* Realized-critical-path depth: [depth.(v)] is the longest executed
      dependency chain (in work units) ending just before [v] starts —
@@ -50,22 +49,20 @@ type inst = {
      LAUNCHBATCH setup/cleanup overhead. Unused for the core dag. *)
   bop_lo : int;
   bop_hi : int;
-  sid : int;  (* structure index of a batch dag; -1 for the core dag *)
 }
-
-type task = { inst : inst; node : int }
 
 type wstatus = Free | Pending | Executing | Done
 
 type worker = {
   id : int;
-  core_dq : task Deque.t;
-  batch_dq : task Deque.t;
+  core_dq : Deque.t;
+  batch_dq : Deque.t;
   mutable status : wstatus;
-  mutable assigned : task option;
+  mutable assigned : int;  (* task being executed; -1 for none *)
   mutable remaining : int;
   mutable steal_count : int;
-  mutable suspended : int option;  (* core-dag ds node awaiting its batch *)
+  mutable suspended : int;  (* core-dag ds node awaiting its batch; -1 for none *)
+  mutable sid : int;  (* structure of [suspended]; -1 for none *)
   mutable seen_batches : int;  (* batches executing since becoming pending *)
   mutable suspend_time : int;  (* timestep the pending op was parked *)
   mutable park_depth : int;  (* critical-path depth of the parked ds node *)
@@ -77,11 +74,6 @@ type worker = {
   rng : Util.Rng.t;
 }
 
-type batch = {
-  b_sid : int;  (* which structure this batch belongs to *)
-  members : int array;  (* worker ids whose ops are in the working set *)
-}
-
 (* The batch dag built for one BOP cost tree: setup ; BOP ; cleanup. *)
 type shape = {
   s_dag : Dag.t;
@@ -89,22 +81,26 @@ type shape = {
   s_hi : int;
   s_work : int;  (* Par work and span of the BOP *)
   s_span : int;
+  s_insts : inst option array;  (* by slot: the inst of its last batch of this shape *)
 }
 
 type state = {
   cfg : config;
   workload : Workload.t;
-  core_inst : inst;
+  insts : inst array;  (* by slot: the core dag, then each structure's batch *)
+  slot_bits : int;
+  slot_mask : int;
   workers : worker array;
   stage : Par.t;  (* one LAUNCHBATCH setup or cleanup stage *)
   setup_charge : int;  (* setup work a batch reports: the stages' Par work *)
   shapes : (Par.t, shape) Hashtbl.t;  (* batch dags built so far, by BOP tree *)
   mutable core_queued : int;  (* tasks in all core deques *)
   mutable batch_queued : int;  (* tasks in all batch deques *)
-  pending : int option array;  (* per worker: suspended core ds node id *)
+  pending : int array;  (* per worker: suspended core ds node id, or -1 *)
   mutable pending_count : int;  (* parked operations, all structures *)
   pending_per : int array;  (* parked operations per structure *)
-  active : batch option array;  (* in-flight batch per structure (Inv. 1) *)
+  active : int array option array;
+      (* per structure: the member worker ids of its batch in flight (Inv. 1) *)
   mutable active_count : int;
   mutable finished : bool;
   mutable force_launch : bool;
@@ -131,38 +127,43 @@ type state = {
   recording : bool;  (* [Obs.Recorder.enabled rc], read once per run *)
 }
 
-let make_inst ?(bop_lo = 0) ?(bop_hi = 0) ?(sid = -1) ~origin dag =
+let make_inst ?(bop_lo = 0) ?(bop_hi = 0) dag =
   {
     dag;
-    origin;
     preds_left = Array.copy dag.Dag.pred_count;
     depth = Array.make (Array.length dag.Dag.pred_count) 0;
     bop_lo;
     bop_hi;
-    sid;
   }
 
-(* Structure index of a core-dag ds node. *)
-let struct_of st node =
-  match st.core_inst.dag.Dag.kinds.(node) with
-  | Dag.Ds idx -> st.workload.Workload.assign idx
-  | Dag.Core -> assert false
+(* A task is a ready node of a live dag, packed in one int as
+   [(node lsl slot_bits) lor slot] (DESIGN.md §17). Slot 0 is the core
+   dag and slot [sid + 1] structure [sid]'s batch in flight: Invariant 1
+   allows at most one per structure, and a batch's sink runs after
+   every other node of it, so no task of a finished batch is still
+   queued or assigned when the next batch of its structure reuses the
+   slot. *)
+let task st ~slot node = (node lsl st.slot_bits) lor slot
+let slot_of st task = task land st.slot_mask
+let node_of st task = task lsr st.slot_bits
 
-let attribute st (task : task) units =
-  match task.inst.origin with
-  | OCore -> st.core_work <- st.core_work + units
-  | OBatch ->
-      if task.node >= task.inst.bop_lo && task.node < task.inst.bop_hi then
-        st.batch_work <- st.batch_work + units
-      else st.setup_work <- st.setup_work + units
+(* Whether [task] is a BOP node of its batch; false for the core dag. *)
+let in_bop st task =
+  let slot = slot_of st task in
+  slot > 0
+  &&
+  let inst = st.insts.(slot) and node = node_of st task in
+  node >= inst.bop_lo && node < inst.bop_hi
 
-let class_of_task (task : task) =
-  match task.inst.origin with
-  | OCore -> Obs.Recorder.Wcore
-  | OBatch ->
-      if task.node >= task.inst.bop_lo && task.node < task.inst.bop_hi then
-        Obs.Recorder.Wbatch
-      else Obs.Recorder.Wsetup
+let attribute st task units =
+  if slot_of st task = 0 then st.core_work <- st.core_work + units
+  else if in_bop st task then st.batch_work <- st.batch_work + units
+  else st.setup_work <- st.setup_work + units
+
+let class_of_task st task =
+  if slot_of st task = 0 then Obs.Recorder.Wcore
+  else if in_bop st task then Obs.Recorder.Wbatch
+  else Obs.Recorder.Wsetup
 
 (* Work-run coalescing: a worker's consecutive same-class steps become
    one Work event stamped with the run's final step. Runs are flushed
@@ -182,46 +183,41 @@ let note st w cls units =
     w.wrun <- w.wrun + units
   end
 
-let assign w (task : task) =
-  w.assigned <- Some task;
-  w.remaining <- task.inst.dag.Dag.costs.(task.node)
+let assign st w task =
+  w.assigned <- task;
+  w.remaining <- st.insts.(slot_of st task).dag.Dag.costs.(node_of st task)
 
 (* Pushes here and [take] keep the [core_queued]/[batch_queued] totals
    that the quiet-window scan reads. *)
-let count_queued st (task : task) delta =
-  match task.inst.origin with
-  | OCore -> st.core_queued <- st.core_queued + delta
-  | OBatch -> st.batch_queued <- st.batch_queued + delta
+let count_queued st task delta =
+  if slot_of st task = 0 then st.core_queued <- st.core_queued + delta
+  else st.batch_queued <- st.batch_queued + delta
 
-let push st w (task : task) =
-  Deque.push_bottom
-    (match task.inst.origin with OCore -> w.core_dq | OBatch -> w.batch_dq)
-    task;
+let push st w task =
+  Deque.push_bottom (if slot_of st task = 0 then w.core_dq else w.batch_dq) task;
   count_queued st task 1
 
-(* Enable [task]'s successors after its completion: newly ready nodes are
-   assigned to the completing worker (first) and pushed on the deque
-   matching the dag's origin (rest). [d] is the completed node's
+(* Enable the successors of [slot]'s [node] after its completion: the
+   first newly ready node is assigned to the completing worker, which
+   has nothing assigned, and the rest are pushed in successor order on
+   the deque matching the dag. [d] is the completed node's
    critical-path depth, propagated along every outgoing edge. *)
-let enable_successors st w (task : task) ~d =
-  let inst = task.inst in
-  let newly = ref [] in
-  Array.iter
-    (fun s ->
-      inst.preds_left.(s) <- inst.preds_left.(s) - 1;
-      if d > inst.depth.(s) then inst.depth.(s) <- d;
-      if inst.preds_left.(s) = 0 then newly := s :: !newly)
-    inst.dag.Dag.succs.(task.node);
-  (match List.rev !newly with
-  | [] -> ()
-  | first :: rest ->
-      assign w { inst; node = first };
-      List.iter (fun s -> push st w { inst; node = s }) rest)
+let enable_successors st w ~slot node ~d =
+  let inst = st.insts.(slot) in
+  let succs = inst.dag.Dag.succs.(node) in
+  for i = 0 to Array.length succs - 1 do
+    let s = succs.(i) in
+    inst.preds_left.(s) <- inst.preds_left.(s) - 1;
+    if d > inst.depth.(s) then inst.depth.(s) <- d;
+    if inst.preds_left.(s) = 0 then
+      if w.assigned < 0 then assign st w (task st ~slot s)
+      else push st w (task st ~slot s)
+  done
 
 let complete_batch st ~finisher ~d sid =
   match st.active.(sid) with
   | None -> assert false
-  | Some b ->
+  | Some members ->
       Array.iter
         (fun m ->
           let wm = st.workers.(m) in
@@ -232,71 +228,68 @@ let complete_batch st ~finisher ~d sid =
           Obs.Recorder.emit_status st.rc ~worker:m ~time:st.time Obs.Recorder.Done;
           if wm.seen_batches > st.max_seen_batches then
             st.max_seen_batches <- wm.seen_batches;
-          st.pending.(m) <- None;
+          st.pending.(m) <- -1;
           st.pending_count <- st.pending_count - 1;
           st.pending_per.(sid) <- st.pending_per.(sid) - 1)
-        b.members;
+        members;
       Obs.Probe.finish st.obs ~time:st.time ~worker:finisher ~sid
-        ~size:(Array.length b.members);
+        ~size:(Array.length members);
       if st.tracing then
-        st.trace <-
-          Trace.Batch_completed { time = st.time; sid; members = b.members } :: st.trace;
+        st.trace <- Trace.Batch_completed { time = st.time; sid; members } :: st.trace;
       st.active.(sid) <- None;
       st.active_count <- st.active_count - 1
 
-let complete st w (task : task) =
-  w.assigned <- None;
-  let inst = task.inst in
+let complete st w task =
+  w.assigned <- -1;
+  let slot = slot_of st task and node = node_of st task in
+  let inst = st.insts.(slot) in
   (* Completion depth: chain units up to and including this node, clamped
      by elapsed steps (two dependent units can execute in one sweep when
      the successor's worker steps later in worker order; the clamp keeps
      the realized span a valid lower bound on the makespan). *)
-  let d = min (inst.depth.(task.node) + inst.dag.Dag.costs.(task.node)) st.time in
-  match inst.dag.Dag.kinds.(task.node), inst.origin with
-  | Dag.Ds _, OCore ->
+  let d = min (inst.depth.(node) + inst.dag.Dag.costs.(node)) st.time in
+  match inst.dag.Dag.kinds.(node) with
+  | Dag.Ds idx when slot = 0 ->
       (* The operation record is parked; control does not pass the node
          until its batch completes (the worker is now trapped). *)
-      if st.cfg.check_invariants && st.pending.(w.id) <> None then
+      if st.cfg.check_invariants && st.pending.(w.id) >= 0 then
         failwith "Batcher sim: worker already has a pending op";
-      st.pending.(w.id) <- Some task.node;
+      st.pending.(w.id) <- node;
       st.pending_count <- st.pending_count + 1;
-      let sid = struct_of st task.node in
+      let sid = st.workload.Workload.assign idx in
       st.pending_per.(sid) <- st.pending_per.(sid) + 1;
       w.status <- Pending;
-      w.suspended <- Some task.node;
+      w.suspended <- node;
+      w.sid <- sid;
       w.suspend_time <- st.time;
       w.park_depth <- d;
       w.seen_batches <- (match st.active.(sid) with Some _ -> 1 | None -> 0);
       Obs.Recorder.emit_status st.rc ~worker:w.id ~time:st.time Obs.Recorder.Pending;
       Obs.Probe.submit st.obs ~time:st.time ~worker:w.id ~sid ~token:(-1);
       if st.tracing then
-        st.trace <-
-          Trace.Suspended { time = st.time; worker = w.id; node = task.node; sid }
-          :: st.trace
+        st.trace <- Trace.Suspended { time = st.time; worker = w.id; node; sid } :: st.trace
   | _ ->
-      enable_successors st w task ~d;
-      if task.node = inst.dag.Dag.sink then begin
-        match inst.origin with
-        | OBatch -> complete_batch st ~finisher:w.id ~d inst.sid
-        | OCore ->
-            st.finished <- true;
-            st.span_realized <- d
-      end
+      enable_successors st w ~slot node ~d;
+      if node = inst.dag.Dag.sink then
+        if slot > 0 then complete_batch st ~finisher:w.id ~d (slot - 1)
+        else begin
+          st.finished <- true;
+          st.span_realized <- d
+        end
 
 let exec_unit st w =
-  match w.assigned with
-  | None -> assert false
-  | Some task ->
-      attribute st task 1;
-      note st w (class_of_task task) 1;
-      st.units_this_step <- st.units_this_step + 1;
-      w.remaining <- w.remaining - 1;
-      if w.remaining = 0 then complete st w task
+  let task = w.assigned in
+  assert (task >= 0);
+  attribute st task 1;
+  if st.recording then note st w (class_of_task st task) 1;
+  st.units_this_step <- st.units_this_step + 1;
+  w.remaining <- w.remaining - 1;
+  if w.remaining = 0 then complete st w task
 
 (* Run [task], just taken off one of the deques. *)
-let take st w (task : task) =
+let take st w task =
   count_queued st task (-1);
-  assign w task;
+  assign st w task;
   exec_unit st w
 
 (* The batch dag for the BOP cost tree [raw]: setup ; BOP ; cleanup,
@@ -327,7 +320,8 @@ let batch_shape st raw =
       let whole = Dag.Build.in_series b (pre @ [ bop_f ] @ post) in
       let s =
         { s_dag = Dag.Build.finish b whole; s_lo = lo; s_hi = hi;
-          s_work = Par.work bop; s_span = Par.span bop }
+          s_work = Par.work bop; s_span = Par.span bop;
+          s_insts = Array.make (Array.length st.insts) None }
       in
       Hashtbl.add st.shapes raw s;
       s
@@ -335,22 +329,12 @@ let batch_shape st raw =
 (* Launch a batch of the snapshot [members]. *)
 let launch st w =
   let cfg = st.cfg in
-  let sid =
-    match w.suspended with
-    | Some node -> struct_of st node
-    | None -> assert false
-  in
+  let sid = w.sid in
   let members = ref [] in
   let count = ref 0 in
   Array.iter
     (fun v ->
-      if
-        v.status = Pending
-        && !count < cfg.batch_cap
-        && (match v.suspended with
-           | Some node -> struct_of st node = sid
-           | None -> false)
-      then begin
+      if v.status = Pending && !count < cfg.batch_cap && v.sid = sid then begin
         members := v.id :: !members;
         incr count
       end)
@@ -359,13 +343,9 @@ let launch st w =
   let ops =
     Array.map
       (fun m ->
-        match st.pending.(m) with
-        | Some node -> begin
-            match st.core_inst.dag.Dag.kinds.(node) with
-            | Dag.Ds idx -> idx
-            | Dag.Core -> assert false
-          end
-        | None -> assert false)
+        match st.insts.(0).dag.Dag.kinds.(st.pending.(m)) with
+        | Dag.Ds idx -> idx
+        | Dag.Core -> assert false)
       members
   in
   (* Called on every launch even when the shape is known: it advances
@@ -382,7 +362,27 @@ let launch st w =
     }
     :: st.batch_details;
   let dag = shape.s_dag in
-  let inst = make_inst ~origin:OBatch ~bop_lo:shape.s_lo ~bop_hi:shape.s_hi ~sid dag in
+  let slot = sid + 1 in
+  (* The slot's previous batch has finished (Invariant 1), so the inst
+     it last ran this shape with is free: its counters are reset in
+     place. *)
+  let inst =
+    match shape.s_insts.(slot) with
+    | Some inst ->
+        (* A loop, not Array.blit, which writes an old array through
+           caml_modify. *)
+        let pred_count = dag.Dag.pred_count in
+        for v = 0 to Array.length pred_count - 1 do
+          inst.preds_left.(v) <- pred_count.(v);
+          inst.depth.(v) <- 0
+        done;
+        inst
+    | None ->
+        let inst = make_inst ~bop_lo:shape.s_lo ~bop_hi:shape.s_hi dag in
+        shape.s_insts.(slot) <- Some inst;
+        inst
+  in
+  st.insts.(slot) <- inst;
   (* Batch-coupling edge of the realized critical path: the batch dag's
      source inherits the deepest member operation's park depth. *)
   Array.iter
@@ -394,7 +394,7 @@ let launch st w =
     st.trace <- Trace.Launched { time = st.time; worker = w.id; sid; members } :: st.trace;
   Obs.Probe.launch st.obs ~time:st.time ~worker:w.id ~sid
     ~size:(Array.length members) ~setup:st.setup_charge ~cap:cfg.batch_cap;
-  st.active.(sid) <- Some { b_sid = sid; members };
+  st.active.(sid) <- Some members;
   st.active_count <- st.active_count + 1;
   st.batches <- st.batches + 1;
   st.batch_size_total <- st.batch_size_total + Array.length members;
@@ -409,40 +409,37 @@ let launch st w =
      observes one more batch execution (per-structure Lemma 2). *)
   Array.iter
     (fun v ->
-      match v.status, v.suspended with
-      | (Pending | Executing), Some node when struct_of st node = sid ->
-          v.seen_batches <- v.seen_batches + 1
-      | _ -> ())
+      if (v.status = Pending || v.status = Executing) && v.sid = sid then
+        v.seen_batches <- v.seen_batches + 1)
     st.workers;
   st.force_launch <- false;
   (* The launching worker starts on LAUNCHBATCH's root immediately. *)
-  assign w { inst; node = dag.Dag.source };
+  assign st w (task st ~slot dag.Dag.source);
   exec_unit st w
 
 let resume st w =
-  (match w.suspended with
-  | None -> assert false
-  | Some node ->
-      if st.tracing then
-        st.trace <- Trace.Resumed { time = st.time; worker = w.id; node } :: st.trace;
-      (* The resume step stands in for the launch and finish stamps, so
-         the op's Op_done latency runs from issue to resume (DESIGN.md
-         §7). Only Health and Reqtrace read the wait/exec split, and
-         [run] rejects both. *)
-      Obs.Probe.complete st.obs ~time:st.time ~worker:w.id
-        ~sid:(struct_of st node) ~token:(-1) ~issue:w.suspend_time
-        ~launch:st.time ~finish:st.time ~seen:w.seen_batches
-        ~batch_worker:w.id;
-      if st.recording then
-        Obs.Recorder.emit_status st.rc ~worker:w.id ~time:st.time Obs.Recorder.Free;
-      w.status <- Free;
-      w.suspended <- None;
-      enable_successors st w { inst = st.core_inst; node } ~d:w.resume_depth;
-      (* [enable_successors] assigned a core successor if one became
-         ready; a ds node cannot be the core sink by construction. *)
-      if node = st.core_inst.dag.Dag.sink then
-        failwith "Batcher sim: data-structure node is the core sink");
-  if w.assigned <> None then exec_unit st w
+  let node = w.suspended in
+  assert (node >= 0);
+  if st.tracing then
+    st.trace <- Trace.Resumed { time = st.time; worker = w.id; node } :: st.trace;
+  (* The resume step stands in for the launch and finish stamps, so
+     the op's Op_done latency runs from issue to resume (DESIGN.md
+     §7). Only Health and Reqtrace read the wait/exec split, and
+     [run] rejects both. *)
+  Obs.Probe.complete st.obs ~time:st.time ~worker:w.id ~sid:w.sid ~token:(-1)
+    ~issue:w.suspend_time ~launch:st.time ~finish:st.time ~seen:w.seen_batches
+    ~batch_worker:w.id;
+  if st.recording then
+    Obs.Recorder.emit_status st.rc ~worker:w.id ~time:st.time Obs.Recorder.Free;
+  w.status <- Free;
+  w.suspended <- -1;
+  w.sid <- -1;
+  enable_successors st w ~slot:0 node ~d:w.resume_depth;
+  (* [enable_successors] assigned a core successor if one became
+     ready; a ds node cannot be the core sink by construction. *)
+  if node = st.insts.(0).dag.Dag.sink then
+    failwith "Batcher sim: data-structure node is the core sink";
+  if w.assigned >= 0 then exec_unit st w
   else note st w Obs.Recorder.Wsched 1
 
 (* A uniformly random other worker's id, or -1 when there is none. *)
@@ -475,53 +472,47 @@ let steal_attempt st w ~target_batch =
   if st.recording then flush_run st w ~time:(st.time - 1);
   count_steals st w 1;
   let v = victim st w in
-  let stolen =
-    if v < 0 then None
+  let task =
+    if v < 0 then -1
     else
       let v = st.workers.(v) in
       Deque.steal_top (if target_batch then v.batch_dq else v.core_dq)
   in
-  match stolen with
-  | None ->
-      emit_steal st w ~time:st.time ~victim:v ~success:false ~batch_deque:target_batch
-  | Some task ->
-      st.steal_successes <- st.steal_successes + 1;
-      emit_steal st w ~time:st.time ~victim:v ~success:true ~batch_deque:target_batch;
-      take st w task
+  if task < 0 then
+    emit_steal st w ~time:st.time ~victim:v ~success:false ~batch_deque:target_batch
+  else begin
+    st.steal_successes <- st.steal_successes + 1;
+    emit_steal st w ~time:st.time ~victim:v ~success:true ~batch_deque:target_batch;
+    take st w task
+  end
 
 let acquire_free st w =
   let core_empty = Deque.is_empty w.core_dq in
   let batch_empty = Deque.is_empty w.batch_dq in
   if st.cfg.check_invariants && (not core_empty) && not batch_empty then
     failwith "Batcher sim: Invariant 4 violated (both deques nonempty)";
-  match Deque.pop_bottom (if core_empty then w.batch_dq else w.core_dq) with
-  | Some task -> take st w task
-  | None -> steal_attempt st w ~target_batch:(free_target st w)
+  let task = Deque.pop_bottom (if core_empty then w.batch_dq else w.core_dq) in
+  if task >= 0 then take st w task
+  else steal_attempt st w ~target_batch:(free_target st w)
 
 (* A pending worker whose structure has no batch in flight launches one
    when enough operations are parked (or the livelock escape fired). *)
 let launchable st w =
   w.status = Pending
-  &&
-  match w.suspended with
-  | Some node ->
-      let sid = struct_of st node in
-      st.active.(sid) = None
-      && (st.pending_per.(sid) >= st.cfg.launch_threshold || st.force_launch)
-  | None -> false
+  && Option.is_none st.active.(w.sid)
+  && (st.pending_per.(w.sid) >= st.cfg.launch_threshold || st.force_launch)
 
 let acquire_trapped st w =
-  match Deque.pop_bottom w.batch_dq with
-  | Some task -> take st w task
-  | None ->
-      if w.status = Done then resume st w
-      else if launchable st w then launch st w
-      else steal_attempt st w ~target_batch:true
+  let task = Deque.pop_bottom w.batch_dq in
+  if task >= 0 then take st w task
+  else if w.status = Done then resume st w
+  else if launchable st w then launch st w
+  else steal_attempt st w ~target_batch:true
 
 let step_worker st w =
-  match w.assigned with
-  | Some _ -> exec_unit st w
-  | None -> if w.status = Free then acquire_free st w else acquire_trapped st w
+  if w.assigned >= 0 then exec_unit st w
+  else if w.status = Free then acquire_free st w
+  else acquire_trapped st w
 
 (* Quiet windows (DESIGN.md §17). The next [k] steps are quiet when
    every assigned worker has [remaining > k], so none completes a node,
@@ -533,52 +524,66 @@ let step_worker st w =
    (0 if there is none), stopping at the first worker that rules a
    window out; a window needs an assigned worker, which also keeps
    every step of it off the livelock escape's idle count. *)
-let quiet_window st =
+let rec quiet_scan st i k =
   let workers = st.workers in
-  let rec scan i k =
-    if i = Array.length workers then if k = max_int then 0 else k
+  if i = Array.length workers then if k = max_int then 0 else k
+  else
+    let w = workers.(i) in
+    if w.assigned >= 0 then
+      if w.remaining <= 1 then 0 else quiet_scan st (i + 1) (Int.min k (w.remaining - 1))
     else
-      let w = workers.(i) in
-      match w.assigned with
-      | Some _ ->
-          if w.remaining <= 1 then 0 else scan (i + 1) (Int.min k (w.remaining - 1))
-      | None ->
-          let fails =
-            match w.status with
-            | Free -> st.core_queued = 0 && st.batch_queued = 0
-            | Pending -> st.batch_queued = 0 && not (launchable st w)
-            | Executing -> st.batch_queued = 0
-            | Done -> false
-          in
-          if fails then scan (i + 1) k else 0
-  in
-  Int.min (scan 0 max_int) (st.cfg.max_steps - st.time)
+      let fails =
+        match w.status with
+        | Free -> st.core_queued = 0 && st.batch_queued = 0
+        | Pending -> st.batch_queued = 0 && not (launchable st w)
+        | Executing -> st.batch_queued = 0
+        | Done -> false
+      in
+      if fails then quiet_scan st (i + 1) k else 0
+
+let quiet_window st = Int.min (quiet_scan st 0 max_int) (st.cfg.max_steps - st.time)
 
 (* Advance a quiet window of [k] steps at once. Busy workers take [k]
-   units of their node; thieves replay what [k] failed attempts change:
-   steal counters, RNG draws ([free_target]'s, then [victim]'s, per
-   attempt, as [acquire_free] draws them), the closing flush of their
-   work run and one Steal event per step. *)
+   units of their node; thieves apply what [k] failed attempts change:
+   steal counters and RNG draws ([free_target]'s, then [victim]'s, per
+   attempt, as [acquire_free] draws them). Without a recorder the draws
+   are skipped in bulk; with one, the attempts are replayed, since each
+   Steal event carries its victim, after the closing flush of the
+   thief's work run. *)
 let advance st k =
   let t0 = st.time in
   st.time <- t0 + 1;
-  Array.iter
-    (fun w ->
-      match w.assigned with
-      | Some task ->
-          attribute st task k;
-          note st w (class_of_task task) k;
-          w.remaining <- w.remaining - k
-      | None ->
-          if st.recording then flush_run st w ~time:t0;
-          count_steals st w k;
-          let free = w.status = Free in
-          for i = 1 to k do
-            let target_batch = if free then free_target st w else true in
-            let v = victim st w in
-            emit_steal st w ~time:(t0 + i) ~victim:v ~success:false ~batch_deque:target_batch
-          done)
-    st.workers;
+  let workers = st.workers in
+  for j = 0 to Array.length workers - 1 do
+    let w = workers.(j) in
+    let task = w.assigned in
+    if task >= 0 then begin
+      attribute st task k;
+      if st.recording then note st w (class_of_task st task) k;
+      w.remaining <- w.remaining - k
+    end
+    else begin
+      count_steals st w k;
+      let free = w.status = Free in
+      if st.recording then begin
+        flush_run st w ~time:t0;
+        for i = 1 to k do
+          let target_batch = if free then free_target st w else true in
+          let v = victim st w in
+          emit_steal st w ~time:(t0 + i) ~victim:v ~success:false ~batch_deque:target_batch
+        done
+      end
+      else begin
+        (* A window has an assigned worker, so a thief in it has a
+           victim to draw (p > 1): one draw per attempt in [victim],
+           and a free thief's one more in [free_target] under
+           Uniform_random. *)
+        let draws = 1 + Bool.to_int (free && st.cfg.steal_policy = Uniform_random) in
+        if free then w.steal_count <- w.steal_count + k;
+        Util.Rng.skip w.rng (k * draws)
+      end
+    end
+  done;
   st.time <- t0 + k
 
 let run_internal ~tracing ~probe cfg workload =
@@ -598,8 +603,12 @@ let run_internal ~tracing ~probe cfg workload =
     || Obs.Reqtrace.enabled (Obs.Probe.reqtrace probe)
   then invalid_arg "Batcher.run: Health and Reqtrace attach to the runtime only";
   Workload.reset_models workload;
-  let core_inst = make_inst ~origin:OCore workload.Workload.core in
+  let core_inst = make_inst workload.Workload.core in
   let n_structs = Array.length workload.Workload.models in
+  let slot_bits =
+    let rec bits b = if 1 lsl b > n_structs then b else bits (b + 1) in
+    bits 0
+  in
   let workers =
     Array.init cfg.p (fun id ->
         {
@@ -607,10 +616,11 @@ let run_internal ~tracing ~probe cfg workload =
           core_dq = Deque.create ();
           batch_dq = Deque.create ();
           status = Free;
-          assigned = None;
+          assigned = -1;
           remaining = 0;
           steal_count = 0;
-          suspended = None;
+          suspended = -1;
+          sid = -1;
           seen_batches = 0;
           suspend_time = 0;
           park_depth = 0;
@@ -631,7 +641,11 @@ let run_internal ~tracing ~probe cfg workload =
     {
       cfg;
       workload;
-      core_inst;
+      (* A batch slot holds the core dag until its structure's first
+         launch; no task names the slot before then. *)
+      insts = Array.make (n_structs + 1) core_inst;
+      slot_bits;
+      slot_mask = (1 lsl slot_bits) - 1;
       workers;
       stage;
       (* The setup cost actually charged by the dag: the balanced tree's
@@ -644,7 +658,7 @@ let run_internal ~tracing ~probe cfg workload =
       shapes = Hashtbl.create 16;
       core_queued = 0;
       batch_queued = 0;
-      pending = Array.make cfg.p None;
+      pending = Array.make cfg.p (-1);
       pending_count = 0;
       pending_per = Array.make n_structs 0;
       active = Array.make n_structs None;
@@ -673,7 +687,7 @@ let run_internal ~tracing ~probe cfg workload =
       recording = Obs.Recorder.enabled recorder;
     }
   in
-  assign workers.(0) { inst = core_inst; node = core_inst.dag.Dag.source };
+  assign st workers.(0) (task st ~slot:0 core_inst.dag.Dag.source);
   let idle_sweeps = ref 0 in
   while not st.finished do
     let k = quiet_window st in
@@ -685,7 +699,9 @@ let run_internal ~tracing ~probe cfg workload =
       st.time <- st.time + 1;
       if st.time > cfg.max_steps then failwith "Batcher sim: max_steps exceeded";
       st.units_this_step <- 0;
-      Array.iter (fun w -> step_worker st w) workers;
+      for i = 0 to cfg.p - 1 do
+        step_worker st workers.(i)
+      done;
       (* Livelock escape for the accumulate-k launch ablation: if nothing
          executed for two sweeps while ops are parked, force a launch even
          below the threshold. Never triggers with the default threshold 1. *)

@@ -15,7 +15,7 @@ type entry = {
 
 type worker = {
   id : int;
-  dq : int Deque.t;
+  dq : Deque.t;
   mutable assigned : int option;
   mutable remaining : int;
   mutable blocked_on : int option;  (* ds node waiting for / holding lock *)
@@ -105,22 +105,24 @@ let step st w =
       match w.assigned with
       | Some _ -> exec_unit st w
       | None -> begin
-          match Deque.pop_bottom w.dq with
-          | Some node ->
-              assign st w node;
-              exec_unit st w
-          | None ->
-              st.steal_attempts <- st.steal_attempts + 1;
-              if st.cfg.p > 1 then begin
-                let offset = 1 + Util.Rng.int w.rng (st.cfg.p - 1) in
-                let v = st.workers.((w.id + offset) mod st.cfg.p) in
-                match Deque.steal_top v.dq with
-                | None -> ()
-                | Some node ->
-                    st.steal_successes <- st.steal_successes + 1;
-                    assign st w node;
-                    exec_unit st w
+          let node = Deque.pop_bottom w.dq in
+          if node >= 0 then begin
+            assign st w node;
+            exec_unit st w
+          end
+          else begin
+            st.steal_attempts <- st.steal_attempts + 1;
+            if st.cfg.p > 1 then begin
+              let offset = 1 + Util.Rng.int w.rng (st.cfg.p - 1) in
+              let v = st.workers.((w.id + offset) mod st.cfg.p) in
+              let node = Deque.steal_top v.dq in
+              if node >= 0 then begin
+                st.steal_successes <- st.steal_successes + 1;
+                assign st w node;
+                exec_unit st w
               end
+            end
+          end
         end
     end
 

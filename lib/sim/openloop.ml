@@ -22,7 +22,9 @@ type result = {
 
 (* One shard's FIFO of waiting requests is a chain through the run's one
    [next] array (a request waits on one shard, once), so queueing
-   allocates nothing. [members] is the batch in flight while [busy]. *)
+   allocates nothing. [members] is the batch in flight while [busy].
+   [bop] is the last BOP tree the shard's model returned, with its work
+   and span: a model that hands back the same tree is not walked again. *)
 type shard_state = {
   mutable head : int;  (* first waiting request; valid when len > 0 *)
   mutable tail : int;  (* last waiting request; valid when len > 0 *)
@@ -32,6 +34,9 @@ type shard_state = {
   mutable done_at : int;
   mutable members : int array;  (* request indices *)
   mutable launches : int;
+  mutable bop : Par.t;
+  mutable bop_work : int;
+  mutable bop_span : int;
 }
 
 let run cfg ~models reqs =
@@ -69,6 +74,9 @@ let run cfg ~models reqs =
           done_at = 0;
           members = [||];
           launches = 0;
+          bop = Par.leaf 1;
+          bop_work = 1;
+          bop_span = 1;
         })
   in
   let next = Array.make n 0 in
@@ -104,7 +112,12 @@ let run cfg ~models reqs =
       done;
       s.len <- s.len - size;
       let bop = models.(sid).Batched.Model.batch_cost members in
-      let bop_work = Par.work bop and bop_span = Par.span bop in
+      if bop != s.bop then begin
+        s.bop <- bop;
+        s.bop_work <- Par.work bop;
+        s.bop_span <- Par.span bop
+      end;
+      let bop_work = s.bop_work and bop_span = s.bop_span in
       (* Brent bound of the wrapped batch DAG. *)
       let duration =
         ((setup_work + bop_work + p_share - 1) / p_share)

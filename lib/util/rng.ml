@@ -41,6 +41,22 @@ let[@inline] next64 t =
   Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
+(* [next64]'s state transition without its output, so no int64 leaves
+   the loop to be boxed. *)
+let skip t n =
+  let open Int64 in
+  for _ = 1 to n do
+    let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+    let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+    let tmp = shift_left s1 17 in
+    let s2 = logxor s2 s0 in
+    let s3 = logxor s3 s1 in
+    Bytes.set_int64_ne t 0 (logxor s0 s3);
+    Bytes.set_int64_ne t 8 (logxor s1 s2);
+    Bytes.set_int64_ne t 16 (logxor s2 tmp);
+    Bytes.set_int64_ne t 24 (rotl s3 45)
+  done
+
 let split t =
   let seed = Int64.to_int (next64 t) in
   create ~seed

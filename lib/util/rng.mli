@@ -21,6 +21,11 @@ val stream : seed:int -> index:int -> t
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val skip : t -> int -> unit
+(** [skip t n] advances [t] past [n] outputs, as [n] calls of {!next64}
+    would, allocating nothing. Every bounded draw ({!int}, {!bool},
+    {!float}) takes exactly one output. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); requires [bound > 0]. *)
 

@@ -67,14 +67,14 @@ let test_deque_fifo_lifo () =
   for i = 1 to 5 do
     Sim.Deque.push_bottom d i
   done;
-  Alcotest.(check (option int)) "steal oldest" (Some 1) (Sim.Deque.steal_top d);
-  Alcotest.(check (option int)) "pop newest" (Some 5) (Sim.Deque.pop_bottom d);
+  Alcotest.(check int) "steal oldest" 1 (Sim.Deque.steal_top d);
+  Alcotest.(check int) "pop newest" 5 (Sim.Deque.pop_bottom d);
   Alcotest.(check int) "length" 3 (Sim.Deque.length d)
 
 let test_deque_empty () =
   let d = Sim.Deque.create () in
-  Alcotest.(check (option int)) "pop empty" None (Sim.Deque.pop_bottom d);
-  Alcotest.(check (option int)) "steal empty" None (Sim.Deque.steal_top d);
+  Alcotest.(check int) "pop empty" (-1) (Sim.Deque.pop_bottom d);
+  Alcotest.(check int) "steal empty" (-1) (Sim.Deque.steal_top d);
   Alcotest.(check bool) "is_empty" true (Sim.Deque.is_empty d)
 
 let test_deque_growth () =
@@ -84,40 +84,48 @@ let test_deque_growth () =
   done;
   let ok = ref true in
   for i = 0 to 999 do
-    if Sim.Deque.steal_top d <> Some i then ok := false
+    if Sim.Deque.steal_top d <> i then ok := false
   done;
   Alcotest.(check bool) "order preserved across growth" true !ok
 
+(* Runs of up to 400 commands, two in three a push, so the ring grows
+   several times; steals move its top, so pushes also wrap around. *)
 let prop_deque_model =
   QCheck.Test.make ~name:"deque matches a list model" ~count:300
-    QCheck.(list_of_size Gen.(0 -- 40) (option (option small_nat)))
+    QCheck.(
+      list_of_size
+        Gen.(0 -- 400)
+        (make
+           Gen.(
+             frequency
+               [ (4, map (fun v -> `Push v) (0 -- 1_000_000)); (1, return `Pop);
+                 (1, return `Steal) ])))
     (fun cmds ->
-      (* Some (Some v) = push v; Some None = pop_bottom; None = steal_top *)
       let d = Sim.Deque.create () in
       let model = ref [] in
       List.for_all
         (fun cmd ->
           match cmd with
-          | Some (Some v) ->
+          | `Push v ->
               Sim.Deque.push_bottom d v;
               model := !model @ [ v ];
-              true
-          | Some None ->
+              Sim.Deque.length d = List.length !model
+          | `Pop ->
               let expect =
                 match List.rev !model with
-                | [] -> None
+                | [] -> -1
                 | x :: rest ->
                     model := List.rev rest;
-                    Some x
+                    x
               in
               Sim.Deque.pop_bottom d = expect
-          | None ->
+          | `Steal ->
               let expect =
                 match !model with
-                | [] -> None
+                | [] -> -1
                 | x :: rest ->
                     model := rest;
-                    Some x
+                    x
               in
               Sim.Deque.steal_top d = expect)
         cmds)
@@ -456,6 +464,41 @@ let test_batcher_golden_digest () =
        (fun (name, _) -> (name, batcher_digest (golden_workload name)))
        golden_batcher)
 
+(* The Figure-5 cell the benchmark times: 1,000 nodes of 100 inserts
+   into a 1M-key skip list at P = 8, seeds 1-3, with no recorder. The
+   golden digest above covers recorder-free runs only on workloads of
+   at most 24 nodes, and the printed Figure 5 rounds to 4 decimals. The
+   digest of the three Metrics.t was captured before Sim.Batcher packed
+   tasks into ints and skipped the draws of quiet steal attempts; the
+   run takes ~0.1 s. *)
+let test_batcher_fig5_cell () =
+  let w = skiplist_workload ~initial:1_000_000 ~records:100 ~n:1000 () in
+  let ms = List.map (fun seed -> run_batcher ~p:8 ~seed w) [ 1; 2; 3 ] in
+  Alcotest.(check (list int)) "makespans" [ 491_504; 491_552; 491_697 ]
+    (List.map (fun m -> m.Sim.Metrics.makespan) ms);
+  Alcotest.(check string) "metrics digest" "1709783937ffbe193cb1ea51656dc011"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ""
+             (List.map (fun m -> Marshal.to_string m [ Marshal.No_sharing ]) ms))))
+
+(* Minor words per timestep of a recorder-free run on a small Figure-5
+   cell: 100 nodes of 100 inserts into a 20K-key skip list at P = 8.
+   Measured at 1.007, all of it per launch (22.8 when every step
+   allocated its task records, option cells and closures). The pin
+   allows 0.5 more, which one 2-word block every other step would
+   overrun. Every figure is deterministic, so the count repeats
+   exactly. *)
+let test_batcher_words_per_step () =
+  let w = skiplist_workload ~initial:20_000 ~records:100 ~n:100 () in
+  let cfg = { (Sim.Batcher.default ~p:8) with Sim.Batcher.seed = 1 } in
+  ignore (Sim.Batcher.run cfg w);
+  let before = Gc.minor_words () in
+  let m = Sim.Batcher.run cfg w in
+  let per_step = (Gc.minor_words () -. before) /. float_of_int m.Sim.Metrics.makespan in
+  if per_step > 1.5 then
+    Alcotest.failf "Batcher.run: %.3f minor words per step (pin 1.5)" per_step
+
 (* ---------- flat combining ---------- *)
 
 let test_flatcomb_completes () =
@@ -643,6 +686,8 @@ let () =
           Alcotest.test_case "two structures" `Quick test_batcher_multi_structure;
           Alcotest.test_case "three structures" `Quick test_batcher_multi_structure_three;
           Alcotest.test_case "golden digest" `Quick test_batcher_golden_digest;
+          Alcotest.test_case "Figure-5 cell digest" `Quick test_batcher_fig5_cell;
+          Alcotest.test_case "minor words per step" `Quick test_batcher_words_per_step;
         ] );
       ( "ablations",
         [

@@ -76,6 +76,33 @@ let test_rng_int_allocation_free () =
   Alcotest.(check bool) "draws in range" true (!acc >= 0 && !acc < 70_000);
   if delta > 16. then Alcotest.failf "Rng.int allocated %.0f minor words" delta
 
+(* [skip t n] leaves [t] where [n] calls of [next64] would. *)
+let skip_matches_draws ~seed n =
+  let a = Util.Rng.create ~seed and b = Util.Rng.create ~seed in
+  Util.Rng.skip a n;
+  for _ = 1 to n do
+    ignore (Util.Rng.next64 b)
+  done;
+  List.init 4 (fun _ -> Util.Rng.next64 a) = List.init 4 (fun _ -> Util.Rng.next64 b)
+
+let test_rng_skip () =
+  Alcotest.(check bool) "n = 0" true (skip_matches_draws ~seed:7 0);
+  Alcotest.(check bool) "n = 1" true (skip_matches_draws ~seed:7 1)
+
+let prop_rng_skip =
+  QCheck.Test.make ~name:"Rng.skip n = n next64 draws" ~count:200
+    QCheck.(pair (0 -- 1_000_000) (0 -- 10_000))
+    (fun (seed, n) -> skip_matches_draws ~seed n)
+
+(* A skip allocates nothing either: a loop of [ignore (next64 t)] in
+   another module boxes each int64 it discards (3 words a draw). *)
+let test_rng_skip_allocation_free () =
+  let r = Util.Rng.create ~seed:9 in
+  let before = Gc.minor_words () in
+  Util.Rng.skip r 10_000;
+  let delta = Gc.minor_words () -. before in
+  if delta > 16. then Alcotest.failf "Rng.skip allocated %.0f minor words" delta
+
 let test_shuffle_permutation () =
   let r = Util.Rng.create ~seed:11 in
   let a = Array.init 50 Fun.id in
@@ -261,7 +288,8 @@ let test_stats_sort_allocation_free () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_prefix_sums_correct;
+    [ prop_rng_skip;
+      prop_prefix_sums_correct;
       prop_exclusive_shifts_inclusive;
       prop_compact_preserves_some;
       prop_percentile_monotone;
@@ -282,6 +310,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "golden first draws" `Quick test_rng_golden;
           Alcotest.test_case "int allocation-free" `Quick test_rng_int_allocation_free;
+          Alcotest.test_case "skip matches draws" `Quick test_rng_skip;
+          Alcotest.test_case "skip allocation-free" `Quick test_rng_skip_allocation_free;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         ] );
       ( "stats",
