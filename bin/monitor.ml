@@ -1,17 +1,26 @@
-(* Snapshot-stream monitor: consumes the JSONL written by
-   [Obs.Snapshot] (one JSON object per line, carrying counter
-   totals/deltas and, with a [Health] instance attached, a ["health"]
-   field), renders a status table, and exits non-zero if the stream
-   ever shows an invariant violation, a stall-watchdog episode, or a
-   stalled structure — the CI teeth behind the always-on monitoring
-   layer. A counter-only stream is rendered too.
+(* Health-stream monitor: consumes the JSONL written by
+   [Obs.Snapshot] (one JSON object per line, carrying a ["health"]
+   object from [Obs.Health] and an ["invariants"] object from the
+   online checkers, [Obs.Invariants]), renders a status table, and
+   exits non-zero when the stream shows the run unhealthy — the CI
+   teeth behind the always-on monitoring layer. Four causes make a
+   line unhealthy:
+
+   - a checker violation (Invariant 1, 2 or 3, or Lemma 2);
+   - a stall: an episode counted by Health, or a structure flagged now;
+   - a stale worker: a heartbeat older than the line's [stall_ns];
+   - no ["health"] object on the line.
+
+   A stream whose last line shows that no checker ran (["invariants"]
+   null, or zero checks) is unhealthy too, so the gate cannot pass on
+   a stream that checked nothing.
 
    Each row is one sample: its seq and time [t], the completed ops and
-   their delta, the work/steal/batch-start/batch-end event deltas, the
-   violation and stall counts, the pending ops, the dropped events, and
-   the oldest worker heartbeat.
+   the launches summed over structures with their deltas since the
+   previous line, the checks run, the violation and stall counts, the
+   pending ops, and the oldest worker heartbeat.
 
-     dune exec bin/service.exe -- --scenario smoke --snapshot health.jsonl
+     dune exec bin/service.exe -- --scenario smoke --exec runtime --snapshot health.jsonl
      dune exec bin/monitor.exe -- health.jsonl
      dune exec bin/monitor.exe -- --follow --interval 0.5 live.jsonl
 
@@ -25,9 +34,11 @@ module Json = Obs.Json
 let usage () =
   prerr_endline
     "usage: monitor [--follow] [--interval S] [--idle-timeout S] [--quiet] FILE\n\n\
-     Renders a snapshot stream (Obs.Snapshot JSONL, with or without a\n\
-     \"health\" field) and exits 1 on any invariant violation or stall,\n\
-     or on an empty or unparseable stream.\n\
+     Renders a health stream (Obs.Snapshot JSONL) and exits 1 when a\n\
+     line shows a checker violation, a stall, a worker heartbeat older\n\
+     than the line's stall_ns, or no health field; when the last line\n\
+     shows that no checker ran; or when the stream is empty or has an\n\
+     unparseable line.\n\
     \  --follow        poll FILE for appended lines instead of one pass\n\
     \  --interval      poll period in seconds (default 0.5)\n\
     \  --idle-timeout  stop following after S seconds with no new lines\n\
@@ -53,87 +64,82 @@ let jint0 keys j = Option.value ~default:0 (jint keys j)
 let jlist keys j =
   match path keys j with Some (Json.List l) -> l | _ -> []
 
-(* Sum of every numeric field of an object (the violations maps). *)
-let obj_sum keys j =
-  match path keys j with
-  | Some (Json.Obj fields) ->
-      List.fold_left
-        (fun acc (_, v) ->
-          match v with
-          | Json.Int i -> acc + i
-          | Json.Float f -> acc + int_of_float f
-          | _ -> acc)
-        0 fields
-  | _ -> 0
+let sum key l = List.fold_left (fun acc o -> acc + jint0 [ key ] o) 0 l
 
 (* ---- per-line digest ---- *)
 
 type digest = {
   seq : int;
   t : int;
-  ops_total : int;
-  ops_delta : int;
-  deltas : int list;  (* work, steal, batch_start, batch_end *)
-  dropped : int;
-  violation_events : int;  (* recorder tag total *)
-  inv_violations : int;  (* health.invariants.violations, summed *)
+  ops : int;  (* completed ops, summed over structures *)
+  launches : int;
+  checks : int;  (* 0 when the line has no checker *)
+  violations : int;  (* invariants.violations, summed *)
   stalls : int;
   stalled_now : int;  (* structures currently flagged *)
   pending : int;
-  max_beat_age_ms : float;
+  max_beat_age_ns : int;
+  stale : (int * int) list;  (* (worker, beat age) past stall_ns *)
   has_health : bool;
 }
 
 let digest_of j =
-  let workers = jlist [ "health"; "workers" ] j in
   let structures = jlist [ "health"; "structures" ] j in
+  let stall_ns = jint [ "health"; "stall_ns" ] j in
+  let ages =
+    List.map (fun w -> (jint0 [ "w" ] w, jint0 [ "beat_age_ns" ] w))
+      (jlist [ "health"; "workers" ] j)
+  in
+  let violations =
+    match path [ "invariants"; "violations" ] j with
+    | Some (Json.Obj fields) ->
+        List.fold_left
+          (fun acc (_, v) -> match v with Json.Int i -> acc + i | _ -> acc)
+          0 fields
+    | _ -> 0
+  in
   {
     seq = jint0 [ "seq" ] j;
     t = jint0 [ "t" ] j;
-    ops_total = jint0 [ "totals"; "op_done" ] j;
-    ops_delta = jint0 [ "deltas"; "op_done" ] j;
-    deltas =
-      List.map
-        (fun tag -> jint0 [ "deltas"; tag ] j)
-        [ "work"; "steal"; "batch_start"; "batch_end" ];
-    dropped = jint0 [ "dropped" ] j;
-    violation_events = jint0 [ "totals"; "violation" ] j;
-    inv_violations = obj_sum [ "health"; "invariants"; "violations" ] j;
+    ops = sum "ops" structures;
+    launches = sum "launches" structures;
+    checks = jint0 [ "invariants"; "checks" ] j;
+    violations;
     stalls = jint0 [ "health"; "stalls" ] j;
     stalled_now =
-      List.fold_left
-        (fun acc s ->
-          match path [ "stalled" ] s with Some (Json.Bool true) -> acc + 1 | _ -> acc)
-        0 structures;
-    pending =
-      List.fold_left (fun acc s -> acc + jint0 [ "pending" ] s) 0 structures;
-    max_beat_age_ms =
-      List.fold_left
-        (fun acc w -> Float.max acc (float_of_int (jint0 [ "beat_age_ns" ] w)))
-        0.0 workers
-      /. 1.0e6;
-    has_health = path [ "health" ] j <> None;
+      List.length
+        (List.filter (fun s -> path [ "stalled" ] s = Some (Json.Bool true)) structures);
+    pending = sum "pending" structures;
+    max_beat_age_ns = List.fold_left (fun acc (_, a) -> max acc a) 0 ages;
+    stale =
+      (match stall_ns with
+      | Some limit -> List.filter (fun (_, a) -> a > limit) ages
+      | None -> []);
+    has_health = (match path [ "health" ] j with Some (Json.Obj _) -> true | _ -> false);
   }
 
 let unhealthy d =
-  d.violation_events > 0 || d.inv_violations > 0 || d.stalls > 0
-  || d.stalled_now > 0
+  (not d.has_health) || d.violations > 0 || d.stalls > 0 || d.stalled_now > 0
+  || d.stale <> []
 
 let describe d =
   String.concat ", "
     (List.filter
        (fun s -> s <> "")
        [
-         (if d.violation_events > 0 then
-            Printf.sprintf "%d violation events" d.violation_events
-          else "");
-         (if d.inv_violations > 0 then
-            Printf.sprintf "%d checker violations" d.inv_violations
+         (if d.has_health then "" else "no health field");
+         (if d.violations > 0 then
+            Printf.sprintf "%d checker violations" d.violations
           else "");
          (if d.stalls > 0 then Printf.sprintf "%d stall episodes" d.stalls else "");
          (if d.stalled_now > 0 then
             Printf.sprintf "%d structures stalled" d.stalled_now
           else "");
+         String.concat ", "
+           (List.map
+              (fun (w, a) ->
+                Printf.sprintf "worker %d beat %.1f ms ago" w (float_of_int a /. 1e6))
+              d.stale);
        ])
 
 (* ---- rendering + accumulation ---- *)
@@ -149,19 +155,20 @@ type state = {
 
 let header st =
   if not st.quiet && st.rows_since_header = 0 then
-    Printf.printf "%6s %14s %10s %8s %8s %8s %8s %8s %6s %6s %7s %7s %10s\n"
-      "seq" "t" "ops" "+ops" "+work" "+steal" "+bstart" "+bend" "viol" "stall"
-      "pend" "drop" "beat(ms)"
+    Printf.printf "%6s %14s %10s %8s %9s %8s %10s %6s %6s %7s %10s\n" "seq" "t"
+      "ops" "+ops" "launches" "+launch" "checks" "viol" "stall" "pend" "beat(ms)"
 
 let row st d =
   if not st.quiet then begin
     header st;
     st.rows_since_header <- (st.rows_since_header + 1) mod 20;
-    Printf.printf "%6d %14d %10d %8d" d.seq d.t d.ops_total d.ops_delta;
-    List.iter (Printf.printf " %8d") d.deltas;
-    Printf.printf " %6d %6d %7d %7d %10.1f%s\n"
-      (d.violation_events + d.inv_violations)
-      d.stalls d.pending d.dropped d.max_beat_age_ms
+    let prev_ops, prev_launches =
+      match st.last with Some p -> (p.ops, p.launches) | None -> (0, 0)
+    in
+    Printf.printf "%6d %14d %10d %8d %9d %8d %10d %6d %6d %7d %10.1f%s\n" d.seq d.t
+      d.ops (d.ops - prev_ops) d.launches (d.launches - prev_launches) d.checks
+      d.violations d.stalls d.pending
+      (float_of_int d.max_beat_age_ns /. 1e6)
       (if unhealthy d then "  <-- UNHEALTHY" else "")
   end
 
@@ -174,8 +181,8 @@ let feed st line =
         if not st.quiet then Printf.printf "parse error on line %d: %s\n" st.lines e
     | Ok j ->
         let d = digest_of j in
-        st.last <- Some d;
         row st d;
+        st.last <- Some d;
         if unhealthy d && st.worst = None then begin
           st.worst <- Some d;
           if not st.quiet then
@@ -193,17 +200,17 @@ let verdict st =
       Printf.printf "UNHEALTHY: %d unparseable lines out of %d\n" st.parse_errors
         st.lines;
       1
-  | None, _ when st.lines = 0 ->
+  | None, None ->
       Printf.printf "UNHEALTHY: stream is empty\n";
       1
-  | None, Some d when not d.has_health ->
-      (* Counter-only snapshots: still useful (the violation event tag
-         is checked) but say so. *)
-      Printf.printf "HEALTHY: %d lines, no violations (no health field)\n"
+  | None, Some d when d.checks = 0 ->
+      Printf.printf "UNHEALTHY: %d lines, but the last shows no checker ran\n"
         st.lines;
-      0
-  | None, _ ->
-      Printf.printf "HEALTHY: %d lines, no violations, no stalls\n" st.lines;
+      1
+  | None, Some d ->
+      Printf.printf
+        "HEALTHY: %d lines, %d checks, no violations, no stalls, no stale worker\n"
+        st.lines d.checks;
       0
 
 (* ---- file tailing ---- *)

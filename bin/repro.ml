@@ -268,47 +268,25 @@ let schedview_cmd =
       value & opt int 200
       & info [ "n" ] ~docv:"N"
           ~doc:
-            "Calls. The runtime's rings hold 65,536 events per worker, a few thousand \
-             calls; a longer run drops events and fails the gates.")
+            "Calls. The runtime's rings hold 65,536 events per worker, and at 2 workers \
+             a call of either workload records about 14 events, up to 8.3 of them on the \
+             busier worker: about 7,500 calls fit. At 8,000 a run can drop events (1 run \
+             in 4 on $(b,counter), 1 in 11 on $(b,multi)); a run that drops events fails \
+             the gates.")
   in
   let path name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc) in
   let json = path "json" "Write the bound, its terms and both summaries as JSON." in
-  let snapshot =
-    path "snapshot"
-      "Stream live counter-delta JSONL: one line after the sim run, then one every 10 ms \
-       of the runtime run (render it with monitor.exe)."
-  in
-  let run (name, spec) p n seed json trace snapshot =
+  let run (name, spec) p n seed json trace =
     if p < 1 || n < 1 then begin
       Format.eprintf "repro: schedview needs --workers >= 1 and -n >= 1@.";
       exit Cmd.Exit.cli_error
     end;
     let spec = spec ~calls:n in
-    let snap_oc = Option.map open_out snapshot in
     let workload = Batcher_core.Experiments.closed_sim spec in
-    let ((sim_rc, metrics) as sim) = Batcher_core.Experiments.sim_recorded ~seed ~p workload in
-    Option.iter
-      (fun oc ->
-        let s = Obs.Snapshot.to_channel sim_rc oc in
-        Obs.Snapshot.sample ~time:metrics.Sim.Metrics.makespan s;
-        Obs.Snapshot.close s)
-      snap_oc;
+    let ((_, metrics) as sim) = Batcher_core.Experiments.sim_recorded ~seed ~p workload in
     let rt_rc = rt_recorder p in
-    let stop = Atomic.make false in
-    let sampler =
-      Option.map
-        (fun oc ->
-          let s = Obs.Snapshot.to_channel rt_rc oc in
-          Domain.spawn (fun () ->
-              Obs.Snapshot.every s ~interval_s:0.01 ~stop:(fun () -> Atomic.get stop);
-              Obs.Snapshot.close s))
-        snap_oc
-    in
     let probe = Obs.Probe.create ~recorder:rt_rc () in
     let _, rt_s = Batcher_core.Experiments.closed_rt ~seed ~probe ~p spec in
-    Atomic.set stop true;
-    Option.iter Domain.join sampler;
-    Option.iter close_out snap_oc;
     let l = leg ~p ~workload sim rt_rc rt_s in
     Format.fprintf fmt "schedview %s: %d calls of %d records at %d workers@." name n
       spec.Batcher_core.Experiments.cl_per_call p;
@@ -316,7 +294,6 @@ let schedview_cmd =
     Format.fprintf fmt "@.---- simulator ----@.%a@.---- runtime ----@.%a@." Obs.Summary.pp l.sim
       Obs.Summary.pp l.rt;
     let ok = gates_pass ("schedview " ^ name) l in
-    Option.iter (Format.fprintf fmt "snapshots -> %s@.") snapshot;
     Option.iter
       (fun path ->
         Obs.Chrome.write_file ~path (chrome_tracks ~pid:1 name l);
@@ -356,7 +333,7 @@ let schedview_cmd =
          "One closed loop recorded on the simulator and on the runtime: the Theorem-1 \
           table, predicted beside each execution's measured buckets, then each \
           recording's summary. Exits 1 when a recording fails its gates.")
-    Term.(const run $ workload $ p $ n $ seed_arg $ json $ trace_arg $ snapshot)
+    Term.(const run $ workload $ p $ n $ seed_arg $ json $ trace_arg)
 
 (* A workload's core DAG as Graphviz DOT on stdout; its work, span, n
    and m on stderr. *)

@@ -39,7 +39,8 @@ let usage () =
     \  --duration S     runtime seconds per point (default: the\n\
     \                   scenario's; min of it and 1 s with --load-sweep)\n\
     \  --seed N         override the scenario's seed\n\
-    \  --snapshot PATH  stream Obs.Snapshot JSONL (runtime leg) to PATH\n\
+    \  --snapshot PATH  run the runtime leg with the online checkers and\n\
+    \                   stream them with its health as JSONL to PATH\n\
     \  --top N          trace requests; print each point's N slowest\n\
     \                   per op class (default 10) and its phase shares\n\
     \  --trace PATH     trace requests; write each traced point's\n\

@@ -194,12 +194,13 @@ let metadata t =
   let procs = [ meta ~pid ~tid:0 "process_name" t.name ] in
   if not (Recorder.enabled t.recording) then procs
   else begin
-    let sids = Hashtbl.create 8 in
+    let sids = Hashtbl.create 8 and work = ref false in
     List.iter
       (fun (e : Recorder.event) ->
         match e.kind with
         | Recorder.Batch_start { sid; _ } | Recorder.Batch_end { sid; _ } ->
             Hashtbl.replace sids sid ()
+        | Recorder.Work _ -> work := true
         | _ -> ())
       (Recorder.all_events t.recording);
     let workers =
@@ -207,7 +208,7 @@ let metadata t =
           thread_name ~pid w (Printf.sprintf "worker %d" w))
     in
     let work_tracks =
-      if (Recorder.tag_totals t.recording).(7) = 0 then []
+      if not !work then []
       else
         List.init (Recorder.workers t.recording) (fun w ->
             thread_name ~pid (work_tid_base + w)

@@ -5,8 +5,10 @@
     no need — its schedules are already fully auditable). Three signals:
 
     - {b Heartbeats} — each worker calls {!beat} once per scheduler-loop
-      iteration (one clock read and one array store); the sampler
-      reports every worker's beat age, so a wedged domain is visible.
+      iteration (one clock read and one array store), and a task that
+      holds its worker for a whole run, such as the service's
+      dispatcher, beats for it; the sampler reports every worker's beat
+      age, so a wedged domain is visible.
     - {b Stalls} — ops pending on a structure but no batch launched
       within {!stall_ns}: {!check_stalls}, which the {!Snapshot} sampler
       runs before each line, opens one stall {e episode} per offence,
@@ -76,7 +78,7 @@ val op_phases :
 
 val check_stalls : ?now:int -> t -> unit
 (** Scan structures for pending-but-unlaunched past {!stall_ns};
-    called by {!Snapshot.sample} when a health instance is attached, so
+    called by {!Snapshot.sample} before each line, so
     a stall is seen within [stall_ns] plus the sampler's interval.
     [now] defaults to {!Clock.now_ns}. *)
 

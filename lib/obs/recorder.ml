@@ -19,20 +19,15 @@ type kind =
 
 type event = { worker : int; time : int; kind : kind }
 
-let n_tags = 9
-
 (* Flat storage: one slot = (tag, time, a, b, c), all ints, in five
    parallel arrays. Tags: 0 status, 1 steal, 2 batch_start, 3 batch_end,
-   4 op_issue, 5 op_done, 6 steals_suppressed, 7 work, 8 violation.
-   [cnt.(tag)] counts every emission of that tag, wraparound included —
-   the snapshot streamer reads these without scanning the ring. *)
+   4 op_issue, 5 op_done, 6 steals_suppressed, 7 work, 8 violation. *)
 type ring = {
   tag : int array;
   tm : int array;
   a : int array;
   b : int array;
   c : int array;
-  cnt : int array;  (* length [n_tags] *)
   mutable next : int;  (* total events ever emitted on this ring *)
 }
 
@@ -69,7 +64,6 @@ let create ?(capacity = 65536) ~clock ~workers () =
             a = Array.make cap 0;
             b = Array.make cap 0;
             c = Array.make cap 0;
-            cnt = Array.make n_tags 0;
             next = 0;
           });
     epoch = (match clock with Nanoseconds -> Clock.now_ns () | Timesteps -> 0);
@@ -95,7 +89,6 @@ let[@inline] emit t ~worker ~time tag a b c =
     r.a.(i) <- a;
     r.b.(i) <- b;
     r.c.(i) <- c;
-    r.cnt.(tag) <- r.cnt.(tag) + 1;
     r.next <- r.next + 1
   end
 
@@ -152,21 +145,6 @@ let work_class_name = function
   | Wsched -> "sched"
   | Wwait -> "wait"
 
-let tag_names =
-  [|
-    "status";
-    "steal";
-    "batch_start";
-    "batch_end";
-    "op_issue";
-    "op_done";
-    "steals_suppressed";
-    "work";
-    "violation";
-  |]
-
-let () = assert (Array.length tag_names = n_tags)
-
 let emit_status t ~worker ~time s = emit t ~worker ~time 0 (status_code s) 0 0
 
 let emit_steal t ~worker ~time ~victim ~success ~batch_deque =
@@ -193,17 +171,6 @@ let emit_violation t ~worker ~time ~check ~sid ~arg =
 
 let length t ~worker =
   if not t.enabled then 0 else min t.rings.(worker).next t.cap
-
-let tag_totals t =
-  let out = Array.make n_tags 0 in
-  if t.enabled then
-    Array.iter
-      (fun r ->
-        for k = 0 to n_tags - 1 do
-          out.(k) <- out.(k) + r.cnt.(k)
-        done)
-      t.rings;
-  out
 
 let dropped t ~worker =
   if not t.enabled then 0 else max 0 (t.rings.(worker).next - t.cap)

@@ -45,7 +45,8 @@ type check = Inv1 | Inv2 | Inv3 | Lemma2
 type kind =
   | Status of status  (** worker status transition *)
   | Steal of { victim : int; success : bool; batch_deque : bool }
-      (** one steal attempt; [victim = -1] when no victim was available *)
+      (** one steal attempt; [victim = -1] when no victim was available.
+          The runtime records hits only (see [Steals_suppressed]). *)
   | Batch_start of { sid : int; size : int; setup : int }
       (** LAUNCHBATCH by this worker: structure, working-set size, and
           modeled setup/cleanup work ([0] when unknown, as in the real
@@ -59,10 +60,12 @@ type kind =
           launched while it was pending (Lemma 2 bounds this by 2 under
           the paper's scheduler) *)
   | Steals_suppressed of { count : int }
-      (** [count] failed steal attempts made by this worker while it was
-          in backoff, not individually recorded; flushed on its next
-          successful steal so attempt totals stay truthful without idle
-          workers flooding their rings *)
+      (** [count] failed steal attempts made by this runtime worker, not
+          individually recorded; flushed before its next successful
+          steal and when it leaves its scheduling loop, so attempt
+          totals stay exact while a run's event count grows with its
+          work, not its idle time. The simulator records each attempt
+          as a [Steal] event instead. *)
   | Work of { cls : work_class; units : int }
       (** a contiguous run of [units] clock units this worker spent in
           one work class, ending at the event's time. Emitters flush a
@@ -130,16 +133,7 @@ val emit_work :
 val emit_violation :
   t -> worker:int -> time:int -> check:check -> sid:int -> arg:int -> unit
 
-(* ---- live counters (safe to sample while a run is in flight) ---- *)
-
-val tag_names : string array
-(** Event tag names, indexed by tag code: ["status"], ["steal"],
-    ["batch_start"], ["batch_end"], ["op_issue"], ["op_done"],
-    ["steals_suppressed"], ["work"], ["violation"]. *)
-
-val n_tags : int
-(** Number of event tags; the length of {!tag_names} and of
-    {!tag_totals}'s result. *)
+(* ---- check names ---- *)
 
 val n_checks : int
 (** Number of {!check} variants; {!check_code} maps onto [0..n_checks-1]. *)
@@ -147,16 +141,8 @@ val n_checks : int
 val check_code : check -> int
 val check_of_code : int -> check
 val check_name : check -> string
-(** Stable lowercase names ("inv1" … "stall") used by JSON sinks and
+(** Stable lowercase names ("inv1" … "lemma2") used by JSON sinks and
     [bin/monitor.exe]. *)
-
-val tag_totals : t -> int array
-(** Events emitted so far per tag (in {!tag_names} order), summed over
-    workers and {e including} events already overwritten by ring
-    wraparound. Reading while workers are emitting is deliberately
-    unsynchronized — each counter is a single plain-int load, so a
-    sample may be a few events stale but never torn; this is what the
-    {!Snapshot} streamer polls. *)
 
 (* ---- read-out (after the run; not concurrency-safe during one) ---- *)
 

@@ -1,57 +1,50 @@
-(** Live counter-delta snapshots as JSONL, for watching a long run
-    with [tail -f] instead of waiting for the final trace.
+(** The live health stream: one JSONL line per sample, for watching a
+    long run with [tail -f] or [bin/monitor.exe] instead of waiting for
+    its end.
 
-    Each {!sample} polls {!Recorder.tag_totals} — per-tag emission
-    counters bumped on the recorder hot path, safe to read while
-    workers are emitting (plain single-word loads; a sample may be a
-    few events stale, never torn) — and appends one JSON line:
+    Each {!sample} first runs {!Health.check_stalls}, so a stalled
+    structure shows on the very next line, and then appends one JSON
+    object:
 
     {v
-    {"seq":3,"t":120034875,"dropped":0,
-     "totals":{"status":412,"steal":9023,...,"work":511},
-     "deltas":{"status":12,"steal":411,...,"work":37}}
+    {"seq":3,"t":300134875,
+     "health":{"stall_ns":1000000000,"stalls":0,"workers":[...],
+               "structures":[...]},
+     "invariants":{"checks":6120,"violations":{"inv1":0,...,"lemma2":0}},
+     "svc_dispatched":2112,...}
     v}
 
-    ["t"] is nanoseconds since recorder creation on runtime
-    recordings; pass [?time] (the current timestep) when sampling a
-    simulator recorder. The line is flushed after each sample, so the
-    file is always watchable mid-run. *)
-
-(** When a {!Health} instance is attached, each sample first runs its
-    stall check ({!Health.check_stalls}) and then carries the full
-    health object — heartbeat ages, per-structure phase-latency stats,
-    burn counters and the stall total — as a ["health"] field on the
-    line. This is the stream [bin/monitor.exe] consumes. *)
+    ["t"] is nanoseconds since the stream was opened; ["health"] is
+    {!Health.to_json} and ["invariants"] is {!Invariants.to_json}, each
+    [null] when that instance is off. Both are read with plain and
+    atomic loads while the workers run: a sample may be a few events
+    stale, never torn, and the workers pay nothing for it. The line is
+    flushed after each sample, so the file is always watchable mid-run. *)
 
 type t
 
-val to_channel :
-  ?health:Health.t ->
-  ?extra:(unit -> (string * Json.t) list) ->
-  Recorder.t ->
-  out_channel ->
-  t
-
 val to_file :
-  ?health:Health.t ->
+  health:Health.t ->
+  invariants:Invariants.t ->
   ?extra:(unit -> (string * Json.t) list) ->
-  Recorder.t ->
   path:string ->
+  unit ->
   t
-(** [extra] (default none) is polled at each {!sample}; its fields are
-    appended to the line after ["health"] — how a driver puts its own
-    gauges (e.g. the service harness's goodput and queue-depth series)
-    on the same stream the monitor tails. It runs on the sampler
-    thread, so it must only read state that is safe to read live. *)
+(** Opens (truncates) [path]. [extra] (default none) is polled at each
+    {!sample}; its fields are appended to the line after
+    ["invariants"] — how a driver puts its own gauges (e.g. the service
+    harness's goodput and queue-depth series) on the same stream the
+    monitor tails. It runs on the sampler thread, so it must only read
+    state that is safe to read live. *)
 
-val sample : ?time:int -> t -> unit
-(** Append one snapshot line. No-op after {!close}. *)
+val sample : t -> unit
+(** Append one line. No-op after {!close}. *)
 
 val close : t -> unit
-(** Flush; close the channel if this streamer opened it. *)
+(** Flush and close the file. *)
 
 val every : t -> interval_s:float -> stop:(unit -> bool) -> unit
 (** Sampling loop for a dedicated domain or thread: one immediate
     sample, then one per [interval_s] until [stop ()] holds, then a
     final sample. The caller owns the thread:
-    [Domain.spawn (fun () -> Snapshot.every snap ~interval_s:0.05 ~stop)]. *)
+    [Domain.spawn (fun () -> Snapshot.every snap ~interval_s:0.1 ~stop)]. *)

@@ -151,20 +151,17 @@ let exec_batch c (task : task) =
   task ();
   c.batch <- was
 
-let emit_steal t c my_id ~victim ~success ~batch ~in_backoff =
-  if success then begin
-    if c.suppressed > 0 then begin
-      Obs.Recorder.emit_steals_suppressed t.rc ~worker:my_id
-        ~time:(Obs.Recorder.now t.rc) ~count:c.suppressed;
-      c.suppressed <- 0
-    end;
-    Obs.Recorder.emit_steal t.rc ~worker:my_id ~time:(Obs.Recorder.now t.rc)
-      ~victim ~success:true ~batch_deque:batch
+(* Failed steals are counted in [c.suppressed], not recorded, so a
+   recording's event count grows with the work done, not with idle
+   time. The count goes out as one Steals_suppressed event before the
+   worker's next recorded hit and when it leaves its loop, so
+   [Obs.Summary]'s attempt totals stay exact. *)
+let flush_misses t c my_id =
+  if c.suppressed > 0 then begin
+    Obs.Recorder.emit_steals_suppressed t.rc ~worker:my_id
+      ~time:(Obs.Recorder.now t.rc) ~count:c.suppressed;
+    c.suppressed <- 0
   end
-  else if in_backoff then c.suppressed <- c.suppressed + 1
-  else
-    Obs.Recorder.emit_steal t.rc ~worker:my_id ~time:(Obs.Recorder.now t.rc)
-      ~victim ~success:false ~batch_deque:batch
 
 (* A bounded sample of random steal attempts. A free worker
    ([batch_only = false]) alternates its attempts between core and batch
@@ -173,17 +170,9 @@ let emit_steal t c my_id ~victim ~success ~batch ~in_backoff =
    deque sets [c.batch], and [free_step] clears it after the task. A
    helper's steal leaves the flag alone: [exec_batch] sets it for the
    task and then restores the helper's own context, which is core
-   context for a worker trapped in BATCHIFY.
-
-   [misses] is the caller's consecutive-failure count: once the worker
-   is past the first spin phase it is "in backoff", and failed steal
-   probes are no longer emitted one-by-one — they are counted in
-   [c.suppressed] and flushed as a single Steals_suppressed event on the
-   next successful steal (so the steal-attempt histogram stays truthful
-   without an idle pool flooding its ring at ~2n events per round). *)
-let steal t c my_id ~batch_only ~misses =
+   context for a worker trapped in BATCHIFY. *)
+let steal t c my_id ~batch_only =
   let observed = Obs.Recorder.enabled t.rc in
-  let in_backoff = misses >= t.bo.spin_limit in
   let rec attempt tries =
     if tries = 0 then None
     else begin
@@ -198,13 +187,16 @@ let steal t c my_id ~batch_only ~misses =
         Wsdeque.steal (if batch then t.bdeques.(victim) else t.deques.(victim))
       with
       | Some _ as task ->
-          if observed then
-            emit_steal t c my_id ~victim ~success:true ~batch ~in_backoff;
+          if observed then begin
+            flush_misses t c my_id;
+            Obs.Recorder.emit_steal t.rc ~worker:my_id
+              ~time:(Obs.Recorder.now t.rc) ~victim ~success:true
+              ~batch_deque:batch
+          end;
           if batch && not batch_only then c.batch <- true;
           task
       | None ->
-          if observed then
-            emit_steal t c my_id ~victim ~success:false ~batch ~in_backoff;
+          if observed then c.suppressed <- c.suppressed + 1;
           attempt (tries - 1)
     end
   in
@@ -213,7 +205,7 @@ let steal t c my_id ~batch_only ~misses =
 
 (* A free worker's next task: its own core deque, then its own batch
    deque, then steals. Sets [c.batch] for batch tasks. *)
-let find_task t c my_id ~misses =
+let find_task t c my_id =
   match Wsdeque.pop t.deques.(my_id) with
   | Some _ as task -> task
   | None -> (
@@ -221,7 +213,7 @@ let find_task t c my_id ~misses =
       | Some _ as task ->
           c.batch <- true;
           task
-      | None -> steal t c my_id ~batch_only:false ~misses)
+      | None -> steal t c my_id ~batch_only:false)
 
 (* Failed-steal backoff: spin briefly, then burst-spin, then sleep on an
    exponential ramp — essential on machines with fewer cores than
@@ -250,7 +242,7 @@ let wait_backoff bo misses =
 (* One scheduling round of a free worker; returns the new miss count. *)
 let free_step t c my_id observed misses =
   Obs.Probe.beat t.obs ~worker:my_id;
-  match find_task t c my_id ~misses with
+  match find_task t c my_id with
   | Some task ->
       exec task;
       c.batch <- false;
@@ -268,7 +260,7 @@ let help_step t c my_id misses =
   let task =
     match Wsdeque.pop t.bdeques.(my_id) with
     | Some _ as task -> task
-    | None -> steal t c my_id ~batch_only:true ~misses
+    | None -> steal t c my_id ~batch_only:true
   in
   match task with
   | Some task ->
@@ -317,7 +309,10 @@ let worker_loop t my_id =
   while not (Atomic.get t.stop) do
     misses := free_step t c my_id observed !misses
   done;
-  if observed then flush_cls t my_id;
+  if observed then begin
+    flush_misses t c my_id;
+    flush_cls t my_id
+  end;
   c.wid <- None
 
 let create ?(probe = Obs.Probe.null) ?(backoff = default_backoff) ~num_workers
@@ -457,7 +452,10 @@ let run t f =
   start_worker t c 0;
   Wsdeque.push t.deques.(0) root;
   let finish () =
-    if observed then flush_cls t 0;
+    if observed then begin
+      flush_misses t c 0;
+      flush_cls t 0
+    end;
     c.wid <- saved
   in
   let rec drive misses =

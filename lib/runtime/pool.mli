@@ -42,19 +42,19 @@ val create :
     Its recorder must use the [Nanoseconds] clock and its recorder and
     health instance must cover all workers ([Invalid_argument]
     otherwise). The pool itself writes the probe's recorder — steal
-    attempts from the workers' task-finding loop and the work-class
+    hits from the workers' task-finding loop and the work-class
     segments of {!work_class} — and beats its health instance once per
-    scheduling-loop iteration. Each domain writes only its own worker's
-    ring, so recording needs no synchronization; read the recorder out
-    only after {!run} returns (and, for spawned workers' rings, ideally
-    after {!teardown}). Stream a health instance with
-    {!Obs.Snapshot.to_file} and watch it with [bin/monitor.exe].
+    scheduling-loop iteration. Failed steals are counted, not recorded:
+    each worker's count goes out as one [Steals_suppressed] event before
+    its next recorded hit and when it leaves its loop, so summary
+    attempt totals stay exact and a recording grows with the work done,
+    not with idle time. Each domain writes only its own worker's ring,
+    so recording needs no synchronization; read the recorder out only
+    after {!run} returns and, for spawned workers' rings, after
+    {!teardown}. Stream a health instance and the online checkers with
+    {!Obs.Snapshot.to_file} and watch them with [bin/monitor.exe].
 
-    [backoff] (default {!default_backoff}) sets the idle-worker policy.
-    While a worker is past its spin phase, individual failed-steal
-    events are not emitted; they are counted and flushed as one
-    [Steals_suppressed] event on the next successful steal, so summary
-    attempt counts stay truthful without idle pools flooding the rings. *)
+    [backoff] (default {!default_backoff}) sets the idle-worker policy. *)
 
 val num_workers : t -> int
 

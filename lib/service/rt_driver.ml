@@ -17,11 +17,18 @@ type point = {
    next arrival. Releases can be late by the sleep granularity (~0.1 ms)
    or by a lost OS timeslice — harmless to honesty, because latency is
    measured from the scheduled stamp, so release lag is charged to the
-   request, never hidden. [lag] records it per request. *)
-let dispatch_loop ~t0 ~schedule ~lag ~release =
+   request, never hidden. [lag] records it per request. The loop holds
+   its worker until the last release and never returns to the pool's
+   scheduling loop, so it beats for that worker itself; the root task
+   may have been stolen, so it asks the pool which worker that is. *)
+let dispatch_loop ~hl ~t0 ~schedule ~lag ~release =
   let n = Array.length schedule in
+  let worker =
+    match Runtime.Pool.worker_index () with Some w -> w | None -> -1
+  in
   let i = ref 0 in
   while !i < n do
+    Obs.Health.beat hl ~worker;
     let now = Obs.Clock.now_ns () in
     while
       !i < n && t0 + (schedule.(!i) : Gen.request).Gen.arrive_ns <= now
@@ -40,8 +47,8 @@ let dispatch_loop ~t0 ~schedule ~lag ~release =
 let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
     (sc : Scenario.t) ~shards =
   let (module S : Store.STORE) = sc.Scenario.store in
-  (* The dispatcher owns worker 0 for the whole run, so serving needs
-     at least one more worker. *)
+  (* The dispatcher holds one worker for the whole run, so serving
+     needs at least one more. *)
   let workers =
     max 2
       (match workers with
@@ -54,12 +61,9 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   let n_keys = min sc.Scenario.n_keys sc.Scenario.rt_keys_cap in
   let schedule = Gen.generate (Scenario.gen_rt sc) ~duration_s in
   let n = Array.length schedule in
-  let stream = snapshot_path <> None in
-  let rc =
-    if stream then
-      Obs.Recorder.create ~capacity:1024 ~clock:Obs.Recorder.Nanoseconds
-        ~workers ()
-    else Obs.Recorder.null
+  let inv =
+    if snapshot_path = None then Obs.Invariants.null
+    else Obs.Invariants.create ~structures:shards ()
   in
   let hl = Obs.Health.create ~workers ~structures:shards () in
   (* One token per schedule slot: the request's index keys its span in
@@ -72,7 +76,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   in
   let pool =
     Runtime.Pool.create
-      ~probe:(Obs.Probe.create ~recorder:rc ~health:hl ~reqtrace:rtr ())
+      ~probe:(Obs.Probe.create ~invariants:inv ~health:hl ~reqtrace:rtr ())
       ~num_workers:workers ()
   in
   let stores =
@@ -112,7 +116,9 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
                  else 0.0) );
           ]
         in
-        let snap = Obs.Snapshot.to_file ~health:hl ~extra rc ~path in
+        let snap =
+          Obs.Snapshot.to_file ~health:hl ~invariants:inv ~extra ~path ()
+        in
         Some
           ( snap,
             Domain.spawn (fun () ->
@@ -158,7 +164,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
       Runtime.Pool.run pool (fun () ->
           let t0 = Obs.Clock.now_ns () in
           t0_ref := t0;
-          dispatch_loop ~t0 ~schedule ~lag:lag_ns ~release:(fun i ->
+          dispatch_loop ~hl ~t0 ~schedule ~lag:lag_ns ~release:(fun i ->
               Obs.Reqtrace.on_release rtr ~token:i
                 ~arrive_ns:(t0 + schedule.(i).Gen.arrive_ns);
               Atomic.incr dispatched;

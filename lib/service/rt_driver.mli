@@ -42,10 +42,15 @@ val run_point :
   shards:int ->
   point
 (** One timed run. [workers] defaults to
-    [Domain.recommended_domain_count ()]; [snapshot_path] attaches an
-    {!Obs.Snapshot} JSONL stream (sampled every 100 ms from a separate
-    domain) carrying goodput and queue-depth gauges for
-    [bin/monitor.exe]; [duration_s] overrides the scenario's.
+    [Domain.recommended_domain_count ()]; [duration_s] overrides the
+    scenario's. [snapshot_path] attaches the online checkers
+    ({!Obs.Invariants}, one per shard) to the probe and streams them
+    with the run's {!Obs.Health} as {!Obs.Snapshot} JSONL (sampled every
+    100 ms from a separate domain), with goodput and queue-depth gauges,
+    for [bin/monitor.exe]. Without it the checkers stay off.
+
+    The dispatcher beats for the worker it holds, so every worker's
+    heartbeat on the stream is fresh while the run is healthy.
 
     [trace] (default false) captures every request's span in an
     {!Obs.Reqtrace} instance (token = schedule index), returned in the

@@ -97,7 +97,9 @@ let test_snapshot_flags_stall () =
   Obs.Health.op_issued hl ~sid:0
     ~now:(Obs.Clock.now_ns () - (2 * Obs.Health.stall_ns));
   let path = Filename.temp_file "health" ".jsonl" in
-  let snap = Obs.Snapshot.to_file ~health:hl Obs.Recorder.null ~path in
+  let snap =
+    Obs.Snapshot.to_file ~health:hl ~invariants:Obs.Invariants.null ~path ()
+  in
   Obs.Snapshot.sample snap;
   Obs.Snapshot.close snap;
   let line = In_channel.with_open_bin path In_channel.input_all in

@@ -217,6 +217,38 @@ let test_steals_suppressed_summary () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "trace with suppressed event invalid: %s" e
 
+(* The runtime counts failed steals instead of recording them. A
+   two-worker pool whose root task spins alone for 20 ms leaves the
+   other worker idle: its misses reach the recording only as
+   Steals_suppressed counts, flushed before a hit or when the worker
+   leaves its loop, so the recording holds no failed Steal event while
+   the attempt total still exceeds the hits. *)
+let test_runtime_misses_counted () =
+  let rc = Obs.Recorder.create ~clock:Obs.Recorder.Nanoseconds ~workers:2 () in
+  let pool =
+    Runtime.Pool.create ~probe:(Obs.Probe.create ~recorder:rc ()) ~num_workers:2 ()
+  in
+  Runtime.Pool.run pool (fun () ->
+      let until = Obs.Clock.now_ns () + 20_000_000 in
+      while Obs.Clock.now_ns () < until do
+        Domain.cpu_relax ()
+      done);
+  Runtime.Pool.teardown pool;
+  check "nothing dropped" 0 (Obs.Recorder.total_dropped rc);
+  List.iter
+    (fun (e : Obs.Recorder.event) ->
+      match e.kind with
+      | Obs.Recorder.Steal { success = false; _ } ->
+          Alcotest.failf "worker %d recorded a failed steal" e.worker
+      | _ -> ())
+    (Obs.Recorder.all_events rc);
+  let s = Obs.Summary.of_recorder rc in
+  check_bool
+    (Printf.sprintf "%d attempts > %d hits" s.Obs.Summary.steal_attempts
+       s.Obs.Summary.steal_successes)
+    true
+    (s.Obs.Summary.steal_attempts > s.Obs.Summary.steal_successes)
+
 let test_recorder_event_readback () =
   let rc = Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:2 () in
   Obs.Recorder.emit_status rc ~worker:0 ~time:1 Obs.Recorder.Pending;
@@ -859,60 +891,76 @@ let test_critpath_sim () =
 (* ---- snapshots ---- *)
 
 let test_snapshot_jsonl () =
-  let rc = Obs.Recorder.create ~clock:Obs.Recorder.Timesteps ~workers:2 () in
+  let hl = Obs.Health.create ~workers:2 ~structures:1 () in
+  let inv = Obs.Invariants.create ~structures:1 () in
+  let probe = Obs.Probe.create ~health:hl ~invariants:inv () in
   let path = Filename.temp_file "snap" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let s = Obs.Snapshot.to_file rc ~path in
-      Obs.Recorder.emit_steal rc ~worker:0 ~time:1 ~victim:1 ~success:false
-        ~batch_deque:false;
-      Obs.Snapshot.sample ~time:1 s;
-      Obs.Recorder.emit_steal rc ~worker:1 ~time:2 ~victim:0 ~success:true
-        ~batch_deque:false;
-      Obs.Recorder.emit_work rc ~worker:1 ~time:3 ~cls:Obs.Recorder.Wcore
-        ~units:2;
-      Obs.Snapshot.sample ~time:3 s;
+      let s = Obs.Snapshot.to_file ~health:hl ~invariants:inv ~path () in
+      let now = Obs.Clock.now_ns () in
+      Obs.Probe.submit probe ~time:now ~worker:0 ~sid:0 ~token:0;
+      Obs.Snapshot.sample s;
+      Obs.Probe.launch probe ~time:now ~worker:1 ~sid:0 ~size:1 ~setup:0 ~cap:2;
+      Obs.Probe.finish probe ~time:now ~worker:1 ~sid:0 ~size:1;
+      Obs.Probe.complete probe ~time:now ~worker:0 ~sid:0 ~token:0 ~issue:now
+        ~launch:now ~finish:now ~seen:1 ~batch_worker:1;
+      Obs.Snapshot.sample s;
       Obs.Snapshot.close s;
       (* Sampling after close must be a no-op, not a crash. *)
-      Obs.Snapshot.sample ~time:4 s;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
+      Obs.Snapshot.sample s;
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
       check "two lines" 2 (List.length lines);
       let parse l =
         match Obs.Json.parse l with
         | Ok j -> j
         | Error e -> Alcotest.failf "bad snapshot line %S: %s" l e
       in
-      let geti key j =
-        match Option.bind (Obs.Json.member key j) Obs.Json.to_float_opt with
+      let rec field keys j =
+        match keys with
+        | [] -> j
+        | k :: rest -> (
+            match Obs.Json.member k j with
+            | Some j' -> field rest j'
+            | None -> Alcotest.failf "snapshot line missing %s" k)
+      in
+      let geti keys j =
+        match Obs.Json.to_float_opt (field keys j) with
         | Some f -> int_of_float f
-        | None -> Alcotest.failf "snapshot line missing %s" key
+        | None -> Alcotest.failf "%s is not a number" (String.concat "." keys)
+      in
+      let structure j k =
+        match Obs.Json.to_list_opt (field [ "health"; "structures" ] j) with
+        | Some [ st ] -> geti [ k ] st
+        | _ -> Alcotest.fail "expected one structure"
       in
       let l1 = parse (List.nth lines 0) and l2 = parse (List.nth lines 1) in
-      check "seq 0" 0 (geti "seq" l1);
-      check "seq 1" 1 (geti "seq" l2);
-      check "t of sample 2" 3 (geti "t" l2);
-      let steal j part =
-        match Obs.Json.member part j with
-        | Some p -> geti "steal" p
-        | None -> Alcotest.failf "missing %s" part
-      in
-      check "totals after 1 steal" 1 (steal l1 "totals");
-      check "totals after 2 steals" 2 (steal l2 "totals");
-      check "delta is 1 new steal" 1 (steal l2 "deltas");
-      let work j part =
-        match Obs.Json.member part j with
-        | Some p -> geti "work" p
-        | None -> Alcotest.failf "missing %s" part
-      in
-      check "work delta" 1 (work l2 "deltas"))
+      List.iter
+        (fun j ->
+          List.iter
+            (fun k ->
+              check_bool ("no " ^ k) true (Obs.Json.member k j = None))
+            [ "dropped"; "totals"; "deltas" ])
+        [ l1; l2 ];
+      check "seq 0" 0 (geti [ "seq" ] l1);
+      check "seq 1" 1 (geti [ "seq" ] l2);
+      check_bool "t counts up from the stream's open" true
+        (0 <= geti [ "t" ] l1 && geti [ "t" ] l1 <= geti [ "t" ] l2);
+      check "op pending on line 1" 1 (structure l1 "pending");
+      check "no checks yet" 0 (geti [ "invariants"; "checks" ] l1);
+      check "op done on line 2" 1 (structure l2 "ops");
+      check "one launch" 1 (structure l2 "launches");
+      check "nothing pending" 0 (structure l2 "pending");
+      check "a launch and a completion checked" 2
+        (geti [ "invariants"; "checks" ] l2);
+      List.iter
+        (fun c -> check ("no " ^ c) 0 (geti [ "invariants"; "violations"; c ] l2))
+        [ "inv1"; "inv2"; "inv3"; "lemma2" ])
 
 (* ---- request-scoped span tracing (Reqtrace) ---- *)
 
@@ -1084,6 +1132,8 @@ let () =
             test_enabled_recorder_no_alloc;
           Alcotest.test_case "steals-suppressed stays truthful" `Quick
             test_steals_suppressed_summary;
+          Alcotest.test_case "runtime misses counted, not recorded" `Quick
+            test_runtime_misses_counted;
           Alcotest.test_case "event readback" `Quick test_recorder_event_readback;
           Alcotest.test_case "clock mismatch rejected" `Quick
             test_recorder_clock_mismatch_rejected;
@@ -1131,7 +1181,7 @@ let () =
       ( "critpath",
         [ Alcotest.test_case "witness and chains" `Quick test_critpath_sim ] );
       ( "snapshot",
-        [ Alcotest.test_case "JSONL lines and deltas" `Quick test_snapshot_jsonl ] );
+        [ Alcotest.test_case "JSONL health lines" `Quick test_snapshot_jsonl ] );
       ( "runtime",
         [ Alcotest.test_case "recording smoke" `Quick test_runtime_recording_smoke ] );
       ( "reqtrace",

@@ -388,6 +388,72 @@ let test_rt_driver_tiny () =
   Alcotest.(check bool) "worst lag within worst latency" true
     (d.Svc.Latency.max_ns <= all.Svc.Latency.max_ns)
 
+(* The live stream, as @service-smoke reads it: [~snapshot_path]
+   attaches the online checkers and streams them with Health. No line
+   carries recorder fields, the checkers ran and found nothing, and
+   every worker, the dispatcher's included, beat within [stall_ns] on
+   every line. *)
+let test_rt_driver_stream () =
+  let sc = smoke () in
+  let path = Filename.temp_file "svc_stream" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore
+        (Svc.Rt_driver.run_point ~workers:2 ~duration_s:0.3 ~snapshot_path:path
+           sc ~shards:1);
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l ->
+               match Obs.Json.parse l with
+               | Ok j -> j
+               | Error e -> Alcotest.failf "unparseable line %S: %s" l e)
+      in
+      Alcotest.(check bool) "a first and a last line" true (List.length lines >= 2);
+      let rec field keys j =
+        match keys with
+        | [] -> j
+        | k :: rest -> (
+            match Obs.Json.member k j with
+            | Some j' -> field rest j'
+            | None -> Alcotest.failf "line missing %s" k)
+      in
+      let int keys j =
+        match field keys j with
+        | Obs.Json.Int i -> i
+        | _ -> Alcotest.failf "%s is not an int" (String.concat "." keys)
+      in
+      List.iter
+        (fun j ->
+          List.iter
+            (fun k ->
+              if Obs.Json.member k j <> None then
+                Alcotest.failf "line %d carries %s" (int [ "seq" ] j) k)
+            [ "dropped"; "totals"; "deltas" ];
+          let stall_ns = int [ "health"; "stall_ns" ] j in
+          match field [ "health"; "workers" ] j with
+          | Obs.Json.List ws ->
+              Alcotest.(check int) "both workers" 2 (List.length ws);
+              List.iter
+                (fun w ->
+                  let age = int [ "beat_age_ns" ] w in
+                  if age >= stall_ns then
+                    Alcotest.failf "line %d: worker %d beat %d ns ago"
+                      (int [ "seq" ] j) (int [ "w" ] w) age)
+                ws
+          | _ -> Alcotest.fail "health.workers is not a list")
+        lines;
+      let last = List.nth lines (List.length lines - 1) in
+      Alcotest.(check bool) "the checkers ran" true
+        (int [ "invariants"; "checks" ] last > 0);
+      List.iter
+        (fun c ->
+          Alcotest.(check int) ("no " ^ c) 0
+            (int [ "invariants"; "violations"; c ] last))
+        [ "inv1"; "inv2"; "inv3"; "lemma2" ])
+
 (* The sweep's offered rate is the generated schedule's, bursts included:
    smoke's 3x bursts offer ~1.5x its base rate, so a rate taken from the
    base made goodput read ~150% of offered. Goodput cannot beat the
@@ -622,11 +688,11 @@ let qcheck_of_samples_is_digest =
 
 let test_snapshot_extra_fields () =
   let path = Filename.temp_file "svc_snap" ".jsonl" in
-  let rc = Obs.Recorder.create ~capacity:64 ~clock:Obs.Recorder.Nanoseconds ~workers:1 () in
+  let hl = Obs.Health.create ~workers:1 ~structures:1 () in
   let snap =
-    Obs.Snapshot.to_file
+    Obs.Snapshot.to_file ~health:hl ~invariants:Obs.Invariants.null
       ~extra:(fun () -> [ ("svc_queue_depth", Obs.Json.Int 17) ])
-      rc ~path
+      ~path ()
   in
   Obs.Snapshot.sample snap;
   Obs.Snapshot.close snap;
@@ -634,12 +700,22 @@ let test_snapshot_extra_fields () =
   let line = input_line ic in
   close_in ic;
   Sys.remove path;
-  (match Obs.Json.parse line with
-  | Ok j -> (
-      match Obs.Json.member "svc_queue_depth" j with
+  match Obs.Json.parse line with
+  | Ok (Obs.Json.Obj fields as j) ->
+      Alcotest.(check (list string))
+        "extras follow the health and checker fields"
+        [ "seq"; "t"; "health"; "invariants"; "svc_queue_depth" ]
+        (List.map fst fields);
+      (match Obs.Json.member "svc_queue_depth" j with
       | Some (Obs.Json.Int 17) -> ()
-      | _ -> Alcotest.fail "extra field missing or wrong")
-  | Error e -> Alcotest.fail ("unparseable snapshot line: " ^ e))
+      | _ -> Alcotest.fail "extra field wrong");
+      (match Obs.Json.member "health" j with
+      | Some (Obs.Json.Obj _) -> ()
+      | _ -> Alcotest.fail "health field missing");
+      if Obs.Json.member "invariants" j <> Some Obs.Json.Null then
+        Alcotest.fail "checkers off, but their field is not null"
+  | Ok _ -> Alcotest.fail "snapshot line is not an object"
+  | Error e -> Alcotest.fail ("unparseable snapshot line: " ^ e)
 
 (* ---------- Openloop golden digests ---------- *)
 
@@ -792,6 +868,8 @@ let () =
           Alcotest.test_case "sim point minor words" `Quick
             test_sim_driver_words;
           Alcotest.test_case "runtime tiny point" `Quick test_rt_driver_tiny;
+          Alcotest.test_case "runtime health stream" `Quick
+            test_rt_driver_stream;
           Alcotest.test_case "sweep offered rate counts bursts" `Quick
             test_sweep_offered_counts_bursts;
           Alcotest.test_case "sweep knee status" `Quick test_sweep_knee_status;
