@@ -94,7 +94,12 @@ let alloc t h =
       let o = t.top and len = Array.length t.arena in
       if link o h > len then begin
         let a = Array.make (Int.max (link o h) (2 * len)) 0 in
-        Array.blit t.arena 0 a 0 o;
+        (* A loop, not [Array.blit]: a blit into an array in the major
+           heap writes every word through [caml_modify]. *)
+        let old = t.arena in
+        for i = 0 to o - 1 do
+          a.(i) <- old.(i)
+        done;
         t.arena <- a
       end;
       t.top <- link o h;

@@ -24,7 +24,12 @@ let resize t new_capacity =
   let new_capacity = max initial_capacity new_capacity in
   if new_capacity <> Array.length t.data then begin
     let data = Array.make new_capacity 0 in
-    Array.blit t.data 0 data 0 t.size;
+    (* A loop, not [Array.blit]: a blit into an array in the major heap
+       writes every word through [caml_modify]. *)
+    let old = t.data in
+    for i = 0 to t.size - 1 do
+      data.(i) <- old.(i)
+    done;
     t.data <- data
   end
 

@@ -61,8 +61,9 @@ val classes : t -> int
 
 val on_release : t -> token:int -> arrive_ns:int -> unit
 (** The dispatcher released the request. [arrive_ns] is the {e
-    scheduled} arrival on the raw monotonic-ns basis ([t0 +
-    Gen.arrive_ns]); latency and queue-wait are measured from it. *)
+    scheduled} arrival on the raw monotonic-ns basis ([t0 +] the
+    request's entry in [Gen.requests.arrive_ns]); latency and
+    queue-wait are measured from it. *)
 
 val on_start : t -> token:int -> cls:int -> worker:int -> unit
 (** The serve task began running on [worker]. *)

@@ -8,7 +8,8 @@ let class_name = function
 
 let class_index = function Get -> 0 | Put -> 1 | Delete -> 2 | Range -> 3
 let n_classes = 4
-let class_names = Array.map class_name [| Get; Put; Delete; Range |]
+let classes = [| Get; Put; Delete; Range |]
+let class_names = Array.map class_name classes
 
 type mix = { get : float; put : float; delete : float; range : float }
 
@@ -175,7 +176,36 @@ let expected_rate t =
   | None -> t.rate
   | Some b -> t.rate *. (b.off_s +. (b.mult *. b.on_s)) /. (b.off_s +. b.on_s)
 
-type request = { arrive_ns : int; cls : op_class; key : int; key2 : int }
+type requests = {
+  arrive_ns : int array;
+  cls : int array;
+  key : int array;
+  key2 : int array;
+}
+
+let length r = Array.length r.arrive_ns
+let op_class r i = classes.(r.cls.(i))
+
+let columns n =
+  {
+    arrive_ns = Array.make n 0;
+    cls = Array.make n 0;
+    key = Array.make n 0;
+    key2 = Array.make n 0;
+  }
+
+(* Columns of [n] requests holding the first [min n (length r)] of [r].
+   The copy is a loop over [int array]s: [Array.blit] into an array in
+   the major heap writes through [caml_modify]. *)
+let resize r n =
+  let r' = columns n in
+  for i = 0 to min n (length r) - 1 do
+    r'.arrive_ns.(i) <- r.arrive_ns.(i);
+    r'.cls.(i) <- r.cls.(i);
+    r'.key.(i) <- r.key.(i);
+    r'.key2.(i) <- r.key2.(i)
+  done;
+  r'
 
 (* One Exp(1) draw; [uniform] is in [0, 1), so the argument of [log]
    is in (0, 1] and the result is finite and nonnegative. *)
@@ -266,38 +296,44 @@ let draw_class s =
   else if r < s.g.cum.(2) then Delete
   else Range
 
-let next_request s =
-  let arrive_ns = next_arrival_ns s in
+(* Request [i]'s draws after its arrival, in the stream's order: class,
+   key, then key2. *)
+let draw_rest s r i =
   let cls = draw_class s in
   let key = draw_key s in
-  let key2 =
-    match cls with
+  r.cls.(i) <- class_index cls;
+  r.key.(i) <- key;
+  r.key2.(i) <-
+    (match cls with
     | Range -> key + s.g.range_width
     | Put -> Util.Rng.int s.rng 1_000_000
-    | Get | Delete -> 0
-  in
-  { arrive_ns; cls; key; key2 }
+    | Get | Delete -> 0)
 
 let generate t ~duration_s =
   if duration_s <= 0.0 then invalid_arg "Gen.generate: duration_s > 0";
   let horizon = duration_s *. 1e9 in
   let s = stream_of t in
-  let out = ref [] in
-  let count = ref 0 in
+  (* The columns double when full; one last copy trims them. *)
+  let r = ref (columns 1024) and n = ref 0 in
   let stop = ref false in
   while not !stop do
-    let r = next_request s in
-    if float_of_int r.arrive_ns < horizon then begin
-      out := r :: !out;
-      incr count
+    let at = next_arrival_ns s in
+    if float_of_int at < horizon then begin
+      if !n = length !r then r := resize !r (2 * !n);
+      !r.arrive_ns.(!n) <- at;
+      draw_rest s !r !n;
+      incr n
     end
     else stop := true
   done;
-  let a = Array.make !count { arrive_ns = 0; cls = Get; key = 0; key2 = 0 } in
-  List.iteri (fun i r -> a.(!count - 1 - i) <- r) !out;
-  a
+  resize !r !n
 
 let generate_n t ~n =
   if n < 0 then invalid_arg "Gen.generate_n: n >= 0";
   let s = stream_of t in
-  Array.init n (fun _ -> next_request s)
+  let r = columns n in
+  for i = 0 to n - 1 do
+    r.arrive_ns.(i) <- next_arrival_ns s;
+    draw_rest s r i
+  done;
+  r

@@ -72,20 +72,29 @@ val make :
 val expected_rate : t -> float
 (** Long-run mean arrival rate, requests/second, bursts included. *)
 
-type request = {
-  arrive_ns : int;  (** scheduled arrival, ns from time 0 — fixed at
-                        generation; latency is measured from here *)
-  cls : op_class;
-  key : int;  (** in [0, n_keys); for [Range], the interval start *)
-  key2 : int;  (** [Put]: the value; [Range]: the exclusive end *)
+type requests = {
+  arrive_ns : int array;
+      (** scheduled arrival, ns from time 0 — fixed at generation;
+          latency is measured from here *)
+  cls : int array;  (** a {!class_index} *)
+  key : int array;  (** in [0, n_keys); for [Range], the interval start *)
+  key2 : int array;  (** [Put]: the value; [Range]: the exclusive end *)
 }
+(** A request stream as columns: request [i] is the [i]th entry of
+    each. Every column is an array of immediates, so the stream is
+    four blocks however long it is. *)
 
-val generate : t -> duration_s:float -> request array
+val length : requests -> int
+
+val op_class : requests -> int -> op_class
+(** [op_class r i] is request [i]'s class. *)
+
+val generate : t -> duration_s:float -> requests
 (** All requests with [arrive_ns < duration_s · 1e9], in arrival
     order. A fresh internal stream each call: generating twice from
-    the same [t] gives identical arrays. *)
+    the same [t] gives identical columns. *)
 
-val generate_n : t -> n:int -> request array
+val generate_n : t -> n:int -> requests
 (** The first [n] requests of the same stream. *)
 
 (* ---- exposed for the statistical tests ---- *)

@@ -9,7 +9,7 @@ type point = {
   max_batch : int;
   stalls : int;
   slo_burns : int;
-  lag_ns : float array;  (* dispatcher lateness per request *)
+  lag_ns : int array;  (* dispatcher lateness per request *)
   trace : Obs.Reqtrace.t;  (* per-request spans; null unless ?trace *)
 }
 
@@ -21,8 +21,8 @@ type point = {
    its worker until the last release and never returns to the pool's
    scheduling loop, so it beats for that worker itself; the root task
    may have been stolen, so it asks the pool which worker that is. *)
-let dispatch_loop ~hl ~t0 ~schedule ~lag ~release =
-  let n = Array.length schedule in
+let dispatch_loop ~hl ~t0 ~arrive_ns ~lag ~release =
+  let n = Array.length arrive_ns in
   let worker =
     match Runtime.Pool.worker_index () with Some w -> w | None -> -1
   in
@@ -30,15 +30,13 @@ let dispatch_loop ~hl ~t0 ~schedule ~lag ~release =
   while !i < n do
     Obs.Health.beat hl ~worker;
     let now = Obs.Clock.now_ns () in
-    while
-      !i < n && t0 + (schedule.(!i) : Gen.request).Gen.arrive_ns <= now
-    do
-      lag.(!i) <- float_of_int (now - (t0 + schedule.(!i).Gen.arrive_ns));
+    while !i < n && t0 + arrive_ns.(!i) <= now do
+      lag.(!i) <- now - (t0 + arrive_ns.(!i));
       release !i;
       incr i
     done;
     if !i < n then begin
-      let gap = t0 + schedule.(!i).Gen.arrive_ns - Obs.Clock.now_ns () in
+      let gap = t0 + arrive_ns.(!i) - Obs.Clock.now_ns () in
       if gap > 100_000 then Unix.sleepf (float_of_int (gap - 50_000) /. 1e9)
       else if gap > 0 then Domain.cpu_relax ()
     end
@@ -60,7 +58,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   in
   let n_keys = min sc.Scenario.n_keys sc.Scenario.rt_keys_cap in
   let schedule = Gen.generate (Scenario.gen_rt sc) ~duration_s in
-  let n = Array.length schedule in
+  let n = Gen.length schedule in
   let inv =
     if snapshot_path = None then Obs.Invariants.null
     else Obs.Invariants.create ~structures:shards ()
@@ -68,7 +66,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   let hl = Obs.Health.create ~workers ~structures:shards () in
   (* One token per schedule slot: the request's index keys its span in
      the flat capture arrays. *)
-  let lag_ns = Array.make n 0.0 in
+  let lag_ns = Array.make n 0 in
   let rtr =
     if trace then
       Obs.Reqtrace.create ~workers ~classes:Gen.n_classes ~capacity:n ()
@@ -95,7 +93,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   (* Per request, by token: its latency. The task that serves a request
      is its slot's only writer, and the array is read only after
      [Pool.run] has awaited every promise. *)
-  let lat_ns = Array.make n 0.0 in
+  let lat_ns = Array.make n 0 in
   let elapsed = ref 0 in
   let stop = Atomic.make false in
   let sampler =
@@ -136,12 +134,12 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   in
   Fun.protect ~finally:finish (fun () ->
       let promises = Array.make n None in
-      let serve token (r : Gen.request) () =
-        let c = Gen.class_index r.Gen.cls in
+      let serve token () =
+        let c = schedule.Gen.cls.(token) in
         (match Runtime.Pool.worker_index () with
         | Some w -> Obs.Reqtrace.on_start rtr ~token ~cls:c ~worker:w
         | None -> Obs.Reqtrace.on_start rtr ~token ~cls:c ~worker:0);
-        let op = S.op_of r in
+        let op = S.op_of schedule token in
         (match S.plan ~shards op with
         | Batched.Shard.Point s ->
             Runtime.Shard_rt.batchify ~token srt ~shard:s op
@@ -150,11 +148,12 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
                start key's shard; the join over the rest is charged to
                the span's sched_post residual. *)
             Runtime.Shard_rt.scatter ~token
-              ~token_shard:(Batched.Shard.route ~shards r.Gen.key)
+              ~token_shard:
+                (Batched.Shard.route ~shards schedule.Gen.key.(token))
               srt sub;
             merge ());
         lat_ns.(token) <-
-          float_of_int (Obs.Clock.now_ns () - (!t0_ref + r.Gen.arrive_ns));
+          Obs.Clock.now_ns () - (!t0_ref + schedule.Gen.arrive_ns.(token));
         let w =
           match Runtime.Pool.worker_index () with Some w -> w | None -> 0
         in
@@ -164,20 +163,17 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
       Runtime.Pool.run pool (fun () ->
           let t0 = Obs.Clock.now_ns () in
           t0_ref := t0;
-          dispatch_loop ~hl ~t0 ~schedule ~lag:lag_ns ~release:(fun i ->
+          dispatch_loop ~hl ~t0 ~arrive_ns:schedule.Gen.arrive_ns ~lag:lag_ns
+            ~release:(fun i ->
               Obs.Reqtrace.on_release rtr ~token:i
-                ~arrive_ns:(t0 + schedule.(i).Gen.arrive_ns);
+                ~arrive_ns:(t0 + schedule.Gen.arrive_ns.(i));
               Atomic.incr dispatched;
-              promises.(i) <-
-                Some (Runtime.Pool.async pool (serve i schedule.(i))));
+              promises.(i) <- Some (Runtime.Pool.async pool (serve i)));
           Array.iter
             (function
               | Some p -> Runtime.Pool.await pool p | None -> ())
             promises;
           elapsed := Obs.Clock.now_ns () - t0));
-  let cls =
-    Array.map (fun (r : Gen.request) -> Gen.class_index r.Gen.cls) schedule
-  in
   let st = Runtime.Shard_rt.total_stats srt in
   let slo_burns = ref 0 in
   for sid = 0 to shards - 1 do
@@ -193,7 +189,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
     elapsed_ns;
     goodput =
       (if elapsed_ns > 0.0 then float_of_int n /. (elapsed_ns /. 1e9) else 0.0);
-    classes = Latency.of_samples ~cls lat_ns;
+    classes = Latency.of_samples ~cls:schedule.Gen.cls lat_ns;
     batches = st.Runtime.Batcher_rt.batches;
     max_batch = st.Runtime.Batcher_rt.max_batch;
     stalls = Obs.Health.stall_count hl;

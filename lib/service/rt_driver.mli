@@ -21,7 +21,7 @@ type point = {
   max_batch : int;
   stalls : int;  (** {!Obs.Health} stall episodes *)
   slo_burns : int;  (** end-to-end phase SLO burns, summed over shards *)
-  lag_ns : float array;
+  lag_ns : int array;
       (** per request, in schedule order: how late the dispatcher
           released it, [now - (t0 + arrive_ns)] from the clock read
           that released it (>= 0). Digest it with {!Latency.digest};

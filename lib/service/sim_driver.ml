@@ -20,33 +20,27 @@ let run_point ?(trace = false) (sc : Scenario.t) ~p =
   let shards = sc.Scenario.sim_shards in
   let unit_ns = sc.Scenario.sim_ns_per_unit in
   let reqs = Gen.generate_n (Scenario.gen_sim sc) ~n:sc.Scenario.sim_requests in
+  let n = Gen.length reqs in
   (* Range requests route by their start key as point submissions: the
      virtual-clock engine has no scatter/merge, and charging the full
      batch protocol on one shard is the load that matters here. The
      runtime leg executes the real fan-out. *)
-  let olreqs =
-    Array.map
-      (fun (r : Gen.request) ->
-        {
-          Sim.Openloop.at = r.Gen.arrive_ns / unit_ns;
-          shard = Batched.Shard.route ~shards r.Gen.key;
-          cls = Gen.class_index r.Gen.cls;
-        })
-      reqs
-  in
+  let at = Array.make n 0 and shard = Array.make n 0 in
+  for i = 0 to n - 1 do
+    at.(i) <- reqs.Gen.arrive_ns.(i) / unit_ns;
+    shard.(i) <- Batched.Shard.route ~shards reqs.Gen.key.(i)
+  done;
   let models =
     Array.init shards (fun i -> S.model ~n_keys:sc.Scenario.n_keys ~shards i)
   in
   let cfg = Sim.Openloop.config ~p ~shards () in
-  let res = Sim.Openloop.run cfg ~models olreqs in
-  let n = Array.length res.Sim.Openloop.waits in
-  let cls = Array.make n 0 and lat_ns = Array.make n 0.0 in
+  let res = Sim.Openloop.run cfg ~models ~at ~shard in
+  let lat_ns = Array.make n 0 in
   let wait_max = ref 0 in
   for i = 0 to n - 1 do
     let w = res.Sim.Openloop.waits.(i) in
     if w > !wait_max then wait_max := w;
-    cls.(i) <- olreqs.(i).Sim.Openloop.cls;
-    lat_ns.(i) <- float_of_int (w * unit_ns)
+    lat_ns.(i) <- w * unit_ns
   done;
   (* The virtual-clock anatomy is two phases — pending-wait (arrival to
      batch launch) and batch-exec (launch to completion); the engine
@@ -61,10 +55,8 @@ let run_point ?(trace = false) (sc : Scenario.t) ~p =
     for i = 0 to n - 1 do
       let w = res.Sim.Openloop.waits.(i)
       and lw = res.Sim.Openloop.launch_waits.(i) in
-      Obs.Reqtrace.record_sim rtr ~token:i
-        ~cls:olreqs.(i).Sim.Openloop.cls
-        ~sid:olreqs.(i).Sim.Openloop.shard
-        ~arrive_ns:(olreqs.(i).Sim.Openloop.at * unit_ns)
+      Obs.Reqtrace.record_sim rtr ~token:i ~cls:reqs.Gen.cls.(i)
+        ~sid:shard.(i) ~arrive_ns:(at.(i) * unit_ns)
         ~pending_ns:(lw * unit_ns)
         ~exec_ns:((w - lw) * unit_ns)
         ~seen:res.Sim.Openloop.batches_seen.(i)
@@ -99,7 +91,7 @@ let run_point ?(trace = false) (sc : Scenario.t) ~p =
     requests = n;
     makespan_ns;
     goodput = (if makespan_ns > 0.0 then float_of_int n /. (makespan_ns /. 1e9) else 0.0);
-    classes = Latency.of_samples ~cls lat_ns;
+    classes = Latency.of_samples ~cls:reqs.Gen.cls lat_ns;
     batches = res.Sim.Openloop.batches;
     max_batch = res.Sim.Openloop.max_batch;
     max_batches_seen = res.Sim.Openloop.max_batches_seen;

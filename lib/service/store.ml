@@ -6,7 +6,7 @@ module type STORE = sig
   val supports_range : bool
   val create : seed:int -> shard:int -> t
   val prepopulate : t -> shards:int -> shard:int -> n_keys:int -> unit
-  val op_of : Gen.request -> op
+  val op_of : Gen.requests -> int -> op
   val plan : shards:int -> op -> op Batched.Shard.plan
   val run_batch : Runtime.Pool.t -> t -> op array -> unit
   val model : n_keys:int -> shards:int -> int -> Batched.Model.t
@@ -35,12 +35,13 @@ module Skiplist_store = struct
     prepop_loop ~shards ~shard ~n_keys (fun k ->
         ignore (Batched.Skiplist.insert_seq t k))
 
-  let op_of (r : Gen.request) =
-    match r.cls with
-    | Gen.Get -> Batched.Skiplist.mem r.key
-    | Gen.Put -> Batched.Skiplist.insert r.key
-    | Gen.Delete -> Batched.Skiplist.delete r.key
-    | Gen.Range -> Batched.Skiplist.range ~lo:r.key ~hi:r.key2
+  let op_of (r : Gen.requests) i =
+    let key = r.key.(i) in
+    match Gen.op_class r i with
+    | Gen.Get -> Batched.Skiplist.mem key
+    | Gen.Put -> Batched.Skiplist.insert key
+    | Gen.Delete -> Batched.Skiplist.delete key
+    | Gen.Range -> Batched.Skiplist.range ~lo:key ~hi:r.key2.(i)
 
   let plan = Batched.Shard.skiplist.Batched.Shard.plan
 
@@ -66,11 +67,12 @@ module Hashtable_store = struct
     prepop_loop ~shards ~shard ~n_keys (fun k ->
         ignore (Batched.Hashtable.insert_seq t ~key:k ~value:k))
 
-  let op_of (r : Gen.request) =
-    match r.cls with
-    | Gen.Get | Gen.Range -> Batched.Hashtable.lookup r.key
-    | Gen.Put -> Batched.Hashtable.insert ~key:r.key ~value:r.key2
-    | Gen.Delete -> Batched.Hashtable.remove r.key
+  let op_of (r : Gen.requests) i =
+    let key = r.key.(i) in
+    match Gen.op_class r i with
+    | Gen.Get | Gen.Range -> Batched.Hashtable.lookup key
+    | Gen.Put -> Batched.Hashtable.insert ~key ~value:r.key2.(i)
+    | Gen.Delete -> Batched.Hashtable.remove key
 
   let plan = Batched.Shard.hashtable.Batched.Shard.plan
   let run_batch _pool t ops = Batched.Hashtable.run_batch t ops
@@ -89,11 +91,12 @@ module Two_three_store = struct
     prepop_loop ~shards ~shard ~n_keys (fun k ->
         t := Batched.Two_three.insert !t k)
 
-  let op_of (r : Gen.request) =
-    match r.cls with
-    | Gen.Get | Gen.Range -> Batched.Two_three.mem_op r.key
-    | Gen.Put -> Batched.Two_three.insert_op r.key
-    | Gen.Delete -> Batched.Two_three.delete_op r.key
+  let op_of (r : Gen.requests) i =
+    let key = r.key.(i) in
+    match Gen.op_class r i with
+    | Gen.Get | Gen.Range -> Batched.Two_three.mem_op key
+    | Gen.Put -> Batched.Two_three.insert_op key
+    | Gen.Delete -> Batched.Two_three.delete_op key
 
   let op_key = function
     | Batched.Two_three.Insert r -> r.Batched.Two_three.key

@@ -27,7 +27,8 @@ module type STORE = sig
   (** Sequentially insert the even keys of [0, n_keys) owned by
       [shard] under {!Batched.Shard.route}. *)
 
-  val op_of : Gen.request -> op
+  val op_of : Gen.requests -> int -> op
+  (** [op_of r i] is request [i]'s operation. *)
 
   val plan : shards:int -> op -> op Batched.Shard.plan
 

@@ -1,5 +1,3 @@
-type req = { at : int; shard : int; cls : int }
-
 type config = { p : int; shards : int; batch_cap : int }
 
 let config ?batch_cap ~p ~shards () =
@@ -39,30 +37,31 @@ type shard_state = {
   mutable bop_span : int;
 }
 
-let run cfg ~models reqs =
+let run cfg ~models ~at ~shard =
   if cfg.p < 1 then invalid_arg "Openloop.run: p >= 1";
   if cfg.shards < 1 then invalid_arg "Openloop.run: shards >= 1";
   if cfg.batch_cap < 1 then invalid_arg "Openloop.run: batch_cap >= 1";
   if Array.length models <> cfg.shards then
     invalid_arg "Openloop.run: one model per shard";
+  let n = Array.length at in
+  if Array.length shard <> n then
+    invalid_arg "Openloop.run: one shard per arrival";
   Array.iter (fun m -> m.Batched.Model.reset ()) models;
-  let n = Array.length reqs in
-  Array.iter
-    (fun r ->
-      if r.shard < 0 || r.shard >= cfg.shards then
-        invalid_arg "Openloop.run: request shard out of range";
-      if r.at < 0 then invalid_arg "Openloop.run: negative arrival time")
-    reqs;
+  for i = 0 to n - 1 do
+    if shard.(i) < 0 || shard.(i) >= cfg.shards then
+      invalid_arg "Openloop.run: request shard out of range";
+    if at.(i) < 0 then invalid_arg "Openloop.run: negative arrival time"
+  done;
   (* Arrival order; stable so same-instant requests keep input order
      (determinism — FIFO admission must not depend on sort internals).
      A stream already in order, as Gen makes it, skips the sort. *)
   let order = Array.init n (fun i -> i) in
   let in_order = ref true in
   for i = 1 to n - 1 do
-    if reqs.(i).at < reqs.(i - 1).at then in_order := false
+    if at.(i) < at.(i - 1) then in_order := false
   done;
   if not !in_order then
-    Array.stable_sort (fun i j -> Int.compare reqs.(i).at reqs.(j).at) order;
+    Array.stable_sort (fun i j -> Int.compare at.(i) at.(j)) order;
   let shards =
     Array.init cfg.shards (fun _ ->
         {
@@ -141,8 +140,8 @@ let run cfg ~models reqs =
     assert s.busy;
     for k = 0 to Array.length s.members - 1 do
       let i = s.members.(k) in
-      waits.(i) <- s.done_at - reqs.(i).at;
-      launch_waits.(i) <- s.launched_at - reqs.(i).at;
+      waits.(i) <- s.done_at - at.(i);
+      launch_waits.(i) <- s.launched_at - at.(i);
       let seen = s.launches - launches_at_arrival.(i) in
       batches_seen.(i) <- seen;
       if seen > !max_seen then max_seen := seen;
@@ -156,7 +155,7 @@ let run cfg ~models reqs =
   let next_arrival = ref 0 in
   while !completed < n do
     let t_arr =
-      if !next_arrival < n then reqs.(order.(!next_arrival)).at else max_int
+      if !next_arrival < n then at.(order.(!next_arrival)) else max_int
     in
     let t_done = ref max_int and done_sid = ref (-1) in
     for sid = 0 to cfg.shards - 1 do
@@ -173,8 +172,8 @@ let run cfg ~models reqs =
     else begin
       let i = order.(!next_arrival) in
       incr next_arrival;
-      let r = reqs.(i) in
-      let s = shards.(r.shard) in
+      let sid = shard.(i) in
+      let s = shards.(sid) in
       (* A batch already in flight at arrival counts toward the
          request's batches-seen (Lemma 2 counts it: ≤ 2 means one
          in-flight plus one's own when the system keeps up). *)
@@ -184,7 +183,7 @@ let run cfg ~models reqs =
       s.len <- s.len + 1;
       incr in_system;
       if !in_system > !max_in_system then max_in_system := !in_system;
-      try_launch r.shard r.at
+      try_launch sid at.(i)
     end
   done;
   {

@@ -22,14 +22,8 @@
     underestimates available workers, never the other way).
 
     Everything is deterministic: same config, models, and request
-    array give byte-identical results. P is just an integer here, so a
+    arrays give byte-identical results. P is just an integer here, so a
     sweep to hundreds of workers is honest on a 1-CPU box. *)
-
-type req = {
-  at : int;  (** scheduled arrival, in cost units from time 0 *)
-  shard : int;  (** owning shard, in [0, shards) *)
-  cls : int;  (** opaque op-class label, reported back per request *)
-}
 
 type config = {
   p : int;  (** workers *)
@@ -42,7 +36,7 @@ val config : ?batch_cap:int -> p:int -> shards:int -> unit -> config
 
 type result = {
   waits : int array;
-      (** per request (same index as the input array): completion time
+      (** per request (same index as the input arrays): completion time
           minus scheduled arrival — end-to-end, queueing included *)
   launch_waits : int array;
       (** per request: its batch's launch time minus scheduled arrival
@@ -69,10 +63,15 @@ type result = {
   max_in_system : int;  (** peak arrived-but-not-completed count *)
 }
 
-val run : config -> models:Batched.Model.t array -> req array -> result
-(** Simulate to completion (the arrival process is finite; every
+val run :
+  config -> models:Batched.Model.t array -> at:int array -> shard:int array ->
+  result
+(** [run cfg ~models ~at ~shard]: request [i] arrives at [at.(i)], in
+    cost units from time 0, on shard [shard.(i)], in [\[0, shards)].
+    Simulate to completion (the arrival process is finite; every
     request is eventually served). [models.(i)] is shard [i]'s cost
     model ([Array.length models = shards]); models are [reset] before
-    the run. The request array need not be sorted; it is processed in
-    arrival order. Raises [Invalid_argument] on a request with a shard
-    out of range or a negative arrival time. *)
+    the run. The arrivals need not be sorted; requests are processed
+    in arrival order, same-instant ones in index order. Raises
+    [Invalid_argument] when [at] and [shard] differ in length, on a
+    shard out of range or on a negative arrival time. *)

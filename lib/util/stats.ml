@@ -66,86 +66,126 @@ let merge_into (src : float array) (dst : float array) lo mid hi =
   if !i < mid then Array.blit src !i dst !k (mid - !i)
   else Array.blit src !j dst !k (hi - !j)
 
-(* Merge adjacent ascending runs of [a] pairwise, round by round, until
-   one is left. Run [r] is [a.(bounds.(r) .. bounds.(r+1) - 1)] for
-   [r < runs]; [bounds.(runs) = Array.length a]. [bounds] is
-   overwritten. *)
-let merge_runs (a : float array) bounds runs =
-  let n = Array.length a in
-  let src = ref a in
-  let dst = ref (if runs > 1 then Array.create_float n else a) in
-  let runs = ref runs in
-  while !runs > 1 do
-    let s = !src and d = !dst in
-    let r = ref 0 in
-    while !r < !runs do
-      let lo = bounds.(!r) in
-      if !r + 1 < !runs then
-        merge_into s d lo bounds.(!r + 1) bounds.(!r + 2)
-      else Array.blit s lo d lo (n - lo);
-      (* The merged run starts where its left half did. *)
-      bounds.(!r / 2) <- lo;
-      r := !r + 2
-    done;
-    runs := (!runs + 1) / 2;
-    bounds.(!runs) <- n;
-    src := d;
-    dst := s
-  done;
-  if !src != a then Array.blit !src 0 a 0 n
-
 let run_len = 16
 
 let sort (a : float array) =
   let n = Array.length a in
-  let runs = (n + run_len - 1) / run_len in
-  let bounds = Array.make (runs + 1) n in
-  for r = 0 to runs - 1 do
-    let lo = r * run_len in
-    let hi = min n (lo + run_len) in
-    bounds.(r) <- lo;
-    for i = lo + 1 to hi - 1 do
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + run_len) in
+    for i = !lo + 1 to hi - 1 do
       let x = a.(i) in
       let j = ref (i - 1) in
-      while !j >= lo && lt x a.(!j) do
+      while !j >= !lo && lt x a.(!j) do
         a.(!j + 1) <- a.(!j);
         decr j
       done;
       a.(!j + 1) <- x
-    done
+    done;
+    lo := hi
   done;
-  merge_runs a bounds runs
+  (* Merge adjacent runs pairwise, round by round, until one is left. *)
+  if n > run_len then begin
+    let src = ref a and dst = ref (Array.create_float n) in
+    let width = ref run_len in
+    while !width < n do
+      let s = !src and d = !dst in
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
+        merge_into s d !lo mid hi;
+        lo := hi
+      done;
+      width := 2 * !width;
+      src := d;
+      dst := s
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+  end
 
-let merge sorted =
-  let runs = Array.length sorted in
-  let bounds = Array.make (runs + 1) 0 in
-  for r = 0 to runs - 1 do
-    bounds.(r + 1) <- bounds.(r) + Array.length sorted.(r)
+(* ---- integer sort ----
+
+   LSD radix sort on 8-bit digits. Flipping the sign bit maps the ints
+   in signed order onto the unsigned ones in the same order, so every
+   int sorts, negatives included. The digits above the highest bit
+   where the smallest and largest input differ are the same for every
+   input, so the passes stop there: inputs in [0, 2^32) take at most
+   four. Each pass is a counting pass and a stable scatter between the
+   array and one scratch buffer; both are [int array]s, so no store
+   goes through the write barrier. *)
+
+let digit_bits = 8
+let digit_mask = (1 lsl digit_bits) - 1
+
+let radix_sort (a : int array) =
+  let n = Array.length a in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    let x = a.(i) in
+    if x < !lo then lo := x;
+    if x > !hi then hi := x
   done;
-  let a = Array.create_float bounds.(runs) in
-  Array.iteri
-    (fun r s -> Array.blit s 0 a bounds.(r) (Array.length s))
-    sorted;
-  merge_runs a bounds runs;
-  a
+  (* No pass when every element is equal, nor for fewer than two. *)
+  let passes = ref 0 and varying = ref (if n > 1 then !lo lxor !hi else 0) in
+  while !varying <> 0 do
+    incr passes;
+    varying := !varying lsr digit_bits
+  done;
+  if !passes > 0 then begin
+    let count = Array.make (1 lsl digit_bits) 0 in
+    let src = ref a and dst = ref (Array.make n 0) in
+    for pass = 0 to !passes - 1 do
+      let s = !src and d = !dst and shift = pass * digit_bits in
+      Array.fill count 0 (Array.length count) 0;
+      for i = 0 to n - 1 do
+        let b = ((s.(i) lxor min_int) lsr shift) land digit_mask in
+        count.(b) <- count.(b) + 1
+      done;
+      (* Counts to the first slot of each digit's run. *)
+      let next = ref 0 in
+      for b = 0 to digit_mask do
+        let c = count.(b) in
+        count.(b) <- !next;
+        next := !next + c
+      done;
+      for i = 0 to n - 1 do
+        let x = s.(i) in
+        let b = ((x lxor min_int) lsr shift) land digit_mask in
+        d.(count.(b)) <- x;
+        count.(b) <- count.(b) + 1
+      done;
+      src := d;
+      dst := s
+    done;
+    if !src != a then begin
+      let s = !src in
+      for i = 0 to n - 1 do
+        a.(i) <- s.(i)
+      done
+    end
+  end
 
-let percentile_sorted sorted q =
-  if Array.length sorted = 0 then invalid_arg "Stats.percentile: empty";
+(* Linear interpolation at quantile [q] between the order statistics of
+   [n] sorted samples, [get i] being the [i]th smallest. *)
+let[@inline] interpolate n get q =
+  if n = 0 then invalid_arg "Stats.percentile: empty";
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.percentile: q out of range";
-  let n = Array.length sorted in
   let pos = q *. float_of_int (n - 1) in
   let lo = int_of_float (floor pos) in
   let hi = int_of_float (ceil pos) in
-  if lo = hi then sorted.(lo)
+  if lo = hi then get lo
   else begin
     let frac = pos -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+    (get lo *. (1.0 -. frac)) +. (get hi *. frac)
   end
+
+let percentile_sorted_int sorted q =
+  interpolate (Array.length sorted) (fun i -> float_of_int sorted.(i)) q
 
 let percentile xs q =
   let sorted = Array.copy xs in
   sort sorted;
-  percentile_sorted sorted q
+  interpolate (Array.length sorted) (fun i -> sorted.(i)) q
 
 let summarize xs =
   let n = Array.length xs in

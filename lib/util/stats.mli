@@ -1,6 +1,7 @@
-(** Summary statistics over float samples, used by experiment reports
-    and latency digests. Nothing here boxes a sample: the loops and the
-    sort read the arrays unboxed. *)
+(** Summary statistics over float samples, used by experiment reports,
+    and the integer sort and quantiles latency digests read. Nothing
+    here boxes a sample: the loops and the sorts read the arrays
+    unboxed. *)
 
 type summary = {
   n : int;
@@ -22,10 +23,11 @@ val stddev : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs q] for [q] in [0,1], linear interpolation. *)
 
-val percentile_sorted : float array -> float -> float
-(** [percentile_sorted sorted q] is [percentile sorted q] for an array
-    already in ascending order, without the copy and sort: several
-    quantiles of one sample cost one sort. *)
+val percentile_sorted_int : int array -> float -> float
+(** [percentile_sorted_int sorted q] is
+    [percentile (Array.map float_of_int sorted) q], to the bit, for an
+    array already in ascending order, without the conversion, the copy
+    and the sort: several quantiles of one sample cost one sort. *)
 
 val sort : float array -> unit
 (** Sort in place into ascending order: the array
@@ -33,10 +35,11 @@ val sort : float array -> unit
     boxing. A bottom-up merge sort over insertion-sorted runs of 16;
     it allocates one scratch array of the input's length. *)
 
-val merge : float array array -> float array
-(** [merge runs]: every element of [runs], each already ascending (as
-    {!sort} leaves it), in one fresh ascending array. Adjacent runs are
-    merged pairwise, so [k] runs cost ⌈log₂ k⌉ passes, not a sort. *)
+val radix_sort : int array -> unit
+(** Sort in place into ascending order: the array [Array.sort compare]
+    gives, every int included. An LSD radix sort on 8-bit digits that
+    makes only the passes the input's range needs; it allocates one
+    scratch array of the input's length. *)
 
 val geomean : float array -> float
 (** Geometric mean; requires all samples positive. *)

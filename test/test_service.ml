@@ -105,21 +105,21 @@ let test_scramble_bijection () =
 let test_poisson_mean_rate () =
   let g = Gen.make ~theta:0.5 ~seed:123 ~n_keys:1000 ~rate:50_000.0 () in
   let reqs = Gen.generate g ~duration_s:2.0 in
-  let n = fi (Array.length reqs) in
+  let n = fi (Gen.length reqs) in
   let expect = 100_000.0 in
   Alcotest.(check bool)
     (Printf.sprintf "poisson count %.0f ~ %.0f" n expect)
     true
     (n > 0.97 *. expect && n < 1.03 *. expect);
   (* arrival order, in-horizon stamps *)
+  let arrive = reqs.Gen.arrive_ns in
   Array.iteri
-    (fun i r ->
+    (fun i t ->
       Alcotest.(check bool) "stamp in horizon" true
-        (r.Gen.arrive_ns >= 0 && r.Gen.arrive_ns < 2_000_000_000);
+        (t >= 0 && t < 2_000_000_000);
       if i > 0 then
-        Alcotest.(check bool) "arrival order" true
-          (reqs.(i - 1).Gen.arrive_ns <= r.Gen.arrive_ns))
-    reqs
+        Alcotest.(check bool) "arrival order" true (arrive.(i - 1) <= t))
+    arrive
 
 (* On/off bursts: over a horizon covering many episodes, the realized
    rate must approach expected_rate (within 15% — ~100 exponential
@@ -131,7 +131,7 @@ let test_burst_mean_rate () =
   let expect = Gen.expected_rate g *. dur in
   Alcotest.(check (float 0.001)) "expected_rate formula" 30_000.0
     (Gen.expected_rate g);
-  let n = fi (Array.length (Gen.generate g ~duration_s:dur)) in
+  let n = fi (Gen.length (Gen.generate g ~duration_s:dur)) in
   Alcotest.(check bool)
     (Printf.sprintf "burst count %.0f ~ %.0f" n expect)
     true
@@ -154,10 +154,64 @@ let test_replay_identical () =
   Alcotest.(check bool) "generate replays too" true (c = d);
   (* generate and generate_n walk one stream: the horizon run is a
      prefix of the counted run *)
-  let e = Gen.generate_n g ~n:(Array.length c) in
+  let e = Gen.generate_n g ~n:(Gen.length c) in
   Alcotest.(check bool) "same stream prefix" true (c = e);
   let other = Gen.generate_n (mk 43) ~n:5_000 in
   Alcotest.(check bool) "different seed differs" true (a <> other)
+
+(* Every field of the first 5,000 requests of four generators, through
+   both entry points: arrival, class index, key and key2 mixed into one
+   hash, recorded when each request was still a record. [generate]
+   runs to a horizon of twice the time 5,000 requests take at the
+   expected rate; its count is pinned beside the hash of its first
+   5,000. *)
+let stream_pins =
+  [
+    ("standard sim", Svc.Scenario.gen_sim, "standard",
+      (884660094812703717, 6293));
+    ("standard rt", Svc.Scenario.gen_rt, "standard",
+      (2370175607735373735, 6293));
+    ("hashtable-hot sim", Svc.Scenario.gen_sim, "hashtable-hot",
+      (4105717687788922250, 6355));
+    ("smoke rt", Svc.Scenario.gen_rt, "smoke",
+      (819246155050132037, 10292));
+  ]
+
+let stream_hash n field =
+  let h = ref 17 in
+  for i = 0 to n - 1 do
+    for f = 0 to 3 do
+      h := ((!h * 1000003) lxor field i f) land 0x3FFFFFFFFFFFFFFF
+    done
+  done;
+  !h
+
+let request_field (reqs : Gen.requests) i = function
+  | 0 -> reqs.Gen.arrive_ns.(i)
+  | 1 -> reqs.Gen.cls.(i)
+  | 2 -> reqs.Gen.key.(i)
+  | _ -> reqs.Gen.key2.(i)
+
+let test_stream_pins () =
+  let n = 5_000 in
+  List.iter
+    (fun (label, gen, name, (hash, count)) ->
+      let sc =
+        match Svc.Scenario.find name with
+        | Some sc -> sc
+        | None -> Alcotest.failf "%s scenario missing" name
+      in
+      let g = gen sc in
+      let a = Gen.generate_n g ~n in
+      Alcotest.(check int) (label ^ ": generate_n") hash
+        (stream_hash n (request_field a));
+      let b =
+        Gen.generate g ~duration_s:(2.0 *. fi n /. Gen.expected_rate g)
+      in
+      Alcotest.(check int) (label ^ ": generate count") count (Gen.length b);
+      Alcotest.(check int) (label ^ ": generate") hash
+        (stream_hash n (request_field b)))
+    stream_pins
 
 let test_locality_replays_recent () =
   (* With locality = 1 every draw past the first replays the ring, so a
@@ -168,7 +222,7 @@ let test_locality_replays_recent () =
   in
   let reqs = Gen.generate_n g ~n:200 in
   let distinct = Hashtbl.create 16 in
-  Array.iter (fun r -> Hashtbl.replace distinct r.Gen.key ()) reqs;
+  Array.iter (fun k -> Hashtbl.replace distinct k ()) reqs.Gen.key;
   Alcotest.(check bool)
     (Printf.sprintf "only %d distinct keys" (Hashtbl.length distinct))
     true
@@ -176,31 +230,29 @@ let test_locality_replays_recent () =
 
 (* ---------- open-loop virtual-clock engine ---------- *)
 
+(* The engine's two inputs for a generated stream: arrivals in cost
+   units of [unit_ns] and each request's shard, routed by its key. *)
+let engine_inputs (reqs : Gen.requests) ~unit_ns ~shards =
+  ( Array.map (fun t -> t / unit_ns) reqs.Gen.arrive_ns,
+    Array.map (Batched.Shard.route ~shards) reqs.Gen.key )
+
 let openloop_fixture () =
   let g = Gen.make ~theta:0.9 ~seed:9 ~n_keys:10_000 ~rate:40_000.0 () in
-  let reqs = Gen.generate_n g ~n:400 in
   let shards = 2 in
-  let olreqs =
-    Array.map
-      (fun r ->
-        {
-          Sim.Openloop.at = r.Gen.arrive_ns / 1000;
-          shard = Batched.Shard.route ~shards r.Gen.key;
-          cls = Gen.class_index r.Gen.cls;
-        })
-      reqs
+  let at, shard =
+    engine_inputs (Gen.generate_n g ~n:400) ~unit_ns:1000 ~shards
   in
   let models =
     Array.init shards (fun _ ->
         Batched.Skiplist.sim_model ~initial_size:4096 ())
   in
-  (olreqs, models)
+  (at, shard, models)
 
 let test_openloop_deterministic () =
-  let olreqs, models = openloop_fixture () in
+  let at, shard, models = openloop_fixture () in
   let cfg = Sim.Openloop.config ~p:4 ~shards:2 () in
-  let r1 = Sim.Openloop.run cfg ~models olreqs in
-  let r2 = Sim.Openloop.run cfg ~models olreqs in
+  let r1 = Sim.Openloop.run cfg ~models ~at ~shard in
+  let r2 = Sim.Openloop.run cfg ~models ~at ~shard in
   Alcotest.(check bool) "waits identical" true
     (r1.Sim.Openloop.waits = r2.Sim.Openloop.waits);
   Alcotest.(check int) "makespan identical" r1.Sim.Openloop.makespan
@@ -209,10 +261,10 @@ let test_openloop_deterministic () =
     r2.Sim.Openloop.batches
 
 let test_openloop_sanity () =
-  let olreqs, models = openloop_fixture () in
+  let at, shard, models = openloop_fixture () in
   let cfg = Sim.Openloop.config ~p:4 ~shards:2 () in
-  let r = Sim.Openloop.run cfg ~models olreqs in
-  let n = Array.length olreqs in
+  let r = Sim.Openloop.run cfg ~models ~at ~shard in
+  let n = Array.length at in
   Alcotest.(check int) "every request served" n
     (Array.length r.Sim.Openloop.waits);
   Array.iter
@@ -224,7 +276,7 @@ let test_openloop_sanity () =
     (r.Sim.Openloop.max_batch <= cfg.Sim.Openloop.batch_cap);
   Alcotest.(check bool) "makespan past last arrival" true
     (r.Sim.Openloop.makespan
-    >= Array.fold_left (fun a q -> max a q.Sim.Openloop.at) 0 olreqs);
+    >= Array.fold_left max 0 at);
   (* The wait tail must stay within the composed Theorem-1 budget. *)
   let wait_max = Array.fold_left max 0 r.Sim.Openloop.waits in
   (match
@@ -238,7 +290,8 @@ let test_openloop_sanity () =
   | Error e -> Alcotest.fail e);
   (* More workers never slow the virtual clock down. *)
   let r64 =
-    Sim.Openloop.run (Sim.Openloop.config ~p:64 ~shards:2 ()) ~models olreqs
+    Sim.Openloop.run (Sim.Openloop.config ~p:64 ~shards:2 ()) ~models ~at
+      ~shard
   in
   Alcotest.(check bool) "P=64 makespan <= P=4" true
     (r64.Sim.Openloop.makespan <= r.Sim.Openloop.makespan)
@@ -246,12 +299,10 @@ let test_openloop_sanity () =
 (* An idle system (arrivals far apart) must show the paper's Lemma-2
    figure: at most own batch + one in flight. *)
 let test_openloop_lemma2_when_underloaded () =
-  let olreqs =
-    Array.init 50 (fun i -> { Sim.Openloop.at = i * 100_000; shard = 0; cls = 0 })
-  in
+  let at = Array.init 50 (fun i -> i * 100_000) and shard = Array.make 50 0 in
   let models = [| Batched.Counter.sim_model () |] in
   let r =
-    Sim.Openloop.run (Sim.Openloop.config ~p:4 ~shards:1 ()) ~models olreqs
+    Sim.Openloop.run (Sim.Openloop.config ~p:4 ~shards:1 ()) ~models ~at ~shard
   in
   Alcotest.(check bool)
     (Printf.sprintf "m = %d <= 2" r.Sim.Openloop.max_batches_seen)
@@ -263,17 +314,25 @@ let test_openloop_lemma2_when_underloaded () =
    give every request the figures it gets when the same requests come
    already in that order (the path with no sort). *)
 let test_openloop_unsorted_input () =
-  let olreqs, models = openloop_fixture () in
-  let n = Array.length olreqs in
-  let shuffled = Array.copy olreqs in
-  Util.Rng.shuffle (Util.Rng.create ~seed:5) shuffled;
+  let at, shard, models = openloop_fixture () in
+  let n = Array.length at in
+  let perm = Array.init n Fun.id in
+  Util.Rng.shuffle (Util.Rng.create ~seed:5) perm;
+  let shuffled_at = Array.map (fun k -> at.(k)) perm
+  and shuffled_shard = Array.map (fun k -> shard.(k)) perm in
   let order = Array.init n Fun.id in
-  let at k = shuffled.(k).Sim.Openloop.at in
-  Array.stable_sort (fun i j -> Int.compare (at i) (at j)) order;
-  let sorted = Array.map (fun k -> shuffled.(k)) order in
+  Array.stable_sort
+    (fun i j -> Int.compare shuffled_at.(i) shuffled_at.(j))
+    order;
+  let pick a = Array.map (fun k -> a.(k)) order in
   let cfg = Sim.Openloop.config ~p:4 ~shards:2 () in
-  let r1 = Sim.Openloop.run cfg ~models shuffled in
-  let r2 = Sim.Openloop.run cfg ~models sorted in
+  let r1 =
+    Sim.Openloop.run cfg ~models ~at:shuffled_at ~shard:shuffled_shard
+  in
+  let r2 =
+    Sim.Openloop.run cfg ~models ~at:(pick shuffled_at)
+      ~shard:(pick shuffled_shard)
+  in
   let open Sim.Openloop in
   Alcotest.(check int) "makespan" r2.makespan r1.makespan;
   Alcotest.(check int) "batches" r2.batches r1.batches;
@@ -283,6 +342,17 @@ let test_openloop_unsorted_input () =
       Alcotest.(check int) "launch wait" r2.launch_waits.(j) r1.launch_waits.(k);
       Alcotest.(check int) "batches seen" r2.batches_seen.(j) r1.batches_seen.(k))
     order
+
+(* The arrivals and the shards are two columns of one request array:
+   columns of different lengths are refused before any model is
+   touched. *)
+let test_openloop_length_mismatch () =
+  let cfg = Sim.Openloop.config ~p:4 ~shards:1 () in
+  let models = [| Batched.Counter.sim_model () |] in
+  Alcotest.check_raises "one shard per arrival"
+    (Invalid_argument "Openloop.run: one shard per arrival") (fun () ->
+      ignore
+        (Sim.Openloop.run cfg ~models ~at:[| 0; 1; 2 |] ~shard:[| 0; 0 |]))
 
 (* ---------- sim driver end-to-end ---------- *)
 
@@ -317,12 +387,13 @@ let test_sim_driver_smoke () =
     (Svc.Latency.all_of pt2.Svc.Sim_driver.classes).Svc.Latency.p999_ns
 
 (* Minor words per request of one sim point: standard, P = 8, 20k
-   requests. Measured at 15.3 (31.1 when the skip-list model built a
-   tree for every batch and Openloop walked each one, 280 when the
-   digest sorted through Array.sort and the engine allocated per
-   event); the pin allows 1.7 more, which one boxed float per request
-   would overrun. Every figure is deterministic, so the count repeats
-   exactly. *)
+   requests. Measured at 6.3 (15.3 when each request was a record in
+   Gen and a second one in Openloop and the digest merge-sorted floats,
+   31.1 when the skip-list model built a tree for every batch and
+   Openloop walked each one, 280 when the digest sorted through
+   Array.sort and the engine allocated per event); the pin allows 1.7
+   more, which one boxed float per request would overrun. Every figure
+   is deterministic, so the count repeats exactly. *)
 let test_sim_driver_words () =
   let sc =
     match Svc.Scenario.find "standard" with
@@ -334,18 +405,38 @@ let test_sim_driver_words () =
   let pt = Svc.Sim_driver.run_point sc ~p:8 in
   let words = Gc.minor_words () -. before in
   let per_req = words /. fi pt.Svc.Sim_driver.requests in
-  if per_req > 17.0 then
-    Alcotest.failf "Sim_driver.run_point: %.1f minor words per request (pin 17)"
+  if per_req > 8.0 then
+    Alcotest.failf "Sim_driver.run_point: %.1f minor words per request (pin 8)"
+      per_req
+
+(* Minor words per request of Gen.generate_n over 100k requests.
+   Measured at 0.0006 (5.0 when each request was a four-field record):
+   the four columns are past the minor heap's size limit and no draw
+   allocates, so a tenth of a word per request is already a leak. *)
+let test_gen_words () =
+  let n = 100_000 in
+  let g =
+    match Svc.Scenario.find "standard" with
+    | Some sc -> Svc.Scenario.gen_sim sc
+    | None -> Alcotest.fail "standard scenario missing"
+  in
+  let before = Gc.minor_words () in
+  let reqs = Gen.generate_n g ~n in
+  let per_req = (Gc.minor_words () -. before) /. fi n in
+  Alcotest.(check int) "every request generated" n (Gen.length reqs);
+  if per_req > 0.1 then
+    Alcotest.failf "Gen.generate_n: %.3f minor words per request (pin 0.1)"
       per_req
 
 (* Minor words per sample of one digest over 20k samples in four
-   classes. Measured at 0.01 (183 through Array.sort): the arrays are
-   past the minor heap's size limit, so only per-sample boxing counts
-   here, and one boxed float per sample is two words; the pin is one. *)
+   classes. Measured at 0.03 (0.01 for the float merge sort, 183
+   through Array.sort): the arrays are past the minor heap's size
+   limit, so only per-sample boxing counts here, and one boxed float per
+   sample is two words; the pin is one. *)
 let test_latency_words () =
   let n = 20_000 in
   let rng = Util.Rng.create ~seed:3 in
-  let ns = Array.init n (fun _ -> Float.round (Util.Rng.float rng 1e6)) in
+  let ns = Array.init n (fun _ -> Util.Rng.int rng 1_000_000) in
   let cls = Array.init n (fun _ -> Util.Rng.int rng Gen.n_classes) in
   let before = Gc.minor_words () in
   let classes = Svc.Latency.of_samples ~cls ns in
@@ -381,7 +472,7 @@ let test_rt_driver_tiny () =
   Alcotest.(check int) "one lag per request" pt.Svc.Rt_driver.requests
     (Array.length lag);
   Alcotest.(check bool) "lags non-negative" true
-    (Array.for_all (fun l -> l >= 0.0) lag);
+    (Array.for_all (fun l -> l >= 0) lag);
   let d = Svc.Latency.digest "lag" lag in
   Alcotest.(check int) "lag digest counts every request"
     pt.Svc.Rt_driver.requests d.Svc.Latency.requests;
@@ -587,7 +678,7 @@ let test_sim_driver_trace_conservation () =
 (* ---------- latency digests ---------- *)
 
 let test_latency_digest () =
-  let samples = Array.init 1000 (fun i -> fi (i + 1)) in
+  let samples = Array.init 1000 (fun i -> i + 1) in
   (* Every sample a get: the put class, with none, is dropped. *)
   let classes = Svc.Latency.of_samples ~cls:(Array.make 1000 0) samples in
   Alcotest.(check int) "empty class dropped, all added" 2
@@ -602,7 +693,7 @@ let test_latency_digest () =
 let test_latency_p999_small_sample () =
   (* Below 1000 samples the 99.9th percentile is interpolation noise;
      the digest must report the observed max and flag it approximate. *)
-  let samples = Array.init 500 (fun i -> fi (i + 1)) in
+  let samples = Array.init 500 (fun i -> i + 1) in
   let classes = Svc.Latency.of_samples ~cls:(Array.make 500 0) samples in
   let all = Svc.Latency.all_of classes in
   Alcotest.(check bool) "small sample flagged" true all.Svc.Latency.p999_approx;
@@ -614,7 +705,7 @@ let test_latency_p999_small_sample () =
   Alcotest.(check bool) "per-class flagged too" true
     get.Svc.Latency.p999_approx;
   (* At exactly 1000 the interpolated path takes over. *)
-  let big = Array.init 1000 (fun i -> fi (i + 1)) in
+  let big = Array.init 1000 (fun i -> i + 1) in
   let all2 =
     Svc.Latency.all_of (Svc.Latency.of_samples ~cls:(Array.make 1000 0) big)
   in
@@ -638,28 +729,35 @@ let test_latency_empty_run () =
       all.Svc.Latency.mean_ns; all.Svc.Latency.max_ns;
     ]
 
-(* The "all" digest merges the sorted classes (drawn at random here)
-   and reads every quantile off the merge; each must equal a fresh
-   Util.Stats.percentile of the raw samples, and the max the largest
-   sample. Sizes straddle the 1000-sample p999 cut. *)
+(* Every quantile, the max and the mean of the "all" digest against an
+   independent reference: the samples as floats, sorted with
+   Array.sort Float.compare and read with Util.Stats.percentile, and
+   their mean summed in request order by Util.Stats.mean. Samples are
+   signed, so the class bits ride below negative latencies too; sizes
+   straddle the 1000-sample p999 cut. *)
 let qcheck_digest_quantiles =
   QCheck.Test.make ~name:"digest quantiles = Stats.percentile" ~count:100
     QCheck.(pair (1 -- 2_500) (0 -- 1_000_000))
     (fun (n, seed) ->
       let rng = Util.Rng.create ~seed in
       let samples =
-        Array.init n (fun _ -> Float.round (Util.Rng.float rng 1e6))
+        Array.init n (fun _ -> Util.Rng.int rng 2_000_001 - 1_000_000)
       in
       let cls = Array.init n (fun _ -> Util.Rng.int rng Gen.n_classes) in
       let d = Svc.Latency.all_of (Svc.Latency.of_samples ~cls samples) in
-      let pct = Util.Stats.percentile samples in
+      let floats = Array.map fi samples in
+      let sorted = Array.copy floats in
+      Array.sort Float.compare sorted;
+      let pct = Util.Stats.percentile sorted in
       d.Svc.Latency.p50_ns = pct 0.5
       && d.Svc.Latency.p99_ns = pct 0.99
-      && d.Svc.Latency.max_ns = Array.fold_left Float.max samples.(0) samples
+      && d.Svc.Latency.max_ns = sorted.(n - 1)
       && d.Svc.Latency.p999_ns
-         = if n < 1000 then d.Svc.Latency.max_ns else pct 0.999)
+         = (if n < 1000 then d.Svc.Latency.max_ns else pct 0.999)
+      && Int64.bits_of_float d.Svc.Latency.mean_ns
+         = Int64.bits_of_float (Util.Stats.mean floats))
 
-(* Splitting by class and merging for "all" gives, field for field, the
+(* The one sort of (latency, class) keys gives, field for field, the
    digest of each class's own samples and of every sample; the means
    too, to the bit, because each sums in request order. *)
 let qcheck_of_samples_is_digest =
@@ -668,7 +766,7 @@ let qcheck_of_samples_is_digest =
     QCheck.(pair (0 -- 2_500) (0 -- 1_000_000))
     (fun (n, seed) ->
       let rng = Util.Rng.create ~seed in
-      let ns = Array.init n (fun _ -> Util.Rng.float rng 1e6) in
+      let ns = Array.init n (fun _ -> Util.Rng.int rng 1_000_000_000) in
       let cls = Array.init n (fun _ -> Util.Rng.int rng Gen.n_classes) in
       let expected =
         Svc.Latency.digest "all" ns
@@ -746,18 +844,10 @@ let test_openloop_golden () =
   let (module S : Svc.Store.STORE) = sc.Svc.Scenario.store in
   let shards = sc.Svc.Scenario.sim_shards in
   let unit_ns = sc.Svc.Scenario.sim_ns_per_unit in
-  let reqs =
-    Gen.generate_n (Svc.Scenario.gen_sim sc) ~n:sc.Svc.Scenario.sim_requests
-  in
-  let olreqs =
-    Array.map
-      (fun (r : Gen.request) ->
-        {
-          Sim.Openloop.at = r.Gen.arrive_ns / unit_ns;
-          shard = Batched.Shard.route ~shards r.Gen.key;
-          cls = Gen.class_index r.Gen.cls;
-        })
-      reqs
+  let at, shard =
+    engine_inputs
+      (Gen.generate_n (Svc.Scenario.gen_sim sc) ~n:sc.Svc.Scenario.sim_requests)
+      ~unit_ns ~shards
   in
   List.iter
     (fun (p, (makespan, batches, max_batch, total_work, m, in_sys, dg)) ->
@@ -766,7 +856,7 @@ let test_openloop_golden () =
             S.model ~n_keys:sc.Svc.Scenario.n_keys ~shards i)
       in
       let r =
-        Sim.Openloop.run (Sim.Openloop.config ~p ~shards ()) ~models olreqs
+        Sim.Openloop.run (Sim.Openloop.config ~p ~shards ()) ~models ~at ~shard
       in
       let label = Printf.sprintf "P=%d" p in
       Alcotest.(check int) (label ^ ": makespan") makespan
@@ -850,6 +940,8 @@ let () =
             test_replay_identical;
           Alcotest.test_case "locality replays recent keys" `Quick
             test_locality_replays_recent;
+          Alcotest.test_case "stream pins, every field" `Quick
+            test_stream_pins;
         ] );
       ( "openloop",
         [
@@ -861,12 +953,15 @@ let () =
             test_openloop_golden;
           Alcotest.test_case "unsorted input" `Quick
             test_openloop_unsorted_input;
+          Alcotest.test_case "column lengths must match" `Quick
+            test_openloop_length_mismatch;
         ] );
       ( "drivers",
         [
           Alcotest.test_case "sim smoke point" `Quick test_sim_driver_smoke;
           Alcotest.test_case "sim point minor words" `Quick
             test_sim_driver_words;
+          Alcotest.test_case "generator minor words" `Quick test_gen_words;
           Alcotest.test_case "runtime tiny point" `Quick test_rt_driver_tiny;
           Alcotest.test_case "runtime health stream" `Quick
             test_rt_driver_stream;

@@ -246,21 +246,42 @@ let prop_sort_matches_array_sort =
       Util.Stats.sort a;
       compare a expected = 0)
 
-(* Stats.merge of sorted pieces (empty ones among them) is the sort of
-   their concatenation. *)
-let prop_merge_is_sort =
-  QCheck.Test.make ~name:"Stats.merge = sort of the concatenation" ~count:200
-    QCheck.(
-      triple (0 -- 5) (list_of_size Gen.(0 -- 7) (0 -- 700)) (0 -- 1_000_000))
-    (fun (shape, sizes, seed) ->
-      let pieces =
-        Array.of_list
-          (List.mapi (fun i n -> sort_input ~shape ~n ~seed:(seed + i)) sizes)
+(* Stats.radix_sort against Array.sort compare on ints: sizes 0-5000
+   in six shapes — wide signed values, duplicates (zero and negatives
+   among them), values within 2^20 of min_int and of max_int together,
+   latencies that need few passes, one constant, and draws from the
+   extremes themselves. *)
+let int_sort_input ~shape ~n ~seed =
+  let rng = Util.Rng.create ~seed in
+  let wide _ = Int64.to_int (Util.Rng.next64 rng) in
+  match shape with
+  | 0 -> Array.init n wide
+  | 1 -> Array.init n (fun _ -> Util.Rng.int rng 11 - 5)
+  | 2 ->
+      Array.init n (fun _ ->
+          let d = Util.Rng.int rng (1 lsl 20) in
+          if Util.Rng.bool rng then min_int + d else max_int - d)
+  | 3 -> Array.init n (fun _ -> Util.Rng.int rng 5_000_000)
+  | 4 -> Array.make n (wide 0)
+  | _ ->
+      let pool =
+        [| min_int; min_int + 1; -256; -1; 0; 1; 255; 256; max_int - 1; max_int |]
       in
-      Array.iter Util.Stats.sort pieces;
-      let expected = Array.concat (Array.to_list pieces) in
-      Array.sort Float.compare expected;
-      compare (Util.Stats.merge pieces) expected = 0)
+      Array.init n (fun _ -> pool.(Util.Rng.int rng (Array.length pool)))
+
+let prop_radix_sort_matches_array_sort =
+  QCheck.Test.make ~name:"Stats.radix_sort = Array.sort compare" ~count:400
+    QCheck.(
+      triple (0 -- 5)
+        (make ~print:string_of_int
+           Gen.(frequency [ (3, int_range 0 5000); (2, oneofl near_run) ]))
+        (0 -- 1_000_000))
+    (fun (shape, n, seed) ->
+      let a = int_sort_input ~shape ~n ~seed in
+      let expected = Array.copy a in
+      Array.sort compare expected;
+      Util.Stats.radix_sort a;
+      a = expected)
 
 (* The mean's loop sums in the fold's order: equal to the bit. *)
 let prop_mean_is_fold =
@@ -294,7 +315,7 @@ let qcheck_cases =
       prop_compact_preserves_some;
       prop_percentile_monotone;
       prop_sort_matches_array_sort;
-      prop_merge_is_sort;
+      prop_radix_sort_matches_array_sort;
       prop_mean_is_fold ]
 
 let () =
