@@ -106,7 +106,7 @@ let print_span (s : Obs.Reqtrace.span) =
 let print_anatomy ~top trace =
   Array.iteri
     (fun c cls ->
-      match Obs.Reqtrace.slowest ~cls:c trace with
+      match Obs.Reqtrace.slowest ~cls:c ~n:top trace with
       | [] -> ()
       | spans ->
           let max_m =
@@ -119,11 +119,9 @@ let print_anatomy ~top trace =
           Printf.printf
             "    %s: n=%d slowest %d of %d captured, max \
              batches-while-pending (slowest set) m=%d%s\n"
-            cls n
-            (min top (List.length spans))
-            n max_m
+            cls n (List.length spans) n max_m
             (if max_m > 2 then " (> the paper's Lemma-2 bound of 2)" else "");
-          List.iteri (fun i s -> if i < top then print_span s) spans)
+          List.iter print_span spans)
     Svc.Gen.class_names;
   let tt = Obs.Reqtrace.totals trace in
   Printf.printf "    attribution over %d spans:" tt.Obs.Reqtrace.n;
@@ -315,11 +313,11 @@ let () =
         (fun (pt : Svc.Rt_driver.point) ->
           say
             "  K=%-2d P=%d n=%d goodput=%.0f req/s batches=%d max_batch=%d \
-             stalls=%d burns=%d\n"
+             stalls=%d\n"
             pt.Svc.Rt_driver.shards pt.Svc.Rt_driver.workers
             pt.Svc.Rt_driver.requests pt.Svc.Rt_driver.goodput
             pt.Svc.Rt_driver.batches pt.Svc.Rt_driver.max_batch
-            pt.Svc.Rt_driver.stalls pt.Svc.Rt_driver.slo_burns;
+            pt.Svc.Rt_driver.stalls;
           if not !quiet then
             print_classes
               (pt.Svc.Rt_driver.classes

@@ -5,8 +5,6 @@ type t = {
   seq_cost : int -> int;
 }
 
-let scaled base factor = max 1 (int_of_float (Float.round (float_of_int base *. factor)))
-
 let log2_cost n =
   let n = max 2 n in
   let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in

@@ -22,10 +22,6 @@ type t = {
   seq_cost : int -> int;
 }
 
-val scaled : int -> float -> int
-(** [scaled base factor] = [max 1 (round (base * factor))] — helper for
-    cost-model constants. *)
-
 val log2_cost : int -> int
 (** [log2_cost n] = ceil(log2 (max 2 n)) — the canonical "height of a
     search structure of n elements" cost. *)

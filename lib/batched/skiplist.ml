@@ -489,10 +489,10 @@ let check_invariants t =
   done;
   if !listed <> !freed then fail "freed slice missing from the free lists"
 
-let sim_model ~initial_size ?(records_per_node = 1) ?(search_scale = 1.0) () =
+let sim_model ~initial_size ?(records_per_node = 1) () =
   let size = ref initial_size in
   let reset () = size := initial_size in
-  let search_cost () = Model.scaled (Model.log2_cost !size) search_scale in
+  let search_cost () = Model.log2_cost !size in
   (* The trees built at the current per-search cost, by record count: a
      batch that repeats both gets the physically same tree, so a
      caller's lookup of it ends at the root. *)

@@ -107,11 +107,11 @@ val check_invariants : t -> unit
     holds exact predecessors. Raises [Failure]. *)
 
 val sim_model :
-  initial_size:int -> ?records_per_node:int -> ?search_scale:float -> unit -> Model.t
+  initial_size:int -> ?records_per_node:int -> unit -> Model.t
 (** Cost model for inserting fresh keys into a list that starts with
     [initial_size] elements. A batch of [x] records costs: build Θ(x)
-    sequential; searches [x] parallel leaves of ~[search_scale]·lg(size)
-    each; splice Θ(x) sequential. A lone sequential insert costs
-    ~[search_scale]·lg(size) + O(1). Batches with equal [x] and equal
+    sequential; searches [x] parallel leaves of ~lg(size) each; splice
+    Θ(x) sequential. A lone sequential insert costs ~lg(size) + O(1).
+    Batches with equal [x] and equal
     per-search cost get the physically same tree while that cost
     holds. *)

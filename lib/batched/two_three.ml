@@ -285,13 +285,13 @@ let check_invariants t =
   in
   ascending (to_sorted_list t)
 
-let sim_model ~initial_size ?(records_per_node = 1) ?(search_scale = 1.0) () =
+let sim_model ~initial_size ?(records_per_node = 1) () =
   let size = ref initial_size in
   let reset () = size := initial_size in
   let batch_cost nodes =
     let x = max 1 (records_per_node * Array.length nodes) in
     let lg_x = Model.log2_cost x in
-    let lg_n = Model.scaled (Model.log2_cost !size) search_scale in
+    let lg_n = Model.log2_cost !size in
     let sort = Par.balanced ~leaf_cost:(fun _ -> lg_x) x in
     let searches = Par.balanced ~leaf_cost:(fun _ -> lg_n) x in
     let insert_rec = Par.balanced ~leaf_cost:(fun _ -> lg_n) x in
@@ -299,7 +299,7 @@ let sim_model ~initial_size ?(records_per_node = 1) ?(search_scale = 1.0) () =
     Par.series [ sort; searches; insert_rec ]
   in
   let seq_cost _ =
-    let c = Model.scaled (Model.log2_cost !size) search_scale + 2 in
+    let c = Model.log2_cost !size + 2 in
     size := !size + records_per_node;
     max 1 (records_per_node * c)
   in

@@ -48,8 +48,7 @@ val to_sorted_list : t -> int list
 val check_invariants : t -> unit
 (** All leaves at equal depth, keys in order; raises [Failure]. *)
 
-val sim_model :
-  initial_size:int -> ?records_per_node:int -> ?search_scale:float -> unit -> Model.t
+val sim_model : initial_size:int -> ?records_per_node:int -> unit -> Model.t
 (** Cost model: sort (x parallel leaves of lg x each), search (x parallel
     leaves of ~lg n each), then the insertion recursion (balanced over x
     with lg n per leaf). *)

@@ -9,7 +9,7 @@
    that was never targeted contributes nothing to either term. *)
 let composed_terms ~workload ~metrics =
   let open Sim.Metrics in
-  let setup_span = 2 * (2 * Batcher_core.Theory.log2i metrics.p + 1) in
+  let setup_span = 2 * (2 * Batched.Model.log2_cost metrics.p + 1) in
   let n_per = Sim.Workload.per_structure_nodes workload in
   let k = Array.length n_per in
   let span_per = Array.make k 0 in

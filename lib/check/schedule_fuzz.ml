@@ -176,7 +176,7 @@ let run_case ?(bound_factor = 16.0) ?(rt_conf = false) c =
           if n > 0 then
             parts :=
               Printf.sprintf "%s=%d"
-                (Obs.Recorder.check_name (Obs.Recorder.check_of_code k))
+                (Obs.Invariants.check_name (Obs.Invariants.check_of_code k))
                 n
               :: !parts)
         v;

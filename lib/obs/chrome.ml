@@ -94,12 +94,6 @@ let worker_events t w acc =
                ~tid:(work_tid_base + w)
                ~dur:(ts_of r e.time -. ts_of r (e.time - units))
                [ ("units", Json.Int units) ])
-      | Recorder.Violation { check; sid; arg } ->
-          push w e.time
-            (instant
-               ~name:("VIOLATION " ^ Recorder.check_name check)
-               ~cat:"violation" ~pid ~tid:w
-               [ ("sid", Json.Int sid); ("arg", Json.Int arg) ])
       | Recorder.Batch_start _ | Recorder.Batch_end _ -> ())
     (Recorder.events_of_worker r w);
   close_span !last;

@@ -1,12 +1,4 @@
-let slo_ns = 100_000_000
 let stall_ns = 1_000_000_000
-
-type phase = Pending | Exec
-
-let n_phases = 2
-let phase_idx = function Pending -> 0 | Exec -> 1
-let phase_name = function Pending -> "pending" | Exec -> "exec"
-let phases = [ Pending; Exec ]
 
 type t = {
   on : bool;
@@ -18,14 +10,9 @@ type t = {
   pending_since : int array;  (* ns; meaningful while pend > 0 *)
   last_launch : int array;  (* ns of the last collection per structure *)
   launches : int Atomic.t array;
-  ops : int Atomic.t array;  (* ops with recorded phases per structure *)
+  ops : int Atomic.t array;  (* completed ops per structure *)
   stalled : bool array;  (* an open stall episode per structure *)
   stalls : int Atomic.t;
-  (* Histograms indexed ((worker * structures) + sid) * n_phases +
-     phase: one writer each (the worker whose op completed), merged by
-     readers. *)
-  phase : Summary.Histo.t array;
-  burn : int Atomic.t array;  (* sid * n_phases + phase *)
 }
 
 let null =
@@ -42,8 +29,6 @@ let null =
     ops = [||];
     stalled = [||];
     stalls = Atomic.make 0;
-    phase = [||];
-    burn = [||];
   }
 
 let create ~workers ~structures () =
@@ -62,10 +47,6 @@ let create ~workers ~structures () =
     ops = Array.init structures (fun _ -> Atomic.make 0);
     stalled = Array.make structures false;
     stalls = Atomic.make 0;
-    phase =
-      Array.init (workers * structures * n_phases) (fun _ ->
-          Summary.Histo.create ());
-    burn = Array.init (structures * n_phases) (fun _ -> Atomic.make 0);
   }
 
 let enabled t = t.on
@@ -103,16 +84,7 @@ let batch_collected t ~sid ~size ~now =
     t.stalled.(sid) <- false
   end
 
-let op_phases t ~worker ~sid ~pending ~exec =
-  if t.on && sid_ok t sid && worker >= 0 && worker < t.workers then begin
-    let base = ((worker * t.structures) + sid) * n_phases in
-    Summary.Histo.add t.phase.(base) pending;
-    Summary.Histo.add t.phase.(base + 1) exec;
-    Atomic.incr t.ops.(sid);
-    let bb = sid * n_phases in
-    if pending > slo_ns then Atomic.incr t.burn.(bb);
-    if exec > slo_ns then Atomic.incr t.burn.(bb + 1)
-  end
+let op_done t ~sid = if t.on && sid_ok t sid then Atomic.incr t.ops.(sid)
 
 let check_stalls ?now t =
   if t.on then begin
@@ -136,33 +108,6 @@ let stall_count t = Atomic.get t.stalls
 let heartbeat_age_ns t ~worker ~now =
   if (not t.on) || worker < 0 || worker >= t.workers || t.hb.(worker) = 0 then -1
   else now - t.hb.(worker)
-
-let phase_histo t ~sid ph =
-  let acc = ref (Summary.Histo.create ()) in
-  if t.on && sid_ok t sid then
-    for w = 0 to t.workers - 1 do
-      acc :=
-        Summary.Histo.merge !acc
-          t.phase.((((w * t.structures) + sid) * n_phases) + phase_idx ph)
-    done;
-  !acc
-
-let burn_count t ~sid ph =
-  if t.on && sid_ok t sid then
-    Atomic.get t.burn.((sid * n_phases) + phase_idx ph)
-  else 0
-
-let phase_json t ~sid ph =
-  let h = phase_histo t ~sid ph in
-  Json.Obj
-    [
-      ("count", Json.Int (Summary.Histo.count h));
-      ("mean_ns", Json.Float (Summary.Histo.mean h));
-      ("p50_ns", Json.Float (Summary.Histo.percentile h 0.5));
-      ("p99_ns", Json.Float (Summary.Histo.percentile h 0.99));
-      ("max_ns", Json.Int (Summary.Histo.max_v h));
-      ("burn", Json.Int (burn_count t ~sid ph));
-    ]
 
 let to_json ?now t =
   if not t.on then Json.Null
@@ -190,11 +135,6 @@ let to_json ?now t =
                      ("launches", Json.Int (Atomic.get t.launches.(sid)));
                      ("ops", Json.Int (Atomic.get t.ops.(sid)));
                      ("stalled", Json.Bool t.stalled.(sid));
-                     ( "phases",
-                       Json.Obj
-                         (List.map
-                            (fun ph -> (phase_name ph, phase_json t ~sid ph))
-                            phases) );
                    ])) );
       ]
   end

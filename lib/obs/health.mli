@@ -1,8 +1,8 @@
-(** Always-on runtime health: heartbeats, stall detection, and
-    per-structure phase-latency SLOs.
+(** Always-on runtime liveness: heartbeats, stall detection, and
+    per-structure gauges.
 
     Built for the real runtime ({!Clock} nanoseconds; the simulator has
-    no need — its schedules are already fully auditable). Three signals:
+    no need — its schedules are already fully auditable). Two signals:
 
     - {b Heartbeats} — each worker calls {!beat} once per scheduler-loop
       iteration (one clock read and one array store), and a task that
@@ -14,32 +14,22 @@
       runs before each line, opens one stall {e episode} per offence,
       counted monotonically; the episode closes when a batch launches
       or the structure drains.
-    - {b Phase latency} — each completed op's time is decomposed into
-      pending (issue → its batch's launch) and exec (launch → batch
-      completion), {!Reqtrace}'s names for the same two phases. Per worker × structure × phase power-of-two
-      histograms, each written only by its worker — the op's own
-      (single-writer, allocation-free) — and
-      merged with {!Summary.Histo.merge} at sample time; a phase longer
-      than {!slo_ns} bumps that phase's burn counter.
+
+    Beside them each structure keeps its pending-op gauge and monotonic
+    launch and op counts. Health keeps no per-op time: an op's pending
+    (issue → launch) and exec (launch → completion) are {!Reqtrace}'s,
+    and a run's latency digests are the service drivers'.
 
     The batch-path hooks are fed by {!Probe}, which stamps each event
     once: they take its raw {!Clock} stamp and read no clock
     themselves. The quiet path — monitoring enabled, nothing wrong —
-    allocates nothing (pinned by a [Gc.minor_words] test) and is a
-    handful of atomic adds per op. Everything is readable while the run
+    allocates nothing (pinned by a [Gc.minor_words] test) and is an
+    atomic add or two per event. Everything is readable while the run
     is live; readers may see a sample a few events stale, never torn. *)
-
-val slo_ns : int
-(** 100 ms, the SLO of each phase — loose enough not to burn on a
-    loaded CI box. *)
 
 val stall_ns : int
 (** 1 s: how long a structure may hold pending ops with no launch
     before {!check_stalls} opens a stall episode. *)
-
-type phase = Pending | Exec
-(** {!Summary}'s [wait] bucket is another quantity: worker time trapped
-    in BATCHIFY, not an op's time before its batch launched. *)
 
 type t
 
@@ -68,11 +58,8 @@ val batch_collected : t -> sid:int -> size:int -> now:int -> unit
 (** A launch at raw stamp [now] collected [size] ops from [sid]; feeds
     stall detection (closes any stall episode) and the pending gauge. *)
 
-val op_phases :
-  t -> worker:int -> sid:int -> pending:int -> exec:int -> unit
-(** Phase decomposition of one completed op, in ns, recorded by the
-    op's own worker once the op is done; [worker]'s histograms must
-    have no other writer. *)
+val op_done : t -> sid:int -> unit
+(** An op on [sid] completed: one count. *)
 
 (* ---- sampler side ---- *)
 
@@ -87,14 +74,8 @@ val stall_count : t -> int
 val heartbeat_age_ns : t -> worker:int -> now:int -> int
 (** [-1] before the worker's first beat. *)
 
-val phase_histo : t -> sid:int -> phase -> Summary.Histo.t
-(** Fresh merge of every worker's histogram for [sid]×[phase]. *)
-
-val burn_count : t -> sid:int -> phase -> int
-
 val to_json : ?now:int -> t -> Json.t
-(** The ["health"] object carried on snapshot lines: per-worker beat
-    ages, per-structure gauges + merged phase stats + burn counters,
-    and the stall total. A
-    structure's ["pending"] is its pending-op gauge; its two phase
-    objects sit under ["phases"]. [Json.Null] when disabled. *)
+(** The ["health"] object carried on snapshot lines: the stall
+    threshold and total, per-worker beat ages, and per structure its
+    ["pending"] gauge, ["launches"] and ["ops"] counts and ["stalled"]
+    flag. [Json.Null] when disabled. *)

@@ -23,25 +23,32 @@
       sequential batches — can exceed it). Checked at
       {!op_completed}.
 
-    A violation bumps a monotonic per-check counter (readable at any
-    time from any thread) and, when a recorder is attached, emits a
-    {!Recorder.kind.Violation} event on the calling worker's ring.
+    A violation bumps a monotonic per-check counter, readable at any
+    time from any thread; the counters are the one record of it.
 
     {!create} runs every check on every event; {!null} is off, and
     each of its hooks returns after one field load. Hooks are
     allocation-free either way (pinned by a [Gc.minor_words] test). *)
+
+(** The four checked properties, in the order above. *)
+type check = Inv1 | Inv2 | Inv3 | Lemma2
+
+val n_checks : int
+(** Number of {!check} variants; {!check_code} maps onto [0..n_checks-1]. *)
+
+val check_code : check -> int
+val check_of_code : int -> check
+
+val check_name : check -> string
+(** Stable lowercase names ("inv1" … "lemma2") used by {!to_json} and
+    [bin/monitor.exe]. *)
 
 type t
 
 val null : t
 (** Disabled: [active null = false]; all hooks are no-ops. *)
 
-val create :
-  ?lemma2_bound:int ->
-  ?recorder:Recorder.t ->
-  structures:int ->
-  unit ->
-  t
+val create : ?lemma2_bound:int -> structures:int -> unit -> t
 (** [lemma2_bound] defaults to the paper's 2. [structures] sizes the
     per-structure counter tables — hooks for a [sid] outside
     [0..structures-1] are ignored (checked, not trusted). *)
@@ -53,23 +60,21 @@ val active : t -> bool
 val op_submitted : t -> sid:int -> unit
 (** An op parked on structure [sid] (BATCHIFY). *)
 
-val batch_started : t -> worker:int -> time:int -> sid:int -> size:int -> cap:int -> unit
-(** A batch of [size] ops launched on [sid] by [worker]; runs the
-    Invariant 1/2/3 checks. [time] is only used to stamp violation
-    events (pass the recorder-consistent clock, or 0 with no recorder). *)
+val batch_started : t -> sid:int -> size:int -> cap:int -> unit
+(** A batch of [size] ops launched on [sid]; runs the Invariant 1/2/3
+    checks. *)
 
-val batch_ended : t -> worker:int -> time:int -> sid:int -> unit
+val batch_ended : t -> sid:int -> unit
 (** The in-flight batch on [sid] finished. An end with no matching
     start also fires Invariant 1. *)
 
-val op_completed :
-  t -> worker:int -> time:int -> sid:int -> batches_seen:int -> unit
+val op_completed : t -> batches_seen:int -> unit
 (** An op resumed after its batch; checks [batches_seen ≤ lemma2_bound]. *)
 
 (* ---- read-out (any thread, any time) ---- *)
 
 val violations : t -> int array
-(** Violations so far per check, indexed by {!Recorder.check_code};
+(** Violations so far per check, indexed by {!check_code};
     all zeros from {!null}. *)
 
 val total_violations : t -> int

@@ -49,27 +49,25 @@ let submit p ~time ~worker ~sid ~token =
 
 let launch p ~time ~worker ~sid ~size ~setup ~cap =
   if p.on then begin
-    let rtime = time - p.epoch in
-    Recorder.emit_batch_start p.rc ~worker ~time:rtime ~sid ~size ~setup;
-    Invariants.batch_started p.inv ~worker ~time:rtime ~sid ~size ~cap;
+    Recorder.emit_batch_start p.rc ~worker ~time:(time - p.epoch) ~sid ~size
+      ~setup;
+    Invariants.batch_started p.inv ~sid ~size ~cap;
     Health.batch_collected p.hl ~sid ~size ~now:time
   end
 
 let finish p ~time ~worker ~sid ~size =
   if p.on then begin
-    let rtime = time - p.epoch in
-    Recorder.emit_batch_end p.rc ~worker ~time:rtime ~sid ~size;
-    Invariants.batch_ended p.inv ~worker ~time:rtime ~sid
+    Recorder.emit_batch_end p.rc ~worker ~time:(time - p.epoch) ~sid ~size;
+    Invariants.batch_ended p.inv ~sid
   end
 
 let complete p ~time ~worker ~sid ~token ~issue ~launch ~finish ~seen
     ~batch_worker =
   if p.on then begin
-    let pending = launch - issue and exec = finish - launch in
-    Health.op_phases p.hl ~worker ~sid ~pending ~exec;
-    Reqtrace.on_batch p.rt ~token ~pending ~exec ~seen ~worker:batch_worker;
-    let rtime = time - p.epoch in
-    Recorder.emit_op_done p.rc ~worker ~time:rtime ~sid ~batches_seen:seen
-      ~latency:(finish - issue);
-    Invariants.op_completed p.inv ~worker ~time:rtime ~sid ~batches_seen:seen
+    Health.op_done p.hl ~sid;
+    Reqtrace.on_batch p.rt ~token ~pending:(launch - issue)
+      ~exec:(finish - launch) ~seen ~worker:batch_worker;
+    Recorder.emit_op_done p.rc ~worker ~time:(time - p.epoch) ~sid
+      ~batches_seen:seen ~latency:(finish - issue);
+    Invariants.op_completed p.inv ~batches_seen:seen
   end

@@ -13,9 +13,9 @@
     Every hook takes the event's stamp [time]: the runtime stamps with
     {!now}, the simulator passes its timestep. Health and Reqtrace take
     the stamp as is, so they attach to the runtime only (the simulator
-    rejects them); the recorder's events, and the invariant checkers'
-    violation events, get it shifted to the recorder's epoch
-    ({!Recorder.epoch}).
+    rejects them); the recorder's events get it shifted to the
+    recorder's epoch ({!Recorder.epoch}). The invariant checkers take
+    no stamp: a violation is a count, not an event.
 
     {!null} is off: each hook returns after one branch. Hooks take
     scalar arguments only and allocate nothing, whatever is attached
@@ -87,9 +87,9 @@ val complete :
     the stamps of its {!submit}, its batch's {!launch} and that batch's
     {!finish}; [seen] counts the launches of [sid] while it was pending
     (the Lemma-2 figure) and [batch_worker] ran its batch. The op's
-    pending (issue → launch) and exec (launch → finish) go to Health and
-    Reqtrace; the recorder gets an [Op_done] of latency
+    pending (issue → launch) and exec (launch → finish) go to Reqtrace,
+    Health counts the op, and the recorder gets an [Op_done] of latency
     [finish - issue]. The simulator passes its resume step as
     [launch] and [finish], so its latency runs from issue to resume
-    (DESIGN.md §7); it rejects Health and Reqtrace, the readers of
-    pending and exec. *)
+    (DESIGN.md §7); it rejects Reqtrace, the reader of pending and
+    exec. *)

@@ -4,8 +4,6 @@ type status = Free | Pending | Executing | Done
 
 type work_class = Wcore | Wbatch | Wsetup | Wsched | Wwait
 
-type check = Inv1 | Inv2 | Inv3 | Lemma2
-
 type kind =
   | Status of status
   | Steal of { victim : int; success : bool; batch_deque : bool }
@@ -15,13 +13,12 @@ type kind =
   | Op_done of { sid : int; batches_seen : int; latency : int }
   | Steals_suppressed of { count : int }
   | Work of { cls : work_class; units : int }
-  | Violation of { check : check; sid : int; arg : int }
 
 type event = { worker : int; time : int; kind : kind }
 
 (* Flat storage: one slot = (tag, time, a, b, c), all ints, in five
    parallel arrays. Tags: 0 status, 1 steal, 2 batch_start, 3 batch_end,
-   4 op_issue, 5 op_done, 6 steals_suppressed, 7 work, 8 violation. *)
+   4 op_issue, 5 op_done, 6 steals_suppressed, 7 work. *)
 type ring = {
   tag : int array;
   tm : int array;
@@ -114,22 +111,6 @@ let class_of_code = function
   | 3 -> Wsched
   | _ -> Wwait
 
-let check_code = function Inv1 -> 0 | Inv2 -> 1 | Inv3 -> 2 | Lemma2 -> 3
-
-let check_of_code = function
-  | 0 -> Inv1
-  | 1 -> Inv2
-  | 2 -> Inv3
-  | _ -> Lemma2
-
-let n_checks = 4
-
-let check_name = function
-  | Inv1 -> "inv1"
-  | Inv2 -> "inv2"
-  | Inv3 -> "inv3"
-  | Lemma2 -> "lemma2"
-
 let clock_name = function Timesteps -> "steps" | Nanoseconds -> "ns"
 
 let status_name = function
@@ -166,9 +147,6 @@ let emit_steals_suppressed t ~worker ~time ~count =
 let emit_work t ~worker ~time ~cls ~units =
   emit t ~worker ~time 7 (class_code cls) units 0
 
-let emit_violation t ~worker ~time ~check ~sid ~arg =
-  emit t ~worker ~time 8 (check_code check) sid arg
-
 let length t ~worker =
   if not t.enabled then 0 else min t.rings.(worker).next t.cap
 
@@ -188,7 +166,6 @@ let kind_of_slot r i =
   | 4 -> Op_issue { sid = r.a.(i) }
   | 6 -> Steals_suppressed { count = r.a.(i) }
   | 7 -> Work { cls = class_of_code r.a.(i); units = r.b.(i) }
-  | 8 -> Violation { check = check_of_code r.a.(i); sid = r.b.(i); arg = r.c.(i) }
   | _ -> Op_done { sid = r.a.(i); batches_seen = r.b.(i); latency = r.c.(i) }
 
 let events_of_worker t worker =

@@ -34,14 +34,6 @@ type status = Free | Pending | Executing | Done
     {!Summary}. *)
 type work_class = Wcore | Wbatch | Wsetup | Wsched | Wwait
 
-(** Which online safety property a {!kind.Violation} event reports
-    broken (see {!Invariants}): Invariant 1 (at most one batch of a
-    structure in flight), Invariant 2 (batch size ≤ its cap),
-    Invariant 3 (every collected op was pending exactly once —
-    dual-deque discipline), and the Lemma-2 batches-while-pending
-    bound. *)
-type check = Inv1 | Inv2 | Inv3 | Lemma2
-
 type kind =
   | Status of status  (** worker status transition *)
   | Steal of { victim : int; success : bool; batch_deque : bool }
@@ -73,11 +65,6 @@ type kind =
           [Work] segments tile the worker's busy timeline without
           overlap — the invariant {!Summary.check}'s conservation rests
           on *)
-  | Violation of { check : check; sid : int; arg : int }
-      (** an online checker caught [check] broken for structure [sid];
-          [arg] is the offending magnitude (concurrent batch count,
-          oversized batch size, collection deficit, or batches seen) —
-          see {!Invariants} for exact meanings *)
 
 type event = { worker : int; time : int; kind : kind }
 
@@ -130,19 +117,6 @@ val emit_op_done :
 val emit_steals_suppressed : t -> worker:int -> time:int -> count:int -> unit
 val emit_work :
   t -> worker:int -> time:int -> cls:work_class -> units:int -> unit
-val emit_violation :
-  t -> worker:int -> time:int -> check:check -> sid:int -> arg:int -> unit
-
-(* ---- check names ---- *)
-
-val n_checks : int
-(** Number of {!check} variants; {!check_code} maps onto [0..n_checks-1]. *)
-
-val check_code : check -> int
-val check_of_code : int -> check
-val check_name : check -> string
-(** Stable lowercase names ("inv1" … "lemma2") used by JSON sinks and
-    [bin/monitor.exe]. *)
 
 (* ---- read-out (after the run; not concurrency-safe during one) ---- *)
 

@@ -9,23 +9,18 @@
    practice); deltas default to 0, which is also the correct value for
    a phase that never happened.
 
-   The reservoir is workers x classes single-writer top-K segments:
-   res_lat/res_tok strips of length k each, kept descending-sorted by
-   insertion. Only the owning worker writes its segments, so inserts
-   are lock-free without CAS; readout merges segments after the run.
-   Per-worker completion counters live at stride 8 to keep writers off
-   each other's cache lines. *)
+   The arrays are the one store: the read-outs (slowest, exported,
+   completed, totals) scan them after the run. *)
 
-(* counter stride: one slot per worker, 8 words apart (64B lines). *)
-let c_stride = 8
+(* Every [sample_every]th token is tagged for a timeline; each class
+   also exports its [export_slowest] slowest spans. *)
+let sample_every = 32
+let export_slowest = 16
 
 type t = {
   on : bool;
   cap : int;
-  k : int;
-  workers : int;
   classes : int;
-  sample_every : int;
   (* raw-ns milestones (0 = unset) *)
   arrive : int array;
   start : int array;
@@ -41,10 +36,6 @@ type t = {
   w_start : int array;
   w_batch : int array;
   w_done : int array;
-  (* slowest-K reservoir: workers x classes segments of length k *)
-  res_lat : int array;
-  res_tok : int array;
-  n_done : int array; (* per-worker completion counters, stride 8 *)
 }
 
 let empty = [||]
@@ -53,10 +44,7 @@ let null =
   {
     on = false;
     cap = 0;
-    k = 0;
-    workers = 0;
     classes = 0;
-    sample_every = 1;
     arrive = empty;
     start = empty;
     submit = empty;
@@ -70,26 +58,16 @@ let null =
     w_start = empty;
     w_batch = empty;
     w_done = empty;
-    res_lat = empty;
-    res_tok = empty;
-    n_done = empty;
   }
 
-let create ?(sample_every = 32) ?(k = 16) ~workers ~classes ~capacity () =
-  if workers < 1 then invalid_arg "Reqtrace.create: workers < 1";
+let create ~classes ~capacity () =
   if classes < 1 then invalid_arg "Reqtrace.create: classes < 1";
   if capacity < 0 then invalid_arg "Reqtrace.create: capacity < 0";
-  if k < 1 then invalid_arg "Reqtrace.create: k < 1";
-  if sample_every < 1 then invalid_arg "Reqtrace.create: sample_every < 1";
   let a () = Array.make (max 1 capacity) 0 in
-  let res = workers * classes * k in
   {
     on = true;
     cap = capacity;
-    k;
-    workers;
     classes;
-    sample_every;
     arrive = a ();
     start = a ();
     submit = a ();
@@ -103,14 +81,10 @@ let create ?(sample_every = 32) ?(k = 16) ~workers ~classes ~capacity () =
     w_start = a ();
     w_batch = a ();
     w_done = a ();
-    res_lat = Array.make (max 1 res) (-1);
-    res_tok = Array.make (max 1 res) (-1);
-    n_done = Array.make (workers * c_stride) 0;
   }
 
 let enabled t = t.on
 let capacity t = t.cap
-let k t = t.k
 let classes t = t.classes
 
 let[@inline] tracked t token = t.on && token >= 0 && token < t.cap
@@ -141,42 +115,11 @@ let[@inline] on_batch t ~token ~pending ~exec ~seen ~worker =
     Array.unsafe_set t.w_batch token worker
   end
 
-(* Single-writer descending insertion into the (worker, cls) segment.
-   The common case — lat no better than the segment's current floor —
-   is one compare against the last slot. *)
-let offer t ~worker ~cls ~token ~lat =
-  if t.on && worker >= 0 && worker < t.workers && cls >= 0 && cls < t.classes
-  then begin
-    let base = ((worker * t.classes) + cls) * t.k in
-    let last = base + t.k - 1 in
-    if lat > Array.unsafe_get t.res_lat last then begin
-      (* shift everything smaller than lat down one slot, drop the tail *)
-      let i = ref last in
-      while
-        !i > base && Array.unsafe_get t.res_lat (!i - 1) < lat
-      do
-        Array.unsafe_set t.res_lat !i (Array.unsafe_get t.res_lat (!i - 1));
-        Array.unsafe_set t.res_tok !i (Array.unsafe_get t.res_tok (!i - 1));
-        decr i
-      done;
-      Array.unsafe_set t.res_lat !i lat;
-      Array.unsafe_set t.res_tok !i token
-    end
-  end
-
 let[@inline] on_done t ~token ~worker =
   if tracked t token then begin
-    let fin = Clock.now_ns () in
-    Array.unsafe_set t.fin token fin;
+    Array.unsafe_set t.fin token (Clock.now_ns ());
     Array.unsafe_set t.w_done token worker;
-    Array.unsafe_set t.finished token true;
-    let w = if worker >= 0 && worker < t.workers then worker else 0 in
-    offer t ~worker:w
-      ~cls:(Array.unsafe_get t.cls token)
-      ~token
-      ~lat:(fin - Array.unsafe_get t.arrive token);
-    let c = w * c_stride in
-    Array.unsafe_set t.n_done c (Array.unsafe_get t.n_done c + 1)
+    Array.unsafe_set t.finished token true
   end
 
 let record_sim t ~token ~cls ~sid ~arrive_ns ~pending_ns ~exec_ns ~seen =
@@ -190,9 +133,7 @@ let record_sim t ~token ~cls ~sid ~arrive_ns ~pending_ns ~exec_ns ~seen =
     t.seen.(token) <- seen;
     t.cls.(token) <- cls;
     t.sid.(token) <- sid;
-    t.finished.(token) <- true;
-    offer t ~worker:0 ~cls ~token ~lat:(pending_ns + exec_ns);
-    t.n_done.(0) <- t.n_done.(0) + 1
+    t.finished.(token) <- true
   end
 
 (* ---- read-out ---- *)
@@ -239,7 +180,7 @@ let span t token =
         token;
         cls = t.cls.(token);
         sid = t.sid.(token);
-        sampled = token mod t.sample_every = 0;
+        sampled = token mod sample_every = 0;
         arrive_ns = arrive;
         latency_ns = latency;
         queue_ns = queue;
@@ -254,47 +195,46 @@ let span t token =
       }
 
 let completed t =
-  if not t.on then 0
-  else begin
-    let s = ref 0 in
-    for w = 0 to t.workers - 1 do
-      s := !s + t.n_done.(w * c_stride)
-    done;
-    !s
-  end
+  let n = ref 0 in
+  for tok = 0 to t.cap - 1 do
+    if t.finished.(tok) then incr n
+  done;
+  !n
 
-let reservoir ?cls t =
-  if not t.on then []
-  else begin
-    let acc = ref [] in
-    for w = 0 to t.workers - 1 do
-      for c = 0 to t.classes - 1 do
-        if match cls with None -> true | Some c' -> c = c' then begin
-          let base = ((w * t.classes) + c) * t.k in
-          for i = 0 to t.k - 1 do
-            let lat = t.res_lat.(base + i) in
-            if lat >= 0 then acc := (lat, t.res_tok.(base + i)) :: !acc
-          done
-        end
-      done
-    done;
-    let all =
-      List.sort (fun (a, _) (b, _) -> compare (b : int) a) !acc
-    in
-    List.filteri (fun i _ -> i < t.k) all
-  end
+let latency t tok = t.fin.(tok) - t.arrive.(tok)
 
-let slowest ?cls t =
-  List.filter_map (fun (_, tok) -> span t tok) (reservoir ?cls t)
+(* Latency descending, then token ascending ([later = false]) or
+   descending ([later = true]). *)
+let by_latency t ~later a b =
+  match compare (latency t b) (latency t a) with
+  | 0 -> if later then compare b a else compare a b
+  | c -> c
+
+let slowest ?cls ~n t =
+  let keep tok =
+    t.finished.(tok) && match cls with None -> true | Some c -> t.cls.(tok) = c
+  in
+  let toks = Array.of_seq (Seq.filter keep (Seq.init t.cap Fun.id)) in
+  (* At least a timeline's depth is chosen, so every shorter list is a
+     prefix of the set {!exported} marks. *)
+  Array.sort (by_latency t ~later:false) toks;
+  let chosen =
+    Array.sub toks 0 (min (Array.length toks) (max n export_slowest))
+  in
+  Array.sort (by_latency t ~later:true) chosen;
+  List.filter_map (span t)
+    (List.filteri (fun i _ -> i < n) (Array.to_list chosen))
 
 let exported t =
   let slow = Array.make (max 1 t.cap) false in
   for c = 0 to t.classes - 1 do
-    List.iter (fun (_, tok) -> slow.(tok) <- true) (reservoir ~cls:c t)
+    List.iter
+      (fun s -> slow.(s.token) <- true)
+      (slowest ~cls:c ~n:export_slowest t)
   done;
   let acc = ref [] in
   for tok = t.cap - 1 downto 0 do
-    if slow.(tok) || tok mod t.sample_every = 0 then
+    if slow.(tok) || tok mod sample_every = 0 then
       Option.iter (fun s -> acc := s :: !acc) (span t tok)
   done;
   !acc

@@ -22,39 +22,25 @@
     ordering makes every term nonnegative; {!check} enforces both
     properties over a completed run.
 
-    The slowest-K reservoir keeps the K worst requests {e per class}
-    exactly, not probabilistically: every completion offers its
-    latency to a single-writer per-(worker, class) top-K segment
-    (lock-free — segments are disjoint), and {!slowest} merges the
-    segments at read time. Since the flat arrays hold every request's
-    stamps, a reservoir winner's anatomy is materialized whole.
-
-    [sample_every] does not gate capture (capture is free); it marks
-    every Nth token {!span.sampled} so a timeline ({!exported}, which
-    {!Chrome.requests} renders) is thinned without losing the tail —
-    slowest-K spans are always exported. *)
+    The arrays are the one store. Every read-out scans them after the
+    run: {!slowest} picks the worst requests of a class from every
+    completed span, exactly, and materializes each anatomy whole. A
+    timeline ({!exported}, which {!Chrome.requests} renders) is thinned
+    to every 32nd token, {!span.sampled}, plus each class's 16 slowest,
+    so it keeps the tail. *)
 
 type t
 
 val null : t
 (** Disabled: every hook returns after one field load. *)
 
-val create :
-  ?sample_every:int ->
-  ?k:int ->
-  workers:int ->
-  classes:int ->
-  capacity:int ->
-  unit ->
-  t
+val create : classes:int -> capacity:int -> unit -> t
 (** [capacity] tokens ([0 .. capacity)); hooks on tokens outside the
-    range (including the untraced sentinel [-1]) are no-ops. Defaults:
-    [sample_every = 32], [k = 16] (the reservoir depth per class).
-    [workers >= 1], [classes >= 1]. *)
+    range (including the untraced sentinel [-1]) are no-ops.
+    [classes >= 1]. *)
 
 val enabled : t -> bool
 val capacity : t -> int
-val k : t -> int
 val classes : t -> int
 
 (* ---- lifecycle hooks (allocation-free; scalar arguments only) ---- *)
@@ -84,14 +70,8 @@ val on_batch :
     [sched_post]. *)
 
 val on_done : t -> token:int -> worker:int -> unit
-(** The request's continuation resumed and its latency is final: stamp
-    completion and offer the request to [worker]'s reservoir segment. *)
-
-val offer : t -> worker:int -> cls:int -> token:int -> lat:int -> unit
-(** The raw reservoir primitive ({!on_done} calls it): insert into the
-    single-writer top-K segment of ([worker], [cls]). Exposed for the
-    simulator path and the concurrency tests; calls with the same
-    [worker] must not race each other. *)
+(** The request's continuation resumed on [worker] and its latency is
+    final: stamp completion. *)
 
 val record_sim : t ->
   token:int -> cls:int -> sid:int -> arrive_ns:int ->
@@ -131,20 +111,18 @@ val span : t -> int -> span option
     never completed (or out of range). *)
 
 val completed : t -> int
-(** Requests completed so far (sum of per-worker counters; safe to
-    sample during a run, may be a few behind). *)
+(** Completed spans: a scan of the done marks, for after the run. *)
 
-val reservoir : ?cls:int -> t -> (int * int) list
-(** Merged slowest-K as [(latency_ns, token)] pairs, worst first, at
-    most [k]; [cls] restricts to one class (default: all classes
-    merged). *)
-
-val slowest : ?cls:int -> t -> span list
-(** {!reservoir} materialized whole, worst first. *)
+val slowest : ?cls:int -> n:int -> t -> span list
+(** The [n] slowest completed spans ([cls] restricts to one class;
+    default: all classes), worst first, equal latencies highest token
+    first. The [max n 16] slowest are chosen first, a tie at the cut
+    keeping the lower token, so a list of at most 16 is a prefix of
+    [slowest ~n:16]. *)
 
 val exported : t -> span list
 (** A timeline's spans: every {!span.sampled} span plus every class's
-    {!slowest}, each once, in token order. *)
+    [slowest ~n:16], each once, in token order. *)
 
 type totals = {
   n : int;  (** completed requests in the aggregate *)

@@ -13,9 +13,7 @@ module Histo = struct
     { counts = Array.make buckets_len 0; n = 0; sum = 0; mn = max_int; mx = 0 }
 
   (* Bit count (floor(log2 v) + 1) by branch-free binary reduction
-     rather than a shift-per-bit loop: [add] sits on the health layer's
-     per-op hot path (three calls per completed op), where the loop's
-     ~60 ns dominated the whole hook. *)
+     rather than a shift-per-bit loop. *)
   let bucket_of v =
     if v <= 0 then 0
     else begin
@@ -37,22 +35,6 @@ module Histo = struct
     t.sum <- t.sum + v;
     if v < t.mn then t.mn <- v;
     if v > t.mx then t.mx <- v
-
-  (* Union of two histograms. Buckets are fixed power-of-two ranges, so
-     merging is an elementwise sum; n/sum add, min/max take the extremes
-     (the empty histogram's mn = max_int / mx = 0 are the identities for
-     min/max over non-negative samples, so merging with an empty side is
-     exact). Inputs are not mutated. *)
-  let merge x y =
-    let t = create () in
-    for k = 0 to buckets_len - 1 do
-      t.counts.(k) <- x.counts.(k) + y.counts.(k)
-    done;
-    t.n <- x.n + y.n;
-    t.sum <- x.sum + y.sum;
-    t.mn <- min x.mn y.mn;
-    t.mx <- max x.mx y.mx;
-    t
 
   let count t = t.n
   let total t = t.sum
@@ -163,7 +145,6 @@ type t = {
   max_batches_seen : int;
   steal_attempts : int;
   steal_successes : int;
-  violations : int array;
   t_inf_witness : int;
   top : segment list;
 }
@@ -256,7 +237,6 @@ let of_recorder r =
   let timesteps = Recorder.clock r = Recorder.Timesteps in
   let batch_size = Histo.create () and op_latency = Histo.create () in
   let batches_seen = Array.make 9 0 in
-  let violations = Array.make Recorder.n_checks 0 in
   let events = ref 0 and max_seen = ref 0 in
   let attempts = ref 0 and hits = ref 0 in
   let segs = ref [] in
@@ -313,9 +293,6 @@ let of_recorder r =
             { sg_kind = "op"; sg_sid = sid; sg_start = e.time - latency;
               sg_len = latency; sg_worker = e.worker }
             :: !segs
-      | Recorder.Violation { check; _ } ->
-          let k = Recorder.check_code check in
-          violations.(k) <- violations.(k) + 1
       | Recorder.Op_issue _ -> ())
     (Recorder.all_events r);
   let per_worker =
@@ -371,7 +348,6 @@ let of_recorder r =
     max_batches_seen = !max_seen;
     steal_attempts = !attempts;
     steal_successes = !hits;
-    violations;
     t_inf_witness =
       Array.fold_left
         (fun acc sa -> max acc sa.sa_busy)
@@ -498,18 +474,7 @@ let pp fmt t =
     (fun s ->
       Format.fprintf fmt "  %-5s sid=%d worker=%d [%d, %d] len=%d@." s.sg_kind
         s.sg_sid s.sg_worker s.sg_start (s.sg_start + s.sg_len) s.sg_len)
-    t.top;
-  let nviol = Array.fold_left ( + ) 0 t.violations in
-  if nviol > 0 then begin
-    Format.fprintf fmt "VIOLATIONS: %d@." nviol;
-    Array.iteri
-      (fun k c ->
-        if c > 0 then
-          Format.fprintf fmt "  %s: %d@."
-            (Recorder.check_name (Recorder.check_of_code k))
-            c)
-      t.violations
-  end
+    t.top
 
 let histo_json h =
   Json.Obj
@@ -577,13 +542,6 @@ let to_json t =
       ("max_batches_while_pending", Json.Int t.max_batches_seen);
       ("steal_attempts", Json.Int t.steal_attempts);
       ("steal_successes", Json.Int t.steal_successes);
-      ( "violations",
-        Json.Obj
-          (Array.to_list
-             (Array.mapi
-                (fun k c ->
-                  (Recorder.check_name (Recorder.check_of_code k), Json.Int c))
-                t.violations)) );
       ("t_inf_witness", Json.Int t.t_inf_witness);
       ( "top_segments",
         Json.List

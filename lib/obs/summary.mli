@@ -2,8 +2,9 @@
     totals everything the sinks show — the worker-time buckets of the
     paper's Theorem-1 bound [O((T1 + W(n) + n·s(n))/P + m·s(n) + T∞)],
     per-status time, per-structure batch accounts, the batch-size,
-    op-latency and Lemma-2 distributions, steal counts, online-checker
-    violations, and the realized critical-path witness.
+    op-latency and Lemma-2 distributions, steal counts, and the
+    realized critical-path witness. Online-checker violations are not
+    events: {!Invariants} counts them.
 
     Everything is computed from the surviving ring contents, so a
     wrapped recording undercounts by exactly {!t.dropped} events;
@@ -58,14 +59,6 @@ module Histo : sig
       exactly. [0.] when empty. The histogram stores only
       power-of-two bucket counts, so interior percentiles are
       approximations with relative error bounded by the bucket width. *)
-
-  val merge : t -> t -> t
-  (** [merge x y] is a fresh histogram equal to one fed the union of
-      both inputs' samples: bucket counts, [count] and [total] add;
-      [min_v]/[max_v] are the extremes over both. Neither input is
-      mutated. Exact because buckets are fixed ranges — this is how
-      {!Health} aggregates its per-worker phase histograms at sample
-      time without sharing writers. *)
 end
 
 type buckets = {
@@ -138,9 +131,6 @@ type t = {
   max_batches_seen : int;
   steal_attempts : int;  (** [Steal] events plus suppressed counts *)
   steal_successes : int;
-  violations : int array;
-      (** surviving [Violation] events per check, indexed by
-          {!Recorder.check_code}; all zeros on a healthy recording *)
   t_inf_witness : int;
       (** max of every [sa_busy] and every op latency: each is a
           realized dependency chain, so the witness is a certified

@@ -1,7 +1,7 @@
 (* K independent batcher instances over one pool — the runtime half of
    keyspace sharding. Each shard is a full [Batcher_rt] with its own
    pending array and batch flag, registered under
-   structure id [sid_base + shard], so everything the pool's probe
+   structure id [shard], so everything the pool's probe
    observes separates per shard with no further wiring. Routing (which shard
    owns a key, how fan-out results merge) is the caller's business —
    [Batched.Shard] computes plans; this module only executes
@@ -12,14 +12,13 @@ type ('s, 'op) t = {
   batchers : ('s, 'op) Batcher_rt.t array;
 }
 
-let create ?(sid_base = 0) ~pool ~shards ~state ~run_batch () =
+let create ~pool ~shards ~state ~run_batch () =
   if shards < 1 then invalid_arg "Shard_rt.create: shards >= 1";
   {
     pool;
     batchers =
       Array.init shards (fun i ->
-          Batcher_rt.create ~sid:(sid_base + i) ~pool ~state:(state i)
-            ~run_batch ());
+          Batcher_rt.create ~sid:i ~pool ~state:(state i) ~run_batch ());
   }
 
 let shards t = Array.length t.batchers

@@ -3,7 +3,7 @@
 
     Invariant 1 serializes batches {e per structure}; registering K
     instances makes it per-shard, so up to [min K P] batches run
-    concurrently. Each shard carries structure id [sid_base + shard]
+    concurrently. Each shard carries its index as structure id
     in every event it reports to the pool's probe, so all
     observability separates per shard for free.
 
@@ -21,7 +21,6 @@
 type ('s, 'op) t
 
 val create :
-  ?sid_base:int ->
   pool:Pool.t ->
   shards:int ->
   state:(int -> 's) ->
@@ -33,10 +32,9 @@ val create :
     Invariant 1 never runs concurrently {e with itself on the same
     shard} — different shards' batches do overlap, so [run_batch] must
     not touch state shared across shards). Shard [i] is registered
-    under structure id [sid_base + i] (default base 0) and reports to
-    the pool's probe like any {!Batcher_rt}; when the probe carries a
-    health or invariant instance, it must cover [sid_base + shards]
-    structures. *)
+    under structure id [i] and reports to the pool's probe like any
+    {!Batcher_rt}; when the probe carries a health or invariant
+    instance, it must cover [shards] structures. *)
 
 val shards : ('s, 'op) t -> int
 val pool : ('s, 'op) t -> Pool.t

@@ -8,7 +8,6 @@ type point = {
   batches : int;
   max_batch : int;
   stalls : int;
-  slo_burns : int;
   lag_ns : int array;  (* dispatcher lateness per request *)
   trace : Obs.Reqtrace.t;  (* per-request spans; null unless ?trace *)
 }
@@ -69,7 +68,7 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
   let lag_ns = Array.make n 0 in
   let rtr =
     if trace then
-      Obs.Reqtrace.create ~workers ~classes:Gen.n_classes ~capacity:n ()
+      Obs.Reqtrace.create ~classes:Gen.n_classes ~capacity:n ()
     else Obs.Reqtrace.null
   in
   let pool =
@@ -175,12 +174,6 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
             promises;
           elapsed := Obs.Clock.now_ns () - t0));
   let st = Runtime.Shard_rt.total_stats srt in
-  let slo_burns = ref 0 in
-  for sid = 0 to shards - 1 do
-    List.iter
-      (fun ph -> slo_burns := !slo_burns + Obs.Health.burn_count hl ~sid ph)
-      [ Obs.Health.Pending; Obs.Health.Exec ]
-  done;
   let elapsed_ns = float_of_int !elapsed in
   {
     shards;
@@ -193,7 +186,6 @@ let run_point ?workers ?snapshot_path ?duration_s ?(trace = false)
     batches = st.Runtime.Batcher_rt.batches;
     max_batch = st.Runtime.Batcher_rt.max_batch;
     stalls = Obs.Health.stall_count hl;
-    slo_burns = !slo_burns;
     lag_ns;
     trace = rtr;
   }

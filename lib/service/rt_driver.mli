@@ -20,7 +20,6 @@ type point = {
   batches : int;
   max_batch : int;
   stalls : int;  (** {!Obs.Health} stall episodes *)
-  slo_burns : int;  (** end-to-end phase SLO burns, summed over shards *)
   lag_ns : int array;
       (** per request, in schedule order: how late the dispatcher
           released it, [now - (t0 + arrive_ns)] from the clock read
@@ -54,8 +53,9 @@ val run_point :
 
     [trace] (default false) captures every request's span in an
     {!Obs.Reqtrace} instance (token = schedule index), returned in the
-    point's [trace] field: release/start/submit milestones, the batch
-    path's wait/exec deltas, and the slowest-K reservoir per op class.
+    point's [trace] field: release/start/submit milestones and the
+    batch path's wait/exec deltas, from which every read-out (the
+    slowest spans per op class included) is computed after the run.
     The run's {!Obs.Health} instance is always on; the trace rides on
     the same {!Obs.Probe} attached to the pool. *)
 

@@ -48,7 +48,7 @@ let run_point ?(trace = false) (sc : Scenario.t) ~p =
      structurally zero. One bulk record per request, deterministic. *)
   let rtr =
     if trace then
-      Obs.Reqtrace.create ~workers:1 ~classes:Gen.n_classes ~capacity:n ()
+      Obs.Reqtrace.create ~classes:Gen.n_classes ~capacity:n ()
     else Obs.Reqtrace.null
   in
   if trace then

@@ -33,76 +33,6 @@ let stddev xs =
     sqrt (!ss /. float_of_int (n - 1))
   end
 
-(* ---- sorting ----
-
-   [Array.sort Float.compare] is polymorphic: it reads every element
-   through the generic array accessor, which boxes a float per read, and
-   compares through a closure. This sort is monomorphic, so no read
-   boxes: a bottom-up merge sort over insertion-sorted runs of 16,
-   passing between the array and one scratch buffer. The order is
-   [Float.compare]'s (nan below every number), so the result equals
-   [Array.sort Float.compare]'s. *)
-
-(* [Float.compare a b < 0], spelt so the common case is one unboxed
-   [<]: a nan is below every number and equal to another nan. *)
-let[@inline] lt (a : float) b = a < b || (a <> a && b = b)
-
-(* Merge the ascending runs [src.(lo..mid-1)] and [src.(mid..hi-1)]
-   into [dst.(lo..hi-1)]; a tie takes the left run's element first. *)
-let merge_into (src : float array) (dst : float array) lo mid hi =
-  let i = ref lo and j = ref mid and k = ref lo in
-  while !i < mid && !j < hi do
-    let a = src.(!i) and b = src.(!j) in
-    if lt b a then begin
-      dst.(!k) <- b;
-      incr j
-    end
-    else begin
-      dst.(!k) <- a;
-      incr i
-    end;
-    incr k
-  done;
-  if !i < mid then Array.blit src !i dst !k (mid - !i)
-  else Array.blit src !j dst !k (hi - !j)
-
-let run_len = 16
-
-let sort (a : float array) =
-  let n = Array.length a in
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = min n (!lo + run_len) in
-    for i = !lo + 1 to hi - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= !lo && lt x a.(!j) do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done;
-    lo := hi
-  done;
-  (* Merge adjacent runs pairwise, round by round, until one is left. *)
-  if n > run_len then begin
-    let src = ref a and dst = ref (Array.create_float n) in
-    let width = ref run_len in
-    while !width < n do
-      let s = !src and d = !dst in
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
-        merge_into s d !lo mid hi;
-        lo := hi
-      done;
-      width := 2 * !width;
-      src := d;
-      dst := s
-    done;
-    if !src != a then Array.blit !src 0 a 0 n
-  end
-
 (* ---- integer sort ----
 
    LSD radix sort on 8-bit digits. Flipping the sign bit maps the ints
@@ -184,7 +114,7 @@ let percentile_sorted_int sorted q =
 
 let percentile xs q =
   let sorted = Array.copy xs in
-  sort sorted;
+  Array.sort Float.compare sorted;
   interpolate (Array.length sorted) (fun i -> sorted.(i)) q
 
 let summarize xs =

@@ -1,7 +1,9 @@
 (** Summary statistics over float samples, used by experiment reports,
-    and the integer sort and quantiles latency digests read. Nothing
-    here boxes a sample: the loops and the sorts read the arrays
-    unboxed. *)
+    and the integer sort and quantiles latency digests read. The sums
+    and the integer sort read their arrays unboxed; {!percentile} and
+    {!summarize} sort a float copy with [Array.sort Float.compare],
+    which boxes each element it reads, and are meant for reports
+    outside timed regions. *)
 
 type summary = {
   n : int;
@@ -28,12 +30,6 @@ val percentile_sorted_int : int array -> float -> float
     [percentile (Array.map float_of_int sorted) q], to the bit, for an
     array already in ascending order, without the conversion, the copy
     and the sort: several quantiles of one sample cost one sort. *)
-
-val sort : float array -> unit
-(** Sort in place into ascending order: the array
-    [Array.sort Float.compare] gives (nan below every number), without
-    boxing. A bottom-up merge sort over insertion-sorted runs of 16;
-    it allocates one scratch array of the input's length. *)
 
 val radix_sort : int array -> unit
 (** Sort in place into ascending order: the array [Array.sort compare]

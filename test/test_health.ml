@@ -1,5 +1,5 @@
 (* Health-monitoring layer: online invariant checkers, heartbeats,
-   stall detection, and phase-latency SLOs.
+   stall detection, and the per-structure gauges.
 
    The mutation tests are the teeth: each checker is fed a seeded
    violation (a double launch, an oversized batch, a fabricated
@@ -10,10 +10,19 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let viol inv c =
-  (Obs.Invariants.violations inv).(Obs.Recorder.check_code c)
+  (Obs.Invariants.violations inv).(Obs.Invariants.check_code c)
 
-let exact ?recorder ?(lemma2_bound = 2) ?(structures = 2) () =
-  Obs.Invariants.create ?recorder ~lemma2_bound ~structures ()
+let exact ?(lemma2_bound = 2) ?(structures = 2) () =
+  Obs.Invariants.create ~lemma2_bound ~structures ()
+
+(* A structure's op count as the stream carries it; 0 when disabled. *)
+let ops hl ~sid =
+  match Obs.Json.member "structures" (Obs.Health.to_json hl) with
+  | Some (Obs.Json.List l) -> (
+      match Obs.Json.member "ops" (List.nth l sid) with
+      | Some (Obs.Json.Int n) -> n
+      | _ -> Alcotest.fail "structure without ops")
+  | _ -> 0
 
 (* ---- mutation tests: every checker fires on its seeded bug ---- *)
 
@@ -22,16 +31,16 @@ let test_inv1_fires () =
   (* Two batches of structure 0 in flight at once. *)
   Obs.Invariants.op_submitted inv ~sid:0;
   Obs.Invariants.op_submitted inv ~sid:0;
-  Obs.Invariants.batch_started inv ~worker:0 ~time:1 ~sid:0 ~size:1 ~cap:4;
-  Obs.Invariants.batch_started inv ~worker:1 ~time:2 ~sid:0 ~size:1 ~cap:4;
-  check "inv1 fired" 1 (viol inv Obs.Recorder.Inv1);
+  Obs.Invariants.batch_started inv ~sid:0 ~size:1 ~cap:4;
+  Obs.Invariants.batch_started inv ~sid:0 ~size:1 ~cap:4;
+  check "inv1 fired" 1 (viol inv Obs.Invariants.Inv1);
   (* Ends audit too: with 2 in flight the first end sees an impossible
      count (fire), the second is the 1 -> 0 step (clean), and a third,
      unmatched end fires again. *)
-  Obs.Invariants.batch_ended inv ~worker:0 ~time:3 ~sid:0;
-  Obs.Invariants.batch_ended inv ~worker:1 ~time:4 ~sid:0;
-  Obs.Invariants.batch_ended inv ~worker:1 ~time:5 ~sid:0;
-  check "ends audited" 3 (viol inv Obs.Recorder.Inv1);
+  Obs.Invariants.batch_ended inv ~sid:0;
+  Obs.Invariants.batch_ended inv ~sid:0;
+  Obs.Invariants.batch_ended inv ~sid:0;
+  check "ends audited" 3 (viol inv Obs.Invariants.Inv1);
   check "only inv1" 3 (Obs.Invariants.total_violations inv)
 
 let test_inv2_fires () =
@@ -40,10 +49,10 @@ let test_inv2_fires () =
     Obs.Invariants.op_submitted inv ~sid:1
   done;
   (* Size over the declared cap. *)
-  Obs.Invariants.batch_started inv ~worker:0 ~time:1 ~sid:1 ~size:5 ~cap:4;
-  check "inv2 fired" 1 (viol inv Obs.Recorder.Inv2);
-  check "inv1 clean" 0 (viol inv Obs.Recorder.Inv1);
-  Obs.Invariants.batch_ended inv ~worker:0 ~time:2 ~sid:1;
+  Obs.Invariants.batch_started inv ~sid:1 ~size:5 ~cap:4;
+  check "inv2 fired" 1 (viol inv Obs.Invariants.Inv2);
+  check "inv1 clean" 0 (viol inv Obs.Invariants.Inv1);
+  Obs.Invariants.batch_ended inv ~sid:1;
   check "no extra" 1 (Obs.Invariants.total_violations inv)
 
 let test_inv3_fires () =
@@ -51,24 +60,24 @@ let test_inv3_fires () =
   (* Collect 3 ops when only 1 was ever submitted: the pending balance
      would go negative — an op was fabricated or collected twice. *)
   Obs.Invariants.op_submitted inv ~sid:0;
-  Obs.Invariants.batch_started inv ~worker:0 ~time:1 ~sid:0 ~size:3 ~cap:4;
-  check "inv3 fired" 1 (viol inv Obs.Recorder.Inv3);
-  Obs.Invariants.batch_ended inv ~worker:0 ~time:2 ~sid:0;
+  Obs.Invariants.batch_started inv ~sid:0 ~size:3 ~cap:4;
+  check "inv3 fired" 1 (viol inv Obs.Invariants.Inv3);
+  Obs.Invariants.batch_ended inv ~sid:0;
   (* The balance carries the deficit (now -2); once enough genuine
      submissions restore it, collection is clean again. *)
   for _ = 1 to 5 do
     Obs.Invariants.op_submitted inv ~sid:0
   done;
-  Obs.Invariants.batch_started inv ~worker:0 ~time:3 ~sid:0 ~size:3 ~cap:4;
-  Obs.Invariants.batch_ended inv ~worker:0 ~time:4 ~sid:0;
-  check "no new fire once balanced" 1 (viol inv Obs.Recorder.Inv3)
+  Obs.Invariants.batch_started inv ~sid:0 ~size:3 ~cap:4;
+  Obs.Invariants.batch_ended inv ~sid:0;
+  check "no new fire once balanced" 1 (viol inv Obs.Invariants.Inv3)
 
 let test_lemma2_fires () =
   let inv = exact ~lemma2_bound:2 () in
-  Obs.Invariants.op_completed inv ~worker:0 ~time:1 ~sid:0 ~batches_seen:2;
-  check "at bound: clean" 0 (viol inv Obs.Recorder.Lemma2);
-  Obs.Invariants.op_completed inv ~worker:0 ~time:2 ~sid:0 ~batches_seen:3;
-  check "over bound: fired" 1 (viol inv Obs.Recorder.Lemma2)
+  Obs.Invariants.op_completed inv ~batches_seen:2;
+  check "at bound: clean" 0 (viol inv Obs.Invariants.Lemma2);
+  Obs.Invariants.op_completed inv ~batches_seen:3;
+  check "over bound: fired" 1 (viol inv Obs.Invariants.Lemma2)
 
 let test_stall_counter_fires () =
   let hl = Obs.Health.create ~workers:1 ~structures:2 () in
@@ -126,61 +135,49 @@ let test_snapshot_flags_stall () =
 let test_off_and_out_of_range () =
   let off = Obs.Invariants.null in
   check_bool "off is inactive" false (Obs.Invariants.active off);
-  Obs.Invariants.batch_started off ~worker:0 ~time:1 ~sid:0 ~size:99 ~cap:1;
+  Obs.Invariants.batch_started off ~sid:0 ~size:99 ~cap:1;
   check "off never fires" 0 (Obs.Invariants.total_violations off);
   let inv = exact ~structures:1 () in
   (* Hooks with sids outside [0..structures-1] are ignored, not trusted. *)
   Obs.Invariants.op_submitted inv ~sid:7;
-  Obs.Invariants.batch_started inv ~worker:0 ~time:1 ~sid:7 ~size:99 ~cap:1;
-  Obs.Invariants.batch_started inv ~worker:0 ~time:1 ~sid:(-1) ~size:99 ~cap:1;
+  Obs.Invariants.batch_started inv ~sid:7 ~size:99 ~cap:1;
+  Obs.Invariants.batch_started inv ~sid:(-1) ~size:99 ~cap:1;
   check "out-of-range ignored" 0 (Obs.Invariants.total_violations inv)
 
-let test_violation_events_on_recorder () =
-  let rc =
-    Obs.Recorder.create ~capacity:64 ~clock:Obs.Recorder.Timesteps ~workers:2 ()
-  in
-  let inv = exact ~recorder:rc () in
-  Obs.Invariants.batch_started inv ~worker:1 ~time:42 ~sid:0 ~size:9 ~cap:4;
-  (* Inv2 (size > cap) and Inv3 (collected 9, submitted 0) both fire,
-     each as an event on the calling worker's ring. *)
-  let evs = Obs.Recorder.events_of_worker rc 1 in
-  let viols =
-    List.filter_map
-      (fun (e : Obs.Recorder.event) ->
-        match e.Obs.Recorder.kind with
-        | Obs.Recorder.Violation { check; sid; arg } ->
-            Some (check, sid, arg, e.Obs.Recorder.time)
-        | _ -> None)
-      evs
-  in
-  check "two events" 2 (List.length viols);
-  List.iter
-    (fun (_, sid, _, time) ->
-      check "sid" 0 sid;
-      check "time" 42 time)
-    viols;
-  check_bool "inv2 event present" true
-    (List.exists (fun (c, _, _, _) -> c = Obs.Recorder.Inv2) viols);
-  check_bool "inv3 event present" true
-    (List.exists (fun (c, _, _, _) -> c = Obs.Recorder.Inv3) viols)
+let test_one_launch_fires_two_checks () =
+  let inv = exact () in
+  Obs.Invariants.batch_started inv ~sid:0 ~size:9 ~cap:4;
+  (* Inv2 (size > cap) and Inv3 (collected 9, submitted 0) both fire
+     at one check site, each on its own counter. *)
+  check "inv2" 1 (viol inv Obs.Invariants.Inv2);
+  check "inv3" 1 (viol inv Obs.Invariants.Inv3);
+  check "nothing else" 2 (Obs.Invariants.total_violations inv);
+  check "one check site" 1 (Obs.Invariants.checks_run inv);
+  match Obs.Json.member "violations" (Obs.Invariants.to_json inv) with
+  | Some v ->
+      List.iter
+        (fun (name, n) ->
+          check name n
+            (match Obs.Json.member name v with
+            | Some (Obs.Json.Int k) -> k
+            | _ -> Alcotest.failf "no %s" name))
+        [ ("inv1", 0); ("inv2", 1); ("inv3", 1); ("lemma2", 0) ]
+  | None -> Alcotest.fail "no violations object"
 
-(* ---- health gauges, phases, SLO burn ---- *)
+(* ---- health gauges ---- *)
 
-let test_phase_histo_and_burn () =
-  let hl = Obs.Health.create ~workers:2 ~structures:1 () in
-  let slo = Obs.Health.slo_ns in
-  (* Two workers record phases for the same structure; reads merge. *)
-  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~pending:50 ~exec:500;
-  Obs.Health.op_phases hl ~worker:1 ~sid:0 ~pending:(slo + 1)
-    ~exec:(2 * slo);
-  let h = Obs.Health.phase_histo hl ~sid:0 Obs.Health.Pending in
-  check "merged count" 2 (Obs.Summary.Histo.count h);
-  check "merged total" (slo + 51) (Obs.Summary.Histo.total h);
-  check "merged max" (slo + 1) (Obs.Summary.Histo.max_v h);
-  (* Exactly the over-SLO samples burn. *)
-  check "pending burn" 1
-    (Obs.Health.burn_count hl ~sid:0 Obs.Health.Pending);
-  check "exec burn" 1 (Obs.Health.burn_count hl ~sid:0 Obs.Health.Exec)
+let test_op_counts () =
+  let hl = Obs.Health.create ~workers:2 ~structures:2 () in
+  Obs.Health.op_done hl ~sid:0;
+  Obs.Health.op_done hl ~sid:0;
+  Obs.Health.op_done hl ~sid:1;
+  (* Out-of-range sids are ignored. *)
+  Obs.Health.op_done hl ~sid:2;
+  Obs.Health.op_done hl ~sid:(-1);
+  check "sid 0" 2 (ops hl ~sid:0);
+  check "sid 1" 1 (ops hl ~sid:1);
+  Obs.Health.op_done Obs.Health.null ~sid:0;
+  check "null counts nothing" 0 (ops Obs.Health.null ~sid:0)
 
 let test_heartbeat_age () =
   let hl = Obs.Health.create ~workers:2 ~structures:1 () in
@@ -199,7 +196,7 @@ let test_health_json_shape () =
   Obs.Health.beat hl ~worker:0;
   Obs.Health.op_issued hl ~sid:0 ~now:(Obs.Clock.now_ns ());
   Obs.Health.batch_collected hl ~sid:0 ~size:1 ~now:(Obs.Clock.now_ns ());
-  Obs.Health.op_phases hl ~worker:0 ~sid:0 ~pending:10 ~exec:20;
+  Obs.Health.op_done hl ~sid:0;
   let j = Obs.Health.to_json hl in
   (* Must be valid JSON carrying the fields the monitor digests. (No
      structural round-trip check: the strict parser reads integral
@@ -218,6 +215,7 @@ let test_health_json_shape () =
   | _ -> Alcotest.fail "stalls not 0");
   (match member "structures" with
   | Obs.Json.List [ s0 ] -> (
+      check_bool "no per-op time" true (Obs.Json.member "phases" s0 = None);
       match Obs.Json.member "ops" s0 with
       | Some (Obs.Json.Int 1) -> ()
       | _ -> Alcotest.fail "ops gauge wrong")
@@ -252,9 +250,9 @@ let test_quiet_path_no_alloc () =
     Obs.Recorder.create ~capacity:64 ~clock:Obs.Recorder.Nanoseconds ~workers:2
       ()
   in
-  let inv = exact ~recorder:rc ~lemma2_bound:1024 ~structures:2 () in
+  let inv = exact ~lemma2_bound:1024 ~structures:2 () in
   let hl = Obs.Health.create ~workers:2 ~structures:2 () in
-  let rt = Obs.Reqtrace.create ~workers:2 ~classes:1 ~capacity:1 () in
+  let rt = Obs.Reqtrace.create ~classes:1 ~capacity:1 () in
   let probe =
     Obs.Probe.create ~recorder:rc ~invariants:inv ~health:hl ~reqtrace:rt ()
   in
@@ -268,8 +266,7 @@ let test_quiet_path_no_alloc () =
   if delta > 256. then
     Alcotest.failf "quiet monitoring path allocated %.0f minor words" delta;
   check "and stayed quiet" 0 (Obs.Invariants.total_violations inv);
-  check "every cycle reached health" 10_001
-    (Obs.Summary.Histo.count (Obs.Health.phase_histo hl ~sid:0 Obs.Health.Exec));
+  check "every cycle reached health" 10_001 (ops hl ~sid:0);
   (* The same cycle with nothing attached. *)
   let words_before = Gc.minor_words () in
   probe_cycles Obs.Probe.null ~n:10_000;
@@ -310,14 +307,7 @@ let test_runtime_integration_clean () =
       check "no stalls" 0 (Obs.Health.stall_count hl);
       check "pending balance drained" 0 (Obs.Invariants.pending inv ~sid:0);
       check_bool "checkers ran" true (Obs.Invariants.checks_run inv > 0);
-      List.iter
-        (fun (name, ph) ->
-          check name n_ops
-            (Obs.Summary.Histo.count (Obs.Health.phase_histo hl ~sid:0 ph)))
-        [
-          ("pending phases", Obs.Health.Pending);
-          ("exec phases", Obs.Health.Exec);
-        ];
+      check "health counted every op" n_ops (ops hl ~sid:0);
       (* Heartbeats flowed on the workers that participated. *)
       let now = Obs.Clock.now_ns () in
       check_bool "worker 0 beat" true
@@ -342,8 +332,8 @@ let () =
           Alcotest.test_case "Lemma-2 bound fires" `Quick test_lemma2_fires;
           Alcotest.test_case "off and out-of-range" `Quick
             test_off_and_out_of_range;
-          Alcotest.test_case "violation events on recorder" `Quick
-            test_violation_events_on_recorder;
+          Alcotest.test_case "one launch fires two checks" `Quick
+            test_one_launch_fires_two_checks;
         ] );
       ( "health",
         [
@@ -351,8 +341,7 @@ let () =
             test_stall_counter_fires;
           Alcotest.test_case "snapshot sample flags a stall" `Quick
             test_snapshot_flags_stall;
-          Alcotest.test_case "phase histos merge; SLO burn" `Quick
-            test_phase_histo_and_burn;
+          Alcotest.test_case "op counts per structure" `Quick test_op_counts;
           Alcotest.test_case "heartbeat ages" `Quick test_heartbeat_age;
           Alcotest.test_case "health json shape" `Quick test_health_json_shape;
           Alcotest.test_case "quiet path allocation-free" `Quick

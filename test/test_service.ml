@@ -582,7 +582,6 @@ let test_sweep_knee_status () =
           batches = 0;
           max_batch = 0;
           stalls = 0;
-          slo_burns = 0;
           lag_ns = [||];
           trace = Obs.Reqtrace.null;
         };
@@ -634,21 +633,21 @@ let test_rt_driver_trace_conservation () =
     "phase totals sum to latency total" tt.Obs.Reqtrace.t_latency
     (tt.Obs.Reqtrace.t_queue + tt.Obs.Reqtrace.t_sched
     + tt.Obs.Reqtrace.t_pending + tt.Obs.Reqtrace.t_exec);
-  (* The reservoir's worst latency brackets the digest's max: the trace
+  (* The slowest span's latency brackets the digest's max: the trace
      stamps completion just after the driver measures the request, so
      it reads >= the digest figure, and by no more than scheduling skew
      between two adjacent stamps. *)
   let all = Svc.Latency.all_of pt.Svc.Rt_driver.classes in
-  match Obs.Reqtrace.slowest rt with
+  match Obs.Reqtrace.slowest ~n:1 rt with
   | worst :: _ ->
       let w = fi worst.Obs.Reqtrace.latency_ns in
       Alcotest.(check bool)
-        (Printf.sprintf "reservoir worst %.0f ~ digest max %.0f" w
+        (Printf.sprintf "slowest span %.0f ~ digest max %.0f" w
            all.Svc.Latency.max_ns)
         true
         (w >= all.Svc.Latency.max_ns
         && w <= all.Svc.Latency.max_ns +. 100_000_000.0)
-  | [] -> Alcotest.fail "empty reservoir"
+  | [] -> Alcotest.fail "no slowest span"
 
 let test_sim_driver_trace_conservation () =
   let sc = smoke () in
@@ -674,6 +673,40 @@ let test_sim_driver_trace_conservation () =
   let tt2 = Obs.Reqtrace.totals pt2.Svc.Sim_driver.trace in
   Alcotest.(check int) "deterministic trace totals" tt.Obs.Reqtrace.t_latency
     tt2.Obs.Reqtrace.t_latency
+
+(* Past the timeline's depth of 16: on a traced smoke sim point the 20
+   slowest gets are exactly an independent sort of that class's
+   completed spans — the first 20 by latency descending, token
+   ascending, listed with equal latencies highest token first. *)
+let test_sim_slowest_past_16 () =
+  let sc = smoke () in
+  let rt = (Svc.Sim_driver.run_point ~trace:true sc ~p:4).Svc.Sim_driver.trace in
+  let get = 0 in
+  Alcotest.(check string) "class 0 is get" "get" Svc.Gen.class_names.(get);
+  let spans =
+    List.filter_map
+      (fun tok ->
+        match Obs.Reqtrace.span rt tok with
+        | Some s when s.Obs.Reqtrace.cls = get ->
+            Some (s.Obs.Reqtrace.latency_ns, tok)
+        | _ -> None)
+      (List.init (Obs.Reqtrace.capacity rt) Fun.id)
+  in
+  Alcotest.(check bool) "at least 20 gets" true (List.length spans >= 20);
+  let by tok (la, ta) (lb, tb) =
+    match compare (lb : int) la with 0 -> tok ta tb | c -> c
+  in
+  let expect =
+    List.sort
+      (by (fun a b -> compare (b : int) a))
+      (List.filteri (fun i _ -> i < 20) (List.sort (by compare) spans))
+  in
+  Alcotest.(check (list (pair int int)))
+    "20 slowest = independent sort" expect
+    (List.map
+       (fun (s : Obs.Reqtrace.span) ->
+         (s.Obs.Reqtrace.latency_ns, s.Obs.Reqtrace.token))
+       (Obs.Reqtrace.slowest ~cls:get ~n:20 rt))
 
 (* ---------- latency digests ---------- *)
 
@@ -975,6 +1008,8 @@ let () =
             test_rt_driver_trace_conservation;
           Alcotest.test_case "sim span conservation, deterministic" `Quick
             test_sim_driver_trace_conservation;
+          Alcotest.test_case "sim slowest 20 of a class" `Quick
+            test_sim_slowest_past_16;
         ] );
       ( "plumbing",
         [

@@ -205,46 +205,10 @@ let prop_percentile_monotone =
       let lo = min q1 q2 and hi = max q1 q2 in
       Util.Stats.percentile xs lo <= Util.Stats.percentile xs hi +. 1e-9)
 
-(* Stats.sort against Array.sort Float.compare: sizes 0-5000, weighted
-   toward the lengths around the 16-element insertion-sorted run and its
-   merges, in six shapes. [compare] equates nan with nan and -0.0 with
-   0.0, as the order does. *)
+(* Lengths at and beside small powers of two, drawn beside uniform
+   ones. *)
 let near_run =
   [ 0; 1; 2; 15; 16; 17; 31; 32; 33; 47; 48; 49; 255; 256; 257; 1023; 1025 ]
-
-let sort_input ~shape ~n ~seed =
-  let rng = Util.Rng.create ~seed in
-  let signed _ = Util.Rng.float rng 2e6 -. 1e6 in
-  match shape with
-  | 0 -> Array.init n signed
-  | 1 -> (* duplicates, negatives among them *)
-      Array.init n (fun _ -> float_of_int (Util.Rng.int rng 11 - 5))
-  | 2 ->
-      let a = Array.init n signed in
-      Array.sort Float.compare a;
-      a
-  | 3 ->
-      let a = Array.init n signed in
-      Array.sort (fun x y -> Float.compare y x) a;
-      a
-  | 4 -> Array.make n (signed 0)
-  | _ ->
-      let pool = [| nan; -0.0; 0.0; infinity; neg_infinity; 1.5; -1.5 |] in
-      Array.init n (fun _ -> pool.(Util.Rng.int rng (Array.length pool)))
-
-let prop_sort_matches_array_sort =
-  QCheck.Test.make ~name:"Stats.sort = Array.sort Float.compare" ~count:400
-    QCheck.(
-      triple (0 -- 5)
-        (make ~print:string_of_int
-           Gen.(frequency [ (3, int_range 0 5000); (2, oneofl near_run) ]))
-        (0 -- 1_000_000))
-    (fun (shape, n, seed) ->
-      let a = sort_input ~shape ~n ~seed in
-      let expected = Array.copy a in
-      Array.sort Float.compare expected;
-      Util.Stats.sort a;
-      compare a expected = 0)
 
 (* Stats.radix_sort against Array.sort compare on ints: sizes 0-5000
    in six shapes — wide signed values, duplicates (zero and negatives
@@ -288,24 +252,10 @@ let prop_mean_is_fold =
   QCheck.Test.make ~name:"Stats.mean sums as Array.fold_left does" ~count:200
     QCheck.(pair (1 -- 2000) (0 -- 1_000_000))
     (fun (n, seed) ->
-      let xs = sort_input ~shape:0 ~n ~seed in
+      let rng = Util.Rng.create ~seed in
+      let xs = Array.init n (fun _ -> Util.Rng.float rng 2e6 -. 1e6) in
       let fold = Array.fold_left ( +. ) 0.0 xs /. float_of_int n in
       Int64.bits_of_float (Util.Stats.mean xs) = Int64.bits_of_float fold)
-
-(* Sorting boxes no sample: its arrays are past the minor heap's size
-   limit, so only a boxed read would count here (a box per read is at
-   least two words, 200k for this input). Gc.minor_words boxes its own
-   result, hence the slack. *)
-let test_stats_sort_allocation_free () =
-  let rng = Util.Rng.create ~seed:13 in
-  let a = Array.init 100_000 (fun _ -> Util.Rng.float rng 1.0) in
-  let before = Gc.minor_words () in
-  Util.Stats.sort a;
-  let p50 = Util.Stats.percentile a 0.5 in
-  let delta = Gc.minor_words () -. before in
-  Alcotest.(check bool) "median in range" true (p50 > 0.0 && p50 < 1.0);
-  if delta > 64. then
-    Alcotest.failf "Stats.sort and percentile allocated %.0f minor words" delta
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -314,7 +264,6 @@ let qcheck_cases =
       prop_exclusive_shifts_inclusive;
       prop_compact_preserves_some;
       prop_percentile_monotone;
-      prop_sort_matches_array_sort;
       prop_radix_sort_matches_array_sort;
       prop_mean_is_fold ]
 
@@ -341,8 +290,6 @@ let () =
           Alcotest.test_case "single sample" `Quick test_stats_single;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
-          Alcotest.test_case "sort allocation-free" `Quick
-            test_stats_sort_allocation_free;
         ] );
       ( "prefix_sum",
         [
